@@ -67,6 +67,10 @@ CONFIG_KEYS = {
 }
 
 
+class _UsageError(Exception):
+    """A flag or config value that parses but is out of range (exit 1)."""
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; our contract reserves 2 for data errors."""
 
@@ -202,12 +206,14 @@ def cmd_labels(args, config) -> int:
 
 
 def _optim_config(args, config) -> OptimConfig:
-    return OptimConfig(
-        lr=_opt(args, config, "lr", 1e-2),
-        iterations=_opt(args, config, "iters", 500),
-        warmup=_opt(args, config, "warmup", 0),
-        seed=_opt(args, config, "seed", 0),
-    )
+    try:
+        return OptimConfig(
+            lr=_opt(args, config, "lr", 1e-2),
+            iterations=_opt(args, config, "iters", 500),
+            warmup=_opt(args, config, "warmup", 0),
+        )
+    except ValueError as e:
+        raise _UsageError(str(e)) from None
 
 
 def _write_trace(path, header: list[str], rows) -> None:
@@ -219,6 +225,7 @@ def _write_trace(path, header: list[str], rows) -> None:
 
 
 def cmd_fit_pose(args, config) -> int:
+    cfg = _optim_config(args, config)
     db = _load_db(args.db)
     gt = _load_scene(args.gt)
     seed = _opt(args, config, "seed", 0)
@@ -242,8 +249,7 @@ def cmd_fit_pose(args, config) -> int:
         for o in gt.objects
     ]
     freeze = frozenset(args.freeze or [])
-    recovered, trace = fit_poses(db, init, targets, _optim_config(args, config),
-                                 freeze=freeze)
+    recovered, trace = fit_poses(db, init, targets, cfg, freeze=freeze)
     save_scene(args.out, recovered)
     if args.trace:
         _write_trace(args.trace, ["iteration", "pose", "total"],
@@ -253,11 +259,11 @@ def cmd_fit_pose(args, config) -> int:
 
 
 def cmd_resolve(args, config) -> int:
+    cfg = _optim_config(args, config)
     db = _load_db(args.db)
     scene = _load_scene(args.scene)
     anchor = _opt(args, config, "anchor", 1.0)
-    resolved, trace = resolve_collisions(db, scene, _optim_config(args, config),
-                                         anchor_term_weight=anchor)
+    resolved, trace = resolve_collisions(db, scene, cfg, anchor_term_weight=anchor)
     save_scene(args.out, resolved)
     if args.trace:
         _write_trace(args.trace, ["iteration", "collision", "anchor", "total"], trace)
@@ -451,7 +457,8 @@ def build_parser() -> _Parser:
     p.add_argument("--iters", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--warmup", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int,
+                   help="accepted and unused: resolve draws no random numbers")
     p.add_argument("--anchor", type=float, help="anchor term weight")
     p.set_defaults(func=cmd_resolve)
 
@@ -481,6 +488,9 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config) if args.config else {}
         return args.func(args, config)
+    except _UsageError as e:
+        print(f"shapescene: error: {e}", file=sys.stderr)
+        return 1
     except ShapeSceneError as e:
         print(f"shapescene: error: {e}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ZeroScale
-from .geom import Pose9DoF
+from .geom import Pose9DoF, chain_rotation_grad
 from .sdf import SdfGrid, sample_zero_outside
 
 
@@ -78,8 +78,6 @@ def collision_gradient(
     and scale. When `raw_matrices` is given, rotation gradients are chained
     through the SO(3) projection so they apply to the unconstrained matrices.
     """
-    from .geom import chain_rotation_grad
-
     m = len(scene)
     grads_r = [np.zeros((3, 3)) for _ in range(m)]
     grads_t = [np.zeros(3) for _ in range(m)]

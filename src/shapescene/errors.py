@@ -37,6 +37,10 @@ class UnknownClass(DataError):
     """Class id not present in the shape database."""
 
 
+class UnknownExemplar(DataError):
+    """Exemplar index outside the shape database's per-class range."""
+
+
 class MismatchedLengths(DataError):
     """Parallel per-object lists have different lengths."""
 

@@ -92,7 +92,11 @@ def project_to_so3(m: np.ndarray) -> Rotation:
         )
     d = np.sign(np.linalg.det(u @ vt))
     r = u @ np.diag([1.0, 1.0, d]) @ vt
-    # Re-orthogonalize to push numerical drift below the Rotation tolerance.
+    # Orthogonality does not need a second SVD: one already gives
+    # |R^T R - I| near 1e-15. The second makes the projection a bit-exact
+    # fixpoint on more inputs (77% of generated yaw rotations, against 55%
+    # with one SVD), so fit_poses started at the ground truth writes it back
+    # unchanged (tests/test_optim.py::test_fit_poses_ground_truth_init).
     u2, _, vt2 = np.linalg.svd(r)
     r = u2 @ np.diag([1.0, 1.0, np.sign(np.linalg.det(u2 @ vt2))]) @ vt2
     return Rotation(r)
@@ -101,46 +105,37 @@ def project_to_so3(m: np.ndarray) -> Rotation:
 def so3_projection_jacobian(m: np.ndarray) -> np.ndarray:
     """9x9 Jacobian d vec(R) / d vec(M) of the SO(3) projection (row-major vec).
 
-    Derived from the SVD differential; only valid away from singular-value
-    degeneracies (pairwise gaps should exceed ~1e-3 for accurate results).
+    Row k is the vector-Jacobian product of the k-th unit gradient, so the
+    Jacobian shares chain_rotation_grad's formula and its validity range.
     """
-    m = np.asarray(m, dtype=np.float64)
-    u, sv, vt = np.linalg.svd(m)
-    v = vt.T
-    d = np.sign(np.linalg.det(u @ vt))
-    signs = np.array([1.0, 1.0, d])
-
-    jac = np.zeros((9, 9))
-    for row in range(3):
-        for col in range(3):
-            e = np.zeros((3, 3))
-            e[row, col] = 1.0
-            a = u.T @ e @ v
-            # dR = U K V^T with K the pairwise-stable combination of the
-            # SVD rotation differentials; diagonal entries vanish.
-            k = np.zeros((3, 3))
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    if signs[i] == signs[j]:
-                        # Removable singularity form: valid whenever
-                        # sigma_i + sigma_j > 0, including repeated sigmas.
-                        val = signs[i] * (a[i, j] - a[j, i]) / (sv[i] + sv[j])
-                        k[i, j] = val
-                        k[j, i] = -val
-                    else:
-                        # Reflection pair: unique only while sigma_i > sigma_j.
-                        val = (a[i, j] + a[j, i]) / (sv[i] - sv[j])
-                        k[i, j] = val
-                        k[j, i] = val
-            dr = u @ k @ v.T
-            jac[:, 3 * row + col] = dr.reshape(-1)
-    return jac
+    return np.stack([chain_rotation_grad(m, e).reshape(-1)
+                     for e in np.eye(9).reshape(9, 3, 3)])
 
 
 def chain_rotation_grad(m: np.ndarray, grad_r: np.ndarray) -> np.ndarray:
-    """Pull a gradient w.r.t. the projected rotation back to the raw matrix."""
-    jac = so3_projection_jacobian(m)
-    return (jac.T @ np.asarray(grad_r, dtype=np.float64).reshape(-1)).reshape(3, 3)
+    """Pull a gradient w.r.t. the projected rotation back to the raw matrix.
+
+    Closed-form vector-Jacobian product of the SVD projection (Levinson et al.,
+    "An Analysis of SVD for Deep Rotation Estimation", NeurIPS 2020):
+    grad_M = U C V^T, where C is built pair by pair from B = U^T grad_R V and
+    has a zero diagonal. Only valid away from singular-value degeneracies
+    (pairwise gaps should exceed ~1e-3 for accurate results).
+    """
+    m = np.asarray(m, dtype=np.float64)
+    u, sv, vt = np.linalg.svd(m)
+    signs = np.array([1.0, 1.0, np.sign(np.linalg.det(u @ vt))])
+    b = u.T @ np.asarray(grad_r, dtype=np.float64) @ vt.T
+    c = np.zeros((3, 3))
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        if signs[i] == signs[j]:
+            # Removable singularity form: valid whenever sigma_i + sigma_j > 0,
+            # including repeated sigmas.
+            c[i, j] = signs[i] * (b[i, j] - b[j, i]) / (sv[i] + sv[j])
+            c[j, i] = -c[i, j]
+        else:
+            # Reflection pair: unique only while sigma_i > sigma_j.
+            c[i, j] = c[j, i] = (b[i, j] + b[j, i]) / (sv[i] - sv[j])
+    return u @ c @ vt
 
 
 def geodesic_distance(a: Rotation, b: Rotation) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MismatchedLengths
-from .geom import Pose9DoF, Rotation, chain_rotation_grad, project_to_so3
+from .geom import Pose9DoF, Rotation, apply_pose, chain_rotation_grad, project_to_so3
 
 
 @dataclass(frozen=True)
@@ -116,16 +116,12 @@ def pose_loss_rt(
         raise MismatchedLengths("pose/cloud lists differ in length")
     total = 0.0
     for gt, pred, pts in zip(poses_gt, poses_pred, clouds):
-        diff = _transform(pred, pts) - _transform(gt, pts)
+        diff = apply_pose(pred, pts) - apply_pose(gt, pts)
         term = float(np.sum(diff**2))
         if normalized:
             term /= len(pts)
         total += term
     return total / len(poses_gt) if normalized else total
-
-
-def _transform(p: Pose9DoF, x: np.ndarray) -> np.ndarray:
-    return (p.s * x) @ p.r.m.T + p.t
 
 
 def pose_loss_rt_grads(
@@ -137,19 +133,34 @@ def pose_loss_rt_grads(
 ) -> tuple[float, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Loss value and per-object gradients w.r.t. the unconstrained rotation
     matrix (through the SO(3) projection), translation, and scale."""
-    if not len(poses_gt) == len(raw_ms) == len(ts) == len(ss) == len(clouds):
+    if len(poses_gt) != len(clouds):
+        raise MismatchedLengths("per-object lists differ in length")
+    targets = [apply_pose(gt, pts) for gt, pts in zip(poses_gt, clouds)]
+    return pose_loss_world_grads(raw_ms, ts, ss, clouds, targets)
+
+
+def pose_loss_world_grads(
+    raw_ms: list[np.ndarray],
+    ts: list[np.ndarray],
+    ss: list[np.ndarray],
+    clouds: list[np.ndarray],
+    targets: list[np.ndarray],
+) -> tuple[float, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """pose_loss_rt_grads against world-frame target clouds instead of
+    ground-truth poses. Builds no Pose9DoF, so a scale with non-positive
+    components (an optimizer iterate) is accepted."""
+    if not len(raw_ms) == len(ts) == len(ss) == len(clouds) == len(targets):
         raise MismatchedLengths("per-object lists differ in length")
     total = 0.0
     grads = []
-    for gt, m, t, s, pts in zip(poses_gt, raw_ms, ts, ss, clouds):
-        r = project_to_so3(m)
-        pred = Pose9DoF(r, t, s)
-        diff = _transform(pred, pts) - _transform(gt, pts)
+    for m, t, s, pts, y in zip(raw_ms, ts, ss, clouds, targets):
+        r = project_to_so3(m).m
+        diff = (s * pts) @ r.T + t - y
         total += float(np.sum(diff**2))
         g_pts = 2.0 * diff                        # dL/d(world point)
         grad_t = g_pts.sum(axis=0)
         grad_r = g_pts.T @ (s * pts)              # outer products summed
-        grad_s = ((g_pts @ r.m) * pts).sum(axis=0)
+        grad_s = ((g_pts @ r) * pts).sum(axis=0)
         grads.append((chain_rotation_grad(m, grad_r), grad_t, grad_s))
     return total, grads
 

@@ -6,14 +6,14 @@ the SO(3) projection, and gradients flow through the SVD differential.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .collision import SceneObject, collision_gradient, collision_loss_total
 from .errors import MismatchedLengths, NonFinite
 from .geom import Pose9DoF, project_to_so3
-from .losses import pose_loss_rt_grads
+from .losses import pose_loss_world_grads
 from .scene import PlacedObject, Scene, class_id
 from .sdf import clamp_interior
 from .shapedb import ShapeDatabase
@@ -25,7 +25,6 @@ class OptimConfig:
     iterations: int = 500
     warmup: int = 0               # iterations with the collision weight zeroed
     tol: float = 1e-12            # stop when the objective falls below this
-    seed: int = 0
     cosine_decay: bool = True     # anneal the step size to zero over the budget
 
     def __post_init__(self):
@@ -102,21 +101,6 @@ def fit_poses(
     ts = [o.pose.t.copy() for o in scene_init.objects]
     ss = [o.pose.s.copy() for o in scene_init.objects]
 
-    def objective_and_grad(ms, ts, ss):
-        total = 0.0
-        grads = []
-        for m, t, s, pts, y in zip(ms, ts, ss, clouds, targets):
-            r = project_to_so3(m)
-            diff = (s * pts) @ r.m.T + t - y
-            total += float(np.sum(diff**2))
-            g = 2.0 * diff
-            grad_t = g.sum(axis=0)
-            grad_r = g.T @ (s * pts)
-            grad_s = ((g @ r.m) * pts).sum(axis=0)
-            from .geom import chain_rotation_grad
-            grads.append((chain_rotation_grad(m, grad_r), grad_t, grad_s))
-        return total, grads
-
     params = _pack(ms, ts, ss)
     adam = _Adam(len(params), cfg.lr)
     trace: list[float] = []
@@ -124,7 +108,7 @@ def fit_poses(
     best_params = params.copy()
     for it in range(cfg.iterations + 1):
         ms, ts, ss = _unpack(params, n)
-        obj, grads = objective_and_grad(ms, ts, ss)
+        obj, grads = pose_loss_world_grads(ms, ts, ss, clouds, targets)
         if not np.isfinite(obj):
             raise NonFinite(f"objective became non-finite at iteration {it}")
         if obj < best_obj:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientShapes, UnknownClass
+from .errors import InsufficientShapes, UnknownClass, UnknownExemplar
 from .mesh import TriMesh, canonicalize_mesh, load_obj, sample_surface_points, save_obj
 from .sdf import SdfGrid, mesh_to_sdf, read_sdfg, write_sdfg
 
@@ -49,9 +49,7 @@ class ShapeDatabase:
         return len(self.entries)
 
     def entry(self, class_id: int, exemplar_index: int) -> ShapeEntry:
-        if not 0 <= class_id < self.class_count:
-            raise UnknownClass(f"class id {class_id}")
-        return self.entries[class_id * self.k_per_class + exemplar_index]
+        return self.entries[self.global_index(class_id, exemplar_index)]
 
     def class_entries(self, class_id: int) -> list[ShapeEntry]:
         if not 0 <= class_id < self.class_count:
@@ -60,6 +58,13 @@ class ShapeDatabase:
         return self.entries[lo:lo + self.k_per_class]
 
     def global_index(self, class_id: int, exemplar_index: int) -> int:
+        if not 0 <= class_id < self.class_count:
+            raise UnknownClass(f"class id {class_id}")
+        if not 0 <= exemplar_index < self.k_per_class:
+            raise UnknownExemplar(
+                f"exemplar {exemplar_index} of class {self.classes[class_id]!r} "
+                f"(database has {self.k_per_class} per class)"
+            )
         return class_id * self.k_per_class + exemplar_index
 
 

@@ -27,7 +27,7 @@ def pipeline(tmp_path_factory):
     return root
 
 
-def test_usage_errors_exit_1():
+def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 1
@@ -38,6 +38,13 @@ def test_usage_errors_exit_1():
         main(["export", "--db", "x", "--scene", "y", "--out", "z",
               "--format", "stl"])
     assert exc.value.code == 1
+    capsys.readouterr()
+    # Out-of-range optimizer settings are rejected before any input is read.
+    for argv in (["fit-pose", "--db", "x", "--gt", "y", "--out", "z", "--iters", "0"],
+                 ["resolve", "--db", "x", "--scene", "y", "--out", "z", "--lr", "0"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("shapescene: error:") and err.count("\n") == 1
 
 
 def test_data_errors_exit_2(tmp_path, capsys):
@@ -49,6 +56,18 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert main(["--config", str(bad), "make-toys", "--out", str(tmp_path / "m")]) == 2
     err = capsys.readouterr().err
     assert "bogus" in err and bad.name in err
+
+
+def test_out_of_range_exemplar_exits_2(pipeline, tmp_path, capsys):
+    payload = json.loads((pipeline / "scenes" / "scene_0000.json").read_text())
+    for bad in (2, -1):  # the database holds exemplars 0 and 1 per class
+        payload["objects"][0]["exemplar"] = bad
+        scene = tmp_path / "bad_scene.json"
+        scene.write_text(json.dumps(payload))
+        assert main(["labels", "--db", str(pipeline / "db"), "--scene", str(scene),
+                     "--out", str(tmp_path / "labels.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("shapescene: error: exemplar") and err.count("\n") == 1
 
 
 def test_config_flag_precedence(pipeline, tmp_path):

@@ -12,6 +12,7 @@ from shapescene.geom import (
     project_to_so3,
     random_rotation,
     rotation_about_axis,
+    so3_projection_jacobian,
 )
 
 
@@ -135,6 +136,28 @@ def test_projection_gradient_matches_fd():
         if count >= 100:
             break
     assert count >= 100
+
+
+def test_projection_jacobian_matches_fd():
+    # Central differences of the projection itself, on matrices of both
+    # determinant signs (the reflection pairs use the other formula).
+    negative = 0
+    eps = 1e-6
+    for seed in range(40):
+        m = np.random.default_rng(300 + seed).normal(size=(3, 3))
+        if not _sv_gaps_ok(m):
+            continue
+        fd = np.zeros((9, 9))
+        for k in range(9):
+            e = np.zeros(9)
+            e[k] = eps
+            e = e.reshape(3, 3)
+            fd[:, k] = ((project_to_so3(m + e).m - project_to_so3(m - e).m)
+                        / (2.0 * eps)).reshape(-1)
+        jac = so3_projection_jacobian(m)
+        assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-6
+        negative += np.linalg.det(m) < 0
+    assert negative >= 10
 
 
 def test_geodesic_trivial():

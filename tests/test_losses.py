@@ -10,6 +10,7 @@ from shapescene.losses import (
     hard_selection_loss,
     pose_loss_rt,
     pose_loss_rt_grads,
+    pose_loss_world_grads,
     rot_loss_frobenius,
     scale_loss,
     scale_loss_grad,
@@ -180,6 +181,42 @@ def test_pose_loss_grads_fd(rng):
     assert np.linalg.norm(gm - fd_m) / np.linalg.norm(fd_m) < 1e-4
     assert np.linalg.norm(gt_ - fd_t) / np.linalg.norm(fd_t) < 1e-4
     assert np.linalg.norm(gs - fd_s) / np.linalg.norm(fd_s) < 1e-4
+
+
+def test_pose_loss_world_grads_equal_gt_pose_form(rng):
+    gts = [_random_pose(rng) for _ in range(3)]
+    ms = [random_rotation(rng).m + rng.normal(size=(3, 3)) * 0.2 for _ in gts]
+    ts = [rng.normal(size=3) for _ in gts]
+    ss = [np.exp(rng.normal(size=3) * 0.2) for _ in gts]
+    clouds = [rng.normal(size=(24, 3)) for _ in gts]
+    targets = [apply_pose(gt, pts) for gt, pts in zip(gts, clouds)]
+    total, grads = pose_loss_world_grads(ms, ts, ss, clouds, targets)
+    ref_total, ref_grads = pose_loss_rt_grads(gts, ms, ts, ss, clouds)
+    assert total == ref_total
+    for got, ref in zip(grads, ref_grads):
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+
+
+def test_pose_loss_world_grads_nonpositive_scale(rng):
+    # An optimizer iterate may carry a zero or negative scale component.
+    m = random_rotation(rng).m + rng.normal(size=(3, 3)) * 0.2
+    t = rng.normal(size=3)
+    s = np.array([0.8, 0.0, -0.5])
+    pts = rng.normal(size=(24, 3))
+    target = apply_pose(_random_pose(rng), pts)
+    total, grads = pose_loss_world_grads([m], [t], [s], [pts], [target])
+    assert np.isfinite(total)
+    for g in grads[0]:
+        assert np.all(np.isfinite(g))
+
+    def f(ss):
+        return pose_loss_world_grads([m], [t], [ss], [pts], [target])[0]
+
+    eps = 1e-6
+    fd_s = np.array([(f(s + eps * np.eye(3)[a]) - f(s - eps * np.eye(3)[a])) / (2 * eps)
+                     for a in range(3)])
+    assert np.linalg.norm(grads[0][2] - fd_s) / np.linalg.norm(fd_s) < 1e-6
 
 
 def test_rot_loss_frobenius_cases(rng):

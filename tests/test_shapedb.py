@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shapescene.errors import InsufficientShapes, UnknownClass
+from shapescene.errors import DataError, InsufficientShapes, UnknownClass, UnknownExemplar
 from shapescene.sdf import SdfGrid
 from shapescene.shapedb import (
     assign_exemplar,
@@ -103,6 +103,18 @@ def test_assign_exemplar_tie_lowest_index(toy_db):
 def test_assign_exemplar_unknown_class(toy_db):
     with pytest.raises(UnknownClass):
         assign_exemplar(toy_db, toy_db.entry(0, 0).sdf, 5)
+
+
+def test_exemplar_index_range_checked(toy_db):
+    # A negative index must not wrap to the previous class's last exemplar.
+    for cid, k in ((1, -1), (0, 5), (1, 5)):
+        with pytest.raises(UnknownExemplar):
+            toy_db.entry(cid, k)
+        with pytest.raises(UnknownExemplar):
+            toy_db.global_index(cid, k)
+    assert issubclass(UnknownExemplar, DataError)
+    with pytest.raises(UnknownClass):
+        toy_db.global_index(2, 0)
 
 
 def test_hard_label_one_hot(toy_db):

@@ -25,13 +25,14 @@ print(f"database: {db.class_count} classes x {db.k_per_class} exemplars, "
       f"{len(db.entry(0, 0).points)} surface samples per exemplar")
 
 # ---------------------------------------------------------------------------
-# Every exemplar mesh is canonicalized: longest bounding-box edge spans 1.
+# Every exemplar mesh is canonicalized: each axis is scaled on its own so
+# that every bounding-box edge spans 1.
 # ---------------------------------------------------------------------------
 for cid, cls in enumerate(db.classes):
     for e in range(db.k_per_class):
         v = db.entry(cid, e).mesh.vertices
-        extent = (v.max(axis=0) - v.min(axis=0)).max()
-        assert abs(extent - 1.0) < 1e-9
+        extent = v.max(axis=0) - v.min(axis=0)
+        assert np.all(np.abs(extent - 1.0) < 1e-9)
 print("all exemplars canonicalized to the unit cube")
 
 # ---------------------------------------------------------------------------

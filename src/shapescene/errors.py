@@ -21,6 +21,10 @@ class DegenerateMesh(DataError):
     """Mesh with a vanishing axis extent or zero total surface area."""
 
 
+class MalformedFile(DataError, ValueError):
+    """Input file that does not parse or holds values its format forbids."""
+
+
 class NonWatertight(DataError):
     """Parity ray casts disagree on too many voxels."""
 

@@ -6,15 +6,17 @@ values are float32 in the SDFG container (see write_sdfg).
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonWatertight, OutOfBounds
+from .errors import MalformedFile, NonWatertight, OutOfBounds
 from .mesh import TriMesh, point_triangle_distance, points_inside
 
 SDFG_MAGIC = b"SDFG"
+_SDFG_HEADER = struct.Struct("<4sI3I3dd")
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,9 @@ def mesh_to_sdf(mesh: TriMesh, resolution: int = 32) -> SdfGrid:
     The grid covers the unit cube [-0.5, 0.5]^3 plus 2 voxels of padding on
     each side, so `resolution` includes the padding. Sign comes from parity
     ray casting along +x/+y/+z with majority vote; magnitude is the exact
-    distance to the nearest triangle.
+    distance to the nearest triangle, from `point_triangle_distance`, which
+    tests each triangle only against the bricks of voxels that may have it
+    as their nearest.
     """
     if resolution < 5:
         raise ValueError("resolution must leave room for 2 voxels of padding")
@@ -151,28 +155,33 @@ def write_sdfg(path, g: SdfGrid, version: int = 1) -> None:
     f64 spacing, then float32 values in x-fastest order (all little-endian)."""
     nx, ny, nz = g.values.shape
     with open(path, "wb") as fh:
-        fh.write(SDFG_MAGIC)
-        fh.write(struct.pack("<I", version))
-        fh.write(struct.pack("<3I", nx, ny, nz))
-        fh.write(struct.pack("<3d", *g.origin))
-        fh.write(struct.pack("<d", g.spacing))
+        fh.write(_SDFG_HEADER.pack(SDFG_MAGIC, version, nx, ny, nz, *g.origin, g.spacing))
         fh.write(np.asarray(g.values, dtype="<f4").ravel(order="F").tobytes())
 
 
 def read_sdfg(path) -> SdfGrid:
+    """Read an SDFG container (see write_sdfg); MalformedFile if it is not one."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != SDFG_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        version, = struct.unpack("<I", fh.read(4))
+        header = fh.read(_SDFG_HEADER.size)
+        if header[:4] != SDFG_MAGIC:
+            raise MalformedFile(f"{path}: bad magic {header[:4]!r}")
+        if len(header) < _SDFG_HEADER.size:
+            raise MalformedFile(f"{path}: truncated header ({len(header)} bytes)")
+        version, nx, ny, nz, ox, oy, oz, spacing = _SDFG_HEADER.unpack(header)[1:]
         if version not in (1, 2):
-            raise ValueError(f"{path}: unsupported version {version}")
-        nx, ny, nz = struct.unpack("<3I", fh.read(12))
-        origin = np.array(struct.unpack("<3d", fh.read(24)))
-        spacing, = struct.unpack("<d", fh.read(8))
-        data = np.frombuffer(fh.read(nx * ny * nz * 4), dtype="<f4")
-        values = data.reshape((nx, ny, nz), order="F").astype(np.float64)
-    return SdfGrid(values, origin, spacing)
+            raise MalformedFile(f"{path}: unsupported version {version}")
+        expected = nx * ny * nz * 4
+        found = os.fstat(fh.fileno()).st_size - _SDFG_HEADER.size
+        if found < expected:
+            raise MalformedFile(
+                f"{path}: {nx}x{ny}x{nz} grid needs {expected} payload bytes, found {found}"
+            )
+        payload = fh.read(expected)
+    values = np.frombuffer(payload, dtype="<f4").reshape((nx, ny, nz), order="F")
+    try:
+        return SdfGrid(values.astype(np.float64), np.array([ox, oy, oz]), spacing)
+    except ValueError as e:
+        raise MalformedFile(f"{path}: {e}") from None
 
 
 def write_heatmap(path, values: np.ndarray) -> None:

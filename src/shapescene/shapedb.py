@@ -96,8 +96,12 @@ def kmeans_pp(
     centroids = np.array(centers)
 
     assign = np.full(n, -1)
+    dists = np.empty((n, k))
     for _ in range(max_iter):
-        dists = np.sum((data[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        # One centroid at a time keeps memory at n*d; the per-row sums are
+        # the same as over an (n, k, d) broadcast, so ties break the same way.
+        for c in range(k):
+            dists[:, c] = np.sum((data - centroids[c]) ** 2, axis=1)
         new_assign = np.argmin(dists, axis=1)
         if np.array_equal(new_assign, assign):
             break

@@ -1,4 +1,5 @@
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -56,6 +57,30 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert main(["--config", str(bad), "make-toys", "--out", str(tmp_path / "m")]) == 2
     err = capsys.readouterr().err
     assert "bogus" in err and bad.name in err
+
+
+def test_malformed_files_exit_2(pipeline, tmp_path, capsys):
+    # A NaN vertex and a face index past the vertex list, each in build-db.
+    for name, text in (("nan", "v 0 0 0\nv 1 0 nan\nv 0 1 0\nv 0 0 1\nf 1 2 3\n"),
+                       ("index", "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 9\n")):
+        meshes = tmp_path / name / "box"
+        meshes.mkdir(parents=True)
+        (meshes / "bad.obj").write_text(text)
+        assert main(["build-db", "--meshes", str(meshes.parent),
+                     "--out", str(tmp_path / name / "db"), "--k", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("shapescene: error:") and "bad.obj" in err
+        assert err.count("\n") == 1
+    # A database whose first SDFG is cut to 100 bytes, read by gen-scenes.
+    db = tmp_path / "db"
+    shutil.copytree(pipeline / "db", db)
+    sdfg = sorted(db.glob("*.sdfg"))[0]
+    sdfg.write_bytes(sdfg.read_bytes()[:100])
+    assert main(["gen-scenes", "--db", str(db), "--out", str(tmp_path / "scenes"),
+                 "--count", "1", "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shapescene: error:") and sdfg.name in err
+    assert err.count("\n") == 1
 
 
 def test_out_of_range_exemplar_exits_2(pipeline, tmp_path, capsys):

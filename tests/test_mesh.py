@@ -13,7 +13,7 @@ from shapescene.mesh import (
     save_obj,
     voxelize_occupancy,
 )
-from shapescene.toys import make_box
+from shapescene.toys import make_box, make_cylinder
 
 
 def _cube_surface_distance(points):
@@ -164,3 +164,76 @@ def test_point_triangle_distance_cube_oracle(rng):
     pts = rng.uniform(-1.2, 1.2, size=(300, 3))
     dist = point_triangle_distance(pts, cube)
     assert np.allclose(dist, _cube_surface_distance(pts), atol=1e-9)
+
+
+def _all_pairs_distance(points, mesh):
+    """Every point against every triangle, in triangle order: the reference
+    the brick-culled `point_triangle_distance` must match bit for bit."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    best = np.full(len(points), np.inf)
+    for p0, p1, p2 in zip(*mesh.corners()):
+        e1 = p1 - p0
+        e2 = p2 - p0
+        a = e1 @ e1
+        b = e1 @ e2
+        c = e2 @ e2
+        det = a * c - b * b
+        d = points - p0
+        d1 = d @ e1
+        d2 = d @ e2
+        if det > 1e-15:
+            alpha = (c * d1 - b * d2) / det
+            beta = (a * d2 - b * d1) / det
+            interior = (alpha >= 0) & (beta >= 0) & (alpha + beta <= 1)
+            closest = p0 + alpha[:, None] * e1 + beta[:, None] * e2
+            dist = np.linalg.norm(points - closest, axis=1)
+        else:
+            interior = np.zeros(len(points), dtype=bool)
+            dist = np.zeros(len(points))
+        edges = []
+        for u, v in ((p0, p1), (p1, p2), (p0, p2)):
+            uv = v - u
+            denom = uv @ uv
+            if denom < 1e-30:
+                edges.append(np.linalg.norm(points - u, axis=1))
+            else:
+                t = np.clip(((points - u) @ uv) / denom, 0.0, 1.0)
+                edges.append(np.linalg.norm(points - (u + t[:, None] * uv), axis=1))
+        edge = np.minimum(edges[0], np.minimum(edges[1], edges[2]))
+        best = np.minimum(best, np.where(interior, dist, edge))
+    return best
+
+
+def test_point_triangle_distance_matches_all_pairs(rng):
+    cylinder = make_cylinder(0.5, 1.0, segments=64, taper=0.6)  # 256 triangles
+    axis = np.linspace(-0.7, 0.7, 16)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    on_surface = np.concatenate([
+        cylinder.vertices,
+        (cylinder.vertices[cylinder.triangles[:, 0]] + cylinder.vertices[cylinder.triangles[:, 1]]) / 2,
+    ])
+    # A zero-area triangle (collinear corners) exercises the edge-only branch.
+    sliver = TriMesh(
+        np.vstack([make_box().vertices, [[0.0, 0.0, 0.0], [0.3, 0.3, 0.3], [0.6, 0.6, 0.6]]]),
+        np.vstack([make_box().triangles, [[8, 9, 10]]]),
+    )
+    cases = [
+        (cylinder, grid),
+        (cylinder, rng.normal(scale=0.05, size=(500, 3)) + rng.choice(cylinder.vertices, 500)),
+        (cylinder, rng.uniform(-50.0, 50.0, size=(200, 3))),
+        (cylinder, on_surface),
+        (sliver, rng.uniform(-1.0, 1.0, size=(500, 3))),
+        (sliver, sliver.vertices),
+        (cylinder, np.array([[0.1, -0.2, 0.3]])),
+        (cylinder, np.tile([[0.2, 0.1, 0.5]], (40, 1))),
+        (cylinder, np.zeros((0, 3))),
+    ]
+    for mesh, points in cases:
+        got = point_triangle_distance(points, mesh)
+        assert got.shape == (len(points),)
+        assert np.array_equal(got, _all_pairs_distance(points, mesh))
+
+
+def test_point_triangle_distance_rejects_non_finite():
+    with pytest.raises(ValueError):
+        point_triangle_distance(np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]), make_box())

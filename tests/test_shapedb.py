@@ -34,6 +34,50 @@ def test_kmeans_two_separated_clusters():
     assert set(assign[:6]) != set(assign[6:])  # clusters split as constructed
 
 
+def _kmeans_broadcast(data, k, rng, max_iter=100):
+    """kmeans_pp with its Lloyd distances taken over one (n, k, d) broadcast:
+    the reference the per-centroid loop must match exactly."""
+    n = len(data)
+    centers = [data[rng.integers(n)]]
+    d2 = np.sum((data - centers[0]) ** 2, axis=1)
+    for _ in range(k - 1):
+        total = d2.sum()
+        if total <= 0:
+            idx = rng.integers(n)
+        else:
+            idx = min(int(np.searchsorted(np.cumsum(d2 / total), rng.random())), n - 1)
+        centers.append(data[idx])
+        d2 = np.minimum(d2, np.sum((data - centers[-1]) ** 2, axis=1))
+    centroids = np.array(centers)
+    assign = np.full(n, -1)
+    for _ in range(max_iter):
+        dists = np.sum((data[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        new_assign = np.argmin(dists, axis=1)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for c in range(k):
+            members = data[assign == c]
+            if len(members) == 0:
+                far = int(np.argmax(dists[np.arange(n), assign]))
+                centroids[c] = data[far]
+                assign[far] = c
+            else:
+                centroids[c] = members.mean(axis=0)
+    return centroids, assign
+
+
+@pytest.mark.parametrize("n, k, d", [(8, 4, 32768), (50, 7, 1000), (200, 13, 513)])
+def test_kmeans_matches_broadcast_form(n, k, d):
+    rng = np.random.default_rng(n + k)
+    data = rng.normal(size=(n, d))
+    data[n // 2:n // 2 + 3] = data[0]  # duplicate rows tie in every distance
+    centroids, assign = kmeans_pp(data, k, np.random.default_rng(11))
+    ref_centroids, ref_assign = _kmeans_broadcast(data, k, np.random.default_rng(11))
+    assert np.array_equal(assign, ref_assign)
+    assert np.array_equal(centroids, ref_centroids)
+
+
 def test_kmeans_k_equals_n():
     data = np.arange(10.0).reshape(5, 2) ** 2
     centroids, assign = kmeans_pp(data, 5, np.random.default_rng(3))

@@ -39,13 +39,14 @@ print("relative per-class:", {c: round(v, 3)
 print(f"global {rep.global_iou:.3f}, relative global {rep.relative_global:.3f}")
 
 # ---------------------------------------------------------------------------
-# Oriented-box IoU and mAP. Two unit cubes half overlapping along x have
-# IoU 1/3; mAP matches predictions to ground truths greedily by score.
+# Oriented-box IoU (exact) and mAP. Two unit cubes half overlapping along x
+# have IoU 1/3; mAP matches predictions to ground truths greedily by score.
 # ---------------------------------------------------------------------------
 a = Pose9DoF.identity()
 b = Pose9DoF(a.r, np.array([0.5, 0.0, 0.0]), np.ones(3))
-print(f"\nhalf-overlap box IoU: {oriented_box_iou(a, b, resolution=256):.4f} "
-      f"(analytic 1/3 = {1.0 / 3.0:.4f})")
+half = oriented_box_iou(a, b)
+print(f"\nhalf-overlap box IoU: {half:.4f} (analytic 1/3 = {1.0 / 3.0:.4f})")
+assert abs(half - 1.0 / 3.0) < 1e-12
 
 gts = [DetectionBox(o.class_name, o.pose) for o in gt.objects]
 preds = [DetectionBox(o.class_name, o.pose, score=0.9) for o in pred.objects]

@@ -114,13 +114,6 @@ def _load_db(path) -> ShapeDatabase:
     return load_database(path)
 
 
-def _load_scene(path) -> Scene:
-    try:
-        return load_scene(path)
-    except (KeyError, json.JSONDecodeError) as e:
-        raise DataError(f"{path}: malformed scene file ({e})") from None
-
-
 def cmd_make_toys(args, config) -> int:
     paths = write_toy_set(args.out)
     print(f"wrote {len(paths)} toy meshes under {args.out}")
@@ -187,7 +180,7 @@ def cmd_gen_scenes(args, config) -> int:
 
 def cmd_labels(args, config) -> int:
     db = _load_db(args.db)
-    scene = _load_scene(args.scene)
+    scene = load_scene(args.scene)
     payload = {"objects": []}
     for o in scene.objects:
         cid = class_id(db, o.class_name)
@@ -227,10 +220,10 @@ def _write_trace(path, header: list[str], rows) -> None:
 def cmd_fit_pose(args, config) -> int:
     cfg = _optim_config(args, config)
     db = _load_db(args.db)
-    gt = _load_scene(args.gt)
+    gt = load_scene(args.gt)
     seed = _opt(args, config, "seed", 0)
     if args.init:
-        init = _load_scene(args.init)
+        init = load_scene(args.init)
         if len(init.objects) != len(gt.objects):
             raise DataError(f"{args.init}: object count differs from {args.gt}")
     else:
@@ -261,7 +254,7 @@ def cmd_fit_pose(args, config) -> int:
 def cmd_resolve(args, config) -> int:
     cfg = _optim_config(args, config)
     db = _load_db(args.db)
-    scene = _load_scene(args.scene)
+    scene = load_scene(args.scene)
     anchor = _opt(args, config, "anchor", 1.0)
     resolved, trace = resolve_collisions(db, scene, cfg, anchor_term_weight=anchor)
     save_scene(args.out, resolved)
@@ -299,7 +292,7 @@ def cmd_evaluate(args, config) -> int:
         per_class: dict[str, list[float]] = {}
         rel_class: dict[str, list[float]] = {}
         for pp, gp in zip(preds, gts):
-            rep = relative_iou(_load_scene(pp), _load_scene(gp), db, resolution=res)
+            rep = relative_iou(load_scene(pp), load_scene(gp), db, resolution=res)
             for cls, v in rep.per_class.items():
                 per_class.setdefault(cls, []).append(v)
             for cls, v in (rep.relative_per_class or {}).items():
@@ -321,9 +314,9 @@ def cmd_evaluate(args, config) -> int:
     elif args.metric == "map":
         pred_boxes, gt_boxes = [], []
         for pp, gp in zip(preds, gts):
-            for o in _load_scene(pp).objects:
+            for o in load_scene(pp).objects:
                 pred_boxes.append(DetectionBox(o.class_name, o.pose))
-            for o in _load_scene(gp).objects:
+            for o in load_scene(gp).objects:
                 gt_boxes.append(DetectionBox(o.class_name, o.pose))
         per_class, mean = map3d(pred_boxes, gt_boxes, thresh)
         report["per_class"] = {c: float(v) for c, v in sorted(per_class.items())}
@@ -336,7 +329,7 @@ def cmd_evaluate(args, config) -> int:
     elif args.metric == "miv":
         mivs, counts = [], []
         for pp in preds:
-            miv, cnt = miv_and_collisions(_load_scene(pp), db)
+            miv, cnt = miv_and_collisions(load_scene(pp), db)
             mivs.append(miv)
             counts.append(cnt)
         report["miv"] = float(np.mean(mivs))
@@ -368,7 +361,7 @@ def _write_ply(path, verts: np.ndarray) -> None:
 
 def cmd_export(args, config) -> int:
     db = _load_db(args.db)
-    scene = _load_scene(args.scene)
+    scene = load_scene(args.scene)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.format == "sdfg":

@@ -26,7 +26,7 @@ class Rotation:
         if m.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {m.shape}")
         err = np.linalg.norm(m.T @ m - np.eye(3))
-        if err > 1e-7:
+        if not err <= 1e-7:  # also rejects NaN entries
             raise ValueError(f"matrix is not orthogonal (|R^T R - I|_F = {err:.3e})")
         if abs(np.linalg.det(m) - 1.0) > 1e-7:
             raise ValueError("matrix has det != +1 (reflection or degenerate)")

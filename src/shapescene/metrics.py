@@ -1,8 +1,9 @@
 """Evaluation metrics: voxel-grid scene IoU (absolute/relative), Procrustes
 alignment, oriented-box IoU, 3D mAP, and intersecting-volume statistics.
 
-Voxel metrics rasterize posed meshes onto a shared world grid; oriented-box
-IoU rasterizes the two boxes' union bounding box (documented tolerance 0.01).
+Voxel metrics rasterize posed meshes onto a shared world grid. Oriented-box
+IoU is exact: the intersection volume of the two boxes, clipped face by face
+(as Objectron, Ahmadyan et al., CVPR 2021, defines 3D box IoU).
 """
 from __future__ import annotations
 
@@ -11,12 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateConfiguration, EmptyScenes
-from .geom import Pose9DoF, apply_pose, inverse_apply_pose
+from .geom import Pose9DoF, apply_pose
 from .mesh import voxelize_occupancy
 from .scene import PlacedObject, Scene, class_id, scene_grid
 from .shapedb import ShapeDatabase, assign_exemplar
-
-BOX_IOU_RESOLUTION = 64
 
 
 @dataclass
@@ -176,22 +175,108 @@ def procrustes_align(
     return c, r, t
 
 
-def oriented_box_iou(a: Pose9DoF, b: Pose9DoF, resolution: int = BOX_IOU_RESOLUTION) -> float:
-    """Voxelized IoU of two unit cubes under 9-DoF poses (tolerance ~0.01)."""
-    corners = np.array([[x, y, z] for x in (-0.5, 0.5) for y in (-0.5, 0.5)
-                        for z in (-0.5, 0.5)])
-    pts = np.vstack([apply_pose(a, corners), apply_pose(b, corners)])
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    bounds = tuple((float(l), float(h)) for l, h in zip(lo, hi))
-    origin, dims, spacing = scene_grid(bounds, resolution)
-    axes = [origin[k] + spacing * np.arange(dims[k]) for k in range(3)]
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
-    in_a = np.all(np.abs(inverse_apply_pose(a, centers)) <= 0.5, axis=1)
-    in_b = np.all(np.abs(inverse_apply_pose(b, centers)) <= 0.5, axis=1)
-    union = np.count_nonzero(in_a | in_b)
-    return np.count_nonzero(in_a & in_b) / union if union else 0.0
+def _unit_cube_faces() -> np.ndarray:
+    """(6, 4, 3) faces of the centred unit cube, each counter-clockwise about
+    its outward normal; face f has normal row f of _CUBE_NORMALS."""
+    square = 0.5 * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    faces = np.empty((6, 4, 3))
+    for f in range(6):
+        sign, k = (1.0, -1.0)[f // 3], f % 3
+        a, b = (k + 1) % 3, (k + 2) % 3  # (e_a, e_b, e_k) is right-handed
+        faces[f, :, k] = 0.5 * sign
+        faces[f, :, a] = square[:, 0]
+        faces[f, :, b] = square[:, 1] * sign  # mirrored order on the -e_k side
+    return faces
+
+
+_CUBE_FACES = _unit_cube_faces()
+_CUBE_NORMALS = np.vstack([np.eye(3), -np.eye(3)])
+# Face planes of the two boxes closer than this (unit normals; offsets relative
+# to the larger box extent) are one plane: its face is counted once.
+_COINCIDENT_TOL = 1e-9
+
+
+def _box_faces(p: Pose9DoF, origin: np.ndarray):
+    """World faces (6, 4, 3), unit outward normals (6, 3) and plane offsets (6,)
+    of the unit cube under `p`, in coordinates relative to `origin`."""
+    t = p.t - origin
+    normals = _CUBE_NORMALS @ p.r.m.T
+    offsets = normals @ t + 0.5 * np.tile(p.s, 2)
+    return (p.s * _CUBE_FACES) @ p.r.m.T + t, normals, offsets
+
+
+def _clip(poly, count, normal, offset):
+    """Clip convex polygons (F, M, 3), each `count` vertices then zero padding,
+    to the half-spaces normal . x <= offset (one per polygon), keeping vertex
+    order; returns the clipped polygons in the same layout."""
+    n_poly, m = poly.shape[:2]
+    rows = np.arange(n_poly)[:, None]
+    idx = np.arange(m)
+    nxt = (idx + 1) % np.maximum(count, 1)[:, None]
+    dist = np.einsum("fmi,fi->fm", poly, normal) - offset[:, None]
+    valid = idx < count[:, None]
+    inside = dist <= 0.0
+    crossing = valid & (inside != inside[rows, nxt])
+    frac = dist / np.where(crossing, dist - dist[rows, nxt], 1.0)
+    # Edge v -> w emits v if inside, then the crossing point if it crosses.
+    cand = np.empty((n_poly, m, 2, 3))
+    cand[:, :, 0] = poly
+    cand[:, :, 1] = poly + frac[..., None] * (poly[rows, nxt] - poly)
+    emit = np.empty((n_poly, m, 2), dtype=bool)
+    emit[:, :, 0] = valid & inside
+    emit[:, :, 1] = crossing
+    emit = emit.reshape(n_poly, 2 * m)
+    count = np.count_nonzero(emit, axis=1)
+    out = np.zeros((n_poly, count.max(), 3))
+    hit_rows, hit_cols = np.nonzero(emit)
+    slot = np.cumsum(emit, axis=1) - 1
+    out[hit_rows, slot[hit_rows, hit_cols]] = cand.reshape(n_poly, 2 * m, 3)[hit_rows, hit_cols]
+    return out, count
+
+
+def oriented_box_iou(a: Pose9DoF, b: Pose9DoF) -> float:
+    """Exact IoU of two unit cubes under 9-DoF poses.
+
+    The intersection is a convex polytope bounded by at most the 12 face
+    planes. Each box's faces are clipped to the other box (Sutherland-Hodgman)
+    and the volume is the divergence-theorem sum of offset times area over
+    the clipped faces. A face plane shared by both boxes is counted once.
+    """
+    if np.linalg.norm(a.t - b.t) > (np.linalg.norm(a.s) + np.linalg.norm(b.s)) / 2:
+        return 0.0  # each box lies inside its circumscribed sphere
+    # A fixed argument order makes the result exactly symmetric.
+    if tuple(np.concatenate([b.t, b.s, b.r.m.ravel()])) < tuple(
+            np.concatenate([a.t, a.s, a.r.m.ravel()])):
+        a, b = b, a
+    faces_a, normals_a, offsets_a = _box_faces(a, a.t)
+    faces_b, normals_b, offsets_b = _box_faces(b, a.t)
+    tol = _COINCIDENT_TOL * max(a.s.max(), b.s.max())
+    shared = ((np.abs(normals_a[:, None] - normals_b[None]).max(axis=2) <= _COINCIDENT_TOL)
+              & (np.abs(offsets_a[:, None] - offsets_b[None]) <= tol))
+
+    # Each face is clipped by the other box's six planes, except that a face of
+    # a is not clipped by a plane of b it lies on (a no-op plane stands in),
+    # and a face of b on a shared plane is dropped, since a's face covers it.
+    poly = np.concatenate([faces_a, faces_b])
+    face_n = np.concatenate([normals_a, normals_b])
+    face_d = np.concatenate([offsets_a, offsets_b])
+    skip = np.concatenate([shared, np.zeros((6, 6), dtype=bool)])
+    clip_n = np.where(skip[..., None], 0.0, np.repeat([normals_b, normals_a], 6, axis=0))
+    clip_d = np.where(skip, 1.0, np.repeat([offsets_b, offsets_a], 6, axis=0))
+    kept = np.concatenate([np.ones(6, dtype=bool), ~shared.any(axis=0)])
+    poly, face_n, face_d, clip_n, clip_d = (
+        x[kept] for x in (poly, face_n, face_d, clip_n, clip_d))
+    count = np.full(len(poly), 4)
+    for k in range(6):
+        poly, count = _clip(poly, count, clip_n[:, k], clip_d[:, k])
+
+    # Shoelace sum per face; the zero padding adds nothing to it.
+    nxt = (np.arange(poly.shape[1]) + 1) % np.maximum(count, 1)[:, None]
+    edges = np.cross(poly, poly[np.arange(len(poly))[:, None], nxt])
+    twice_area = np.einsum("fmi,fi->f", edges, face_n)
+    vol_a, vol_b = float(np.prod(a.s)), float(np.prod(b.s))
+    inter = min(max(float(face_d @ twice_area) / 6.0, 0.0), vol_a, vol_b)
+    return inter / (vol_a + vol_b - inter)
 
 
 def average_precision(matches: list[tuple[float, bool]], n_gt: int) -> float:
@@ -206,21 +291,18 @@ def average_precision(matches: list[tuple[float, bool]], n_gt: int) -> float:
     recall = tp / n_gt
     precision = tp / (tp + fp)
     # Monotone precision envelope, integrated over recall steps.
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
     ap = 0.0
     prev_r = 0.0
-    for i in range(len(matches)):
-        p_max = precision[i:].max()
-        if recall[i] > prev_r:
-            ap += (recall[i] - prev_r) * p_max
-            prev_r = recall[i]
+    for r, p_max in zip(recall, envelope):
+        if r > prev_r:
+            ap += (r - prev_r) * p_max
+            prev_r = r
     return float(ap)
 
 
 def map3d(
-    preds: list[DetectionBox],
-    gts: list[DetectionBox],
-    iou_threshold: float,
-    box_resolution: int = BOX_IOU_RESOLUTION,
+    preds: list[DetectionBox], gts: list[DetectionBox], iou_threshold: float
 ) -> tuple[dict[str, float], float]:
     """Greedy score-ordered matching, per-class AP, and the mean over classes
     with at least one ground truth."""
@@ -239,7 +321,7 @@ def map3d(
             for j, g in enumerate(cls_gts):
                 if matched[j]:
                     continue
-                iou = oriented_box_iou(p.pose, g.pose, box_resolution)
+                iou = oriented_box_iou(p.pose, g.pose)
                 if iou > best_iou:
                     best_iou = iou
                     best_j = j

@@ -7,11 +7,12 @@ rejection sampling until the pairwise voxel overlap is zero.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import PlacementFailure, UnknownClass
+from .errors import MalformedFile, PlacementFailure, UnknownClass
 from .geom import Pose9DoF, Rotation, apply_pose, random_rotation, rotation_about_axis
 from .mesh import voxelize_occupancy
 from .shapedb import ShapeDatabase
@@ -56,18 +57,24 @@ def scene_to_json(scene: Scene) -> str:
 
 
 def scene_from_json(text: str) -> Scene:
-    payload = json.loads(text)
-    objects = []
-    for o in payload["objects"]:
-        r = Rotation(np.array(o["R"], dtype=np.float64).reshape(3, 3))
-        objects.append(
+    """Parse the canonical scene schema; MalformedFile if `text` is not one."""
+    try:
+        payload = json.loads(text)
+        objects = tuple(
             PlacedObject(
                 class_name=o["class"],
-                exemplar=int(o["exemplar"]),
-                pose=Pose9DoF(r, np.array(o["t"]), np.array(o["s"])),
+                exemplar=operator.index(o["exemplar"]),  # 1.7 is not index 1
+                pose=Pose9DoF(
+                    Rotation(np.array(o["R"], dtype=np.float64).reshape(3, 3)),
+                    np.array(o["t"], dtype=np.float64),
+                    np.array(o["s"], dtype=np.float64),
+                ),
             )
+            for o in payload["objects"]
         )
-    return Scene(seed=int(payload["seed"]), objects=tuple(objects))
+        return Scene(seed=operator.index(payload["seed"]), objects=objects)
+    except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
+        raise MalformedFile(f"malformed scene ({type(e).__name__}: {e})") from None
 
 
 def save_scene(path, scene: Scene) -> None:
@@ -77,7 +84,11 @@ def save_scene(path, scene: Scene) -> None:
 
 def load_scene(path) -> Scene:
     with open(path) as fh:
-        return scene_from_json(fh.read())
+        text = fh.read()
+    try:
+        return scene_from_json(text)
+    except MalformedFile as e:
+        raise MalformedFile(f"{path}: {e}") from None
 
 
 def scene_grid(bounds, resolution: int) -> tuple[np.ndarray, tuple[int, int, int], float]:

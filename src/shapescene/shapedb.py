@@ -8,13 +8,14 @@ recorded in the on-disk manifest so labels are reproducible.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientShapes, UnknownClass, UnknownExemplar
+from .errors import InsufficientShapes, MalformedFile, UnknownClass, UnknownExemplar
 from .mesh import TriMesh, canonicalize_mesh, load_obj, sample_surface_points, save_obj
 from .sdf import SdfGrid, mesh_to_sdf, read_sdfg, write_sdfg
 
@@ -221,8 +222,7 @@ def save_database(db: ShapeDatabase, directory) -> None:
 
 def load_database(directory) -> ShapeDatabase:
     directory = Path(directory)
-    with open(directory / "manifest.json") as fh:
-        manifest = json.load(fh)
+    manifest = _read_manifest(directory / "manifest.json")
     entries = []
     for cid, cls in enumerate(manifest["classes"]):
         for k in range(manifest["k_per_class"]):
@@ -244,6 +244,33 @@ def load_database(directory) -> ShapeDatabase:
     )
 
 
+def _read_manifest(path) -> dict:
+    """The manifest written by save_database; MalformedFile if it is not one."""
+    with open(path) as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise MalformedFile(f"{path}: invalid JSON ({e})") from None
+    if not isinstance(manifest, dict):
+        raise MalformedFile(f"{path}: manifest must be a JSON object")
+    missing = sorted({"version", "k_per_class", "classes", "normalization"} - set(manifest))
+    if missing:
+        raise MalformedFile(f"{path}: missing manifest keys {missing}")
+    if manifest["version"] != DB_VERSION:
+        raise MalformedFile(f"{path}: unsupported database version {manifest['version']!r}")
+    k = manifest["k_per_class"]
+    if type(k) is not int or k < 1:
+        raise MalformedFile(f"{path}: k_per_class must be a positive integer, got {k!r}")
+    classes = manifest["classes"]
+    if (not isinstance(classes, list) or not classes
+            or not all(isinstance(c, str) for c in classes)):
+        raise MalformedFile(f"{path}: classes must be a non-empty list of names")
+    norm = manifest["normalization"]
+    if type(norm) not in (int, float) or not np.isfinite(norm) or norm <= 0:
+        raise MalformedFile(f"{path}: normalization must be a positive number, got {norm!r}")
+    return manifest
+
+
 def _write_points(path, points: np.ndarray) -> None:
     # Count-prefixed little-endian float32 triples.
     with open(path, "wb") as fh:
@@ -252,7 +279,18 @@ def _write_points(path, points: np.ndarray) -> None:
 
 
 def _read_points(path) -> np.ndarray:
+    """Read a points file (see _write_points); MalformedFile if it is not one."""
     with open(path, "rb") as fh:
-        count, = struct.unpack("<I", fh.read(4))
-        data = np.frombuffer(fh.read(count * 12), dtype="<f4")
-    return data.reshape(count, 3).astype(np.float64)
+        header = fh.read(4)
+        if len(header) < 4:
+            raise MalformedFile(f"{path}: truncated header ({len(header)} bytes)")
+        count, = struct.unpack("<I", header)
+        found = os.fstat(fh.fileno()).st_size - 4
+        if found < count * 12:
+            raise MalformedFile(
+                f"{path}: {count} points need {count * 12} payload bytes, found {found}"
+            )
+        points = np.frombuffer(fh.read(count * 12), dtype="<f4").reshape(count, 3)
+    if not np.all(np.isfinite(points)):
+        raise MalformedFile(f"{path}: non-finite point coordinates")
+    return points.astype(np.float64)

@@ -336,7 +336,8 @@ def test_criterion_5_metric_oracles(cube_db):
         in_b = np.all(np.abs(((samples - b.t) @ b.r.m) / b.s) <= 0.5, axis=1)
         mc = np.count_nonzero(in_a & in_b) / np.count_nonzero(in_a | in_b)
         box_err = max(box_err, abs(oriented_box_iou(a, b) - mc))
-    checks.append(box_err < 0.01)
+    # The exact IoU leaves only the oracle's sampling error (std below 2.2e-4).
+    checks.append(box_err < 2e-3)
 
     # AP against the hand-computed PR curve: TP, FP, TP over 2 ground truths.
     ap = average_precision([(0.9, True), (0.8, False), (0.7, True)], n_gt=2)

@@ -83,6 +83,81 @@ def test_malformed_files_exit_2(pipeline, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def _bad_scene(edit):
+    def make(pipeline, tmp_path):
+        payload = json.loads((pipeline / "scenes" / "scene_0000.json").read_text())
+        scene = tmp_path / "bad_scene.json"
+        scene.write_text(json.dumps(edit(payload)))
+        return pipeline / "db", scene, scene
+    return make
+
+
+def _bad_db(edit):
+    def make(pipeline, tmp_path):
+        db = tmp_path / "db"
+        shutil.copytree(pipeline / "db", db)
+        return db, pipeline / "scenes" / "scene_0000.json", edit(db)
+    return make
+
+
+def _set_first(key, value):
+    def edit(payload):
+        payload["objects"][0][key] = value
+        return payload
+    return edit
+
+
+def _rewrite_first(pattern, edit):
+    def apply(db):
+        path = sorted(db.glob(pattern))[0]
+        path.write_bytes(edit(path.read_bytes()))
+        return path
+    return apply
+
+
+def _rewrite_manifest(edit):
+    def apply(db):
+        manifest = db / "manifest.json"
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+        return manifest
+    return apply
+
+
+# Makers of (database dir, scene file, the malformed one of them).
+MALFORMED_INPUTS = [
+    pytest.param(_bad_scene(_set_first("R", [1.0, 0.1, 0, 0, 1, 0, 0, 0, 1])),
+                 id="scene-non-orthogonal-R"),
+    pytest.param(_bad_scene(_set_first("R", [float("nan")] * 9)), id="scene-NaN-R"),
+    pytest.param(_bad_scene(_set_first("R", "identity")), id="scene-string-R"),
+    pytest.param(_bad_scene(_set_first("s", [1.0, -0.5, 1.0])), id="scene-negative-scale"),
+    pytest.param(_bad_scene(_set_first("t", [0.0, float("nan"), 0.0])), id="scene-NaN-t"),
+    pytest.param(_bad_scene(lambda payload: payload["objects"]), id="scene-list"),
+    pytest.param(_bad_scene(_set_first("exemplar", 0.5)), id="scene-fractional-exemplar"),
+    pytest.param(_bad_db(_rewrite_first("*.pts", lambda b: b[:-5])),
+                 id="db-truncated-points"),
+    pytest.param(_bad_db(_rewrite_first("*.obj", lambda b: b"v 0 0 0\nv 1 0 0\nv 0 1 0\n")),
+                 id="db-obj-without-faces"),
+    pytest.param(_bad_db(_rewrite_first("*.sdfg", lambda b: b"XXXX" + b[4:])),
+                 id="db-sdfg-bad-magic"),
+    pytest.param(_bad_db(_rewrite_first("*.sdfg", lambda b: b[:4] + struct.pack("<I", 9) + b[8:])),
+                 id="db-sdfg-version-9"),
+    pytest.param(_bad_db(_rewrite_manifest(
+        lambda m: {k: v for k, v in m.items() if k != "k_per_class"})), id="manifest-without-k"),
+    pytest.param(_bad_db(_rewrite_manifest(lambda m: [m])), id="manifest-list"),
+]
+
+
+@pytest.mark.parametrize("make", MALFORMED_INPUTS)
+def test_malformed_input_exits_2(pipeline, tmp_path, capsys, make):
+    db, scene, bad = make(pipeline, tmp_path)
+    assert main(["resolve", "--db", str(db), "--scene", str(scene),
+                 "--out", str(tmp_path / "out.json"), "--iters", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shapescene: error:") and bad.name in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_out_of_range_exemplar_exits_2(pipeline, tmp_path, capsys):
     payload = json.loads((pipeline / "scenes" / "scene_0000.json").read_text())
     for bad in (2, -1):  # the database holds exemplars 0 and 1 per class

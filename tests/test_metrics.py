@@ -163,28 +163,71 @@ def test_procrustes_degenerate(rng):
         procrustes_align(rng.normal(size=(2, 3)), rng.normal(size=(2, 3)))
 
 
+def _box(t=(0.0, 0.0, 0.0), s=(1.0, 1.0, 1.0), r=None):
+    return Pose9DoF(r or Rotation.identity(), np.array(t, float), np.array(s, float))
+
+
 def test_box_iou_identity_and_disjoint():
     p = Pose9DoF.identity()
-    assert abs(oriented_box_iou(p, p) - 1.0) < 0.01
+    assert abs(oriented_box_iou(p, p) - 1.0) < 1e-12
     far = Pose9DoF(Rotation.identity(), np.array([5.0, 0, 0]), np.ones(3))
     assert oriented_box_iou(p, far) == 0.0
+    # Within the bounding spheres' reach, but separated by a face plane.
+    assert abs(oriented_box_iou(p, _box((1.2, 0.3, 0.0)))) < 1e-12
+    tilted = _box((0.0, 1.3, 0.0), r=rotation_about_axis(np.array([1.0, 0, 0]), 0.3))
+    assert abs(oriented_box_iou(p, tilted)) < 1e-12
 
 
 def test_box_iou_half_overlap_analytic():
     a = Pose9DoF.identity()
     b = Pose9DoF(Rotation.identity(), np.array([0.5, 0.0, 0.0]), np.ones(3))
-    # Faces land exactly on voxel boundaries; refine to keep the bias small.
-    assert abs(oriented_box_iou(a, b, resolution=256) - 1.0 / 3.0) < 0.01
+    # Four face planes are shared and must be counted once.
+    assert abs(oriented_box_iou(a, b) - 1.0 / 3.0) < 1e-12
+
+
+def test_box_iou_rotated_octagon():
+    # The cube and its 45-degree turn about z meet in an octagonal prism of
+    # area 2 (sqrt 2 - 1), so IoU = 1 / sqrt 2.
+    turned = _box(r=rotation_about_axis(np.array([0.0, 0, 1]), np.pi / 4))
+    assert abs(oriented_box_iou(Pose9DoF.identity(), turned) - 1.0 / np.sqrt(2.0)) < 1e-12
+
+
+def test_box_iou_nested_is_volume_ratio():
+    outer = _box((0.2, -0.1, 0.3), (2.0, 3.0, 1.5))
+    inner = _box((0.4, 0.1, 0.2), (0.5, 0.8, 0.6),
+                 rotation_about_axis(np.array([1.0, 2.0, 3.0]), 0.4))
+    assert abs(oriented_box_iou(outer, inner) - (0.5 * 0.8 * 0.6) / (2.0 * 3.0 * 1.5)) < 1e-12
+
+
+def test_box_iou_touching_is_zero():
+    p = Pose9DoF.identity()
+    for t in ((1.0, 0.0, 0.0), (1.0, 0.3, 0.0), (1.0, 1.0, 0.0), (1.0, 1.0, 1.0)):
+        assert abs(oriented_box_iou(p, _box(t))) < 1e-12
+    # A box turned 45 degrees about z whose vertical edge touches a face.
+    turned = _box((0.5 + np.sqrt(0.5), 0.0, 0.0),
+                  r=rotation_about_axis(np.array([0.0, 0, 1]), np.pi / 4))
+    assert abs(oriented_box_iou(p, turned)) < 1e-12
+
+
+def test_box_iou_symmetric(rng):
+    for _ in range(20):
+        a = Pose9DoF(random_rotation(rng), rng.normal(size=3) * 0.3,
+                     np.exp(rng.normal(size=3) * 0.3))
+        b = Pose9DoF(random_rotation(rng), rng.normal(size=3) * 0.3,
+                     np.exp(rng.normal(size=3) * 0.3))
+        assert oriented_box_iou(a, b) == oriented_box_iou(b, a)
 
 
 def test_box_iou_monte_carlo_oracle(rng):
+    # The 10^6-sample oracle's own standard deviation is below 2.2e-4 on
+    # these pairs (8 oracle seeds each).
     for seed in range(5):
         srng = np.random.default_rng(seed)
         a = Pose9DoF(random_rotation(srng), srng.normal(size=3) * 0.2,
                      np.exp(srng.normal(size=3) * 0.2))
         b = Pose9DoF(random_rotation(srng), srng.normal(size=3) * 0.2,
                      np.exp(srng.normal(size=3) * 0.2))
-        assert abs(oriented_box_iou(a, b) - _mc_box_iou(a, b)) < 0.01
+        assert abs(oriented_box_iou(a, b) - _mc_box_iou(a, b)) < 2e-3
 
 
 def test_box_iou_rigid_invariance(rng):
@@ -195,7 +238,7 @@ def test_box_iou_rigid_invariance(rng):
     shift = np.array([1.0, -2.0, 0.5])
     a2 = Pose9DoF(Rotation(q.m @ a.r.m), q.m @ a.t + shift, a.s)
     b2 = Pose9DoF(Rotation(q.m @ b.r.m), q.m @ b.t + shift, b.s)
-    assert abs(oriented_box_iou(a2, b2) - base) < 0.01
+    assert abs(oriented_box_iou(a2, b2) - base) < 1e-9
 
 
 def test_average_precision_hand_case():
@@ -211,6 +254,35 @@ def test_average_precision_edge_cases():
     assert average_precision([], 2) == 0.0
     assert average_precision([(0.5, True)], 0) == 0.0
     assert average_precision([(0.9, True), (0.8, True)], 2) == 1.0
+
+
+def _average_precision_loop(matches, n_gt):
+    """The O(n^2) form: the envelope is recomputed as a suffix max per step."""
+    if n_gt == 0 or not matches:
+        return 0.0
+    matches = sorted(matches, key=lambda m: -m[0])
+    tp = np.cumsum([1 if m[1] else 0 for m in matches])
+    fp = np.cumsum([0 if m[1] else 1 for m in matches])
+    recall = tp / n_gt
+    precision = tp / (tp + fp)
+    ap = 0.0
+    prev_r = 0.0
+    for i in range(len(matches)):
+        p_max = precision[i:].max()
+        if recall[i] > prev_r:
+            ap += (recall[i] - prev_r) * p_max
+            prev_r = recall[i]
+    return float(ap)
+
+
+def test_average_precision_matches_suffix_max_loop(rng):
+    for trial in range(200):
+        n = int(rng.integers(1, 60))
+        # Scores on a coarse grid, so many ties.
+        matches = [(float(rng.integers(0, 8)) / 8, bool(rng.random() < 0.6))
+                   for _ in range(n)]
+        n_gt = int(rng.integers(0, n + 3))
+        assert average_precision(matches, n_gt) == _average_precision_loop(matches, n_gt)
 
 
 def test_map3d_perfect(cube_db):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import struct
 import sys
 from pathlib import Path
 
@@ -43,6 +42,7 @@ from .shapedb import (
     DEFAULT_POINTS_PER_ENTRY,
     DEFAULT_SDF_RESOLUTION,
     ShapeDatabase,
+    _write_points,
     build_database,
     hard_label,
     load_database,
@@ -90,10 +90,12 @@ def load_config(path) -> dict:
     for key, value in cfg.items():
         if key not in CONFIG_KEYS:
             raise DataError(f"{path}: unknown config key {key!r}")
-        try:
-            cfg[key] = CONFIG_KEYS[key](value)
-        except (TypeError, ValueError):
-            raise DataError(f"{path}: field {key!r} has invalid value {value!r}") from None
+        kind = CONFIG_KEYS[key]
+        allowed = (int,) if kind is int else (int, float)
+        # JSON true/false load as bool, a subclass of int; 2.9 must not pass as 2.
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise DataError(f"{path}: field {key!r} has invalid value {value!r}")
+        cfg[key] = kind(value)
     return cfg
 
 
@@ -384,10 +386,7 @@ def cmd_export(args, config) -> int:
         elif args.format == "ply":
             _write_ply(f"{stem}.ply", apply_pose(o.pose, entry.mesh.vertices))
         elif args.format == "pts":
-            pts = apply_pose(o.pose, entry.points)
-            with open(f"{stem}.pts", "wb") as fh:
-                fh.write(struct.pack("<I", len(pts)))
-                fh.write(np.asarray(pts, dtype="<f4").tobytes())
+            _write_points(f"{stem}.pts", apply_pose(o.pose, entry.points))
     print(f"exported {len(scene.objects)} objects as {args.format} -> {out}")
     return 0
 
@@ -434,7 +433,6 @@ def build_parser() -> _Parser:
     p.add_argument("--trace", help="objective trace CSV")
     p.add_argument("--iters", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--warmup", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--freeze", action="append", choices=["rot", "scale", "trans"])
     p.add_argument("--perturb-rot", type=float, default=10.0, help="degrees")

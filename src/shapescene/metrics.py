@@ -82,6 +82,12 @@ def voxel_scene_iou(
     origin, dims, spacing = scene_grid(bounds, resolution)
     occ_p = scene_class_occupancy(pred, db, origin, dims, spacing)
     occ_g = scene_class_occupancy(gt, db, origin, dims, spacing)
+    return _occupancy_iou(occ_p, occ_g, dims)
+
+
+def _occupancy_iou(occ_p: dict[str, np.ndarray], occ_g: dict[str, np.ndarray],
+                   dims) -> IoUReport:
+    """voxel_scene_iou from the per-class occupancy grids of both scenes."""
     if not occ_p and not occ_g:
         raise EmptyScenes("both scenes rasterize empty")
 
@@ -132,8 +138,13 @@ def relative_iou(
     """
     if bounds is None:
         bounds = _scene_bounds([pred, gt], db)
-    absolute = voxel_scene_iou(pred, gt, db, resolution, bounds)
-    oracle = voxel_scene_iou(oracle_scene(gt, db), gt, db, resolution, bounds)
+    origin, dims, spacing = scene_grid(bounds, resolution)
+    occ_p = scene_class_occupancy(pred, db, origin, dims, spacing)
+    occ_g = scene_class_occupancy(gt, db, origin, dims, spacing)
+    absolute = _occupancy_iou(occ_p, occ_g, dims)
+    # The oracle is scored on the same grid, so the ground truth is rasterized once.
+    occ_o = scene_class_occupancy(oracle_scene(gt, db), db, origin, dims, spacing)
+    oracle = _occupancy_iou(occ_o, occ_g, dims)
 
     rel: dict[str, float] = {}
     for cls, a in absolute.per_class.items():

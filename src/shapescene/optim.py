@@ -1,5 +1,6 @@
 """First-order pose optimization: point-cloud pose recovery and collision
-resolution with an adaptive-moment (Adam-style) update rule.
+resolution, both descended by one Adam loop (Kingma & Ba, ICLR 2015) with
+bias correction and a step size cosine-annealed to zero over the budget.
 
 Rotations are optimized in the unconstrained 9-parameter space; the loss sees
 the SO(3) projection, and gradients flow through the SVD differential.
@@ -18,61 +19,53 @@ from .scene import PlacedObject, Scene, class_id
 from .sdf import clamp_interior
 from .shapedb import ShapeDatabase
 
+# Adam's moment decay rates and the guard added to its denominator.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+# A fit converges when its objective falls below this, a resolve when its
+# collision loss reaches it (after the warm-up).
+TOL = 1e-12
+# Columns of one object's row in the fit parameters: raw matrix, t, s.
+_BLOCKS = {"rot": slice(0, 9), "trans": slice(9, 12), "scale": slice(12, 15)}
+
 
 @dataclass(frozen=True)
 class OptimConfig:
     lr: float = 1e-2
     iterations: int = 500
-    warmup: int = 0               # iterations with the collision weight zeroed
-    tol: float = 1e-12            # stop when the objective falls below this
-    cosine_decay: bool = True     # anneal the step size to zero over the budget
+    warmup: int = 0               # resolve iterations with the collision weight zeroed
 
     def __post_init__(self):
         if self.lr <= 0 or self.iterations <= 0:
             raise ValueError("step size and iteration budget must be positive")
 
 
-class _Adam:
-    """Adam with bias correction over a flat parameter vector."""
+def _descend(params: np.ndarray, cfg: OptimConfig, evaluate) -> np.ndarray:
+    """Adam from `params`; returns the parameters with the lowest objective.
 
-    def __init__(self, n: int, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.m = np.zeros(n)
-        self.v = np.zeros(n)
-        self.t = 0
-
-    def step(self, params: np.ndarray, grad: np.ndarray, lr_scale: float = 1.0) -> np.ndarray:
-        self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad**2
-        mhat = self.m / (1.0 - self.beta1**self.t)
-        vhat = self.v / (1.0 - self.beta2**self.t)
-        return params - self.lr * lr_scale * mhat / (np.sqrt(vhat) + self.eps)
-
-
-def _lr_scale(cfg: OptimConfig, it: int) -> float:
-    if not cfg.cosine_decay:
-        return 1.0
-    return 0.5 * (1.0 + np.cos(np.pi * it / cfg.iterations))
-
-
-def _pack(ms, ts, ss):
-    return np.concatenate([np.concatenate([m.reshape(-1), t, s])
-                           for m, t, s in zip(ms, ts, ss)])
-
-
-def _unpack(x, n):
-    ms, ts, ss = [], [], []
-    for i in range(n):
-        chunk = x[15 * i:15 * (i + 1)]
-        ms.append(chunk[:9].reshape(3, 3))
-        ts.append(chunk[9:12])
-        ss.append(chunk[12:15])
-    return ms, ts, ss
+    `evaluate(params, it)` returns (objective, gradient, converged). The loop
+    stops after the first converged evaluation or after cfg.iterations steps,
+    and raises NonFinite on a non-finite objective. Each step makes a new
+    array, so kept parameters are never written to.
+    """
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    best_obj, best = np.inf, params
+    for it in range(cfg.iterations + 1):
+        obj, grad, converged = evaluate(params, it)
+        if not np.isfinite(obj):
+            raise NonFinite(f"objective became non-finite at iteration {it}")
+        if obj < best_obj:
+            best_obj, best = obj, params
+        if converged or it == cfg.iterations:
+            return best
+        m = _BETA1 * m + (1.0 - _BETA1) * grad
+        v = _BETA2 * v + (1.0 - _BETA2) * grad**2
+        mhat = m / (1.0 - _BETA1**(it + 1))
+        vhat = v / (1.0 - _BETA2**(it + 1))
+        lr_scale = 0.5 * (1.0 + np.cos(np.pi * it / cfg.iterations))
+        params = params - cfg.lr * lr_scale * mhat / (np.sqrt(vhat) + _EPS)
 
 
 def fit_poses(
@@ -92,47 +85,31 @@ def fit_poses(
     """
     if len(targets) != len(scene_init.objects):
         raise MismatchedLengths("one target cloud per object required")
-    if not freeze <= {"rot", "trans", "scale"}:
+    if not freeze <= _BLOCKS.keys():
         raise ValueError(f"unknown freeze blocks {sorted(freeze)}")
-    n = len(scene_init.objects)
     clouds = [db.entry(class_id(db, o.class_name), o.exemplar).points
               for o in scene_init.objects]
-    ms = [o.pose.r.m.copy() for o in scene_init.objects]
-    ts = [o.pose.t.copy() for o in scene_init.objects]
-    ss = [o.pose.s.copy() for o in scene_init.objects]
-
-    params = _pack(ms, ts, ss)
-    adam = _Adam(len(params), cfg.lr)
     trace: list[float] = []
-    best_obj = np.inf
-    best_params = params.copy()
-    for it in range(cfg.iterations + 1):
-        ms, ts, ss = _unpack(params, n)
-        obj, grads = pose_loss_world_grads(ms, ts, ss, clouds, targets)
-        if not np.isfinite(obj):
-            raise NonFinite(f"objective became non-finite at iteration {it}")
-        if obj < best_obj:
-            best_obj = obj
-            best_params = params.copy()
-        # Report the best objective so far; raw Adam iterates are not monotone.
-        trace.append(best_obj)
-        if obj < cfg.tol or it == cfg.iterations:
-            break
-        if freeze:
-            grads = [
-                (np.zeros((3, 3)) if "rot" in freeze else gm,
-                 np.zeros(3) if "trans" in freeze else gt,
-                 np.zeros(3) if "scale" in freeze else gs)
-                for gm, gt, gs in grads
-            ]
-        grad = _pack(*zip(*grads))
-        params = adam.step(params, grad, _lr_scale(cfg, it))
 
-    ms, ts, ss = _unpack(best_params, n)
-    objects = []
-    for o, m, t, s in zip(scene_init.objects, ms, ts, ss):
-        pose = Pose9DoF(project_to_so3(m), t, np.abs(s))
-        objects.append(PlacedObject(o.class_name, o.exemplar, pose))
+    def evaluate(params, it):
+        obj, grads = pose_loss_world_grads(
+            params[:, :9].reshape(-1, 3, 3), params[:, 9:12], params[:, 12:],
+            clouds, targets)
+        # Report the best objective so far; raw Adam iterates are not monotone.
+        trace.append(min(trace[-1], obj) if trace else obj)
+        grad = np.array([np.concatenate([gm.reshape(-1), gt, gs]) for gm, gt, gs in grads])
+        for block in freeze:
+            grad[:, _BLOCKS[block]] = 0.0
+        return obj, grad, obj < TOL
+
+    init = np.array([np.concatenate([o.pose.r.m.reshape(-1), o.pose.t, o.pose.s])
+                     for o in scene_init.objects])
+    best = _descend(init, cfg, evaluate)
+    objects = [
+        PlacedObject(o.class_name, o.exemplar,
+                     Pose9DoF(project_to_so3(p[:9].reshape(3, 3)), p[9:12], np.abs(p[12:])))
+        for o, p in zip(scene_init.objects, best)
+    ]
     return Scene(scene_init.seed, tuple(objects)), trace
 
 
@@ -158,7 +135,6 @@ def resolve_collisions(
     scene: Scene,
     cfg: OptimConfig,
     anchor_term_weight: float = 1.0,
-    collision_weight: float = 1.0,
 ) -> tuple[Scene, list[tuple[float, float, float]]]:
     """Push interpenetrating objects apart by descending the collision loss
     over translations, with a quadratic anchor to the initial positions.
@@ -167,50 +143,31 @@ def resolve_collisions(
     Returns the scene with the lowest seen objective and a per-iteration trace
     of (collision loss, anchor term, total objective)."""
     objs = scene_to_objects(db, scene)
-    n = len(objs)
-    t0 = [o.pose.t.copy() for o in objs]
-    ts = [o.pose.t.copy() for o in objs]
+    t0 = np.array([o.pose.t for o in objs])
+    trace: list[tuple[float, float, float]] = []
 
-    def objective_and_grad(ts, it):
+    def evaluate(params, it):
         current = [o.with_pose(Pose9DoF(o.pose.r, t, o.pose.s))
-                   for o, t in zip(objs, ts)]
-        coll_w = 0.0 if it < cfg.warmup else collision_weight
+                   for o, t in zip(objs, params)]
+        coll_w = 0.0 if it < cfg.warmup else 1.0
         if coll_w > 0.0:
             coll, grads = collision_gradient(current)
-            grad_t = [coll_w * g[1] for g in grads]
+            grad = np.array([g[1] for g in grads])
         else:
             coll = collision_loss_total(current)
-            grad_t = [np.zeros(3) for _ in range(n)]
+            grad = np.zeros_like(params)
+        delta = params - t0
         anchor = 0.0
-        for i in range(n):
-            delta = ts[i] - t0[i]
-            anchor += anchor_term_weight * float(delta @ delta)
-            grad_t[i] = grad_t[i] + 2.0 * anchor_term_weight * delta
-        return coll_w * coll + anchor, coll, anchor, grad_t
-
-    params = np.concatenate(ts)
-    adam = _Adam(len(params), cfg.lr)
-    trace: list[tuple[float, float, float]] = []
-    best_obj = np.inf
-    best_params = params.copy()
-    for it in range(cfg.iterations + 1):
-        ts = [params[3 * i:3 * (i + 1)] for i in range(n)]
-        obj, coll, anchor, grad_t = objective_and_grad(ts, it)
-        if not np.isfinite(obj):
-            raise NonFinite(f"objective became non-finite at iteration {it}")
+        for d in delta:
+            anchor += anchor_term_weight * float(d @ d)
+        grad = grad + 2.0 * anchor_term_weight * delta
+        obj = coll_w * coll + anchor
         trace.append((coll, anchor, obj))
-        if obj < best_obj:
-            best_obj = obj
-            best_params = params.copy()
-        if coll <= cfg.tol and it >= cfg.warmup:
-            break
-        if it == cfg.iterations:
-            break
-        params = adam.step(params, np.concatenate(grad_t), _lr_scale(cfg, it))
+        return obj, grad, coll <= TOL and it >= cfg.warmup
 
-    ts = [best_params[3 * i:3 * (i + 1)] for i in range(n)]
+    best = _descend(t0, cfg, evaluate)
     objects = [
         PlacedObject(o.class_name, o.exemplar, Pose9DoF(o.pose.r, t, o.pose.s))
-        for o, t in zip(scene.objects, ts)
+        for o, t in zip(scene.objects, best)
     ]
     return Scene(scene.seed, tuple(objects)), trace

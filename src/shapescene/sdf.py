@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedFile, NonWatertight, OutOfBounds
-from .mesh import TriMesh, point_triangle_distance, points_inside
+from .errors import MalformedFile, OutOfBounds
+from .mesh import TriMesh, point_triangle_distance, points_inside, require_watertight
 
 SDFG_MAGIC = b"SDFG"
 _SDFG_HEADER = struct.Struct("<4sI3I3dd")
@@ -71,10 +71,7 @@ def mesh_to_sdf(mesh: TriMesh, resolution: int = 32) -> SdfGrid:
     centers = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
 
     inside, disagreement = points_inside(mesh, centers)
-    if disagreement > 0.01:
-        raise NonWatertight(
-            f"parity votes disagree on {disagreement * 100:.2f}% of voxels"
-        )
+    require_watertight(disagreement)
     dist = point_triangle_distance(centers, mesh)
     values = np.where(inside, -dist, dist).reshape(resolution, resolution, resolution)
     return SdfGrid(values, origin, h)

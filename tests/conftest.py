@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shapescene import build_database
+from shapescene.mesh import TriMesh
 from shapescene.toys import make_box, toy_shape_set
 
 
@@ -29,6 +30,13 @@ def cube_db():
     analytic containment tests can serve as independent occupancy oracles."""
     return build_database([(0, make_box())], k_per_class=1, seed=0,
                           classes=["box"])
+
+
+@pytest.fixture
+def open_box():
+    """The unit box without its +z face (triangles 2 and 3): not watertight."""
+    box = make_box()
+    return TriMesh(box.vertices, np.delete(box.triangles, [2, 3], axis=0))
 
 
 @pytest.fixture

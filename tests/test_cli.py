@@ -5,11 +5,13 @@ import struct
 import numpy as np
 import pytest
 
-from shapescene.cli import main
+from shapescene.cli import load_config, main
+from shapescene.geom import apply_pose
+from shapescene.mesh import save_obj
 from shapescene.metrics import voxel_scene_iou
-from shapescene.scene import load_scene
+from shapescene.scene import class_id, load_scene
 from shapescene.sdf import read_sdfg
-from shapescene.shapedb import load_database
+from shapescene.shapedb import _read_points, load_database
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +59,18 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert main(["--config", str(bad), "make-toys", "--out", str(tmp_path / "m")]) == 2
     err = capsys.readouterr().err
     assert "bogus" in err and bad.name in err
+    # Integer keys take JSON integers only; float keys any number but a boolean.
+    for text in ('{"iters": 2.9}', '{"k": 1.5}', '{"iters": true}', '{"seed": "3"}',
+                 '{"lr": false}', '{"tau": "0.5"}', '{"anchor": null}'):
+        bad.write_text(text + "\n")
+        assert main(["--config", str(bad), "make-toys", "--out", str(tmp_path / "m")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("shapescene: error:") and bad.name in err
+        assert err.count("\n") == 1
+    bad.write_text('{"iters": 3, "lr": 1, "tau": 0.5}\n')
+    config = load_config(bad)
+    assert config == {"iters": 3, "lr": 1.0, "tau": 0.5}
+    assert type(config["lr"]) is float
 
 
 def test_malformed_files_exit_2(pipeline, tmp_path, capsys):
@@ -81,6 +95,16 @@ def test_malformed_files_exit_2(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("shapescene: error:") and sdfg.name in err
     assert err.count("\n") == 1
+
+
+def test_open_mesh_exits_2(tmp_path, capsys, open_box):
+    (tmp_path / "meshes" / "box").mkdir(parents=True)
+    save_obj(tmp_path / "meshes" / "box" / "open.obj", open_box)
+    assert main(["build-db", "--meshes", str(tmp_path / "meshes"),
+                 "--out", str(tmp_path / "db"), "--k", "1", "--res", "12"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shapescene: error: parity votes disagree") and err.count("\n") == 1
+    assert not (tmp_path / "db").exists()
 
 
 def _bad_scene(edit):
@@ -284,6 +308,13 @@ def test_export_ply_and_pts(pipeline, tmp_path):
     raw = sorted(out.glob("*.pts"))[0].read_bytes()
     (count,) = struct.unpack("<I", raw[:4])
     assert len(raw) == 4 + count * 12
+    # Each export reads back through the database loader as its posed points.
+    db = load_database(pipeline / "db")
+    scene = load_scene(pipeline / "scenes" / "scene_0000.json")
+    for k, o in enumerate(scene.objects):
+        posed = apply_pose(o.pose, db.entry(class_id(db, o.class_name), o.exemplar).points)
+        back = _read_points(out / f"object_{k:03d}.pts")
+        assert np.array_equal(back, posed.astype("<f4").astype(np.float64))
 
 
 def test_export_sdfg_matches_direct_rasterization(pipeline, tmp_path):

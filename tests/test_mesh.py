@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shapescene.errors import DegenerateMesh
+from shapescene.errors import DegenerateMesh, NonWatertight
 from shapescene.geom import Pose9DoF, Rotation, rotation_about_axis
 from shapescene.mesh import (
     TriMesh,
@@ -126,6 +126,11 @@ def test_voxelize_cube_exact():
     centers = origin + 0.1 * np.indices((20, 20, 20)).transpose(1, 2, 3, 0)
     oracle = np.all(np.abs(centers) < 0.5, axis=-1)
     assert np.array_equal(occ, oracle)
+
+
+def test_voxelize_open_mesh_raises(open_box):
+    with pytest.raises(NonWatertight):
+        voxelize_occupancy(open_box, Pose9DoF.identity(), np.full(3, -0.95), (20, 20, 20), 0.1)
 
 
 def test_voxelize_scale_doubles_count():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shapescene.errors import MismatchedLengths
+from shapescene.errors import MismatchedLengths, NonFinite
 from shapescene.geom import Pose9DoF, apply_pose, geodesic_distance
 from shapescene.metrics import miv_and_collisions
 from shapescene.optim import OptimConfig, fit_poses, resolve_collisions, scene_to_objects
@@ -97,6 +97,15 @@ def test_fit_poses_mismatched_targets(toy_db):
     gt = generate_scene(toy_db, 2, seed=35)
     with pytest.raises(MismatchedLengths):
         fit_poses(toy_db, gt, _targets(toy_db, gt)[:1], OptimConfig())
+
+
+def test_fit_poses_non_finite_target_stops(toy_db):
+    gt = generate_scene(toy_db, 2, seed=36)
+    targets = _targets(toy_db, gt)
+    targets[1] = targets[1].copy()
+    targets[1][0, 2] = np.nan
+    with pytest.raises(NonFinite, match="iteration 0$"):
+        fit_poses(toy_db, gt, targets, OptimConfig(iterations=100))
 
 
 def test_resolve_collision_free_unchanged(toy_db):

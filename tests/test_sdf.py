@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shapescene.errors import OutOfBounds
+from shapescene.errors import NonWatertight, OutOfBounds
 from shapescene.sdf import (
     SdfGrid,
     clamp_interior,
@@ -43,6 +43,11 @@ def _trilinear_oracle(g, x):
 @pytest.fixture(scope="module")
 def cube_sdf():
     return mesh_to_sdf(make_box(), resolution=32)
+
+
+def test_mesh_to_sdf_open_mesh_raises(open_box):
+    with pytest.raises(NonWatertight):
+        mesh_to_sdf(open_box, resolution=12)
 
 
 def test_mesh_to_sdf_center_depth(cube_sdf):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ZeroScale
-from .geom import Pose9DoF, chain_rotation_grad
+from .geom import Pose9DoF, apply_pose_backward, chain_rotation_grad
 from .sdf import SdfGrid, sample_zero_outside
 
 
@@ -78,10 +78,8 @@ def collision_gradient(
     and scale. When `raw_matrices` is given, rotation gradients are chained
     through the SO(3) projection so they apply to the unconstrained matrices.
     """
-    m = len(scene)
-    grads_r = [np.zeros((3, 3)) for _ in range(m)]
-    grads_t = [np.zeros(3) for _ in range(m)]
-    grads_s = [np.zeros(3) for _ in range(m)]
+    grads_r = np.zeros((len(scene), 3, 3))
+    grads_t, grads_s = np.zeros((len(scene), 3)), np.zeros((len(scene), 3))
     total = 0.0
 
     energies = []
@@ -106,16 +104,15 @@ def collision_gradient(
                 continue
             ri, si, ti = obj_i.pose.r.m, obj_i.pose.s, obj_i.pose.t
             rj, sj, tj = obj_j.pose.r.m, obj_j.pose.s, obj_j.pose.t
-            g_w = (g / sj) @ rj.T                   # dL/d(world point w)
-            grads_t[i] += g_w.sum(axis=0)
-            grads_r[i] += g_w.T @ (si * obj_i.points)
-            grads_s[i] += ((g_w @ ri) * obj_i.points).sum(axis=0)
+            dr, dt, ds = apply_pose_backward(ri, si, obj_i.points, (g / sj) @ rj.T)
+            grads_r[i] += dr
+            grads_t[i] += dt
+            grads_s[i] += ds
             u = (si * obj_i.points) @ ri.T + ti - tj  # w - t_j
-            grads_t[j] -= g_w.sum(axis=0)
+            grads_t[j] -= dt
             grads_r[j] += u.T @ (g / sj)
             grads_s[j] -= (g * y / sj).sum(axis=0)
 
     if raw_matrices is not None:
-        grads_r = [chain_rotation_grad(mraw, gr)
-                   for mraw, gr in zip(raw_matrices, grads_r)]
+        grads_r = chain_rotation_grad(np.reshape(raw_matrices, (-1, 3, 3)), grads_r)
     return total, list(zip(grads_r, grads_t, grads_s))

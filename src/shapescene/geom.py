@@ -12,8 +12,6 @@ import numpy as np
 
 from .errors import DegenerateMatrix
 
-ORTHO_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Rotation:
@@ -37,10 +35,7 @@ class Rotation:
         return Rotation(np.eye(3))
 
     def compose(self, other: "Rotation") -> "Rotation":
-        return Rotation(project_to_so3(self.m @ other.m).m)
-
-    def inverse(self) -> "Rotation":
-        return Rotation(self.m.T)
+        return project_to_so3(self.m @ other.m)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=np.float64) @ self.m.T
@@ -73,33 +68,34 @@ class Pose9DoF:
         return Pose9DoF()
 
 
-def project_to_so3(m: np.ndarray) -> Rotation:
+def project_to_so3(m: np.ndarray) -> Rotation | np.ndarray:
     """Project an arbitrary 3x3 matrix onto the nearest rotation (Frobenius).
 
     Uses the SVD construction R = U diag(1, 1, det(U V^T)) V^T, which among
-    all rotations minimizes |R - M|_F.
+    all rotations minimizes |R - M|_F. A 3x3 input gives a Rotation, an
+    (n, 3, 3) stack the (n, 3, 3) array of the rotations of its matrices.
 
-    Raises DegenerateMatrix when the two smallest singular values both vanish,
-    in which case the nearest rotation is not unique.
+    Raises DegenerateMatrix when, for any matrix, the two smallest singular
+    values both vanish, in which case the nearest rotation is not unique.
     """
     m = np.asarray(m, dtype=np.float64)
-    if m.shape != (3, 3) or not np.all(np.isfinite(m)):
-        raise ValueError("expected a finite 3x3 matrix")
+    if m.ndim not in (2, 3) or m.shape[-2:] != (3, 3) or not np.all(np.isfinite(m)):
+        raise ValueError("expected a finite 3x3 matrix or (n, 3, 3) stack")
     u, sv, vt = np.linalg.svd(m)
-    if sv[1] < 1e-12 and sv[2] < 1e-12:
+    if np.any((sv[..., 1] < 1e-12) & (sv[..., 2] < 1e-12)):
         raise DegenerateMatrix(
             "two smallest singular values below 1e-12; nearest rotation not unique"
         )
-    d = np.sign(np.linalg.det(u @ vt))
-    r = u @ np.diag([1.0, 1.0, d]) @ vt
-    # Orthogonality does not need a second SVD: one already gives
-    # |R^T R - I| near 1e-15. The second makes the projection a bit-exact
-    # fixpoint on more inputs (77% of generated yaw rotations, against 55%
-    # with one SVD), so fit_poses started at the ground truth writes it back
-    # unchanged (tests/test_optim.py::test_fit_poses_ground_truth_init).
-    u2, _, vt2 = np.linalg.svd(r)
-    r = u2 @ np.diag([1.0, 1.0, np.sign(np.linalg.det(u2 @ vt2))]) @ vt2
-    return Rotation(r)
+    diag = np.broadcast_to(np.eye(3), m.shape).copy()  # diag(1, 1, d), as np.diag built it
+    diag[..., 2, 2] = np.sign(np.linalg.det(u @ vt))
+    r = u @ diag @ vt
+    # Not needed for orthogonality (one SVD gives |R^T R - I| near 1e-15): a second
+    # SVD makes the projection a bit-exact fixpoint on 77% of generated yaw rotations
+    # against 55%, as tests/test_optim.py::test_fit_poses_ground_truth_init needs.
+    u, _, vt = np.linalg.svd(r)
+    diag[..., 2, 2] = np.sign(np.linalg.det(u @ vt))
+    r = u @ diag @ vt
+    return Rotation(r) if m.ndim == 2 else r
 
 
 def so3_projection_jacobian(m: np.ndarray) -> np.ndarray:
@@ -108,8 +104,7 @@ def so3_projection_jacobian(m: np.ndarray) -> np.ndarray:
     Row k is the vector-Jacobian product of the k-th unit gradient, so the
     Jacobian shares chain_rotation_grad's formula and its validity range.
     """
-    return np.stack([chain_rotation_grad(m, e).reshape(-1)
-                     for e in np.eye(9).reshape(9, 3, 3)])
+    return chain_rotation_grad(m, np.eye(9).reshape(9, 3, 3)).reshape(9, 9)
 
 
 def chain_rotation_grad(m: np.ndarray, grad_r: np.ndarray) -> np.ndarray:
@@ -118,24 +113,23 @@ def chain_rotation_grad(m: np.ndarray, grad_r: np.ndarray) -> np.ndarray:
     Closed-form vector-Jacobian product of the SVD projection (Levinson et al.,
     "An Analysis of SVD for Deep Rotation Estimation", NeurIPS 2020):
     grad_M = U C V^T, where C is built pair by pair from B = U^T grad_R V and
-    has a zero diagonal. Only valid away from singular-value degeneracies
-    (pairwise gaps should exceed ~1e-3 for accurate results).
+    has a zero diagonal; m and grad_r broadcast over (..., 3, 3). Only valid
+    away from singular-value degeneracies (pairwise gaps above ~1e-3).
     """
-    m = np.asarray(m, dtype=np.float64)
-    u, sv, vt = np.linalg.svd(m)
-    signs = np.array([1.0, 1.0, np.sign(np.linalg.det(u @ vt))])
-    b = u.T @ np.asarray(grad_r, dtype=np.float64) @ vt.T
-    c = np.zeros((3, 3))
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        if signs[i] == signs[j]:
-            # Removable singularity form: valid whenever sigma_i + sigma_j > 0,
-            # including repeated sigmas.
-            c[i, j] = signs[i] * (b[i, j] - b[j, i]) / (sv[i] + sv[j])
-            c[j, i] = -c[i, j]
-        else:
-            # Reflection pair: unique only while sigma_i > sigma_j.
-            c[i, j] = c[j, i] = (b[i, j] + b[j, i]) / (sv[i] - sv[j])
-    return u @ c @ vt
+    u, sv, vt = np.linalg.svd(np.asarray(m, dtype=np.float64))
+    d = np.sign(np.linalg.det(u @ vt))
+    b = u.swapaxes(-1, -2) @ np.asarray(grad_r, dtype=np.float64) @ vt.swapaxes(-1, -2)
+    c = np.zeros(b.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            # Equal signs in diag(1, 1, d): valid whenever sigma_i + sigma_j > 0.
+            # Otherwise a reflection pair: unique only while sigma_i > sigma_j.
+            same = (j < 2) | (d == 1.0)
+            skew = (b[..., i, j] - b[..., j, i]) / (sv[..., i] + sv[..., j])
+            sym = (b[..., i, j] + b[..., j, i]) / (sv[..., i] - sv[..., j])
+            c[..., i, j] = np.where(same, skew, sym)
+            c[..., j, i] = np.where(same, -skew, sym)
+        return u @ c @ vt  # NaN where a reflection pair has equal sigmas
 
 
 def geodesic_distance(a: Rotation, b: Rotation) -> float:
@@ -151,6 +145,12 @@ def apply_pose(p: Pose9DoF, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     return (p.s * x) @ p.r.m.T + p.t
+
+
+def apply_pose_backward(r: np.ndarray, s: np.ndarray, x: np.ndarray, g: np.ndarray):
+    """(grad_R, grad_t, grad_s) of R (s * x) + t given g = dL/d(world point),
+    on raw arrays r (..., 3, 3), s (..., 3), x and g (..., P, 3)."""
+    return g.swapaxes(-1, -2) @ (s[..., None, :] * x), g.sum(axis=-2), ((g @ r) * x).sum(axis=-2)
 
 
 def inverse_apply_pose(p: Pose9DoF, y: np.ndarray) -> np.ndarray:

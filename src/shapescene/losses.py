@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MismatchedLengths
-from .geom import Pose9DoF, Rotation, apply_pose, chain_rotation_grad, project_to_so3
+from .geom import (Pose9DoF, Rotation, apply_pose, apply_pose_backward, chain_rotation_grad,
+                   project_to_so3)
 
 
 @dataclass(frozen=True)
@@ -146,23 +147,23 @@ def pose_loss_world_grads(
     clouds: list[np.ndarray],
     targets: list[np.ndarray],
 ) -> tuple[float, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """pose_loss_rt_grads against world-frame target clouds instead of
-    ground-truth poses. Builds no Pose9DoF, so a scale with non-positive
-    components (an optimizer iterate) is accepted."""
+    """pose_loss_rt_grads against world-frame targets, as one stacked computation
+    over raw_ms (n, 3, 3), ts and ss (n, 3), clouds and targets (n, P, 3). Builds
+    no Pose9DoF, so a non-positive scale (an optimizer iterate) is accepted."""
     if not len(raw_ms) == len(ts) == len(ss) == len(clouds) == len(targets):
         raise MismatchedLengths("per-object lists differ in length")
-    total = 0.0
-    grads = []
-    for m, t, s, pts, y in zip(raw_ms, ts, ss, clouds, targets):
-        r = project_to_so3(m).m
-        diff = (s * pts) @ r.T + t - y
-        total += float(np.sum(diff**2))
-        g_pts = 2.0 * diff                        # dL/d(world point)
-        grad_t = g_pts.sum(axis=0)
-        grad_r = g_pts.T @ (s * pts)              # outer products summed
-        grad_s = ((g_pts @ r) * pts).sum(axis=0)
-        grads.append((chain_rotation_grad(m, grad_r), grad_t, grad_s))
-    return total, grads
+    if len(raw_ms) == 0:
+        return 0.0, []
+    try:
+        pts, y = np.asarray([clouds, targets], dtype=np.float64)
+    except ValueError:
+        raise MismatchedLengths("the clouds and targets must share one point count") from None
+    s, t = np.asarray(ss, dtype=np.float64), np.asarray(ts, dtype=np.float64)
+    r = project_to_so3(raw_ms)
+    diff = (s[:, None, :] * pts) @ r.swapaxes(1, 2) + t[:, None, :] - y
+    total = float(np.cumsum((diff**2).sum(axis=(1, 2)))[-1])  # objects added in order
+    grad_r, grad_t, grad_s = apply_pose_backward(r, s, pts, 2.0 * diff)
+    return total, list(zip(chain_rotation_grad(raw_ms, grad_r), grad_t, grad_s))
 
 
 def rot_loss_frobenius(r_gt: Rotation, r_pred: Rotation) -> float:

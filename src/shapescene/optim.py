@@ -13,7 +13,7 @@ import numpy as np
 
 from .collision import SceneObject, collision_gradient, collision_loss_total
 from .errors import MismatchedLengths, NonFinite
-from .geom import Pose9DoF, project_to_so3
+from .geom import Pose9DoF, Rotation, project_to_so3
 from .losses import pose_loss_world_grads
 from .scene import PlacedObject, Scene, class_id
 from .sdf import clamp_interior
@@ -37,8 +37,8 @@ class OptimConfig:
     warmup: int = 0               # resolve iterations with the collision weight zeroed
 
     def __post_init__(self):
-        if self.lr <= 0 or self.iterations <= 0:
-            raise ValueError("step size and iteration budget must be positive")
+        if not 0 < self.lr < np.inf or self.iterations <= 0:
+            raise ValueError("step size must be finite and positive, iteration budget positive")
 
 
 def _descend(params: np.ndarray, cfg: OptimConfig, evaluate) -> np.ndarray:
@@ -46,13 +46,14 @@ def _descend(params: np.ndarray, cfg: OptimConfig, evaluate) -> np.ndarray:
 
     `evaluate(params, it)` returns (objective, gradient, converged). The loop
     stops after the first converged evaluation or after cfg.iterations steps,
-    and raises NonFinite on a non-finite objective. Each step makes a new
-    array, so kept parameters are never written to.
+    and raises NonFinite on a non-finite iterate or objective. Each step makes
+    a new array, so kept parameters are never written to.
     """
-    m = np.zeros_like(params)
-    v = np.zeros_like(params)
+    m = v = np.zeros_like(params)  # rebound, never written in place
     best_obj, best = np.inf, params
     for it in range(cfg.iterations + 1):
+        if not np.all(np.isfinite(params)):
+            raise NonFinite(f"parameters became non-finite at iteration {it}")
         obj, grad, converged = evaluate(params, it)
         if not np.isfinite(obj):
             raise NonFinite(f"objective became non-finite at iteration {it}")
@@ -87,6 +88,8 @@ def fit_poses(
         raise MismatchedLengths("one target cloud per object required")
     if not freeze <= _BLOCKS.keys():
         raise ValueError(f"unknown freeze blocks {sorted(freeze)}")
+    if not scene_init.objects:
+        return scene_init, [0.0]
     clouds = [db.entry(class_id(db, o.class_name), o.exemplar).points
               for o in scene_init.objects]
     trace: list[float] = []
@@ -97,7 +100,7 @@ def fit_poses(
             clouds, targets)
         # Report the best objective so far; raw Adam iterates are not monotone.
         trace.append(min(trace[-1], obj) if trace else obj)
-        grad = np.array([np.concatenate([gm.reshape(-1), gt, gs]) for gm, gt, gs in grads])
+        grad = np.hstack([np.reshape(block, (len(params), -1)) for block in zip(*grads)])
         for block in freeze:
             grad[:, _BLOCKS[block]] = 0.0
         return obj, grad, obj < TOL
@@ -106,9 +109,8 @@ def fit_poses(
                      for o in scene_init.objects])
     best = _descend(init, cfg, evaluate)
     objects = [
-        PlacedObject(o.class_name, o.exemplar,
-                     Pose9DoF(project_to_so3(p[:9].reshape(3, 3)), p[9:12], np.abs(p[12:])))
-        for o, p in zip(scene_init.objects, best)
+        PlacedObject(o.class_name, o.exemplar, Pose9DoF(Rotation(r), p[9:12], np.abs(p[12:])))
+        for o, r, p in zip(scene_init.objects, project_to_so3(best[:, :9].reshape(-1, 3, 3)), best)
     ]
     return Scene(scene_init.seed, tuple(objects)), trace
 

@@ -223,16 +223,21 @@ def save_database(db: ShapeDatabase, directory) -> None:
 def load_database(directory) -> ShapeDatabase:
     directory = Path(directory)
     manifest = _read_manifest(directory / "manifest.json")
-    entries = []
+    entries, first = [], None
     for cid, cls in enumerate(manifest["classes"]):
         for k in range(manifest["k_per_class"]):
             stem = f"{cls}_{k:04d}"
+            path = directory / f"{stem}.pts"
+            points = _read_points(path)
+            first = first or (path, len(points))
+            if len(points) != first[1]:  # the pose fit stacks the clouds
+                raise MalformedFile(f"{path}: {len(points)} points, but {first[0]} has {first[1]}")
             entries.append(
                 ShapeEntry(
                     class_id=cid,
                     exemplar_index=k,
                     sdf=read_sdfg(directory / f"{stem}.sdfg"),
-                    points=_read_points(directory / f"{stem}.pts"),
+                    points=points,
                     mesh=load_obj(directory / f"{stem}.obj"),
                 )
             )

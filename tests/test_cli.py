@@ -44,7 +44,9 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
     # Out-of-range optimizer settings are rejected before any input is read.
     for argv in (["fit-pose", "--db", "x", "--gt", "y", "--out", "z", "--iters", "0"],
-                 ["resolve", "--db", "x", "--scene", "y", "--out", "z", "--lr", "0"]):
+                 ["resolve", "--db", "x", "--scene", "y", "--out", "z", "--lr", "0"],
+                 ["fit-pose", "--db", "x", "--gt", "y", "--out", "z", "--lr", "nan"],
+                 ["fit-pose", "--db", "x", "--gt", "y", "--out", "z", "--lr", "inf"]):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("shapescene: error:") and err.count("\n") == 1
@@ -159,6 +161,9 @@ MALFORMED_INPUTS = [
     pytest.param(_bad_scene(_set_first("exemplar", 0.5)), id="scene-fractional-exemplar"),
     pytest.param(_bad_db(_rewrite_first("*.pts", lambda b: b[:-5])),
                  id="db-truncated-points"),
+    pytest.param(_bad_db(_rewrite_first(  # a valid file one point short of the others
+        "*.pts", lambda b: struct.pack("<I", struct.unpack("<I", b[:4])[0] - 1) + b[4:-12])),
+                 id="db-points-count-differs"),
     pytest.param(_bad_db(_rewrite_first("*.obj", lambda b: b"v 0 0 0\nv 1 0 0\nv 0 1 0\n")),
                  id="db-obj-without-faces"),
     pytest.param(_bad_db(_rewrite_first("*.sdfg", lambda b: b"XXXX" + b[4:])),
@@ -192,6 +197,24 @@ def test_out_of_range_exemplar_exits_2(pipeline, tmp_path, capsys):
                      "--out", str(tmp_path / "labels.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("shapescene: error: exemplar") and err.count("\n") == 1
+
+
+def test_empty_scene_fit_and_resolve_exit_0(pipeline, tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"seed": 4, "objects": []}))
+    db = str(pipeline / "db")
+    assert main(["fit-pose", "--db", db, "--gt", str(empty), "--out", str(tmp_path / "fit.json"),
+                 "--trace", str(tmp_path / "fit.csv"), "--iters", "5"]) == 0
+    assert load_scene(tmp_path / "fit.json").objects == ()
+    assert (tmp_path / "fit.csv").read_text().splitlines() == ["iteration,pose,total", "0,0.0,0.0"]
+    # resolve records zero rows until its warm-up ends (or the budget runs out).
+    for warmup, rows in (("0", 1), ("3", 4), ("9", 6)):
+        out, trace = tmp_path / f"res{warmup}.json", tmp_path / f"res{warmup}.csv"
+        assert main(["resolve", "--db", db, "--scene", str(empty), "--out", str(out),
+                     "--trace", str(trace), "--iters", "5", "--warmup", warmup]) == 0
+        assert load_scene(out).objects == ()
+        assert trace.read_text().splitlines() == (
+            ["iteration,collision,anchor,total"] + [f"{k},0.0,0.0,0.0" for k in range(rows)])
 
 
 def test_config_flag_precedence(pipeline, tmp_path):

@@ -108,6 +108,55 @@ def test_project_degenerate_raises():
         project_to_so3(np.outer(v, v))  # rank 1
 
 
+def _stack_with_edge_cases(rng, n=64):
+    """Random matrices plus det < 0 and repeated-singular-value cases."""
+    stack = rng.normal(size=(n, 3, 3))
+    stack[0] = np.diag([2.0, 2.0, 1.0])   # repeated sigma, equal-sign pair
+    stack[1] = np.diag([2.0, -1.0, 1.0])  # repeated sigma in a reflection pair
+    stack[2] = np.diag([3.0, 3.0, 3.0])   # all three equal
+    stack[3] = -rotation_about_axis(np.array([0.0, 0.0, 1.0]), 0.3).m  # det -1
+    assert np.sum(np.linalg.det(stack) < 0) >= 10
+    return stack
+
+
+def test_project_stack_matches_per_matrix():
+    stack = _stack_with_edge_cases(np.random.default_rng(11))
+    rs = project_to_so3(stack)
+    assert isinstance(rs, np.ndarray) and rs.shape == stack.shape
+    for m, r in zip(stack, rs):
+        assert np.array_equal(r, project_to_so3(m).m)
+    assert np.array_equal(project_to_so3(stack[:1])[0], rs[0])
+
+
+def test_project_stack_with_one_degenerate_matrix_raises():
+    stack = np.random.default_rng(12).normal(size=(5, 3, 3))
+    v = np.array([1.0, 2.0, 3.0])
+    stack[3] = np.outer(v, v)  # rank 1
+    with pytest.raises(DegenerateMatrix):
+        project_to_so3(stack)
+    with pytest.raises(ValueError):
+        project_to_so3(np.ones((2, 2, 3, 3)))
+
+
+def test_chain_rotation_grad_stack_matches_per_matrix():
+    rng = np.random.default_rng(13)
+    stack = _stack_with_edge_cases(rng)
+    grads = rng.normal(size=stack.shape)
+    out = chain_rotation_grad(stack, grads)
+    assert out.shape == stack.shape
+    for m, g, got in zip(stack, grads, out):
+        assert np.array_equal(got, chain_rotation_grad(m, g), equal_nan=True)
+    assert not np.all(np.isfinite(out[1]))
+    assert np.all(np.isfinite(out[[0, 2]]))  # equal-sign pairs stay finite
+
+
+def test_compose_is_projected_product(rng):
+    a, b = random_rotation(rng), random_rotation(rng)
+    c = a.compose(b)
+    assert isinstance(c, Rotation)
+    assert np.array_equal(c.m, project_to_so3(a.m @ b.m).m)
+
+
 def test_projection_gradient_matches_fd():
     # d/dm |project(m) - R_target|_F^2 via the chained analytic Jacobian.
     count = 0

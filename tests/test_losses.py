@@ -219,6 +219,43 @@ def test_pose_loss_world_grads_nonpositive_scale(rng):
     assert np.linalg.norm(grads[0][2] - fd_s) / np.linalg.norm(fd_s) < 1e-6
 
 
+def test_pose_loss_world_grads_stack_matches_single_objects(rng):
+    # Each object's terms equal a call on that object alone, and the total
+    # adds the objects' losses one by one, in order (a sum over the whole
+    # stack rounds differently on some of these draws).
+    n = 7
+    for _ in range(10):
+        ms = [random_rotation(rng).m + rng.normal(size=(3, 3)) * 0.2 for _ in range(n)]
+        ms[2] = -ms[2]  # a det < 0 raw matrix
+        ts = [rng.normal(size=3) for _ in range(n)]
+        ss = [np.exp(rng.normal(size=3) * 0.2) for _ in range(n)]
+        clouds = [rng.normal(size=(40, 3)) for _ in range(n)]
+        targets = [apply_pose(_random_pose(rng), pts) for pts in clouds]
+        total, grads = pose_loss_world_grads(ms, ts, ss, clouds, targets)
+        assert len(grads) == n
+        running = 0.0
+        for k in range(n):
+            one_total, one_grads = pose_loss_world_grads(
+                [ms[k]], [ts[k]], [ss[k]], [clouds[k]], [targets[k]])
+            running += one_total
+            for got, ref in zip(grads[k], one_grads[0]):
+                assert np.array_equal(got, ref)
+        assert total == running
+
+
+def test_pose_loss_world_grads_empty_and_mismatched(rng):
+    assert pose_loss_world_grads([], [], [], [], []) == (0.0, [])
+    ms, ts, ss = [np.eye(3)] * 2, [np.zeros(3)] * 2, [np.ones(3)] * 2
+    clouds = [rng.normal(size=(24, 3)), rng.normal(size=(30, 3))]
+    with pytest.raises(MismatchedLengths):
+        pose_loss_world_grads(ms, ts, ss, clouds, clouds)
+    same = [clouds[0], clouds[0]]
+    with pytest.raises(MismatchedLengths):  # a target with its own point count
+        pose_loss_world_grads(ms, ts, ss, same, [clouds[0], clouds[0][:20]])
+    with pytest.raises(MismatchedLengths):
+        pose_loss_world_grads(ms, ts, ss, same, same[:1])
+
+
 def test_rot_loss_frobenius_cases(rng):
     r = random_rotation(rng)
     assert rot_loss_frobenius(r, r) == 0.0

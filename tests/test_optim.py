@@ -4,7 +4,13 @@ import pytest
 from shapescene.errors import MismatchedLengths, NonFinite
 from shapescene.geom import Pose9DoF, apply_pose, geodesic_distance
 from shapescene.metrics import miv_and_collisions
-from shapescene.optim import OptimConfig, fit_poses, resolve_collisions, scene_to_objects
+from shapescene.optim import (
+    OptimConfig,
+    _descend,
+    fit_poses,
+    resolve_collisions,
+    scene_to_objects,
+)
 from shapescene.scene import (
     PlacedObject,
     Scene,
@@ -36,6 +42,20 @@ def test_optim_config_validates():
         OptimConfig(lr=0.0)
     with pytest.raises(ValueError):
         OptimConfig(iterations=0)
+
+
+def test_descend_stops_on_non_finite_iterate():
+    # A NaN gradient with a finite objective (as a reflection pair with equal
+    # singular values gives) stops before the NaN iterate is evaluated.
+    seen = []
+
+    def evaluate(params, it):
+        seen.append(it)
+        return 1.0, np.full_like(params, np.nan), False
+
+    with pytest.raises(NonFinite, match="iteration 1$"):
+        _descend(np.zeros((2, 15)), OptimConfig(iterations=10), evaluate)
+    assert seen == [0]
 
 
 def test_fit_poses_ground_truth_init(toy_db):

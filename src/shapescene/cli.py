@@ -109,6 +109,14 @@ def _opt(args, config: dict, key: str, default):
     return default
 
 
+def _opt_in(args, config: dict, key: str, default, low, high=np.inf):
+    """_opt, with a usage error unless low <= value <= high (NaN never is)."""
+    value = _opt(args, config, key, default)
+    if not low <= value <= high:
+        raise _UsageError(f"--{key} must be in [{low}, {high}], got {value!r}")
+    return value
+
+
 def _load_db(path) -> ShapeDatabase:
     path = Path(path)
     if not (path / "manifest.json").exists():
@@ -122,33 +130,39 @@ def cmd_make_toys(args, config) -> int:
     return 0
 
 
+def _parse_pre_rotate(spec: str):
+    axis_name, _, deg = spec.partition(",")
+    try:
+        angle = float(deg)
+    except ValueError:
+        angle = np.nan
+    if axis_name not in ("x", "y", "z") or not np.isfinite(angle):
+        raise _UsageError(f"--pre-rotate: expected AXIS,DEGREES, got {spec!r}")
+    return rotation_about_axis(np.eye(3)["xyz".index(axis_name)], np.deg2rad(angle))
+
+
 def cmd_build_db(args, config) -> int:
+    k = _opt_in(args, config, "k", DEFAULT_K_PER_CLASS, 1)
+    seed = _opt_in(args, config, "seed", 0, 0)
+    # mesh_to_sdf's grid holds 2 voxels of padding on each side.
+    res = _opt_in(args, config, "res", DEFAULT_SDF_RESOLUTION, 5)
+    points = _opt_in(args, config, "points", DEFAULT_POINTS_PER_ENTRY, 1)
+    pre_rot = _parse_pre_rotate(args.pre_rotate) if args.pre_rotate else None
     mesh_root = Path(args.meshes)
     classes = sorted(p.name for p in mesh_root.iterdir() if p.is_dir())
     if not classes:
         raise DataError(f"{mesh_root}: no class subdirectories")
-    pre_rot = None
-    if args.pre_rotate:
-        axis_name, _, deg = args.pre_rotate.partition(",")
-        if axis_name not in ("x", "y", "z") or not deg:
-            raise DataError(f"--pre-rotate: expected AXIS,DEGREES, got {args.pre_rotate!r}")
-        axis = np.eye(3)["xyz".index(axis_name)]
-        pre_rot = rotation_about_axis(axis, np.deg2rad(float(deg)))
     shapes: list[tuple[int, TriMesh]] = []
+    sources: list[str] = []
     for cid, cls in enumerate(classes):
         for obj_path in sorted((mesh_root / cls).glob("*.obj")):
             mesh = load_obj(obj_path)
             if pre_rot is not None:
                 mesh = TriMesh(mesh.vertices @ pre_rot.m.T, mesh.triangles)
             shapes.append((cid, mesh))
-    db = build_database(
-        shapes,
-        k_per_class=_opt(args, config, "k", DEFAULT_K_PER_CLASS),
-        seed=_opt(args, config, "seed", 0),
-        classes=classes,
-        resolution=_opt(args, config, "res", DEFAULT_SDF_RESOLUTION),
-        points_per_entry=_opt(args, config, "points", DEFAULT_POINTS_PER_ENTRY),
-    )
+            sources.append(str(obj_path))
+    db = build_database(shapes, k_per_class=k, seed=seed, classes=classes,
+                        resolution=res, points_per_entry=points, sources=sources)
     norm = _opt(args, config, "normalization", None)
     if norm is not None:
         db.normalization = float(norm)
@@ -159,24 +173,28 @@ def cmd_build_db(args, config) -> int:
 
 def _parse_objects(spec: str) -> tuple[int, int]:
     lo, _, hi = spec.partition(":")
-    a = int(lo)
-    b = int(hi) if hi else a
+    try:
+        a = int(lo)
+        b = int(hi) if hi else a
+    except ValueError:
+        a = b = 0
     if a < 1 or b < a:
-        raise DataError(f"--objects: bad range {spec!r}")
+        raise _UsageError(f"--objects: bad range {spec!r}")
     return a, b
 
 
 def cmd_gen_scenes(args, config) -> int:
+    seed = _opt_in(args, config, "seed", 0, 0)
+    lo, hi = _parse_objects(args.objects)
+    count = _opt_in(args, config, "count", None, 0)
     db = _load_db(args.db)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seed = _opt(args, config, "seed", 0)
-    lo, hi = _parse_objects(args.objects)
-    counts = np.random.default_rng(seed).integers(lo, hi + 1, size=args.count)
-    for i in range(args.count):
+    counts = np.random.default_rng(seed).integers(lo, hi + 1, size=count)
+    for i in range(count):
         scene = generate_scene(db, int(counts[i]), seed=seed + i)
         save_scene(out / f"scene_{i:04d}.json", scene)
-    print(f"wrote {args.count} scenes -> {out}")
+    print(f"wrote {count} scenes -> {out}")
     return 0
 
 
@@ -221,9 +239,9 @@ def _write_trace(path, header: list[str], rows) -> None:
 
 def cmd_fit_pose(args, config) -> int:
     cfg = _optim_config(args, config)
+    seed = _opt_in(args, config, "seed", 0, 0)
     db = _load_db(args.db)
     gt = load_scene(args.gt)
-    seed = _opt(args, config, "seed", 0)
     if args.init:
         init = load_scene(args.init)
         if len(init.objects) != len(gt.objects):
@@ -279,6 +297,8 @@ def _scene_paths(path) -> list[Path]:
 
 
 def cmd_evaluate(args, config) -> int:
+    res = _opt_in(args, config, "res", 128, 1)
+    thresh = _opt_in(args, config, "thresh", 0.25, 0.0, 1.0)
     db = _load_db(args.db)
     preds = _scene_paths(args.pred)
     gts = _scene_paths(args.gt)
@@ -286,8 +306,6 @@ def cmd_evaluate(args, config) -> int:
         raise DataError(
             f"{args.pred} has {len(preds)} scenes but {args.gt} has {len(gts)}"
         )
-    res = _opt(args, config, "res", 128)
-    thresh = _opt(args, config, "thresh", 0.25)
     report: dict = {"metric": args.metric, "scenes": len(preds)}
 
     if args.metric == "iou":
@@ -362,12 +380,12 @@ def _write_ply(path, verts: np.ndarray) -> None:
 
 
 def cmd_export(args, config) -> int:
+    res = _opt_in(args, config, "res", 128, 1)
     db = _load_db(args.db)
     scene = load_scene(args.scene)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.format == "sdfg":
-        res = _opt(args, config, "res", 128)
         bounds = _scene_bounds([scene], db)
         origin, dims, spacing = scene_grid(bounds, res)
         occ = np.zeros(dims, dtype=bool)

@@ -51,12 +51,21 @@ def relative_transform(i: SceneObject, j: SceneObject) -> tuple[np.ndarray, np.n
 
 def collision_energy_single(i: SceneObject, others: list[SceneObject]) -> float:
     """Summed interior depth of i's points inside each other object's field."""
-    energy = 0.0
+    return _energy_and_mapped_points(i, others)[0]
+
+
+def _energy_and_mapped_points(
+    i: SceneObject, others: list[SceneObject]
+) -> tuple[float, list[np.ndarray]]:
+    """collision_energy_single, and i's points mapped into each other's frame."""
+    energy, mapped = 0.0, []
     for j in others:
         a, b = relative_transform(i, j)
-        vals, _ = sample_zero_outside(j.clamped_sdf, i.points @ a.T + b)
+        y = i.points @ a.T + b
+        vals, _ = sample_zero_outside(j.clamped_sdf, y)
         energy += float(vals.sum())
-    return energy
+        mapped.append(y)
+    return energy, mapped
 
 
 def collision_loss_total(scene: list[SceneObject]) -> float:
@@ -82,11 +91,11 @@ def collision_gradient(
     grads_t, grads_s = np.zeros((len(scene), 3)), np.zeros((len(scene), 3))
     total = 0.0
 
-    energies = []
+    energies, mapped = [], []
     for idx, obj in enumerate(scene):
-        others = scene[:idx] + scene[idx + 1:]
-        e = collision_energy_single(obj, others)
+        e, ys = _energy_and_mapped_points(obj, scene[:idx] + scene[idx + 1:])
         energies.append(e)
+        mapped.append(ys)
         total += geman_mcclure(e)
 
     for i, obj_i in enumerate(scene):
@@ -96,8 +105,7 @@ def collision_gradient(
         for j, obj_j in enumerate(scene):
             if j == i:
                 continue
-            a, b = relative_transform(obj_i, obj_j)
-            y = obj_i.points @ a.T + b
+            y = mapped[i][j if j < i else j - 1]
             _, grad_field = sample_zero_outside(obj_j.clamped_sdf, y)
             g = rho_prime * grad_field              # (n, 3) = dL/dy
             if not np.any(g):

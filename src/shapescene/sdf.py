@@ -28,7 +28,8 @@ class SdfGrid:
     spacing: float
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        # C order makes values.ravel() a view, so the sampler gathers without a copy.
+        v = np.ascontiguousarray(self.values, dtype=np.float64)
         o = np.asarray(self.origin, dtype=np.float64).reshape(3)
         if v.ndim != 3:
             raise ValueError("values must be a 3D array")
@@ -87,8 +88,8 @@ def trilinear_sample(g: SdfGrid, x: np.ndarray) -> tuple[float, np.ndarray]:
 
     Raises OutOfBounds when x lacks a complete 8-corner stencil.
     """
-    vals, grads, oob = _sample_many(g, np.asarray(x, dtype=np.float64).reshape(1, 3))
-    if oob[0]:
+    vals, grads, in_grid = _sample_many(g, np.asarray(x, dtype=np.float64).reshape(1, 3))
+    if not in_grid[0]:
         raise OutOfBounds(f"point {x} outside the interpolable grid interior")
     return float(vals[0]), grads[0]
 
@@ -99,32 +100,39 @@ def sample_zero_outside(g: SdfGrid, pts: np.ndarray) -> tuple[np.ndarray, np.nda
     Matches the clamped-interior field convention: the field vanishes outside
     the grid, so optimization never sees boundary errors.
     """
-    vals, grads, oob = _sample_many(g, np.asarray(pts, dtype=np.float64).reshape(-1, 3))
-    vals[oob] = 0.0
-    grads[oob] = 0.0
+    vals, grads, _ = _sample_many(g, np.asarray(pts, dtype=np.float64).reshape(-1, 3))
     return vals, grads
 
 
 def _sample_many(g: SdfGrid, pts: np.ndarray):
-    n = np.array(g.values.shape)
-    u = (pts - g.origin) / g.spacing
+    """Values, gradients and in-grid mask of the trilinear field at pts.
+
+    Only the points with a complete 8-corner stencil (the mask) are
+    interpolated; every other point gets value 0 and gradient 0.
+    """
+    vals = np.zeros(len(pts))
+    grads = np.zeros((len(pts), 3))
+    # Grid coordinates as (3, m) rows, so each operation runs along the points.
+    u = np.subtract(pts.T, g.origin[:, None], order="C") / g.spacing
+    # floor(u) lies in [0, n - 2] on every axis; a NaN fails both tests.
+    ok = (u >= 0.0) & (u < np.subtract(g.values.shape, 1)[:, None])
+    ok = ok[0] & ok[1] & ok[2]
+    inside = np.flatnonzero(ok)
+    if inside.size == 0:
+        return vals, grads, ok
+    u = u[:, inside]
     i = np.floor(u).astype(np.int64)
-    oob = np.any((i < 0) | (i + 1 > n - 1), axis=1)
-    i = np.clip(i, 0, n - 2)
-    f = u - i
+    fx, fy, fz = u - i
 
-    c = g.values
-    ix, iy, iz = i[:, 0], i[:, 1], i[:, 2]
-    v000 = c[ix, iy, iz]
-    v100 = c[ix + 1, iy, iz]
-    v010 = c[ix, iy + 1, iz]
-    v110 = c[ix + 1, iy + 1, iz]
-    v001 = c[ix, iy, iz + 1]
-    v101 = c[ix + 1, iy, iz + 1]
-    v011 = c[ix, iy + 1, iz + 1]
-    v111 = c[ix + 1, iy + 1, iz + 1]
+    # One gather of the whole stencil from the flat C-ordered grid, where
+    # corner (ix + a, iy + b, iz + c) sits a*sx + b*sy + c past corner (ix, iy, iz).
+    _, ny, nz = g.values.shape
+    sx, sy = ny * nz, nz
+    steps = np.array([0, sx, sy, sx + sy, 1, sx + 1, sy + 1, sx + sy + 1])
+    base = np.array([sx, sy, 1]) @ i
+    v000, v100, v010, v110, v001, v101, v011, v111 = g.values.ravel().take(
+        steps[:, None] + base)
 
-    fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
     # Interpolate along x, then y, then z; keep intermediates for the gradient.
     v00 = v000 + fx * (v100 - v000)
     v10 = v010 + fx * (v110 - v010)
@@ -132,7 +140,7 @@ def _sample_many(g: SdfGrid, pts: np.ndarray):
     v11 = v011 + fx * (v111 - v011)
     v0 = v00 + fy * (v10 - v00)
     v1 = v01 + fy * (v11 - v01)
-    vals = v0 + fz * (v1 - v0)
+    vals[inside] = v0 + fz * (v1 - v0)
 
     dx00 = v100 - v000
     dx10 = v110 - v010
@@ -143,8 +151,8 @@ def _sample_many(g: SdfGrid, pts: np.ndarray):
     gx = dx0 + fz * (dx1 - dx0)
     gy = (v10 - v00) + fz * ((v11 - v01) - (v10 - v00))
     gz = v1 - v0
-    grads = np.stack([gx, gy, gz], axis=1) / g.spacing
-    return vals, grads, oob
+    grads[inside] = (np.stack([gx, gy, gz]) / g.spacing).T
+    return vals, grads, ok
 
 
 def write_sdfg(path, g: SdfGrid, version: int = 1) -> None:
@@ -176,7 +184,7 @@ def read_sdfg(path) -> SdfGrid:
         payload = fh.read(expected)
     values = np.frombuffer(payload, dtype="<f4").reshape((nx, ny, nz), order="F")
     try:
-        return SdfGrid(values.astype(np.float64), np.array([ox, oy, oz]), spacing)
+        return SdfGrid(values, np.array([ox, oy, oz]), spacing)
     except ValueError as e:
         raise MalformedFile(f"{path}: {e}") from None
 

@@ -15,7 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientShapes, MalformedFile, UnknownClass, UnknownExemplar
+from .errors import (
+    InsufficientShapes,
+    MalformedFile,
+    NonWatertight,
+    UnknownClass,
+    UnknownExemplar,
+)
 from .mesh import TriMesh, canonicalize_mesh, load_obj, sample_surface_points, save_obj
 from .sdf import SdfGrid, mesh_to_sdf, read_sdfg, write_sdfg
 
@@ -126,9 +132,14 @@ def build_database(
     resolution: int = DEFAULT_SDF_RESOLUTION,
     points_per_entry: int = DEFAULT_POINTS_PER_ENTRY,
     canonicalize: bool = True,
+    sources: list[str] | None = None,
 ) -> ShapeDatabase:
     """Cluster per-class SDFs with k-means++ and keep the member closest to
-    each cluster centroid as that cluster's exemplar. Deterministic per seed."""
+    each cluster centroid as that cluster's exemplar. Deterministic per seed.
+
+    A NonWatertight error names the shape by its entry in `sources` (one per
+    shape, such as its file path), else by its index in `shapes`.
+    """
     class_ids = sorted({cid for cid, _ in shapes})
     if classes is None:
         classes = [f"class{cid}" for cid in class_ids]
@@ -138,14 +149,21 @@ def build_database(
     entries: list[ShapeEntry] = []
     normalization = 0.0
     for cid in class_ids:
-        meshes = [m for c, m in shapes if c == cid]
+        members = [n for n, (c, _) in enumerate(shapes) if c == cid]
+        meshes = [shapes[n][1] for n in members]
         if len(meshes) < k_per_class:
             raise InsufficientShapes(
                 f"class {classes[cid]} has {len(meshes)} shapes, needs {k_per_class}"
             )
         if canonicalize:
             meshes = [canonicalize_mesh(m) for m in meshes]
-        sdfs = [mesh_to_sdf(m, resolution) for m in meshes]
+        sdfs = []
+        for n, mesh in zip(members, meshes):
+            try:
+                sdfs.append(mesh_to_sdf(mesh, resolution))
+            except NonWatertight as e:
+                where = sources[n] if sources else f"shape {n}"
+                raise NonWatertight(f"{e} in {where}") from None
         data = np.stack([_flatten(s) for s in sdfs])
         normalization = float(np.sqrt(data.shape[1]))
 

@@ -11,6 +11,7 @@ from shapescene.mesh import save_obj
 from shapescene.metrics import voxel_scene_iou
 from shapescene.scene import class_id, load_scene
 from shapescene.sdf import read_sdfg
+from shapescene.toys import make_box
 from shapescene.shapedb import _read_points, load_database
 
 
@@ -107,6 +108,60 @@ def test_open_mesh_exits_2(tmp_path, capsys, open_box):
     err = capsys.readouterr().err
     assert err.startswith("shapescene: error: parity votes disagree") and err.count("\n") == 1
     assert not (tmp_path / "db").exists()
+
+
+def test_open_mesh_error_names_the_file(tmp_path, capsys, open_box):
+    meshes = tmp_path / "meshes"
+    for cls in ("box", "lid"):
+        (meshes / cls).mkdir(parents=True)
+    save_obj(meshes / "box" / "closed.obj", make_box())
+    save_obj(meshes / "lid" / "open.obj", open_box)
+    assert main(["build-db", "--meshes", str(meshes), "--out", str(tmp_path / "db"),
+                 "--k", "1", "--res", "12"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shapescene: error: parity votes disagree") and err.count("\n") == 1
+    assert err.endswith(f"% of samples in {meshes / 'lid' / 'open.obj'}\n")
+
+
+_BUILD = ["build-db", "--meshes", "no-meshes", "--out", "no-db"]
+_GEN = ["gen-scenes", "--db", "no-db", "--out", "no-scenes", "--count", "1"]
+_EVAL = ["evaluate", "--db", "no-db", "--pred", "p", "--gt", "g", "--metric", "map"]
+
+
+@pytest.mark.parametrize("argv, config", [
+    (_BUILD + ["--k", "0"], None),
+    (_BUILD + ["--k", "-1"], None),
+    (_BUILD, {"k": 0}),
+    (_BUILD + ["--res", "3"], None),
+    (_BUILD, {"res": 4}),
+    (_BUILD + ["--points", "0"], None),
+    (_BUILD + ["--seed", "-1"], None),
+    (_BUILD + ["--pre-rotate", "x,abc"], None),
+    (_BUILD + ["--pre-rotate", "x,nan"], None),
+    (_BUILD + ["--pre-rotate", "w,90"], None),
+    (_GEN[:-1] + ["-1"], None),
+    (_GEN + ["--seed", "-1"], None),
+    (_GEN, {"seed": -3}),
+    (_GEN + ["--objects", "a:b"], None),
+    (_GEN + ["--objects", "3:2"], None),
+    (["fit-pose", "--db", "no-db", "--gt", "g", "--out", "o", "--seed", "-1"], None),
+    (_EVAL + ["--res", "0"], None),
+    (_EVAL + ["--res", "-3"], None),
+    (_EVAL, {"res": 0}),
+    (_EVAL + ["--thresh", "nan"], None),
+    (_EVAL + ["--thresh", "1.5"], None),
+    (_EVAL, {"thresh": -0.1}),
+    (["export", "--db", "no-db", "--scene", "s", "--out", "o", "--format", "sdfg",
+      "--res", "0"], None),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_out_of_range_options_exit_1(tmp_path, capsys, argv, config):
+    # The inputs do not exist: the value is rejected before any is read.
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv = ["--config", str(tmp_path / "config.json")] + argv
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("shapescene: error: --") and err.count("\n") == 1
 
 
 def _bad_scene(edit):

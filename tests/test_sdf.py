@@ -40,6 +40,111 @@ def _trilinear_oracle(g, x):
     return total
 
 
+def _eight_gather_reference(values, origin, spacing, pts):
+    """The sampler as first written: eight fancy-index gathers over every
+    point, then zero value and gradient where the stencil is incomplete."""
+    n = np.array(values.shape)
+    u = (pts - origin) / spacing
+    i = np.floor(u).astype(np.int64)
+    oob = np.any((i < 0) | (i + 1 > n - 1), axis=1)
+    i = np.clip(i, 0, n - 2)
+    f = u - i
+
+    c = values
+    ix, iy, iz = i[:, 0], i[:, 1], i[:, 2]
+    v000 = c[ix, iy, iz]
+    v100 = c[ix + 1, iy, iz]
+    v010 = c[ix, iy + 1, iz]
+    v110 = c[ix + 1, iy + 1, iz]
+    v001 = c[ix, iy, iz + 1]
+    v101 = c[ix + 1, iy, iz + 1]
+    v011 = c[ix, iy + 1, iz + 1]
+    v111 = c[ix + 1, iy + 1, iz + 1]
+
+    fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
+    v00 = v000 + fx * (v100 - v000)
+    v10 = v010 + fx * (v110 - v010)
+    v01 = v001 + fx * (v101 - v001)
+    v11 = v011 + fx * (v111 - v011)
+    v0 = v00 + fy * (v10 - v00)
+    v1 = v01 + fy * (v11 - v01)
+    vals = v0 + fz * (v1 - v0)
+
+    dx00 = v100 - v000
+    dx10 = v110 - v010
+    dx01 = v101 - v001
+    dx11 = v111 - v011
+    dx0 = dx00 + fy * (dx10 - dx00)
+    dx1 = dx01 + fy * (dx11 - dx01)
+    gx = dx0 + fz * (dx1 - dx0)
+    gy = (v10 - v00) + fz * ((v11 - v01) - (v10 - v00))
+    gz = v1 - v0
+    grads = np.stack([gx, gy, gz], axis=1) / spacing
+    vals[oob] = 0.0
+    grads[oob] = 0.0
+    return vals, grads, oob
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _layout_grids(tmp_path, rng):
+    """One (7, 9, 11) field stored C-ordered, F-ordered (from read_sdfg) and as
+    a non-contiguous view, with the values array each was built from. Unequal
+    dims catch a mixed-up stride; origin and spacing are exact binary values."""
+    origin, spacing = np.array([-1.0, 0.5, 2.0]), 0.25
+    values = rng.normal(size=(7, 9, 11)).astype(np.float32).astype(np.float64)
+    write_sdfg(tmp_path / "f.sdfg", SdfGrid(values, origin, spacing))
+    f_values = np.frombuffer((tmp_path / "f.sdfg").read_bytes()[52:], dtype="<f4").reshape(
+        (7, 9, 11), order="F").astype(np.float64)
+    assert f_values.flags.f_contiguous and np.array_equal(f_values, values)
+    strided = rng.normal(size=(14, 10, 11))[::2, 1:, ::-1]
+    assert not strided.flags.c_contiguous and not strided.flags.f_contiguous
+    return [("C", values, SdfGrid(values, origin, spacing)),
+            ("F", f_values, read_sdfg(tmp_path / "f.sdfg")),
+            ("strided", strided, SdfGrid(strided, origin, spacing))]
+
+
+def test_sampler_matches_eight_gather_bit_for_bit(tmp_path, rng):
+    for name, values, g in _layout_grids(tmp_path, rng):
+        n = np.array(values.shape)
+        # A mixed batch: grid coordinates from -2 to n + 1 on every axis.
+        u = rng.uniform(-2.0, n + 1.0, size=(600, 3))
+        # Exact stencil edges: u = 0 keeps a full stencil, u = n - 1 does not.
+        edges = rng.uniform(0.0, n - 1.0, size=(6, 3))
+        for axis in range(3):
+            edges[2 * axis, axis] = 0.0
+            edges[2 * axis + 1, axis] = n[axis] - 1.0
+        pts = g.origin + g.spacing * np.vstack([u, edges])
+        back = (pts[-6:] - g.origin) / g.spacing
+        assert all(back[2 * a, a] == 0.0 and back[2 * a + 1, a] == n[a] - 1 for a in range(3))
+        ref_vals, ref_grads, oob = _eight_gather_reference(values, g.origin, g.spacing, pts)
+        assert 0 < oob.sum() < len(pts) and list(oob[-6:]) == [False, True] * 3
+        vals, grads = sample_zero_outside(g, pts)
+        assert _same_bits(vals, ref_vals) and _same_bits(grads, ref_grads), name
+        assert np.all(vals[oob] == 0.0) and np.all(grads[oob] == 0.0)
+        for x, out, v, gr in zip(pts[-6:], oob[-6:], ref_vals[-6:], ref_grads[-6:]):
+            if out:
+                with pytest.raises(OutOfBounds):
+                    trilinear_sample(g, x)
+            else:
+                val, grad = trilinear_sample(g, x)
+                assert _same_bits(val, v) and _same_bits(grad, gr), name
+
+
+def test_sampler_all_outside_and_empty_batches(tmp_path, rng):
+    for name, values, g in _layout_grids(tmp_path, rng):
+        far = g.origin + g.spacing * rng.uniform(-5.0, -0.01, size=(40, 3))
+        far[::2] += g.spacing * (np.array(values.shape) + 4.0)
+        far[5] = np.nan
+        vals, grads = sample_zero_outside(g, far)
+        assert _same_bits(vals, np.zeros(40)) and _same_bits(grads, np.zeros((40, 3))), name
+        vals, grads = sample_zero_outside(g, np.empty((0, 3)))
+        assert vals.shape == (0,) and grads.shape == (0, 3), name
+
+
 @pytest.fixture(scope="module")
 def cube_sdf():
     return mesh_to_sdf(make_box(), resolution=32)

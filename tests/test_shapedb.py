@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from shapescene.errors import DataError, InsufficientShapes, UnknownClass, UnknownExemplar
+from shapescene.errors import (
+    DataError,
+    InsufficientShapes,
+    NonWatertight,
+    UnknownClass,
+    UnknownExemplar,
+)
 from shapescene.sdf import SdfGrid
 from shapescene.shapedb import (
     assign_exemplar,
@@ -118,6 +124,16 @@ def test_build_database_exemplars_are_members(toy_db):
 def test_build_database_insufficient_raises():
     with pytest.raises(InsufficientShapes):
         build_database([(0, make_box())], k_per_class=3, seed=0, classes=["box"])
+
+
+def test_build_database_names_the_open_mesh(open_box):
+    # Shape 2 is the open one; the first class holds shape 0 only.
+    shapes = [(0, make_box()), (1, make_box()), (1, open_box)]
+    with pytest.raises(NonWatertight, match=r"% of samples in shape 2$"):
+        build_database(shapes, k_per_class=1, seed=0, resolution=12)
+    with pytest.raises(NonWatertight, match=r"% of samples in c\.obj$"):
+        build_database(shapes, k_per_class=1, seed=0, resolution=12,
+                       sources=["a.obj", "b.obj", "c.obj"])
 
 
 def test_assign_exemplar_self(toy_db):

@@ -57,7 +57,6 @@ CONFIG_KEYS = {
     "k": int,
     "res": int,
     "points": int,
-    "tau": float,
     "lr": float,
     "iters": int,
     "warmup": int,
@@ -109,11 +108,16 @@ def _opt(args, config: dict, key: str, default):
     return default
 
 
-def _opt_in(args, config: dict, key: str, default, low, high=np.inf):
-    """_opt, with a usage error unless low <= value <= high (NaN never is)."""
+def _opt_in(args, config: dict, key: str, default, low, high=np.inf, high_open=False):
+    """_opt, with a usage error unless low <= value <= high (NaN never is).
+
+    The upper end is open when `high_open` or infinite, so inf never passes.
+    """
     value = _opt(args, config, key, default)
-    if not low <= value <= high:
-        raise _UsageError(f"--{key} must be in [{low}, {high}], got {value!r}")
+    high_open = high_open or high == np.inf
+    if not (low <= value < high if high_open else low <= value <= high):
+        close = ")" if high_open else "]"
+        raise _UsageError(f"--{key} must be in [{low}, {high}{close}, got {value!r}")
     return value
 
 
@@ -147,6 +151,9 @@ def cmd_build_db(args, config) -> int:
     # mesh_to_sdf's grid holds 2 voxels of padding on each side.
     res = _opt_in(args, config, "res", DEFAULT_SDF_RESOLUTION, 5)
     points = _opt_in(args, config, "points", DEFAULT_POINTS_PER_ENTRY, 1)
+    norm = _opt(args, config, "normalization", None)
+    if norm is not None and not 0.0 < norm < np.inf:
+        raise _UsageError(f"--normalization must be in (0, inf), got {norm!r}")
     pre_rot = _parse_pre_rotate(args.pre_rotate) if args.pre_rotate else None
     mesh_root = Path(args.meshes)
     classes = sorted(p.name for p in mesh_root.iterdir() if p.is_dir())
@@ -163,7 +170,6 @@ def cmd_build_db(args, config) -> int:
             sources.append(str(obj_path))
     db = build_database(shapes, k_per_class=k, seed=seed, classes=classes,
                         resolution=res, points_per_entry=points, sources=sources)
-    norm = _opt(args, config, "normalization", None)
     if norm is not None:
         db.normalization = float(norm)
     save_database(db, args.out)
@@ -223,7 +229,7 @@ def _optim_config(args, config) -> OptimConfig:
         return OptimConfig(
             lr=_opt(args, config, "lr", 1e-2),
             iterations=_opt(args, config, "iters", 500),
-            warmup=_opt(args, config, "warmup", 0),
+            warmup=_opt_in(args, config, "warmup", 0, 0),
         )
     except ValueError as e:
         raise _UsageError(str(e)) from None
@@ -240,6 +246,9 @@ def _write_trace(path, header: list[str], rows) -> None:
 def cmd_fit_pose(args, config) -> int:
     cfg = _optim_config(args, config)
     seed = _opt_in(args, config, "seed", 0, 0)
+    rot = _opt_in(args, config, "perturb-rot", None, 0.0, 360.0)
+    trans = _opt_in(args, config, "perturb-trans", None, 0.0)
+    scale = _opt_in(args, config, "perturb-scale", None, 0.0, 1.0, high_open=True)
     db = _load_db(args.db)
     gt = load_scene(args.gt)
     if args.init:
@@ -251,8 +260,7 @@ def cmd_fit_pose(args, config) -> int:
             PlacedObject(
                 o.class_name,
                 o.exemplar,
-                perturb_pose(o.pose, args.perturb_rot, args.perturb_trans,
-                             args.perturb_scale, seed=seed + 7 * k),
+                perturb_pose(o.pose, rot, trans, scale, seed=seed + 7 * k),
             )
             for k, o in enumerate(gt.objects)
         ]
@@ -273,9 +281,9 @@ def cmd_fit_pose(args, config) -> int:
 
 def cmd_resolve(args, config) -> int:
     cfg = _optim_config(args, config)
+    anchor = _opt_in(args, config, "anchor", 1.0, 0.0)
     db = _load_db(args.db)
     scene = load_scene(args.scene)
-    anchor = _opt(args, config, "anchor", 1.0)
     resolved, trace = resolve_collisions(db, scene, cfg, anchor_term_weight=anchor)
     save_scene(args.out, resolved)
     if args.trace:
@@ -453,9 +461,9 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--freeze", action="append", choices=["rot", "scale", "trans"])
-    p.add_argument("--perturb-rot", type=float, default=10.0, help="degrees")
-    p.add_argument("--perturb-trans", type=float, default=0.1)
-    p.add_argument("--perturb-scale", type=float, default=0.1)
+    p.add_argument("--perturb-rot", type=float, default=10.0, help="degrees, in [0, 360]")
+    p.add_argument("--perturb-trans", type=float, default=0.1, help=">= 0")
+    p.add_argument("--perturb-scale", type=float, default=0.1, help="in [0, 1)")
     p.set_defaults(func=cmd_fit_pose)
 
     p = sub.add_parser("resolve", help="push interpenetrating objects apart")

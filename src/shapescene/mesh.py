@@ -2,9 +2,10 @@
 and point-to-mesh distance.
 
 Containment uses parity ray casting along the three grid axes with a majority
-vote, which tolerates small cracks in near-watertight input. Distance is exact;
-it skips the point-triangle pairs that a per-brick bound shows cannot hold the
-minimum (see `point_triangle_distance`).
+vote, which tolerates small cracks in near-watertight input; only rays that can
+cross the mesh's bounding box are cast (see `_parity_along_axis`). Distance is
+exact; it skips the point-triangle pairs that a per-brick bound shows cannot
+hold the minimum (see `point_triangle_distance`).
 """
 from __future__ import annotations
 
@@ -139,31 +140,81 @@ def sample_surface_points(mesh: TriMesh, n: int, seed: int) -> np.ndarray:
     return p0[tri] + u[:, None] * (p1[tri] - p0[tri]) + v[:, None] * (p2[tri] - p0[tri])
 
 
+def _cull_margins(e1: np.ndarray, e2: np.ndarray, denom: np.ndarray,
+                  vertices: np.ndarray) -> tuple[float, float]:
+    """Box margins (across the ray, along it) outside which no +axis ray can
+    be counted by `_parity_along_axis`'s arithmetic; `e1`, `e2`, `denom`
+    belong to the triangles it tests.
+
+    Across the ray, in the (b, c) plane of one triangle, write u for the unit
+    roundoff, L for a bound on the |b| and |c| components of e1 and e2, and
+    k = 32 u L^2 / |denom|. Rounding moves denom by at most 2 gamma_2 L^2 and
+    each numerator of alpha and beta by at most gamma_3 (|db| + |dc|) L. A
+    counted ray has rounded alpha, beta >= 0 and alpha + beta <= 1; the point
+    r they name lies in the triangle's box up to 3.1 u L. The exact alpha and
+    beta of q differ from the rounded ones so little that, for k <= 1/4,
+    |q - r| <= L (0.95 k + 2.5 u): q lies within L (k + 8 u) of the box. One
+    L and the smallest |denom| serve every triangle. A near-parallel triangle
+    (large k) widens the margin; beyond k = 1/4 the bound is void and nothing
+    is culled. Along the ray, the rounded crossing p0 + alpha e1 + beta e2 of
+    a counted ray exceeds the largest vertex coordinate by at most
+    16 u max|vertex|, so a point 32 u max|vertex| above the box is never
+    below a crossing. Comparing a float with a rounded bound is the same as
+    comparing it with the exact bound: no float lies between the two.
+    """
+    u = np.finfo(np.float64).eps / 2.0
+    along = 32.0 * u * float(np.abs(vertices).max())
+    if len(denom) == 0:
+        return 0.0, along
+    span = float(max(np.abs(e1).max(), np.abs(e2).max()))
+    k = 32.0 * u * span * span / float(np.abs(denom).min())
+    return (span * (k + 8.0 * u) if k <= 0.25 else np.inf), along
+
+
 def _parity_along_axis(mesh: TriMesh, points: np.ndarray, axis: int) -> np.ndarray:
-    """Odd crossing parity of +axis rays from each point (True = inside)."""
+    """Odd crossing parity of +axis rays from each point (True = inside).
+
+    Only the rays that can be counted are cast: those whose (b, c) position
+    lies inside the mesh's bounding box and whose start is not above it, each
+    widened by a rounding-error margin (`_cull_margins`). Every other point
+    crosses nothing, which is what casting its ray would give, so the result
+    is bit-identical to testing every point.
+    """
     b_ax, c_ax = [a for a in range(3) if a != axis]
     p0, p1, p2 = mesh.corners()
-    q = points.copy()
-    q[:, b_ax] += _RAY_JITTER
-    q[:, c_ax] += _RAY_JITTER * np.sqrt(3.0)
+    e1s = p1 - p0
+    e2s = p2 - p0
+    denoms = e1s[:, b_ax] * e2s[:, c_ax] - e1s[:, c_ax] * e2s[:, b_ax]
+    # Below 1e-15 the ray is parallel to the triangle plane and never counts.
+    active = np.abs(denoms) >= 1e-15
+    p0, e1s, e2s, denoms = p0[active], e1s[active], e2s[active], denoms[active]
+    lo, hi = mesh.bounds()
+    across, along = _cull_margins(e1s, e2s, denoms, mesh.vertices)
+    jb, jc = _RAY_JITTER, _RAY_JITTER * np.sqrt(3.0)
+    near = points[:, axis] < hi[axis] + along
+    for a, jitter in ((b_ax, jb), (c_ax, jc)):
+        q = points[:, a] + jitter
+        near &= (q >= lo[a] - across) & (q <= hi[a] + across)
+    # The same jittered sums, formed again for the near points only.
+    qa = points[near, axis]
+    qb = points[near, b_ax] + jb
+    qc = points[near, c_ax] + jc
 
-    count = np.zeros(len(points), dtype=np.int64)
-    for t in range(len(p0)):
-        e1 = p1[t] - p0[t]
-        e2 = p2[t] - p0[t]
-        denom = e1[b_ax] * e2[c_ax] - e1[c_ax] * e2[b_ax]
-        if abs(denom) < 1e-15:
-            continue  # ray parallel to the triangle plane
-        db = q[:, b_ax] - p0[t][b_ax]
-        dc = q[:, c_ax] - p0[t][c_ax]
+    odd = np.zeros(len(qa), dtype=bool)
+    # Python floats: the same float64 arithmetic without numpy scalar indexing.
+    for p, e1, e2, denom in zip(p0.tolist(), e1s.tolist(), e2s.tolist(), denoms.tolist()):
+        db = qb - p[b_ax]
+        dc = qc - p[c_ax]
         alpha = (db * e2[c_ax] - dc * e2[b_ax]) / denom
         beta = (e1[b_ax] * dc - e1[c_ax] * db) / denom
         hit = (alpha >= 0.0) & (beta >= 0.0) & (alpha + beta <= 1.0)
         if not hit.any():
             continue
-        x_int = p0[t][axis] + alpha * e1[axis] + beta * e2[axis]
-        count += hit & (x_int > q[:, axis])
-    return (count % 2).astype(bool)
+        x_int = p[axis] + alpha * e1[axis] + beta * e2[axis]
+        odd ^= hit & (x_int > qa)
+    parity = np.zeros(len(points), dtype=bool)
+    parity[near] = odd
+    return parity
 
 
 def points_inside(mesh: TriMesh, points: np.ndarray) -> tuple[np.ndarray, float]:
@@ -193,11 +244,18 @@ def voxelize_occupancy(
     origin: np.ndarray,
     dims: tuple[int, int, int],
     spacing: float,
+    first: np.ndarray | None = None,
 ) -> np.ndarray:
     """Boolean occupancy: voxel center inside the posed mesh.
 
     `origin` is the world position of voxel (0, 0, 0)'s center; cubic voxels.
     Only voxels inside the posed mesh's bounding box are ray-tested.
+
+    `first`, a boolean grid of `dims`, names voxels to test before the rest
+    of the box. If one of them is inside, the rest are left untested and the
+    grid holds only the inside voxels of `first`: a caller that rejects any
+    overlap with `first` learns it from the fewest points. Otherwise the grid
+    is the full occupancy. The watertight check covers the voxels tested.
     """
     origin = np.asarray(origin, dtype=np.float64)
     nx, ny, nz = dims
@@ -215,12 +273,34 @@ def voxelize_occupancy(
     gx, gy, gz = np.meshgrid(*axes, indexing="ij")
     centers = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
     canon = inverse_apply_pose(pose, centers)
-    inside, disagreement = points_inside(mesh, canon)
+    box = tuple(slice(i_lo[a], i_hi[a] + 1) for a in range(3))
+    if first is None:
+        inside, disagreement = points_inside(mesh, canon)
+    else:
+        inside, disagreement = _points_inside_picked_first(mesh, canon, first[box].reshape(-1))
     require_watertight(disagreement)
-    occ[i_lo[0]:i_hi[0] + 1, i_lo[1]:i_hi[1] + 1, i_lo[2]:i_hi[2] + 1] = inside.reshape(
-        i_hi[0] - i_lo[0] + 1, i_hi[1] - i_lo[1] + 1, i_hi[2] - i_lo[2] + 1
-    )
+    occ[box] = inside.reshape(occ[box].shape)
     return occ
+
+
+def _points_inside_picked_first(
+    mesh: TriMesh, points: np.ndarray, pick: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """points_inside, testing the `pick` points first and stopping there when
+    one of them is inside; the disagreement is over the points tested."""
+    n_pick = np.count_nonzero(pick)
+    if n_pick in (0, len(points)):
+        return points_inside(mesh, points)
+    inside = np.zeros(len(points), dtype=bool)
+    inside[pick], disagreement = points_inside(mesh, points[pick])
+    if inside.any():
+        return inside, disagreement
+    rest = ~pick
+    inside[rest], rest_disagreement = points_inside(mesh, points[rest])
+    # Both fractions are counts over their sizes; their sum over all points
+    # is the fraction points_inside gives the whole box, bit for bit.
+    count = round(disagreement * n_pick) + round(rest_disagreement * (len(points) - n_pick))
+    return inside, count / len(points)
 
 
 def point_triangle_distance(points: np.ndarray, mesh: TriMesh) -> np.ndarray:

@@ -142,8 +142,14 @@ def relative_iou(
     occ_p = scene_class_occupancy(pred, db, origin, dims, spacing)
     occ_g = scene_class_occupancy(gt, db, origin, dims, spacing)
     absolute = _occupancy_iou(occ_p, occ_g, dims)
-    # The oracle is scored on the same grid, so the ground truth is rasterized once.
-    occ_o = scene_class_occupancy(oracle_scene(gt, db), db, origin, dims, spacing)
+    # The oracle is scored on the same grid, so the ground truth is rasterized
+    # once. Scenes drawn from the database already hold each object's nearest
+    # exemplar; the oracle is then the ground truth and shares its grids.
+    oracle_gt = oracle_scene(gt, db)
+    if all(o.exemplar == g.exemplar for o, g in zip(oracle_gt.objects, gt.objects)):
+        occ_o = occ_g
+    else:
+        occ_o = scene_class_occupancy(oracle_gt, db, origin, dims, spacing)
     oracle = _occupancy_iou(occ_o, occ_g, dims)
 
     rel: dict[str, float] = {}

@@ -129,7 +129,7 @@ def generate_scene(
     origin, dims, spacing = scene_grid(check_bounds, GENERATION_CHECK_RESOLUTION)
 
     placed: list[PlacedObject] = []
-    occupancies: list[np.ndarray] = []
+    taken = np.zeros(dims, dtype=bool)  # union of the placed objects' voxels
     for _ in range(n_objects):
         for attempt in range(max_attempts):
             cls = int(rng.integers(db.class_count))
@@ -145,10 +145,11 @@ def generate_scene(
             min_z = apply_pose(pose0, mesh.vertices)[:, 2].min()
             pose = Pose9DoF(rot, np.array([x, y, -min_z]), s)
 
-            occ = voxelize_occupancy(mesh, pose, origin, dims, spacing)
-            if all(not np.any(occ & prev) for prev in occupancies):
+            # Taken voxels are tested first: one inside rejects the candidate.
+            occ = voxelize_occupancy(mesh, pose, origin, dims, spacing, first=taken)
+            if not np.any(occ & taken):
                 placed.append(PlacedObject(db.classes[cls], exemplar, pose))
-                occupancies.append(occ)
+                taken |= occ
                 break
         else:
             raise PlacementFailure(

@@ -70,10 +70,14 @@ def test_data_errors_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("shapescene: error:") and bad.name in err
         assert err.count("\n") == 1
-    bad.write_text('{"iters": 3, "lr": 1, "tau": 0.5}\n')
+    bad.write_text('{"iters": 3, "lr": 1, "anchor": 0.5}\n')
     config = load_config(bad)
-    assert config == {"iters": 3, "lr": 1.0, "tau": 0.5}
+    assert config == {"iters": 3, "lr": 1.0, "anchor": 0.5}
     assert type(config["lr"]) is float
+    # No command reads tau, so a config may not set it.
+    bad.write_text('{"tau": 0.5}\n')
+    assert main(["--config", str(bad), "make-toys", "--out", str(tmp_path / "m")]) == 2
+    assert "'tau'" in capsys.readouterr().err
 
 
 def test_malformed_files_exit_2(pipeline, tmp_path, capsys):
@@ -126,6 +130,8 @@ def test_open_mesh_error_names_the_file(tmp_path, capsys, open_box):
 _BUILD = ["build-db", "--meshes", "no-meshes", "--out", "no-db"]
 _GEN = ["gen-scenes", "--db", "no-db", "--out", "no-scenes", "--count", "1"]
 _EVAL = ["evaluate", "--db", "no-db", "--pred", "p", "--gt", "g", "--metric", "map"]
+_FIT = ["fit-pose", "--db", "no-db", "--gt", "g", "--out", "o"]
+_RESOLVE = ["resolve", "--db", "no-db", "--scene", "s", "--out", "o"]
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -139,12 +145,32 @@ _EVAL = ["evaluate", "--db", "no-db", "--pred", "p", "--gt", "g", "--metric", "m
     (_BUILD + ["--pre-rotate", "x,abc"], None),
     (_BUILD + ["--pre-rotate", "x,nan"], None),
     (_BUILD + ["--pre-rotate", "w,90"], None),
+    (_BUILD + ["--normalization", "nan"], None),
+    (_BUILD + ["--normalization", "-2"], None),
+    (_BUILD + ["--normalization", "0"], None),
+    (_BUILD + ["--normalization", "inf"], None),
+    (_BUILD, {"normalization": -1.0}),
     (_GEN[:-1] + ["-1"], None),
     (_GEN + ["--seed", "-1"], None),
     (_GEN, {"seed": -3}),
     (_GEN + ["--objects", "a:b"], None),
     (_GEN + ["--objects", "3:2"], None),
-    (["fit-pose", "--db", "no-db", "--gt", "g", "--out", "o", "--seed", "-1"], None),
+    (_FIT + ["--seed", "-1"], None),
+    (_FIT + ["--perturb-rot", "nan"], None),
+    (_FIT + ["--perturb-rot", "-5"], None),
+    (_FIT + ["--perturb-rot", "inf"], None),
+    (_FIT + ["--perturb-trans", "-1"], None),
+    (_FIT + ["--perturb-trans", "inf"], None),
+    (_FIT + ["--perturb-scale", "inf"], None),
+    (_FIT + ["--perturb-scale", "1"], None),
+    (_FIT + ["--perturb-scale", "-0.1"], None),
+    (_FIT, {"warmup": -1}),
+    (_RESOLVE + ["--warmup", "-1"], None),
+    (_RESOLVE, {"warmup": -2}),
+    (_RESOLVE + ["--anchor", "-1"], None),
+    (_RESOLVE + ["--anchor", "nan"], None),
+    (_RESOLVE + ["--anchor", "inf"], None),
+    (_RESOLVE, {"anchor": -0.5}),
     (_EVAL + ["--res", "0"], None),
     (_EVAL + ["--res", "-3"], None),
     (_EVAL, {"res": 0}),

@@ -4,7 +4,10 @@ import pytest
 from shapescene.errors import DegenerateMesh, NonWatertight
 from shapescene.geom import Pose9DoF, Rotation, rotation_about_axis
 from shapescene.mesh import (
+    _RAY_JITTER,
     TriMesh,
+    _parity_along_axis,
+    _points_inside_picked_first,
     canonicalize_mesh,
     load_obj,
     point_triangle_distance,
@@ -13,7 +16,7 @@ from shapescene.mesh import (
     save_obj,
     voxelize_occupancy,
 )
-from shapescene.toys import make_box, make_cylinder
+from shapescene.toys import make_box, make_cylinder, toy_shape_set
 
 
 def _cube_surface_distance(points):
@@ -119,6 +122,127 @@ def test_points_inside_cube(rng):
     assert np.array_equal(inside, oracle)
 
 
+def _all_points_parity(mesh, points, axis):
+    """Every point against every triangle: the reference the box-culled
+    `_parity_along_axis` must match bit for bit."""
+    b_ax, c_ax = [a for a in range(3) if a != axis]
+    p0, p1, p2 = mesh.corners()
+    q = points.copy()
+    q[:, b_ax] += _RAY_JITTER
+    q[:, c_ax] += _RAY_JITTER * np.sqrt(3.0)
+    count = np.zeros(len(points), dtype=np.int64)
+    for t in range(len(p0)):
+        e1 = p1[t] - p0[t]
+        e2 = p2[t] - p0[t]
+        denom = e1[b_ax] * e2[c_ax] - e1[c_ax] * e2[b_ax]
+        if abs(denom) < 1e-15:
+            continue
+        db = q[:, b_ax] - p0[t][b_ax]
+        dc = q[:, c_ax] - p0[t][c_ax]
+        alpha = (db * e2[c_ax] - dc * e2[b_ax]) / denom
+        beta = (e1[b_ax] * dc - e1[c_ax] * db) / denom
+        hit = (alpha >= 0.0) & (beta >= 0.0) & (alpha + beta <= 1.0)
+        if not hit.any():
+            continue
+        x_int = p0[t][axis] + alpha * e1[axis] + beta * e2[axis]
+        count += hit & (x_int > q[:, axis])
+    return (count % 2).astype(bool)
+
+
+def _assert_containment_matches_all_points(mesh, points):
+    votes = []
+    for axis in range(3):
+        votes.append(_all_points_parity(mesh, points, axis))
+        assert np.array_equal(_parity_along_axis(mesh, points, axis), votes[-1])
+    total = np.sum(votes, axis=0)
+    inside, disagreement = points_inside(mesh, points)
+    assert np.array_equal(inside, total >= 2)
+    assert disagreement == (float(np.mean((total != 0) & (total != 3))) if len(points) else 0.0)
+
+
+def _box_probe_points(mesh, rng):
+    """Random points around the mesh's box, and points on each box face
+    shifted by a few ulps, by the ray jitter and by a little more."""
+    lo, hi = mesh.bounds()
+    pad = 0.3 * (hi - lo)
+    around = rng.uniform(lo - pad, hi + pad, size=(2000, 3))
+    base = rng.uniform(lo, hi, size=(40, 3))
+    probes = [around]
+    for a in range(3):
+        for face in (lo[a], hi[a]):
+            for shift in (0.0, -_RAY_JITTER, -_RAY_JITTER * np.sqrt(3.0)):
+                for ulps in (-4, -1, 0, 1, 4):
+                    value = face + shift
+                    step = np.inf if ulps > 0 else -np.inf
+                    for _ in range(abs(ulps)):
+                        value = np.nextafter(value, step)
+                    for offset in (0.0, -1e-9, 1e-9):
+                        pts = base.copy()
+                        pts[:, a] = value + offset
+                        probes.append(pts)
+    return np.concatenate(probes)
+
+
+@pytest.mark.parametrize("name, mesh", [
+    *[(f"{cls}{i}", m) for i, (cls, m) in enumerate(toy_shape_set())],
+    ("cylinder1000", make_cylinder(0.5, 1.0, segments=250, taper=0.7)),
+])
+def test_points_inside_matches_all_points(name, mesh):
+    rng = np.random.default_rng(7)
+    _assert_containment_matches_all_points(mesh, _box_probe_points(mesh, rng))
+    spread = rng.normal(scale=0.4, size=(500, 3)) @ np.diag([1.0, 0.3, 2.0])
+    _assert_containment_matches_all_points(mesh, spread)
+
+
+@pytest.mark.parametrize("span, delta", [
+    (0.1, 1.2e-14),   # |denom| = 1.2e-15: a finite, wide margin
+    (1.0, 1.2e-15),   # |denom| = 1.2e-15: no margin bound holds, nothing is culled
+    (0.1, 1e-12),
+])
+def test_points_inside_near_parallel_triangle(span, delta):
+    # A sliver almost parallel to z: rounding counts some z rays from points
+    # just beyond its x extent, which the box cull must keep.
+    verts = np.array([[0.0, 0.0, 0.3], [span, 0.37 * span, 0.5],
+                      [span, 0.37 * span + delta, 0.4]])
+    sliver = TriMesh(verts, np.array([[0, 1, 2]]))
+    rng = np.random.default_rng(3)
+    x = span * (1.0 + rng.uniform(-1e-4, 1e-4, 20000))
+    y = 0.37 * x + delta * rng.uniform(-1.0, 2.0, 20000)
+    pts = np.stack([x - _RAY_JITTER, y - _RAY_JITTER * np.sqrt(3.0), np.zeros_like(x)], axis=1)
+    counted = _all_points_parity(sliver, pts, 2)
+    assert np.any(counted & (x > span))  # hits outside the box exist
+    _assert_containment_matches_all_points(sliver, pts)
+
+
+def test_points_inside_crossing_rounded_above_the_box():
+    # Near its top vertex, this triangle's rounded crossing height exceeds the
+    # top vertex for some z rays: points at that height must still be cast.
+    verts = np.array([[0.6454420452537737, 0.7705093968064936, -0.8735500770425177],
+                      [-0.8039240153090772, 0.6201169833167535, 0.2794474454738909],
+                      [-0.45889446934322353, 0.2790807213609332, -0.25632883444754895]])
+    tri = TriMesh(verts, np.array([[0, 1, 2]]))
+    rng = np.random.default_rng(5)
+    weights = rng.dirichlet([1.0, 1.0, 1.0], size=3000) * rng.choice([1e-3, 1e-9, 1e-15], (3000, 1))
+    weights[:, 1] += 1.0 - weights.sum(axis=1)
+    pts = weights @ verts - [_RAY_JITTER, _RAY_JITTER * np.sqrt(3.0), 0.0]
+    pts[:, 2] = verts[1, 2]
+    assert np.any(_all_points_parity(tri, pts, 2))
+    _assert_containment_matches_all_points(tri, pts)
+
+
+def test_points_inside_open_mesh_matches_all_points(open_box):
+    axis = np.linspace(-0.7, 0.7, 15)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    _assert_containment_matches_all_points(open_box, grid)
+    assert points_inside(open_box, grid)[1] > 0.0
+
+
+def test_points_inside_empty():
+    inside, disagreement = points_inside(make_box(), np.zeros((0, 3)))
+    assert inside.shape == (0,) and inside.dtype == bool
+    assert disagreement == 0.0
+
+
 def test_voxelize_cube_exact():
     cube = make_box()
     origin = np.full(3, -0.95)
@@ -131,6 +255,39 @@ def test_voxelize_cube_exact():
 def test_voxelize_open_mesh_raises(open_box):
     with pytest.raises(NonWatertight):
         voxelize_occupancy(open_box, Pose9DoF.identity(), np.full(3, -0.95), (20, 20, 20), 0.1)
+
+
+def test_voxelize_first_outside_gives_full_grid(rng, open_box):
+    mesh = make_cylinder(0.5, 1.0, 8, taper=0.6)
+    pose = Pose9DoF(rotation_about_axis(np.array([0.2, 1.0, 0.4]), 0.9),
+                    np.array([0.1, -0.2, 0.05]), np.array([1.2, 0.8, 1.0]))
+    origin, dims, spacing = np.full(3, -1.0), (40, 40, 40), 0.05
+    full = voxelize_occupancy(mesh, pose, origin, dims, spacing)
+    for density in (0.0, 0.01, 0.3, 1.0):
+        first = (rng.random(dims) < density) & ~full
+        assert np.array_equal(
+            voxelize_occupancy(mesh, pose, origin, dims, spacing, first=first), full)
+    # One voxel of `first` inside: the grid holds only the inside voxels of `first`.
+    first = rng.random(dims) < 0.05
+    first[tuple(np.argwhere(full)[0])] = True
+    got = voxelize_occupancy(mesh, pose, origin, dims, spacing, first=first)
+    assert got.any() and np.array_equal(got, full & first)
+    # Nothing of `first` inside: the watertight check covers the whole box.
+    outside = np.zeros((20, 20, 20), dtype=bool)
+    outside[:3] = True
+    with pytest.raises(NonWatertight):
+        voxelize_occupancy(open_box, Pose9DoF.identity(), np.full(3, -0.95), (20, 20, 20),
+                           0.1, first=outside)
+
+
+def test_points_inside_picked_first_matches_one_pass(open_box):
+    axis = np.linspace(-0.7, 0.7, 15)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    inside, disagreement = points_inside(open_box, grid)
+    pick = np.random.default_rng(2).random(len(grid)) < 0.3
+    pick &= ~inside
+    got, got_disagreement = _points_inside_picked_first(open_box, grid, pick)
+    assert np.array_equal(got, inside) and got_disagreement == disagreement > 0.0
 
 
 def test_voxelize_scale_doubles_count():

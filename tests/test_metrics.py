@@ -3,8 +3,12 @@ import pytest
 
 from shapescene.errors import DegenerateConfiguration, EmptyScenes
 from shapescene.geom import Pose9DoF, Rotation, apply_pose, random_rotation, rotation_about_axis
+from dataclasses import replace
+
+import shapescene.metrics as metrics_module
 from shapescene.metrics import (
     DetectionBox,
+    _occupancy_iou,
     _scene_bounds,
     average_precision,
     map3d,
@@ -13,9 +17,11 @@ from shapescene.metrics import (
     oriented_box_iou,
     procrustes_align,
     relative_iou,
+    scene_class_occupancy,
     voxel_scene_iou,
 )
 from shapescene.scene import PlacedObject, Scene, generate_scene, scene_grid
+from shapescene.shapedb import ShapeDatabase
 from shapescene.mesh import voxelize_occupancy
 
 
@@ -119,6 +125,70 @@ def test_relative_iou_ratio(cube_db):
     gt = _box_scene([[0.0, 0.0, 0.5]])
     rep = relative_iou(pred, gt, cube_db, resolution=64)
     assert abs(rep.relative_per_class["box"] - rep.per_class["box"]) < 1e-12
+
+
+def _rasterised_oracle_iou(pred, gt, db, resolution):
+    """relative_iou with the oracle scene always rasterised on its own."""
+    origin, dims, spacing = scene_grid(_scene_bounds([pred, gt], db), resolution)
+    occ_p = scene_class_occupancy(pred, db, origin, dims, spacing)
+    occ_g = scene_class_occupancy(gt, db, origin, dims, spacing)
+    occ_o = scene_class_occupancy(oracle_scene(gt, db), db, origin, dims, spacing)
+    absolute = _occupancy_iou(occ_p, occ_g, dims)
+    oracle = _occupancy_iou(occ_o, occ_g, dims)
+    rel = {cls: min(a / oracle.per_class[cls], 1.0)
+           for cls, a in absolute.per_class.items() if oracle.per_class.get(cls, 0.0) > 0.0}
+    glob = min(absolute.global_iou / oracle.global_iou, 1.0) if oracle.global_iou > 0.0 else 0.0
+    return absolute, rel, glob
+
+
+def _counting_voxelize(monkeypatch):
+    calls = []
+    real = metrics_module.voxelize_occupancy
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metrics_module, "voxelize_occupancy", counted)
+    return calls
+
+
+def test_relative_iou_shared_grid_matches_rasterised_oracle(toy_db, monkeypatch):
+    gt = generate_scene(toy_db, 4, seed=21)
+    pred = Scene(gt.seed, tuple(
+        replace(o, exemplar=(o.exemplar + 1) % toy_db.k_per_class,
+                pose=replace(o.pose, t=o.pose.t + 0.05 * k))
+        for k, o in enumerate(gt.objects)))
+    absolute, rel, glob = _rasterised_oracle_iou(pred, gt, toy_db, 64)
+    calls = _counting_voxelize(monkeypatch)
+    rep = relative_iou(pred, gt, toy_db, resolution=64)
+    # Drawn from the database, the ground truth is its own oracle: no third pass.
+    assert len(calls) == len(pred.objects) + len(gt.objects)
+    assert rep.per_class == absolute.per_class and rep.global_iou == absolute.global_iou
+    assert rep.relative_per_class == rel and rep.relative_global == glob
+
+
+def test_relative_iou_rasterises_another_oracle(toy_db, monkeypatch):
+    # Exemplar 1 of each class gets exemplar 0's SDF, so the oracle of an
+    # exemplar-1 object is exemplar 0, a different mesh.
+    entries = list(toy_db.entries)
+    for cid in range(toy_db.class_count):
+        one = toy_db.global_index(cid, 1)
+        entries[one] = replace(entries[one], sdf=toy_db.entry(cid, 0).sdf)
+    db = ShapeDatabase(entries, toy_db.k_per_class, toy_db.classes, toy_db.normalization)
+    drawn = generate_scene(toy_db, 3, seed=5)
+    gt = Scene(drawn.seed, tuple(replace(o, exemplar=1) for o in drawn.objects))
+    oracle = oracle_scene(gt, db)
+    assert all(o.exemplar == 0 for o in oracle.objects)
+    calls = _counting_voxelize(monkeypatch)
+    rep = relative_iou(oracle, gt, db, resolution=64)
+    assert len(calls) == 3 * len(gt.objects)
+    assert min(rep.per_class.values()) < 1.0
+    assert all(v == 1.0 for v in rep.relative_per_class.values())
+    assert rep.relative_global == 1.0
+    monkeypatch.undo()
+    absolute, rel, glob = _rasterised_oracle_iou(oracle, gt, db, 64)
+    assert rep.relative_per_class == rel and rep.relative_global == glob
 
 
 def test_procrustes_identity(rng):

@@ -357,7 +357,7 @@ def cmd_evaluate(args, config) -> int:
     elif args.metric == "miv":
         mivs, counts = [], []
         for pp in preds:
-            miv, cnt = miv_and_collisions(load_scene(pp), db)
+            miv, cnt = miv_and_collisions(load_scene(pp), db, resolution=res)
             mivs.append(miv)
             counts.append(cnt)
         report["miv"] = float(np.mean(mivs))
@@ -474,8 +474,6 @@ def build_parser() -> _Parser:
     p.add_argument("--iters", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--warmup", type=int)
-    p.add_argument("--seed", type=int,
-                   help="accepted and unused: resolve draws no random numbers")
     p.add_argument("--anchor", type=float, help="anchor term weight")
     p.set_defaults(func=cmd_resolve)
 
@@ -484,7 +482,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pred", required=True, help="scene file or directory")
     p.add_argument("--gt", required=True, help="scene file or directory")
     p.add_argument("--metric", required=True, choices=["iou", "map", "miv"])
-    p.add_argument("--res", type=int, help="voxel resolution")
+    p.add_argument("--res", type=int, help="voxel resolution for iou and miv")
     p.add_argument("--thresh", type=float, help="mAP IoU threshold")
     p.add_argument("--out", help="JSON report path")
     p.set_defaults(func=cmd_evaluate)

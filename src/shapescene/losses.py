@@ -170,12 +170,15 @@ def rot_loss_frobenius(r_gt: Rotation, r_pred: Rotation) -> float:
     return float(np.linalg.norm(r_gt.m - r_pred.m))
 
 
+def _huber(e, delta: float) -> np.ndarray:
+    """Smooth-L1 of absolute errors e with threshold delta, elementwise."""
+    return np.where(e <= delta, 0.5 * e**2, delta * (e - 0.5 * delta))
+
+
 def trans_loss_huber(t_gt: np.ndarray, t_pred: np.ndarray, delta: float = 1.0) -> float:
     """Per-component smooth-L1 with threshold delta, summed over the 3 axes."""
     e = np.abs(np.asarray(t_gt, dtype=np.float64) - np.asarray(t_pred, dtype=np.float64))
-    quad = 0.5 * e**2
-    lin = delta * (e - 0.5 * delta)
-    return float(np.where(e <= delta, quad, lin).sum())
+    return float(_huber(e, delta).sum())
 
 
 def scale_loss(s_gt: list[np.ndarray], s_pred: list[np.ndarray]) -> float:
@@ -215,8 +218,7 @@ def binned_rotation_loss(
     center = (gt_bin + 0.5) * width
     ce = -float(_log_softmax(bin_logits)[gt_bin])
     e = abs(offset_preds[gt_bin] - (yaw - center))
-    huber = 0.5 * e**2 if e <= delta else delta * (e - 0.5 * delta)
-    return ce + float(huber)
+    return ce + float(_huber(e, delta))
 
 
 def total_objective(

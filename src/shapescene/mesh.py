@@ -238,6 +238,14 @@ def require_watertight(disagreement: float) -> None:
         )
 
 
+def grid_centers(origin, spacing: float, lo, hi) -> np.ndarray:
+    """(nx, ny, nz, 3) world centers of the voxels with lo[a] <= index < hi[a]
+    on each axis a, on the cubic grid whose voxel (0, 0, 0) is centered at
+    `origin`."""
+    axes = [origin[a] + spacing * np.arange(lo[a], hi[a]) for a in range(3)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
 def voxelize_occupancy(
     mesh: TriMesh,
     pose: Pose9DoF,
@@ -269,9 +277,7 @@ def voxelize_occupancy(
     if np.any(i_lo > i_hi):
         return occ
 
-    axes = [origin[a] + spacing * np.arange(i_lo[a], i_hi[a] + 1) for a in range(3)]
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
+    centers = grid_centers(origin, spacing, i_lo, i_hi + 1).reshape(-1, 3)
     canon = inverse_apply_pose(pose, centers)
     box = tuple(slice(i_lo[a], i_hi[a] + 1) for a in range(3))
     if first is None:

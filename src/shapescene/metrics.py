@@ -35,7 +35,13 @@ class DetectionBox:
     score: float = 1.0
 
 
-def _scene_bounds(scenes: list[Scene], db: ShapeDatabase, pad: float = 0.1):
+# World margin around the posed objects in the default voxel-metric bounds.
+_SCENE_PAD = 0.1
+# A pair of objects collides when their voxel overlap exceeds this count.
+MIV_EPSILON_VOXELS = 1
+
+
+def _scene_bounds(scenes: list[Scene], db: ShapeDatabase):
     los, his = [], []
     for scene in scenes:
         for o in scene.objects:
@@ -45,9 +51,16 @@ def _scene_bounds(scenes: list[Scene], db: ShapeDatabase, pad: float = 0.1):
             his.append(verts.max(axis=0))
     if not los:
         raise EmptyScenes("no objects in any scene")
-    lo = np.min(los, axis=0) - pad
-    hi = np.max(his, axis=0) + pad
+    lo = np.min(los, axis=0) - _SCENE_PAD
+    hi = np.max(his, axis=0) + _SCENE_PAD
     return tuple((float(a), float(b)) for a, b in zip(lo, hi))
+
+
+def _object_occupancy(scene: Scene, db: ShapeDatabase, origin, dims, spacing):
+    """(class name, occupancy grid) of each object of a scene, in object order."""
+    for o in scene.objects:
+        mesh = db.entry(class_id(db, o.class_name), o.exemplar).mesh
+        yield o.class_name, voxelize_occupancy(mesh, o.pose, origin, dims, spacing)
 
 
 def scene_class_occupancy(
@@ -55,13 +68,11 @@ def scene_class_occupancy(
 ) -> dict[str, np.ndarray]:
     """Per-class union occupancy grids for all objects of a scene."""
     grids: dict[str, np.ndarray] = {}
-    for o in scene.objects:
-        mesh = db.entry(class_id(db, o.class_name), o.exemplar).mesh
-        occ = voxelize_occupancy(mesh, o.pose, origin, dims, spacing)
-        if o.class_name in grids:
-            grids[o.class_name] |= occ
+    for cls, occ in _object_occupancy(scene, db, origin, dims, spacing):
+        if cls in grids:
+            grids[cls] |= occ
         else:
-            grids[o.class_name] = occ
+            grids[cls] = occ
     return grids
 
 
@@ -124,21 +135,13 @@ def oracle_scene(gt: Scene, db: ShapeDatabase) -> Scene:
     return Scene(gt.seed, tuple(objects))
 
 
-def relative_iou(
-    pred: Scene,
-    gt: Scene,
-    db: ShapeDatabase,
-    resolution: int = 128,
-    bounds=None,
-) -> IoUReport:
+def relative_iou(pred: Scene, gt: Scene, db: ShapeDatabase, resolution: int = 128) -> IoUReport:
     """Absolute IoU divided by the oracle-reconstruction IoU, clamped to [0,1].
 
     Classes whose oracle IoU is zero are reported as undefined (omitted) and
     excluded from the relative mean.
     """
-    if bounds is None:
-        bounds = _scene_bounds([pred, gt], db)
-    origin, dims, spacing = scene_grid(bounds, resolution)
+    origin, dims, spacing = scene_grid(_scene_bounds([pred, gt], db), resolution)
     occ_p = scene_class_occupancy(pred, db, origin, dims, spacing)
     occ_g = scene_class_occupancy(gt, db, origin, dims, spacing)
     absolute = _occupancy_iou(occ_p, occ_g, dims)
@@ -356,27 +359,23 @@ def miv_and_collisions(
     scene: Scene,
     db: ShapeDatabase,
     resolution: int = 64,
-    epsilon_voxels: int = 1,
     bounds=None,
 ) -> tuple[float, int]:
     """Mean intersecting volume over colliding object pairs, and their count.
 
-    A pair collides when its voxel overlap exceeds epsilon_voxels; the volume
-    is overlap count times voxel volume (world units cubed).
+    A pair collides when its voxel overlap exceeds MIV_EPSILON_VOXELS; the
+    volume is overlap count times voxel volume (world units cubed).
     """
     if bounds is None:
         bounds = _scene_bounds([scene], db)
     origin, dims, spacing = scene_grid(bounds, resolution)
-    occs = []
-    for o in scene.objects:
-        mesh = db.entry(class_id(db, o.class_name), o.exemplar).mesh
-        occs.append(voxelize_occupancy(mesh, o.pose, origin, dims, spacing))
+    occs = [occ for _, occ in _object_occupancy(scene, db, origin, dims, spacing)]
     voxel_volume = spacing**3
     volumes = []
     for i in range(len(occs)):
         for j in range(i + 1, len(occs)):
             overlap = int(np.count_nonzero(occs[i] & occs[j]))
-            if overlap > epsilon_voxels:
+            if overlap > MIV_EPSILON_VOXELS:
                 volumes.append(overlap * voxel_volume)
     if not volumes:
         return 0.0, 0

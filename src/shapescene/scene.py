@@ -20,6 +20,7 @@ from .shapedb import ShapeDatabase
 DEFAULT_GROUND_BOUNDS = ((-1.5, 1.5), (-1.5, 1.5))
 DEFAULT_SCALE_RANGE = (0.5, 1.5)
 GENERATION_CHECK_RESOLUTION = 64
+MAX_PLACEMENT_ATTEMPTS = 1000
 
 
 @dataclass(frozen=True)
@@ -106,36 +107,30 @@ def scene_grid(bounds, resolution: int) -> tuple[np.ndarray, tuple[int, int, int
     return origin, dims, spacing
 
 
-def generate_scene(
-    db: ShapeDatabase,
-    n_objects: int,
-    seed: int,
-    bounds=DEFAULT_GROUND_BOUNDS,
-    scale_range=DEFAULT_SCALE_RANGE,
-    max_attempts: int = 1000,
-) -> Scene:
+def generate_scene(db: ShapeDatabase, n_objects: int, seed: int) -> Scene:
     """Sample a collision-free scene of upright objects on the ground plane.
 
     Classes/exemplars uniform, yaw uniform in [0, 2pi), per-axis scales
-    log-uniform in `scale_range`, x/y uniform in `bounds`, z chosen so the
-    posed shape rests on z = 0. Deterministic per seed.
+    log-uniform in DEFAULT_SCALE_RANGE, x/y uniform in DEFAULT_GROUND_BOUNDS,
+    z chosen so the posed shape rests on z = 0. Each object gets
+    MAX_PLACEMENT_ATTEMPTS draws before PlacementFailure. Deterministic per seed.
     """
     if n_objects < 1:
         raise ValueError("n_objects must be >= 1")
     rng = np.random.default_rng(seed)
-    (x0, x1), (y0, y1) = bounds
-    zmax = 2.0 * scale_range[1]
+    (x0, x1), (y0, y1) = DEFAULT_GROUND_BOUNDS
+    log_lo, log_hi = np.log(DEFAULT_SCALE_RANGE[0]), np.log(DEFAULT_SCALE_RANGE[1])
+    zmax = 2.0 * DEFAULT_SCALE_RANGE[1]
     check_bounds = ((x0 - 1.5, x1 + 1.5), (y0 - 1.5, y1 + 1.5), (0.0, zmax))
     origin, dims, spacing = scene_grid(check_bounds, GENERATION_CHECK_RESOLUTION)
 
     placed: list[PlacedObject] = []
     taken = np.zeros(dims, dtype=bool)  # union of the placed objects' voxels
     for _ in range(n_objects):
-        for attempt in range(max_attempts):
+        for _ in range(MAX_PLACEMENT_ATTEMPTS):
             cls = int(rng.integers(db.class_count))
             exemplar = int(rng.integers(db.k_per_class))
             yaw = float(rng.uniform(0.0, 2.0 * np.pi))
-            log_lo, log_hi = np.log(scale_range[0]), np.log(scale_range[1])
             s = np.exp(rng.uniform(log_lo, log_hi, size=3))
             x = float(rng.uniform(x0, x1))
             y = float(rng.uniform(y0, y1))
@@ -153,7 +148,7 @@ def generate_scene(
                 break
         else:
             raise PlacementFailure(
-                f"could not place object {len(placed)} in {max_attempts} attempts"
+                f"could not place object {len(placed)} in {MAX_PLACEMENT_ATTEMPTS} attempts"
             )
     return Scene(seed=seed, objects=tuple(placed))
 

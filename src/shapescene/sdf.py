@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedFile, OutOfBounds
-from .mesh import TriMesh, point_triangle_distance, points_inside, require_watertight
+from .mesh import TriMesh, grid_centers, point_triangle_distance, points_inside, require_watertight
 
 SDFG_MAGIC = b"SDFG"
 _SDFG_HEADER = struct.Struct("<4sI3I3dd")
@@ -47,10 +47,7 @@ class SdfGrid:
 
     def voxel_centers(self) -> np.ndarray:
         """(nx, ny, nz, 3) world coordinates of all voxel centers."""
-        axes = [self.origin[a] + self.spacing * np.arange(self.values.shape[a])
-                for a in range(3)]
-        gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-        return np.stack([gx, gy, gz], axis=-1)
+        return grid_centers(self.origin, self.spacing, (0, 0, 0), self.values.shape)
 
 
 def mesh_to_sdf(mesh: TriMesh, resolution: int = 32) -> SdfGrid:
@@ -67,9 +64,7 @@ def mesh_to_sdf(mesh: TriMesh, resolution: int = 32) -> SdfGrid:
         raise ValueError("resolution must leave room for 2 voxels of padding")
     h = 1.0 / (resolution - 4)
     origin = np.full(3, -0.5 - 1.5 * h)
-    axes = origin[0] + h * np.arange(resolution)
-    gx, gy, gz = np.meshgrid(axes, axes, axes, indexing="ij")
-    centers = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
+    centers = grid_centers(origin, h, (0, 0, 0), (resolution,) * 3).reshape(-1, 3)
 
     inside, disagreement = points_inside(mesh, centers)
     require_watertight(disagreement)

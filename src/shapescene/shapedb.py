@@ -29,6 +29,7 @@ DB_VERSION = 1
 DEFAULT_K_PER_CLASS = 50
 DEFAULT_SDF_RESOLUTION = 32
 DEFAULT_POINTS_PER_ENTRY = 512
+KMEANS_MAX_ITER = 100  # Lloyd iterations before giving up on a fixpoint
 
 
 @dataclass(frozen=True)
@@ -80,9 +81,10 @@ def _flatten(sdf: SdfGrid) -> np.ndarray:
 
 
 def kmeans_pp(
-    data: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 100
+    data: np.ndarray, k: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Standard k-means++ seeding followed by Lloyd iterations to a fixpoint.
+    """Standard k-means++ seeding followed by Lloyd iterations to a fixpoint
+    (at most KMEANS_MAX_ITER of them).
 
     Returns (centroids (k, d), assignments (n,)). Empty clusters are re-seeded
     from the point farthest from its assigned centroid.
@@ -104,7 +106,7 @@ def kmeans_pp(
 
     assign = np.full(n, -1)
     dists = np.empty((n, k))
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         # One centroid at a time keeps memory at n*d; the per-row sums are
         # the same as over an (n, k, d) broadcast, so ties break the same way.
         for c in range(k):
@@ -131,11 +133,11 @@ def build_database(
     classes: list[str] | None = None,
     resolution: int = DEFAULT_SDF_RESOLUTION,
     points_per_entry: int = DEFAULT_POINTS_PER_ENTRY,
-    canonicalize: bool = True,
     sources: list[str] | None = None,
 ) -> ShapeDatabase:
-    """Cluster per-class SDFs with k-means++ and keep the member closest to
-    each cluster centroid as that cluster's exemplar. Deterministic per seed.
+    """Canonicalize every shape, cluster per-class SDFs with k-means++ and keep
+    the member closest to each cluster centroid as that cluster's exemplar.
+    Deterministic per seed.
 
     A NonWatertight error names the shape by its entry in `sources` (one per
     shape, such as its file path), else by its index in `shapes`.
@@ -155,8 +157,7 @@ def build_database(
             raise InsufficientShapes(
                 f"class {classes[cid]} has {len(meshes)} shapes, needs {k_per_class}"
             )
-        if canonicalize:
-            meshes = [canonicalize_mesh(m) for m in meshes]
+        meshes = [canonicalize_mesh(m) for m in meshes]
         sdfs = []
         for n, mesh in zip(members, meshes):
             try:

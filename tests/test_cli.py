@@ -5,11 +5,12 @@ import struct
 import numpy as np
 import pytest
 
+from shapescene import scene as scene_module
 from shapescene.cli import load_config, main
-from shapescene.geom import apply_pose
+from shapescene.geom import Pose9DoF, apply_pose
 from shapescene.mesh import save_obj
-from shapescene.metrics import voxel_scene_iou
-from shapescene.scene import class_id, load_scene
+from shapescene.metrics import miv_and_collisions, voxel_scene_iou
+from shapescene.scene import PlacedObject, Scene, class_id, load_scene, save_scene
 from shapescene.sdf import read_sdfg
 from shapescene.toys import make_box
 from shapescene.shapedb import _read_points, load_database
@@ -41,6 +42,9 @@ def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["export", "--db", "x", "--scene", "y", "--out", "z",
               "--format", "stl"])
+    assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:  # resolve draws no random numbers
+        main(["resolve", "--db", "x", "--scene", "y", "--out", "z", "--seed", "5"])
     assert exc.value.code == 1
     capsys.readouterr()
     # Out-of-range optimizer settings are rejected before any input is read.
@@ -387,6 +391,27 @@ def test_evaluate_map_report(pipeline, tmp_path):
     assert report["map"] == 1.0
 
 
+def test_evaluate_miv_honours_res(pipeline, tmp_path):
+    # The generated scenes do not overlap; pull every object onto the first.
+    gt = load_scene(pipeline / "scenes" / "scene_0000.json")
+    anchor = gt.objects[0].pose.t
+    objects = tuple(
+        PlacedObject(o.class_name, o.exemplar,
+                     Pose9DoF(o.pose.r, anchor + [0.15 * k, 0.1 * k, 0.0], o.pose.s))
+        for k, o in enumerate(gt.objects))
+    overlapping = Scene(gt.seed, objects)
+    path = tmp_path / "overlap.json"
+    save_scene(path, overlapping)
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--db", str(pipeline / "db"), "--pred", str(path),
+                 "--gt", str(path), "--metric", "miv", "--res", "32",
+                 "--out", str(out)]) == 0
+    db = load_database(pipeline / "db")
+    miv_32 = miv_and_collisions(overlapping, db, resolution=32)[0]
+    assert json.loads(out.read_text())["miv"] == miv_32
+    assert miv_32 > 0.0 and miv_32 != miv_and_collisions(overlapping, db)[0]
+
+
 def test_evaluate_mismatched_counts(pipeline, tmp_path):
     assert main(["evaluate", "--db", str(pipeline / "db"),
                  "--pred", str(pipeline / "scenes" / "scene_0000.json"),
@@ -436,6 +461,17 @@ def test_export_sdfg_matches_direct_rasterization(pipeline, tmp_path):
     rep = voxel_scene_iou(scene, scene, db, resolution=48)
     assert rep.global_iou == 1.0
     assert np.count_nonzero(grid.values) > 0
+
+
+def test_placement_failure_exits_2(pipeline, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(scene_module, "MAX_PLACEMENT_ATTEMPTS", 20)
+    out = tmp_path / "scenes"
+    assert main(["gen-scenes", "--db", str(pipeline / "db"), "--out", str(out),
+                 "--count", "1", "--objects", "30"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shapescene: error: could not place object")
+    assert err.count("\n") == 1
+    assert not list(out.glob("*.json"))
 
 
 def test_reruns_byte_identical(pipeline, tmp_path):

@@ -320,6 +320,16 @@ def point_triangle_distance(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
     the triangle's bounding box. The skipped pairs cannot hold a point's
     minimum, and the evaluated ones use the same arithmetic as testing every
     pair, so the result is bit-identical to the all-pairs minimum.
+
+    The points and brick centres are also held as (3, n) C-ordered rows, and
+    each triangle gets its near subset in both layouts. Projections,
+    differences and norms run on the rows, where numpy is fast, instead of
+    over a length-3 inner axis. The norm is `sqrt((x * x + y * y) + z * z)`:
+    that association is the sum `np.linalg.norm(v, axis=1)` forms, so it
+    matches it bit for bit, where `x * x + (y * y + z * z)` does not. The dot
+    products stay the BLAS `(m, 3) @ (3,)` gemv on the (m, 3) differences:
+    an elementwise or `(3, m)` form sums in another order and changes the
+    last bits of many dots.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if not np.all(np.isfinite(points)):
@@ -328,6 +338,7 @@ def point_triangle_distance(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
     if len(points) == 0:
         return best
     p0s, p1s, p2s = mesh.corners()
+    rows = np.ascontiguousarray(points.T)
 
     # Bin the points into bricks; `order` lists them brick by brick.
     lo = points.min(axis=0)
@@ -345,9 +356,12 @@ def point_triangle_distance(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
     # slack covers rounding in the distance formula and the box gap, which is
     # a few ulps of the coordinates.
     centre = (brick_lo + brick_hi) / 2.0
+    centre_rows = np.ascontiguousarray(centre.T)
     bound = np.full(len(centre), np.inf)
     for t in range(len(p0s)):
-        bound = np.minimum(bound, _triangle_distance(centre, p0s[t], p1s[t], p2s[t]))
+        bound = np.minimum(
+            bound, _triangle_distance(centre, centre_rows, p0s[t], p1s[t], p2s[t])
+        )
     bound += np.linalg.norm(brick_hi - brick_lo, axis=1) / 2.0
     scale = max(np.abs(points).max(), np.abs(mesh.vertices).max())
     bound += 1e-9 * (bound + scale)
@@ -361,48 +375,67 @@ def point_triangle_distance(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
             continue
         idx = np.concatenate([order[starts[b]:ends[b]] for b in near])
         best[idx] = np.minimum(
-            best[idx], _triangle_distance(points[idx], p0s[t], p1s[t], p2s[t])
+            best[idx], _triangle_distance(points[idx], rows[:, idx], p0s[t], p1s[t], p2s[t])
         )
     return best
 
 
+def _row_norm(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Euclidean norm of the vectors (x, y, z), summed as np.linalg.norm
+    sums a length-3 row."""
+    return np.sqrt((x * x + y * y) + z * z)
+
+
 def _triangle_distance(
-    points: np.ndarray, p0: np.ndarray, p1: np.ndarray, p2: np.ndarray
+    points: np.ndarray, rows: np.ndarray, p0: np.ndarray, p1: np.ndarray, p2: np.ndarray
 ) -> np.ndarray:
-    """Unsigned distance from each point to the triangle (p0, p1, p2)."""
+    """Unsigned distance from each point to the triangle (p0, p1, p2).
+
+    `points` is (m, 3) and `rows` the same points as (3, m) rows.
+    """
     e1 = p1 - p0
     e2 = p2 - p0
+    d = points - p0
+    dist = np.minimum(
+        _point_segment_distance(rows, d, p0, e1),
+        np.minimum(
+            _point_segment_distance(rows, points - p1, p1, p2 - p1),
+            _point_segment_distance(rows, d, p0, e2),
+        ),
+    )
     a = e1 @ e1
     b = e1 @ e2
     c = e2 @ e2
     det = a * c - b * b
-    d = points - p0
-    d1 = d @ e1
-    d2 = d @ e2
     if det > 1e-15:
+        # The plane's closest point wins only where it lies in the triangle.
+        d1 = d @ e1
+        d2 = d @ e2
         alpha = (c * d1 - b * d2) / det
         beta = (a * d2 - b * d1) / det
-        interior = (alpha >= 0) & (beta >= 0) & (alpha + beta <= 1)
-        closest = p0 + alpha[:, None] * e1 + beta[:, None] * e2
-        dist = np.linalg.norm(points - closest, axis=1)
-    else:
-        interior = np.zeros(len(points), dtype=bool)
-        dist = np.zeros(len(points))
-    edge = np.minimum(
-        _point_segment_distance(points, p0, p1),
-        np.minimum(
-            _point_segment_distance(points, p1, p2),
-            _point_segment_distance(points, p0, p2),
-        ),
-    )
-    return np.where(interior, dist, edge)
+        inner = np.flatnonzero((alpha >= 0) & (beta >= 0) & (alpha + beta <= 1))
+        if len(inner):
+            alpha = alpha[inner]
+            beta = beta[inner]
+            x, y, z = rows[:, inner]
+            dist[inner] = _row_norm(
+                x - (p0[0] + alpha * e1[0] + beta * e2[0]),
+                y - (p0[1] + alpha * e1[1] + beta * e2[1]),
+                z - (p0[2] + alpha * e1[2] + beta * e2[2]),
+            )
+    return dist
 
 
-def _point_segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ab = b - a
+def _point_segment_distance(
+    rows: np.ndarray, diff: np.ndarray, a: np.ndarray, ab: np.ndarray
+) -> np.ndarray:
+    """Distance from the points `rows` (3, m) to the segment from `a` along
+    `ab`; `diff` is the (m, 3) array of the points minus `a`."""
+    x, y, z = rows
     denom = ab @ ab
     if denom < 1e-30:
-        return np.linalg.norm(points - a, axis=1)
-    t = np.clip(((points - a) @ ab) / denom, 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    return np.linalg.norm(points - proj, axis=1)
+        return _row_norm(x - a[0], y - a[1], z - a[2])
+    t = np.clip((diff @ ab) / denom, 0.0, 1.0)
+    return _row_norm(
+        x - (a[0] + t * ab[0]), y - (a[1] + t * ab[1]), z - (a[2] + t * ab[2])
+    )

@@ -57,13 +57,20 @@ def scene_to_json(scene: Scene) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _of_type(value, kind: type, what: str):
+    """`value` itself if it is a `kind`; a TypeError naming `what` if not."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} must be a {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
 def scene_from_json(text: str) -> Scene:
     """Parse the canonical scene schema; MalformedFile if `text` is not one."""
     try:
         payload = json.loads(text)
         objects = tuple(
             PlacedObject(
-                class_name=o["class"],
+                class_name=_of_type(o["class"], str, "class"),
                 exemplar=operator.index(o["exemplar"]),  # 1.7 is not index 1
                 pose=Pose9DoF(
                     Rotation(np.array(o["R"], dtype=np.float64).reshape(3, 3)),
@@ -71,7 +78,7 @@ def scene_from_json(text: str) -> Scene:
                     np.array(o["s"], dtype=np.float64),
                 ),
             )
-            for o in payload["objects"]
+            for o in _of_type(payload["objects"], list, "objects")
         )
         return Scene(seed=operator.index(payload["seed"]), objects=objects)
     except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError

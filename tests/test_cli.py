@@ -244,6 +244,8 @@ MALFORMED_INPUTS = [
     pytest.param(_bad_scene(_set_first("t", [0.0, float("nan"), 0.0])), id="scene-NaN-t"),
     pytest.param(_bad_scene(lambda payload: payload["objects"]), id="scene-list"),
     pytest.param(_bad_scene(_set_first("exemplar", 0.5)), id="scene-fractional-exemplar"),
+    pytest.param(_bad_scene(_set_first("class", 3)), id="scene-int-class"),
+    pytest.param(_bad_scene(lambda payload: {**payload, "objects": {}}), id="scene-objects-dict"),
     pytest.param(_bad_db(_rewrite_first("*.pts", lambda b: b[:-5])),
                  id="db-truncated-points"),
     pytest.param(_bad_db(_rewrite_first(  # a valid file one point short of the others
@@ -270,6 +272,46 @@ def test_malformed_input_exits_2(pipeline, tmp_path, capsys, make):
     assert err.startswith("shapescene: error:") and bad.name in err
     assert err.count("\n") == 1
     assert not (tmp_path / "out.json").exists()
+
+
+def _json_of_each_type(rng):
+    """An int, a string, null, a list and a dict, drawn from `rng`."""
+    return [
+        int(rng.integers(-3, 10)),
+        "".join(rng.choice(list("abcxyz"), size=int(rng.integers(0, 6)))),
+        None,
+        [float(x) for x in rng.normal(size=int(rng.integers(0, 10)))],
+        {str(rng.choice(list("abc"))): float(rng.normal())},
+    ]
+
+
+def test_scene_type_swap_fuzz(pipeline, tmp_path, capsys):
+    """Every field of one object, and `seed` and `objects`, swapped in turn
+    for a value of each JSON type, as the scene of `resolve` and as either
+    side of `evaluate --metric map`: every run exits 0, 1 or 2 with at most
+    one line on stderr and no traceback."""
+    rng = np.random.default_rng(2024)
+    source = pipeline / "scenes" / "scene_0000.json"
+    original = json.loads(source.read_text())
+    scene = tmp_path / "swapped.json"
+    edits = [(key, _set_first(key, value)) for key in ("class", "exemplar", "R", "t", "s")
+             for value in _json_of_each_type(rng)]
+    for key in ("seed", "objects"):
+        edits += [(key, lambda p, k=key, v=value: {**p, k: v})
+                  for value in _json_of_each_type(rng)]
+    evaluate = ["evaluate", "--db", str(pipeline / "db"), "--metric", "map",
+                "--out", str(tmp_path / "report.json")]
+    for key, edit in edits:
+        scene.write_text(json.dumps(edit(json.loads(json.dumps(original)))))
+        for argv in (["resolve", "--db", str(pipeline / "db"), "--scene", str(scene),
+                      "--out", str(tmp_path / "out.json"), "--iters", "1"],
+                     evaluate + ["--pred", str(scene), "--gt", str(source)],
+                     evaluate + ["--pred", str(source), "--gt", str(scene)]):
+            code = main(argv)
+            err = capsys.readouterr().err
+            context = f"{argv[0]} with {key} = {scene.read_text()!r}: exit {code}, {err!r}"
+            assert code in (0, 1, 2), context
+            assert err.count("\n") <= 1 and "Traceback" not in err, context
 
 
 def test_out_of_range_exemplar_exits_2(pipeline, tmp_path, capsys):

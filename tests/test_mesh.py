@@ -379,7 +379,28 @@ def test_point_triangle_distance_matches_all_pairs(rng):
         np.vstack([make_box().vertices, [[0.0, 0.0, 0.0], [0.3, 0.3, 0.3], [0.6, 0.6, 0.6]]]),
         np.vstack([make_box().triangles, [[8, 9, 10]]]),
     )
+    # Triangles with two (or three) equal corners exercise the zero-length
+    # edge branch, in each of the three edge slots.
+    box = make_box()
+    pinched = TriMesh(
+        np.vstack([box.vertices, [[0.9, 0.1, 0.2], [1.3, -0.2, 0.4]]]),
+        np.vstack([box.triangles, [[8, 8, 9], [9, 8, 8], [8, 9, 9], [9, 9, 9]]]),
+    )
+    near_pinch = rng.normal(scale=0.3, size=(400, 3)) + [1.1, -0.05, 0.3]
+    # Points inside the cylinder's faces and just off them: the plane branch
+    # decides their distance.
+    p0, p1, p2 = cylinder.corners()
+    bary = rng.dirichlet([2.0, 2.0, 2.0], size=len(p0))
+    on_faces = bary[:, :1] * p0 + bary[:, 1:2] * p1 + bary[:, 2:] * p2
+    normals = np.cross(p1 - p0, p2 - p0)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    off_faces = on_faces + rng.uniform(-0.02, 0.02, size=(len(p0), 1)) * normals
     cases = [
+        (pinched, rng.uniform(-1.5, 1.5, size=(500, 3))),
+        (pinched, near_pinch),
+        (pinched, pinched.vertices),
+        (cylinder, on_faces),
+        (cylinder, off_faces),
         (cylinder, grid),
         (cylinder, rng.normal(scale=0.05, size=(500, 3)) + rng.choice(cylinder.vertices, 500)),
         (cylinder, rng.uniform(-50.0, 50.0, size=(200, 3))),

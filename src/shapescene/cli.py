@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ShapeSceneError
+from .errors import DataError, ShapeSceneError, read_text
 from .geom import Pose9DoF, apply_pose, rotation_about_axis
 from .mesh import TriMesh, load_obj, save_obj, voxelize_occupancy
 from .metrics import (
@@ -80,8 +80,7 @@ class _Parser(argparse.ArgumentParser):
 
 def load_config(path) -> dict:
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
+        cfg = json.loads(read_text(path))
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: invalid JSON ({e})") from None
     if not isinstance(cfg, dict):
@@ -307,7 +306,8 @@ def _scene_paths(path) -> list[Path]:
 def cmd_evaluate(args, config) -> int:
     res = _opt_in(args, config, "res", 128, 1)
     thresh = _opt_in(args, config, "thresh", 0.25, 0.0, 1.0)
-    db = _load_db(args.db)
+    # mAP compares poses only; iou and miv rasterise the database's meshes.
+    db = None if args.metric == "map" else _load_db(args.db)
     preds = _scene_paths(args.pred)
     gts = _scene_paths(args.gt)
     if len(preds) != len(gts):

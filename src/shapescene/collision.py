@@ -49,6 +49,57 @@ def relative_transform(i: SceneObject, j: SceneObject) -> tuple[np.ndarray, np.n
     return a, b
 
 
+def pair_maps(scene: list[SceneObject]) -> dict[tuple[int, int], np.ndarray]:
+    """i's points under the linear part A of relative_transform(i, j), for
+    every ordered pair (i, j) of distinct objects.
+
+    A depends only on rotations and scales, so a translation-only descent
+    forms these once per run and passes them to translation_step.
+    """
+    maps = {}
+    for i, obj_i in enumerate(scene):
+        for j, obj_j in enumerate(scene):
+            if j != i:
+                a, _ = relative_transform(obj_i, obj_j)
+                maps[i, j] = obj_i.points @ a.T
+    return maps
+
+
+def translation_step(
+    scene: list[SceneObject], maps: dict[tuple[int, int], np.ndarray], t: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """collision_loss_total and the (n, 3) translation gradients of
+    collision_gradient, for `scene` with its translations replaced by the rows
+    of t; `maps` is pair_maps(scene).
+
+    Both are bit-identical to those functions: each pair's points are the
+    same y = A x + b, sampled once for its value and field gradient, and the
+    sums run in the same order.
+    """
+    total, grad = 0.0, np.zeros(np.shape(t))  # an empty scene's t may be (0,)
+    for i in range(len(scene)):
+        energy, fields = 0.0, []
+        for j, obj_j in enumerate(scene):
+            if j == i:
+                continue
+            rj, sj = obj_j.pose.r.m, obj_j.pose.s
+            y = maps[i, j] + (rj.T @ (t[i] - t[j])) / sj
+            vals, grad_field = sample_zero_outside(obj_j.clamped_sdf, y)
+            energy += float(vals.sum())
+            fields.append((j, rj, sj, grad_field))
+        total += geman_mcclure(energy)
+        rho_prime = geman_mcclure_deriv(energy)
+        if rho_prime == 0.0:
+            continue
+        for j, rj, sj, grad_field in fields:
+            g = rho_prime * grad_field
+            if np.any(g):
+                dt = ((g / sj) @ rj.T).sum(axis=0)
+                grad[i] += dt
+                grad[j] -= dt
+    return total, grad
+
+
 def collision_energy_single(i: SceneObject, others: list[SceneObject]) -> float:
     """Summed interior depth of i's points inside each other object's field."""
     return _energy_and_mapped_points(i, others)[0]

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all shapescene modules.
+"""Exception hierarchy shared by all shapescene modules, and the text-file
+reader that reports bytes that are not UTF-8 as one of its data errors.
 
 Every error that stems from bad input data derives from DataError so the
 CLI can map it to a distinct exit code.
@@ -67,3 +68,12 @@ class EmptyScenes(DataError):
 
 class DegenerateConfiguration(DataError):
     """Point configuration too flat for Procrustes alignment."""
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file; MalformedFile naming the file if it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise MalformedFile(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMesh, MalformedFile, NonWatertight
+from .errors import DegenerateMesh, MalformedFile, NonWatertight, read_text
 from .geom import Pose9DoF, apply_pose, inverse_apply_pose
 
 # Fixed sub-voxel jitter applied to ray origins so rays never pass exactly
@@ -65,27 +65,27 @@ class TriMesh:
 def load_obj(path) -> TriMesh:
     """Read an ASCII OBJ (v/f records, 1-based indices, fan-triangulated).
 
-    Raises MalformedFile for a record that does not parse, a non-finite
-    vertex coordinate or a face index outside the vertex list.
+    Raises MalformedFile for a file that is not UTF-8 text, a record that
+    does not parse, a non-finite vertex coordinate or a face index outside
+    the vertex list.
     """
     vertices: list[list[float]] = []
     triangles: list[list[int]] = []
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                if parts[0] == "v":
-                    if len(parts) < 4:
-                        raise ValueError("vertex needs 3 coordinates")
-                    vertices.append([float(x) for x in parts[1:4]])
-                elif parts[0] == "f":
-                    idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
-                    for k in range(1, len(idx) - 1):
-                        triangles.append([idx[0], idx[k], idx[k + 1]])
-            except ValueError as e:
-                raise MalformedFile(f"{path}:{lineno}: {e}") from None
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            if parts[0] == "v":
+                if len(parts) < 4:
+                    raise ValueError("vertex needs 3 coordinates")
+                vertices.append([float(x) for x in parts[1:4]])
+            elif parts[0] == "f":
+                idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
+                for k in range(1, len(idx) - 1):
+                    triangles.append([idx[0], idx[k], idx[k + 1]])
+        except ValueError as e:
+            raise MalformedFile(f"{path}:{lineno}: {e}") from None
     if not vertices or not triangles:
         raise DegenerateMesh(f"{path}: no v/f records")
     v = np.array(vertices)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import SceneObject, collision_gradient, collision_loss_total
+from .collision import SceneObject, pair_maps, translation_step
 from .errors import MismatchedLengths, NonFinite
 from .geom import Pose9DoF, Rotation, project_to_so3
 from .losses import pose_loss_world_grads
@@ -146,17 +146,13 @@ def resolve_collisions(
     of (collision loss, anchor term, total objective)."""
     objs = scene_to_objects(db, scene)
     t0 = np.array([o.pose.t for o in objs])
+    maps = pair_maps(objs)  # rotations and scales stay fixed
     trace: list[tuple[float, float, float]] = []
 
     def evaluate(params, it):
-        current = [o.with_pose(Pose9DoF(o.pose.r, t, o.pose.s))
-                   for o, t in zip(objs, params)]
+        coll, grad = translation_step(objs, maps, params)
         coll_w = 0.0 if it < cfg.warmup else 1.0
-        if coll_w > 0.0:
-            coll, grads = collision_gradient(current)
-            grad = np.array([g[1] for g in grads])
-        else:
-            coll = collision_loss_total(current)
+        if coll_w == 0.0:
             grad = np.zeros_like(params)
         delta = params - t0
         anchor = 0.0

@@ -7,12 +7,11 @@ rejection sampling until the pairwise voxel overlap is zero.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import MalformedFile, PlacementFailure, UnknownClass
+from .errors import MalformedFile, PlacementFailure, UnknownClass, read_text
 from .geom import Pose9DoF, Rotation, apply_pose, random_rotation, rotation_about_axis
 from .mesh import voxelize_occupancy
 from .shapedb import ShapeDatabase
@@ -58,10 +57,27 @@ def scene_to_json(scene: Scene) -> str:
 
 
 def _of_type(value, kind: type, what: str):
-    """`value` itself if it is a `kind`; a TypeError naming `what` if not."""
-    if not isinstance(value, kind):
-        raise TypeError(f"{what} must be a {kind.__name__}, not {type(value).__name__}")
+    """`value` itself if it is a `kind`; a TypeError naming `what` if not.
+
+    JSON true/false load as bool, a subclass of int: never an int here.
+    """
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(f"{what} must be {kind.__name__}, not {type(value).__name__}")
     return value
+
+
+def _numbers(value, what: str) -> np.ndarray:
+    """`value` as a float64 array if it is a (nested) list of JSON numbers;
+    a TypeError naming `what` if not. Booleans and numeric strings, which
+    numpy would read as numbers, are not."""
+    pending = [_of_type(value, list, what)]
+    while pending:
+        v = pending.pop()
+        if isinstance(v, list):
+            pending.extend(v)
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise TypeError(f"{what} must hold numbers only, not {type(v).__name__}")
+    return np.array(value, dtype=np.float64)
 
 
 def scene_from_json(text: str) -> Scene:
@@ -71,16 +87,16 @@ def scene_from_json(text: str) -> Scene:
         objects = tuple(
             PlacedObject(
                 class_name=_of_type(o["class"], str, "class"),
-                exemplar=operator.index(o["exemplar"]),  # 1.7 is not index 1
+                exemplar=_of_type(o["exemplar"], int, "exemplar"),  # 1.7 is not index 1
                 pose=Pose9DoF(
-                    Rotation(np.array(o["R"], dtype=np.float64).reshape(3, 3)),
-                    np.array(o["t"], dtype=np.float64),
-                    np.array(o["s"], dtype=np.float64),
+                    Rotation(_numbers(o["R"], "R").reshape(3, 3)),
+                    _numbers(o["t"], "t"),
+                    _numbers(o["s"], "s"),
                 ),
             )
             for o in _of_type(payload["objects"], list, "objects")
         )
-        return Scene(seed=operator.index(payload["seed"]), objects=objects)
+        return Scene(seed=_of_type(payload["seed"], int, "seed"), objects=objects)
     except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
         raise MalformedFile(f"malformed scene ({type(e).__name__}: {e})") from None
 
@@ -91,8 +107,7 @@ def save_scene(path, scene: Scene) -> None:
 
 
 def load_scene(path) -> Scene:
-    with open(path) as fh:
-        text = fh.read()
+    text = read_text(path)
     try:
         return scene_from_json(text)
     except MalformedFile as e:

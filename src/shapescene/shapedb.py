@@ -21,6 +21,7 @@ from .errors import (
     NonWatertight,
     UnknownClass,
     UnknownExemplar,
+    read_text,
 )
 from .mesh import TriMesh, canonicalize_mesh, load_obj, sample_surface_points, save_obj
 from .sdf import SdfGrid, mesh_to_sdf, read_sdfg, write_sdfg
@@ -270,11 +271,10 @@ def load_database(directory) -> ShapeDatabase:
 
 def _read_manifest(path) -> dict:
     """The manifest written by save_database; MalformedFile if it is not one."""
-    with open(path) as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise MalformedFile(f"{path}: invalid JSON ({e})") from None
+    try:
+        manifest = json.loads(read_text(path))
+    except json.JSONDecodeError as e:
+        raise MalformedFile(f"{path}: invalid JSON ({e})") from None
     if not isinstance(manifest, dict):
         raise MalformedFile(f"{path}: manifest must be a JSON object")
     missing = sorted({"version", "k_per_class", "classes", "normalization"} - set(manifest))

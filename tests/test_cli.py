@@ -74,6 +74,10 @@ def test_data_errors_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("shapescene: error:") and bad.name in err
         assert err.count("\n") == 1
+    bad.write_bytes(b'{"iters": 3, "lr": 1, "anchor": 0.5}\xff\n')
+    assert main(["--config", str(bad), "make-toys", "--out", str(tmp_path / "m")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"shapescene: error: {bad}: not UTF-8") and err.count("\n") == 1
     bad.write_text('{"iters": 3, "lr": 1, "anchor": 0.5}\n')
     config = load_config(bad)
     assert config == {"iters": 3, "lr": 1.0, "anchor": 0.5}
@@ -96,6 +100,15 @@ def test_malformed_files_exit_2(pipeline, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("shapescene: error:") and "bad.obj" in err
         assert err.count("\n") == 1
+    # A source OBJ that is not UTF-8 text.
+    meshes = tmp_path / "utf8" / "box"
+    meshes.mkdir(parents=True)
+    save_obj(meshes / "bad.obj", make_box())
+    (meshes / "bad.obj").write_bytes(b"# \xff\n" + (meshes / "bad.obj").read_bytes())
+    assert main(["build-db", "--meshes", str(meshes.parent),
+                 "--out", str(tmp_path / "utf8" / "db"), "--k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"shapescene: error: {meshes / 'bad.obj'}: not UTF-8 text (invalid start byte at byte 2)\n"
     # A database whose first SDFG is cut to 100 bytes, read by gen-scenes.
     db = tmp_path / "db"
     shutil.copytree(pipeline / "db", db)
@@ -203,6 +216,19 @@ def _bad_scene(edit):
     return make
 
 
+def _bad_scene_bytes(edit):
+    def make(pipeline, tmp_path):
+        scene = tmp_path / "bad_scene.json"
+        scene.write_bytes(edit((pipeline / "scenes" / "scene_0000.json").read_bytes()))
+        return pipeline / "db", scene, scene
+    return make
+
+
+def _invalid_utf8(b: bytes) -> bytes:
+    """`b` with its 20th byte replaced by 0xff, which no UTF-8 text holds."""
+    return b[:20] + b"\xff" + b[21:]
+
+
 def _bad_db(edit):
     def make(pipeline, tmp_path):
         db = tmp_path / "db"
@@ -246,6 +272,18 @@ MALFORMED_INPUTS = [
     pytest.param(_bad_scene(_set_first("exemplar", 0.5)), id="scene-fractional-exemplar"),
     pytest.param(_bad_scene(_set_first("class", 3)), id="scene-int-class"),
     pytest.param(_bad_scene(lambda payload: {**payload, "objects": {}}), id="scene-objects-dict"),
+    # Booleans load as 0 and 1: each of these would be a valid scene.
+    pytest.param(_bad_scene(lambda payload: {**payload, "seed": True}), id="scene-true-seed"),
+    pytest.param(_bad_scene(_set_first("exemplar", True)), id="scene-true-exemplar"),
+    pytest.param(_bad_scene(_set_first("R", [True, 0, 0, 0, True, 0, 0, 0, True])),
+                 id="scene-true-diagonal-R"),
+    pytest.param(_bad_scene(_set_first("t", [0.0, 0.0, False])), id="scene-false-t"),
+    pytest.param(_bad_scene(_set_first("s", [True, True, True])), id="scene-true-s"),
+    pytest.param(_bad_scene(_set_first("s", ["1", "1", "1"])), id="scene-string-s"),
+    pytest.param(_bad_scene_bytes(_invalid_utf8), id="scene-invalid-utf8"),
+    pytest.param(_bad_db(_rewrite_first("*.obj", _invalid_utf8)), id="db-obj-invalid-utf8"),
+    pytest.param(_bad_db(_rewrite_first("manifest.json", _invalid_utf8)),
+                 id="manifest-invalid-utf8"),
     pytest.param(_bad_db(_rewrite_first("*.pts", lambda b: b[:-5])),
                  id="db-truncated-points"),
     pytest.param(_bad_db(_rewrite_first(  # a valid file one point short of the others
@@ -275,33 +313,43 @@ def test_malformed_input_exits_2(pipeline, tmp_path, capsys, make):
 
 
 def _json_of_each_type(rng):
-    """An int, a string, null, a list and a dict, drawn from `rng`."""
+    """An int, a string, null, a list and a dict, drawn from `rng`, then a
+    boolean and a list that would be a valid t or s if true were 1."""
     return [
         int(rng.integers(-3, 10)),
         "".join(rng.choice(list("abcxyz"), size=int(rng.integers(0, 6)))),
         None,
         [float(x) for x in rng.normal(size=int(rng.integers(0, 10)))],
         {str(rng.choice(list("abc"))): float(rng.normal())},
+        True,
+        [1.0, True, 1.0],
     ]
+
+
+def _holds_bool(value) -> bool:
+    return isinstance(value, bool) or (
+        isinstance(value, list) and any(isinstance(v, bool) for v in value))
 
 
 def test_scene_type_swap_fuzz(pipeline, tmp_path, capsys):
     """Every field of one object, and `seed` and `objects`, swapped in turn
     for a value of each JSON type, as the scene of `resolve` and as either
     side of `evaluate --metric map`: every run exits 0, 1 or 2 with at most
-    one line on stderr and no traceback."""
+    one line on stderr and no traceback, and exits 2 if the value holds a
+    JSON boolean."""
     rng = np.random.default_rng(2024)
     source = pipeline / "scenes" / "scene_0000.json"
     original = json.loads(source.read_text())
     scene = tmp_path / "swapped.json"
-    edits = [(key, _set_first(key, value)) for key in ("class", "exemplar", "R", "t", "s")
+    edits = [(key, value, _set_first(key, value))
+             for key in ("class", "exemplar", "R", "t", "s")
              for value in _json_of_each_type(rng)]
     for key in ("seed", "objects"):
-        edits += [(key, lambda p, k=key, v=value: {**p, k: v})
+        edits += [(key, value, lambda p, k=key, v=value: {**p, k: v})
                   for value in _json_of_each_type(rng)]
     evaluate = ["evaluate", "--db", str(pipeline / "db"), "--metric", "map",
                 "--out", str(tmp_path / "report.json")]
-    for key, edit in edits:
+    for key, value, edit in edits:
         scene.write_text(json.dumps(edit(json.loads(json.dumps(original)))))
         for argv in (["resolve", "--db", str(pipeline / "db"), "--scene", str(scene),
                       "--out", str(tmp_path / "out.json"), "--iters", "1"],
@@ -310,7 +358,7 @@ def test_scene_type_swap_fuzz(pipeline, tmp_path, capsys):
             code = main(argv)
             err = capsys.readouterr().err
             context = f"{argv[0]} with {key} = {scene.read_text()!r}: exit {code}, {err!r}"
-            assert code in (0, 1, 2), context
+            assert code in ((2,) if _holds_bool(value) else (0, 1, 2)), context
             assert err.count("\n") <= 1 and "Traceback" not in err, context
 
 
@@ -431,6 +479,12 @@ def test_evaluate_map_report(pipeline, tmp_path):
                  "--metric", "map", "--thresh", "0.5", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["map"] == 1.0
+    # mAP reads scene poses only, so it needs no readable database.
+    assert main(["evaluate", "--db", str(tmp_path / "no-db"),
+                 "--pred", str(pipeline / "scenes" / "scene_0000.json"),
+                 "--gt", str(pipeline / "scenes" / "scene_0000.json"),
+                 "--metric", "map", "--thresh", "0.5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == report
 
 
 def test_evaluate_miv_honours_res(pipeline, tmp_path):

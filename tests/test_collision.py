@@ -8,7 +8,9 @@ from shapescene.collision import (
     collision_loss_total,
     geman_mcclure,
     geman_mcclure_deriv,
+    pair_maps,
     relative_transform,
+    translation_step,
 )
 from shapescene.errors import ZeroScale
 from shapescene.geom import Pose9DoF, Rotation, apply_pose, random_rotation
@@ -235,3 +237,36 @@ def test_gradient_rotation_fd_through_projection(rng):
                             - collision_loss_total(scene_dn)) / (2 * eps)
         denom = max(np.linalg.norm(fd), 1e-10)
         assert np.linalg.norm(grads[which][0] - fd) / denom < 1e-3
+
+
+def test_translation_step_bit_identical_to_collision_gradient(rng):
+    """Random overlapping 3-8 object scenes, each with one far object (zero
+    energy, and pairs whose points miss every field), at the scene's own
+    translations and at shifted ones that reuse the same pair maps."""
+    for trial in range(6):
+        n = 3 + trial
+        objs = [_cube_object(Pose9DoF(random_rotation(rng), rng.normal(size=3) * 0.4,
+                                      np.exp(rng.normal(size=3) * 0.2)),
+                             n_points=64, seed=k) for k in range(n - 1)]
+        objs.append(_cube_object(Pose9DoF(random_rotation(rng), np.array([9.0, 0.0, 0.0]),
+                                          np.ones(3)), n_points=64, seed=n))
+        maps = pair_maps(objs)
+        for shift in (np.zeros((n, 3)), rng.normal(size=(n, 3)) * 0.1):
+            moved = [o.with_pose(Pose9DoF(o.pose.r, o.pose.t + d, o.pose.s))
+                     for o, d in zip(objs, shift)]
+            t = np.array([o.pose.t for o in moved])
+            loss, grad = translation_step(objs, maps, t)
+            total, grads = collision_gradient(moved)
+            assert loss == total == collision_loss_total(moved)
+            assert np.array_equal(grad, np.array([g[1] for g in grads]))
+            assert collision_energy_single(moved[-1], moved[:-1]) == 0.0
+            assert not np.any(grad[-1])
+            assert 0.0 < loss
+
+
+def test_pair_maps_zero_scale():
+    i = _cube_object(Pose9DoF.identity())
+    j = i.with_pose(Pose9DoF(Rotation.identity(), np.zeros(3), np.array([1.0, 1.0, 1e-15])))
+    assert set(pair_maps([i, i])) == {(0, 1), (1, 0)}
+    with pytest.raises(ZeroScale):
+        pair_maps([i, j])

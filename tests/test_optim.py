@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from shapescene.errors import MismatchedLengths, NonFinite
+from shapescene.collision import collision_gradient, collision_loss_total
+from shapescene.errors import MismatchedLengths, NonFinite, ZeroScale
 from shapescene.geom import Pose9DoF, apply_pose, geodesic_distance
 from shapescene.metrics import miv_and_collisions
 from shapescene.optim import (
@@ -9,6 +10,7 @@ from shapescene.optim import (
     _descend,
     fit_poses,
     resolve_collisions,
+    TOL,
     scene_to_objects,
 )
 from shapescene.scene import (
@@ -196,3 +198,54 @@ def test_resolve_collision_count_not_increased(toy_db):
                                      anchor_term_weight=1e-3)
     _, count_after = miv_and_collisions(resolved, toy_db)
     assert count_after <= count_before
+
+
+def _resolve_by_full_gradient(db, scene, cfg):
+    """resolve_collisions' trace and translations, with every evaluation
+    rebuilding the posed objects and taking collision_gradient's t rows."""
+    objs = scene_to_objects(db, scene)
+    t0 = np.array([o.pose.t for o in objs])
+    trace = []
+
+    def evaluate(params, it):
+        current = [o.with_pose(Pose9DoF(o.pose.r, t, o.pose.s)) for o, t in zip(objs, params)]
+        coll_w = 0.0 if it < cfg.warmup else 1.0
+        if coll_w > 0.0:
+            coll, grads = collision_gradient(current)
+            grad = np.array([g[1] for g in grads])
+        else:
+            coll = collision_loss_total(current)
+            grad = np.zeros_like(params)
+        delta = params - t0
+        anchor = 0.0
+        for d in delta:
+            anchor += float(d @ d)
+        obj = coll_w * coll + anchor
+        trace.append((coll, anchor, obj))
+        return obj, grad + 2.0 * delta, coll <= TOL and it >= cfg.warmup
+
+    return _descend(t0, cfg, evaluate), trace
+
+
+@pytest.mark.parametrize("warmup", [0, 5])
+def test_resolve_trace_bit_identical_to_full_gradient(toy_db, warmup):
+    base = generate_scene(toy_db, 4, seed=46)
+    centroid = np.mean([o.pose.t for o in base.objects], axis=0)
+    pulled = Scene(base.seed, tuple(
+        PlacedObject(o.class_name, o.exemplar,
+                     Pose9DoF(o.pose.r, centroid + 0.5 * (o.pose.t - centroid), o.pose.s))
+        for o in base.objects))
+    cfg = OptimConfig(lr=2e-2, iterations=15, warmup=warmup)
+    resolved, trace = resolve_collisions(toy_db, pulled, cfg)
+    best, expected = _resolve_by_full_gradient(toy_db, pulled, cfg)
+    assert trace == expected and trace[0][0] > 0.0
+    assert np.array_equal([o.pose.t for o in resolved.objects], best)
+
+
+@pytest.mark.parametrize("warmup", [0, 5])
+def test_resolve_near_zero_scale_raises(toy_db, warmup):
+    a, b = generate_scene(toy_db, 2, seed=47).objects
+    tiny = PlacedObject(b.class_name, b.exemplar,
+                        Pose9DoF(b.pose.r, b.pose.t, np.array([1.0, 1e-13, 1.0])))
+    with pytest.raises(ZeroScale):
+        resolve_collisions(toy_db, Scene(0, (a, tiny)), OptimConfig(iterations=10, warmup=warmup))

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ShapeSceneError, read_text
-from .geom import Pose9DoF, apply_pose, rotation_about_axis
+from .errors import DataError, ShapeSceneError, of_type, parse_json, read_text
+from .geom import apply_pose, rotation_about_axis
 from .mesh import TriMesh, load_obj, save_obj, voxelize_occupancy
 from .metrics import (
     DetectionBox,
@@ -79,21 +79,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_config(path) -> dict:
-    try:
-        cfg = json.loads(read_text(path))
-    except json.JSONDecodeError as e:
-        raise DataError(f"{path}: invalid JSON ({e})") from None
-    if not isinstance(cfg, dict):
-        raise DataError(f"{path}: config must be a JSON object")
+    cfg = parse_json(read_text(path), path)
     for key, value in cfg.items():
         if key not in CONFIG_KEYS:
             raise DataError(f"{path}: unknown config key {key!r}")
-        kind = CONFIG_KEYS[key]
-        allowed = (int,) if kind is int else (int, float)
-        # JSON true/false load as bool, a subclass of int; 2.9 must not pass as 2.
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            raise DataError(f"{path}: field {key!r} has invalid value {value!r}")
-        cfg[key] = kind(value)
+        # 2.9 must not pass as 2, nor true as 1.
+        cfg[key] = of_type(value, CONFIG_KEYS[key], f"{path}: field {key!r}")
     return cfg
 
 

@@ -102,21 +102,12 @@ def translation_step(
 
 def collision_energy_single(i: SceneObject, others: list[SceneObject]) -> float:
     """Summed interior depth of i's points inside each other object's field."""
-    return _energy_and_mapped_points(i, others)[0]
-
-
-def _energy_and_mapped_points(
-    i: SceneObject, others: list[SceneObject]
-) -> tuple[float, list[np.ndarray]]:
-    """collision_energy_single, and i's points mapped into each other's frame."""
-    energy, mapped = 0.0, []
+    energy = 0.0
     for j in others:
         a, b = relative_transform(i, j)
-        y = i.points @ a.T + b
-        vals, _ = sample_zero_outside(j.clamped_sdf, y)
+        vals, _ = sample_zero_outside(j.clamped_sdf, i.points @ a.T + b)
         energy += float(vals.sum())
-        mapped.append(y)
-    return energy, mapped
+    return energy
 
 
 def collision_loss_total(scene: list[SceneObject]) -> float:
@@ -140,14 +131,10 @@ def collision_gradient(
     """
     grads_r = np.zeros((len(scene), 3, 3))
     grads_t, grads_s = np.zeros((len(scene), 3)), np.zeros((len(scene), 3))
-    total = 0.0
-
-    energies, mapped = [], []
+    total, energies = 0.0, []
     for idx, obj in enumerate(scene):
-        e, ys = _energy_and_mapped_points(obj, scene[:idx] + scene[idx + 1:])
-        energies.append(e)
-        mapped.append(ys)
-        total += geman_mcclure(e)
+        energies.append(collision_energy_single(obj, scene[:idx] + scene[idx + 1:]))
+        total += geman_mcclure(energies[-1])
 
     for i, obj_i in enumerate(scene):
         rho_prime = geman_mcclure_deriv(energies[i])
@@ -156,7 +143,8 @@ def collision_gradient(
         for j, obj_j in enumerate(scene):
             if j == i:
                 continue
-            y = mapped[i][j if j < i else j - 1]
+            a, b = relative_transform(obj_i, obj_j)
+            y = obj_i.points @ a.T + b
             _, grad_field = sample_zero_outside(obj_j.clamped_sdf, y)
             g = rho_prime * grad_field              # (n, 3) = dL/dy
             if not np.any(g):

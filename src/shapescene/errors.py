@@ -1,9 +1,11 @@
-"""Exception hierarchy shared by all shapescene modules, and the text-file
-reader that reports bytes that are not UTF-8 as one of its data errors.
+"""Exception hierarchy shared by all shapescene modules, and the readers of
+text and JSON that report bad bytes, bad JSON and mistyped values as one of
+its data errors.
 
 Every error that stems from bad input data derives from DataError so the
 CLI can map it to a distinct exit code.
 """
+import json
 
 
 class ShapeSceneError(Exception):
@@ -77,3 +79,33 @@ def read_text(path) -> str:
             return fh.read()
     except UnicodeDecodeError as e:
         raise MalformedFile(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
+def parse_json(text: str, what) -> dict:
+    """The JSON object `text` holds; MalformedFile naming `what` if it holds none.
+
+    Nesting deeper than the interpreter's recursion limit is malformed too.
+    """
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
+        raise MalformedFile(f"{what}: invalid JSON ({e})") from None
+    if not isinstance(value, dict):
+        raise MalformedFile(f"{what}: not a JSON object")
+    return value
+
+
+def of_type(value, kind: type, what: str):
+    """`value` if it is a `kind`, as a float if `kind` is float and `value` any
+    number; MalformedFile naming `what` if not.
+
+    JSON true/false load as bool, a subclass of int: never a number here.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise MalformedFile(f"{what} must be {kind.__name__}, not {type(value).__name__}")
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise MalformedFile(f"{what} is an integer past the float range") from None

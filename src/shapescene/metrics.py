@@ -7,7 +7,7 @@ IoU is exact: the intersection volume of the two boxes, clipped face by face
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

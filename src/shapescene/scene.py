@@ -7,12 +7,12 @@ rejection sampling until the pairwise voxel overlap is zero.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MalformedFile, PlacementFailure, UnknownClass, read_text
-from .geom import Pose9DoF, Rotation, apply_pose, random_rotation, rotation_about_axis
+from .errors import MalformedFile, PlacementFailure, UnknownClass, of_type, parse_json, read_text
+from .geom import Pose9DoF, Rotation, apply_pose, rotation_about_axis
 from .mesh import voxelize_occupancy
 from .shapedb import ShapeDatabase
 
@@ -56,48 +56,40 @@ def scene_to_json(scene: Scene) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _of_type(value, kind: type, what: str):
-    """`value` itself if it is a `kind`; a TypeError naming `what` if not.
-
-    JSON true/false load as bool, a subclass of int: never an int here.
-    """
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise TypeError(f"{what} must be {kind.__name__}, not {type(value).__name__}")
-    return value
-
-
 def _numbers(value, what: str) -> np.ndarray:
     """`value` as a float64 array if it is a (nested) list of JSON numbers;
-    a TypeError naming `what` if not. Booleans and numeric strings, which
+    MalformedFile naming `what` if not. Booleans and numeric strings, which
     numpy would read as numbers, are not."""
-    pending = [_of_type(value, list, what)]
+    pending = [of_type(value, list, what)]
     while pending:
         v = pending.pop()
         if isinstance(v, list):
             pending.extend(v)
-        elif isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise TypeError(f"{what} must hold numbers only, not {type(v).__name__}")
+        else:
+            of_type(v, float, what)
     return np.array(value, dtype=np.float64)
 
 
 def scene_from_json(text: str) -> Scene:
     """Parse the canonical scene schema; MalformedFile if `text` is not one."""
+    payload = parse_json(text, "scene")
     try:
-        payload = json.loads(text)
         objects = tuple(
             PlacedObject(
-                class_name=_of_type(o["class"], str, "class"),
-                exemplar=_of_type(o["exemplar"], int, "exemplar"),  # 1.7 is not index 1
+                class_name=of_type(o["class"], str, "class"),
+                exemplar=of_type(o["exemplar"], int, "exemplar"),  # 1.7 is not index 1
                 pose=Pose9DoF(
                     Rotation(_numbers(o["R"], "R").reshape(3, 3)),
                     _numbers(o["t"], "t"),
                     _numbers(o["s"], "s"),
                 ),
             )
-            for o in _of_type(payload["objects"], list, "objects")
+            for o in of_type(payload["objects"], list, "objects")
         )
-        return Scene(seed=_of_type(payload["seed"], int, "seed"), objects=objects)
-    except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
+        return Scene(seed=of_type(payload["seed"], int, "seed"), objects=objects)
+    except MalformedFile:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
         raise MalformedFile(f"malformed scene ({type(e).__name__}: {e})") from None
 
 

@@ -35,8 +35,10 @@ class SdfGrid:
             raise ValueError("values must be a 3D array")
         if not np.all(np.isfinite(v)):
             raise ValueError("grid contains non-finite values")
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
+        if not np.all(np.isfinite(o)):
+            raise ValueError(f"origin {o} is not finite")
+        if not 0 < self.spacing < np.inf:  # NaN fails too
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "origin", o)
         object.__setattr__(self, "spacing", float(self.spacing))

@@ -21,6 +21,8 @@ from .errors import (
     NonWatertight,
     UnknownClass,
     UnknownExemplar,
+    of_type,
+    parse_json,
     read_text,
 )
 from .mesh import TriMesh, canonicalize_mesh, load_obj, sample_surface_points, save_obj
@@ -271,27 +273,22 @@ def load_database(directory) -> ShapeDatabase:
 
 def _read_manifest(path) -> dict:
     """The manifest written by save_database; MalformedFile if it is not one."""
-    try:
-        manifest = json.loads(read_text(path))
-    except json.JSONDecodeError as e:
-        raise MalformedFile(f"{path}: invalid JSON ({e})") from None
-    if not isinstance(manifest, dict):
-        raise MalformedFile(f"{path}: manifest must be a JSON object")
+    manifest = parse_json(read_text(path), path)
     missing = sorted({"version", "k_per_class", "classes", "normalization"} - set(manifest))
     if missing:
         raise MalformedFile(f"{path}: missing manifest keys {missing}")
-    if manifest["version"] != DB_VERSION:
+    if of_type(manifest["version"], int, f"{path}: version") != DB_VERSION:  # true == 1
         raise MalformedFile(f"{path}: unsupported database version {manifest['version']!r}")
-    k = manifest["k_per_class"]
-    if type(k) is not int or k < 1:
-        raise MalformedFile(f"{path}: k_per_class must be a positive integer, got {k!r}")
+    k = of_type(manifest["k_per_class"], int, f"{path}: k_per_class")
+    if k < 1:
+        raise MalformedFile(f"{path}: k_per_class must be positive, got {k}")
     classes = manifest["classes"]
     if (not isinstance(classes, list) or not classes
             or not all(isinstance(c, str) for c in classes)):
         raise MalformedFile(f"{path}: classes must be a non-empty list of names")
-    norm = manifest["normalization"]
-    if type(norm) not in (int, float) or not np.isfinite(norm) or norm <= 0:
-        raise MalformedFile(f"{path}: normalization must be a positive number, got {norm!r}")
+    norm = of_type(manifest["normalization"], float, f"{path}: normalization")
+    if not 0 < norm < np.inf:
+        raise MalformedFile(f"{path}: normalization must be positive and finite, got {norm!r}")
     return manifest
 
 

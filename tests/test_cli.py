@@ -7,10 +7,10 @@ import pytest
 
 from shapescene import scene as scene_module
 from shapescene.cli import load_config, main
-from shapescene.geom import Pose9DoF, apply_pose
-from shapescene.mesh import save_obj
+from shapescene.geom import Pose9DoF, apply_pose, rotation_about_axis
+from shapescene.mesh import TriMesh, load_obj, save_obj
 from shapescene.metrics import miv_and_collisions, voxel_scene_iou
-from shapescene.scene import PlacedObject, Scene, class_id, load_scene, save_scene
+from shapescene.scene import PlacedObject, Scene, class_id, load_scene, perturb_pose, save_scene
 from shapescene.sdf import read_sdfg
 from shapescene.toys import make_box
 from shapescene.shapedb import _read_points, load_database
@@ -74,6 +74,14 @@ def test_data_errors_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("shapescene: error:") and bad.name in err
         assert err.count("\n") == 1
+    # JSON nested past the recursion limit, a float key set to an integer past
+    # the float range, and an integer past Python's 4300-digit parse limit.
+    for text in ('{"iters": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                 '{"lr": 1' + "0" * 400 + "}", '{"seed": 1' + "0" * 5000 + "}"):
+        bad.write_text(text)
+        assert main(["--config", str(bad), "make-toys", "--out", str(tmp_path / "m")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"shapescene: error: {bad}: ") and err.count("\n") == 1
     bad.write_bytes(b'{"iters": 3, "lr": 1, "anchor": 0.5}\xff\n')
     assert main(["--config", str(bad), "make-toys", "--out", str(tmp_path / "m")]) == 2
     err = capsys.readouterr().err
@@ -224,6 +232,11 @@ def _bad_scene_bytes(edit):
     return make
 
 
+def _deeply_nested(b: bytes) -> bytes:
+    """A JSON object whose one value nests 100,000 arrays, past the recursion limit."""
+    return b'{"seed": 0, "objects": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+
+
 def _invalid_utf8(b: bytes) -> bytes:
     """`b` with its 20th byte replaced by 0xff, which no UTF-8 text holds."""
     return b[:20] + b"\xff" + b[21:]
@@ -280,7 +293,10 @@ MALFORMED_INPUTS = [
     pytest.param(_bad_scene(_set_first("t", [0.0, 0.0, False])), id="scene-false-t"),
     pytest.param(_bad_scene(_set_first("s", [True, True, True])), id="scene-true-s"),
     pytest.param(_bad_scene(_set_first("s", ["1", "1", "1"])), id="scene-string-s"),
+    pytest.param(_bad_scene(_set_first("t", [10 ** 400, 0.0, 0.0])),
+                 id="scene-t-past-float-range"),
     pytest.param(_bad_scene_bytes(_invalid_utf8), id="scene-invalid-utf8"),
+    pytest.param(_bad_scene_bytes(_deeply_nested), id="scene-nested-100000-deep"),
     pytest.param(_bad_db(_rewrite_first("*.obj", _invalid_utf8)), id="db-obj-invalid-utf8"),
     pytest.param(_bad_db(_rewrite_first("manifest.json", _invalid_utf8)),
                  id="manifest-invalid-utf8"),
@@ -295,9 +311,24 @@ MALFORMED_INPUTS = [
                  id="db-sdfg-bad-magic"),
     pytest.param(_bad_db(_rewrite_first("*.sdfg", lambda b: b[:4] + struct.pack("<I", 9) + b[8:])),
                  id="db-sdfg-version-9"),
+    # The header's f64 origin sits at bytes 20-44 and its spacing at 44-52.
+    pytest.param(_bad_db(_rewrite_first(
+        "*.sdfg", lambda b: b[:44] + struct.pack("<d", float("nan")) + b[52:])),
+                 id="db-sdfg-nan-spacing"),
+    pytest.param(_bad_db(_rewrite_first(
+        "*.sdfg", lambda b: b[:28] + struct.pack("<d", float("inf")) + b[36:])),
+                 id="db-sdfg-inf-origin"),
     pytest.param(_bad_db(_rewrite_manifest(
         lambda m: {k: v for k, v in m.items() if k != "k_per_class"})), id="manifest-without-k"),
     pytest.param(_bad_db(_rewrite_manifest(lambda m: [m])), id="manifest-list"),
+    pytest.param(_bad_db(_rewrite_manifest(lambda m: {**m, "version": True})),
+                 id="manifest-true-version"),
+    pytest.param(_bad_db(_rewrite_manifest(lambda m: {**m, "k_per_class": True})),
+                 id="manifest-true-k"),
+    pytest.param(_bad_db(_rewrite_manifest(lambda m: {**m, "normalization": False})),
+                 id="manifest-false-normalization"),
+    pytest.param(_bad_db(_rewrite_first("manifest.json", _deeply_nested)),
+                 id="manifest-nested-100000-deep"),
 ]
 
 
@@ -362,6 +393,58 @@ def test_scene_type_swap_fuzz(pipeline, tmp_path, capsys):
             assert err.count("\n") <= 1 and "Traceback" not in err, context
 
 
+def _mutations(data: bytes, rng, count: int):
+    """`count` mutations of `data`, drawn from `rng`: a truncation one time in
+    four, else 1-4 bytes with one bit flipped in each (a digit often stays one)."""
+    for _ in range(count):
+        if rng.random() < 0.25:
+            yield data[:int(rng.integers(len(data)))]
+        else:
+            out = bytearray(data)
+            for pos in rng.integers(len(data), size=int(rng.integers(1, 5))):
+                out[pos] ^= 1 << int(rng.integers(8))
+            yield bytes(out)
+
+
+def test_mutation_fuzz(pipeline, tmp_path, capsys):
+    """Seeded truncations and byte flips of every input file type (after
+    Miller, Fredriksen and So, CACM 1990), each run through a command that
+    reads it: every run exits 0, 1 or 2 with at most one line on stderr, and
+    an exception that escapes `main` fails the test."""
+    db = tmp_path / "db"
+    shutil.copytree(pipeline / "db", db)
+    scene = tmp_path / "scene.json"
+    shutil.copy(pipeline / "scenes" / "scene_0000.json", scene)
+    config = tmp_path / "config.json"
+    # No spaces: a flipped space could lengthen a number into a slow run.
+    config.write_text('{"iters":1,"lr":0.01,"anchor":1.0,"warmup":0}')
+    source = tmp_path / "meshes" / "box" / "box.obj"
+    source.parent.mkdir(parents=True)
+    save_obj(source, make_box())
+    resolve = ["--config", str(config), "resolve", "--db", str(db), "--scene", str(scene),
+               "--out", str(tmp_path / "out.json")]
+    evaluate = ["evaluate", "--db", str(db), "--pred", str(scene), "--gt", str(scene),
+                "--metric", "iou", "--res", "12"]
+    build = ["build-db", "--meshes", str(source.parent.parent), "--out", str(tmp_path / "built"),
+             "--k", "1", "--res", "8", "--points", "8"]
+    first = lambda pattern: sorted(db.glob(pattern))[0]  # noqa: E731
+    targets = [(scene, resolve), (scene, evaluate), (config, resolve),
+               (db / "manifest.json", resolve), (first("*.obj"), evaluate),
+               (first("*.sdfg"), resolve), (first("*.pts"), resolve), (source, build)]
+    rng = np.random.default_rng(1990)
+    codes = []
+    for path, argv in targets:
+        original = path.read_bytes()
+        for data in _mutations(original, rng, 40):
+            path.write_bytes(data)
+            codes.append(main(argv))
+            err = capsys.readouterr().err
+            context = f"{argv} on {path.name} = {data[:200]!r}: exit {codes[-1]}, {err!r}"
+            assert codes[-1] in (0, 1, 2) and err.count("\n") <= 1, context
+        path.write_bytes(original)
+    assert 0 in codes and 2 in codes  # some mutations parse and run, some are caught
+
+
 def test_out_of_range_exemplar_exits_2(pipeline, tmp_path, capsys):
     payload = json.loads((pipeline / "scenes" / "scene_0000.json").read_text())
     for bad in (2, -1):  # the database holds exemplars 0 and 1 per class
@@ -401,6 +484,114 @@ def test_config_flag_precedence(pipeline, tmp_path):
                  "--out", str(tmp_path / "db"), "--k", "2"]) == 0
     db = load_database(tmp_path / "db")
     assert db.k_per_class == 2
+
+
+_SMALL_DB = ["--k", "1", "--res", "8", "--points", "16"]
+
+
+def _files(directory) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_build_db_pre_rotate_matches_rotated_inputs(pipeline, tmp_path):
+    rot = rotation_about_axis(np.eye(3)[0], np.deg2rad(90.0))
+    rotated = tmp_path / "rotated"
+    for src in sorted((pipeline / "meshes").glob("*/*.obj")):
+        mesh = load_obj(src)
+        (rotated / src.parent.name).mkdir(parents=True, exist_ok=True)
+        save_obj(rotated / src.parent.name / src.name,
+                 TriMesh(mesh.vertices @ rot.m.T, mesh.triangles))
+    for meshes, out, extra in ((pipeline / "meshes", "pre", ["--pre-rotate", "x,90"]),
+                               (rotated, "post", []), (pipeline / "meshes", "plain", [])):
+        assert main(["build-db", "--meshes", str(meshes), "--out", str(tmp_path / out)]
+                    + _SMALL_DB + extra) == 0
+    assert _files(tmp_path / "pre") == _files(tmp_path / "post")
+    assert _files(tmp_path / "pre") != _files(tmp_path / "plain")
+
+
+def test_build_db_normalization_override(pipeline, tmp_path):
+    scene = tmp_path / "scene.json"
+    save_scene(scene, Scene(0, (PlacedObject("box", 0, Pose9DoF()),)))
+    soft = {}
+    for out, extra in (("default", []), ("override", ["--normalization", "2.5"])):
+        db = tmp_path / out
+        assert main(["build-db", "--meshes", str(pipeline / "meshes"), "--out", str(db)]
+                    + _SMALL_DB + extra) == 0
+        assert main(["labels", "--db", str(db), "--scene", str(scene),
+                     "--out", str(tmp_path / f"{out}.json")]) == 0
+        soft[out] = json.loads((tmp_path / f"{out}.json").read_text())["objects"][0]["soft"]
+    norm = {out: json.loads((tmp_path / out / "manifest.json").read_text())["normalization"]
+            for out in soft}
+    assert norm == {"default": 8 ** 1.5, "override": 2.5}
+    default, override = _files(tmp_path / "default"), _files(tmp_path / "override")
+    del default["manifest.json"], override["manifest.json"]
+    assert default == override  # only the divisor differs
+    db = load_database(tmp_path / "override")
+    phi = db.entry(0, 0).sdf.values
+    assert soft["override"] == pytest.approx(
+        [max(1.0 - np.linalg.norm(phi - e.sdf.values) / 2.5, 0.0) for e in db.entries])
+    assert soft["override"] != pytest.approx(soft["default"])
+
+
+def test_fit_pose_from_init_file(pipeline, tmp_path, capsys):
+    gt_path = pipeline / "scenes" / "scene_0000.json"
+    gt = load_scene(gt_path)
+    # The initial scene fit-pose --seed 3 draws itself with its default perturbation.
+    init = Scene(gt.seed, tuple(
+        PlacedObject(o.class_name, o.exemplar,
+                     perturb_pose(o.pose, 10.0, 0.1, 0.1, seed=3 + 7 * k))
+        for k, o in enumerate(gt.objects)))
+    save_scene(tmp_path / "init.json", init)
+    fit = ["fit-pose", "--db", str(pipeline / "db"), "--gt", str(gt_path), "--iters", "20"]
+    assert main(fit + ["--seed", "3", "--out", str(tmp_path / "a.json"),
+                       "--trace", str(tmp_path / "a.csv")]) == 0
+    assert main(fit + ["--init", str(tmp_path / "init.json"), "--out", str(tmp_path / "b.json"),
+                       "--trace", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    capsys.readouterr()
+    short = tmp_path / "short.json"
+    save_scene(short, Scene(gt.seed, init.objects[:-1]))
+    assert main(fit + ["--init", str(short), "--out", str(tmp_path / "c.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"shapescene: error: {short}: object count differs from {gt_path}\n"
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_export_obj(pipeline, tmp_path):
+    scene_path = pipeline / "scenes" / "scene_0000.json"
+    assert main(["export", "--db", str(pipeline / "db"), "--scene", str(scene_path),
+                 "--out", str(tmp_path), "--format", "obj"]) == 0
+    db = load_database(pipeline / "db")
+    scene = load_scene(scene_path)
+    assert len(list(tmp_path.glob("*.obj"))) == len(scene.objects)
+    for k, o in enumerate(scene.objects):
+        entry = db.entry(class_id(db, o.class_name), o.exemplar)
+        posed = load_obj(tmp_path / f"object_{k:03d}.obj")
+        assert np.array_equal(posed.vertices, apply_pose(o.pose, entry.mesh.vertices))
+        assert np.array_equal(posed.triangles, entry.mesh.triangles)
+
+
+def test_evaluate_missing_or_empty_pred_exits_2(pipeline, tmp_path, capsys):
+    (tmp_path / "empty").mkdir()
+    for pred, reason in ((tmp_path / "missing.json", "no such file"),
+                         (tmp_path / "empty", "no scene JSON files")):
+        assert main(["evaluate", "--db", str(pipeline / "db"), "--pred", str(pred),
+                     "--gt", str(pipeline / "scenes"), "--metric", "map"]) == 2
+        assert capsys.readouterr().err == f"shapescene: error: {pred}: {reason}\n"
+
+
+def test_missing_database_file_exits_2(pipeline, tmp_path, capsys):
+    db = tmp_path / "db"
+    shutil.copytree(pipeline / "db", db)
+    sdfg = sorted(db.glob("*.sdfg"))[0]
+    sdfg.unlink()
+    assert main(["resolve", "--db", str(db),
+                 "--scene", str(pipeline / "scenes" / "scene_0000.json"),
+                 "--out", str(tmp_path / "out.json"), "--iters", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shapescene: error: [Errno 2] No such file") and str(sdfg) in err
+    assert err.count("\n") == 1
 
 
 def test_gen_scenes_outputs(pipeline):

@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from shapescene.errors import NonWatertight, OutOfBounds
+from shapescene.errors import MalformedFile, NonWatertight, OutOfBounds
 from shapescene.sdf import (
     SdfGrid,
     clamp_interior,
@@ -290,6 +292,22 @@ def test_sdfg_bad_magic(tmp_path):
     path = tmp_path / "bad.sdfg"
     path.write_bytes(b"NOPE" + b"\x00" * 48)
     with pytest.raises(ValueError):
+        read_sdfg(path)
+
+
+@pytest.mark.parametrize("origin, spacing", [
+    ([np.nan, 0.0, 0.0], 0.1), ([0.0, -np.inf, 0.0], 0.1), ([0.0, 0.0, 0.0], np.nan),
+    ([0.0, 0.0, 0.0], np.inf), ([0.0, 0.0, 0.0], 0.0), ([0.0, 0.0, 0.0], -0.1),
+])
+def test_sdfg_header_must_be_finite(tmp_path, origin, spacing):
+    # A NaN spacing puts every sample off the grid: the field would read 0.
+    with pytest.raises(ValueError):
+        SdfGrid(np.ones((4, 4, 4)), origin, spacing)
+    path = tmp_path / "bad.sdfg"
+    write_sdfg(path, SdfGrid(np.ones((4, 4, 4)), np.zeros(3), 0.1))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:20] + struct.pack("<3dd", *origin, spacing) + raw[52:])
+    with pytest.raises(MalformedFile, match=f"^{path}: (origin|spacing) "):
         read_sdfg(path)
 
 

@@ -8,7 +8,8 @@ from shapescene.errors import (
     UnknownClass,
     UnknownExemplar,
 )
-from shapescene.sdf import SdfGrid
+from shapescene.mesh import canonicalize_mesh
+from shapescene.sdf import SdfGrid, mesh_to_sdf
 from shapescene.shapedb import (
     assign_exemplar,
     build_database,
@@ -98,6 +99,21 @@ def test_kmeans_k1_fixpoint_is_mean():
     centroids, assign = kmeans_pp(data, 1, np.random.default_rng(1))
     assert np.all(assign == 0)
     assert np.allclose(centroids[0], data.mean(axis=0))
+
+
+def test_identical_shapes_fill_every_exemplar():
+    # Three equal rows and k = 3: the D^2 seeding finds no spread, Lloyd
+    # re-seeds the clusters left empty, and an exemplar whose cluster ends
+    # empty is picked from the whole class.
+    data = np.ones((3, 4))
+    centroids, assign = kmeans_pp(data, 3, np.random.default_rng(0))
+    assert np.array_equal(centroids, data) and set(assign) <= {0, 1, 2}
+    db = build_database([(0, make_box())] * 3, k_per_class=3, seed=0, resolution=8,
+                        points_per_entry=16)
+    box = canonicalize_mesh(make_box())
+    for e in db.entries:
+        assert np.array_equal(e.sdf.values, mesh_to_sdf(box, 8).values)
+        assert np.array_equal(e.mesh.vertices, box.vertices)
 
 
 def test_build_database_layout(toy_db):

@@ -1,0 +1,35 @@
+"""Checks on the package's source text itself."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import shapescene
+
+MODULES = sorted(p for p in Path(shapescene.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")  # __init__ imports names to re-export them
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_unused_import_is_found():
+    source = "import json\nimport os.path\nfrom x import a, b as c\nprint(os, a)\n"
+    assert _unused_imports(source) == ["json (line 1)", "c (line 3)"]

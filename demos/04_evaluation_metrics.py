@@ -34,8 +34,7 @@ pred = Scene(gt.seed, tuple(
 ))
 rep = relative_iou(pred, gt, db, resolution=96)
 print("per-class IoU:     ", {c: round(v, 3) for c, v in rep.per_class.items()})
-print("relative per-class:", {c: round(v, 3)
-                              for c, v in (rep.relative_per_class or {}).items()})
+print("relative per-class:", {c: round(v, 3) for c, v in rep.relative_per_class.items()})
 print(f"global {rep.global_iou:.3f}, relative global {rep.relative_global:.3f}")
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ from .metrics import (
     oriented_box_iou,
     procrustes_align,
     relative_iou,
-    voxel_scene_iou,
 )
 from .optim import OptimConfig, fit_poses, resolve_collisions, scene_to_objects
 from .scene import (

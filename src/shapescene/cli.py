@@ -88,26 +88,21 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _opt(args, config: dict, key: str, default):
-    """Effective value of an option: flag, else config entry, else default."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in config:
-        return config[key]
-    return default
+def _opt_in(args, key: str, default, low, high=np.inf, ends="[]"):
+    """The value of option `key`, from its flag or the config; a usage error
+    unless it lies between low and high (NaN never does). Unset, it is `default`.
 
-
-def _opt_in(args, config: dict, key: str, default, low, high=np.inf, high_open=False):
-    """_opt, with a usage error unless low <= value <= high (NaN never is).
-
-    The upper end is open when `high_open` or infinite, so inf never passes.
+    `ends` marks each end closed "[" "]" or open "(" ")" as interval notation
+    does; an infinite end is open, so inf never passes.
     """
-    value = _opt(args, config, key, default)
-    high_open = high_open or high == np.inf
-    if not (low <= value < high if high_open else low <= value <= high):
-        close = ")" if high_open else "]"
-        raise _UsageError(f"--{key} must be in [{low}, {high}{close}, got {value!r}")
+    value = getattr(args, key.replace("-", "_"), None)
+    if value is None:
+        return default
+    close = ")" if high == np.inf else ends[1]
+    above = low < value if ends[0] == "(" else low <= value
+    below = value < high if close == ")" else value <= high
+    if not (above and below):
+        raise _UsageError(f"--{key} must be in {ends[0]}{low}, {high}{close}, got {value!r}")
     return value
 
 
@@ -118,7 +113,7 @@ def _load_db(path) -> ShapeDatabase:
     return load_database(path)
 
 
-def cmd_make_toys(args, config) -> int:
+def cmd_make_toys(args) -> int:
     paths = write_toy_set(args.out)
     print(f"wrote {len(paths)} toy meshes under {args.out}")
     return 0
@@ -135,15 +130,13 @@ def _parse_pre_rotate(spec: str):
     return rotation_about_axis(np.eye(3)["xyz".index(axis_name)], np.deg2rad(angle))
 
 
-def cmd_build_db(args, config) -> int:
-    k = _opt_in(args, config, "k", DEFAULT_K_PER_CLASS, 1)
-    seed = _opt_in(args, config, "seed", 0, 0)
+def cmd_build_db(args) -> int:
+    k = _opt_in(args, "k", DEFAULT_K_PER_CLASS, 1)
+    seed = _opt_in(args, "seed", 0, 0)
     # mesh_to_sdf's grid holds 2 voxels of padding on each side.
-    res = _opt_in(args, config, "res", DEFAULT_SDF_RESOLUTION, 5)
-    points = _opt_in(args, config, "points", DEFAULT_POINTS_PER_ENTRY, 1)
-    norm = _opt(args, config, "normalization", None)
-    if norm is not None and not 0.0 < norm < np.inf:
-        raise _UsageError(f"--normalization must be in (0, inf), got {norm!r}")
+    res = _opt_in(args, "res", DEFAULT_SDF_RESOLUTION, 5)
+    points = _opt_in(args, "points", DEFAULT_POINTS_PER_ENTRY, 1)
+    norm = _opt_in(args, "normalization", None, 0, ends="()")
     pre_rot = _parse_pre_rotate(args.pre_rotate) if args.pre_rotate else None
     mesh_root = Path(args.meshes)
     classes = sorted(p.name for p in mesh_root.iterdir() if p.is_dir())
@@ -179,10 +172,10 @@ def _parse_objects(spec: str) -> tuple[int, int]:
     return a, b
 
 
-def cmd_gen_scenes(args, config) -> int:
-    seed = _opt_in(args, config, "seed", 0, 0)
+def cmd_gen_scenes(args) -> int:
+    seed = _opt_in(args, "seed", 0, 0)
     lo, hi = _parse_objects(args.objects)
-    count = _opt_in(args, config, "count", None, 0)
+    count = _opt_in(args, "count", None, 0)
     db = _load_db(args.db)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -194,7 +187,7 @@ def cmd_gen_scenes(args, config) -> int:
     return 0
 
 
-def cmd_labels(args, config) -> int:
+def cmd_labels(args) -> int:
     db = _load_db(args.db)
     scene = load_scene(args.scene)
     payload = {"objects": []}
@@ -214,15 +207,12 @@ def cmd_labels(args, config) -> int:
     return 0
 
 
-def _optim_config(args, config) -> OptimConfig:
-    try:
-        return OptimConfig(
-            lr=_opt(args, config, "lr", 1e-2),
-            iterations=_opt(args, config, "iters", 500),
-            warmup=_opt_in(args, config, "warmup", 0, 0),
-        )
-    except ValueError as e:
-        raise _UsageError(str(e)) from None
+def _optim_config(args) -> OptimConfig:
+    return OptimConfig(
+        warmup=_opt_in(args, "warmup", 0, 0),
+        lr=_opt_in(args, "lr", 1e-2, 0, ends="()"),
+        iterations=_opt_in(args, "iters", 500, 1),
+    )
 
 
 def _write_trace(path, header: list[str], rows) -> None:
@@ -233,12 +223,12 @@ def _write_trace(path, header: list[str], rows) -> None:
             writer.writerow([it] + [repr(float(x)) for x in row])
 
 
-def cmd_fit_pose(args, config) -> int:
-    cfg = _optim_config(args, config)
-    seed = _opt_in(args, config, "seed", 0, 0)
-    rot = _opt_in(args, config, "perturb-rot", None, 0.0, 360.0)
-    trans = _opt_in(args, config, "perturb-trans", None, 0.0)
-    scale = _opt_in(args, config, "perturb-scale", None, 0.0, 1.0, high_open=True)
+def cmd_fit_pose(args) -> int:
+    cfg = _optim_config(args)
+    seed = _opt_in(args, "seed", 0, 0)
+    rot = _opt_in(args, "perturb-rot", None, 0.0, 360.0)
+    trans = _opt_in(args, "perturb-trans", None, 0.0)
+    scale = _opt_in(args, "perturb-scale", None, 0.0, 1.0, ends="[)")
     db = _load_db(args.db)
     gt = load_scene(args.gt)
     if args.init:
@@ -269,9 +259,9 @@ def cmd_fit_pose(args, config) -> int:
     return 0
 
 
-def cmd_resolve(args, config) -> int:
-    cfg = _optim_config(args, config)
-    anchor = _opt_in(args, config, "anchor", 1.0, 0.0)
+def cmd_resolve(args) -> int:
+    cfg = _optim_config(args)
+    anchor = _opt_in(args, "anchor", 1.0, 0.0)
     db = _load_db(args.db)
     scene = load_scene(args.scene)
     resolved, trace = resolve_collisions(db, scene, cfg, anchor_term_weight=anchor)
@@ -294,9 +284,9 @@ def _scene_paths(path) -> list[Path]:
     return [path]
 
 
-def cmd_evaluate(args, config) -> int:
-    res = _opt_in(args, config, "res", 128, 1)
-    thresh = _opt_in(args, config, "thresh", 0.25, 0.0, 1.0)
+def cmd_evaluate(args) -> int:
+    res = _opt_in(args, "res", 128, 1)
+    thresh = _opt_in(args, "thresh", 0.25, 0.0, 1.0)
     # mAP compares poses only; iou and miv rasterise the database's meshes.
     db = None if args.metric == "map" else _load_db(args.db)
     preds = _scene_paths(args.pred)
@@ -314,7 +304,7 @@ def cmd_evaluate(args, config) -> int:
             rep = relative_iou(load_scene(pp), load_scene(gp), db, resolution=res)
             for cls, v in rep.per_class.items():
                 per_class.setdefault(cls, []).append(v)
-            for cls, v in (rep.relative_per_class or {}).items():
+            for cls, v in rep.relative_per_class.items():
                 rel_class.setdefault(cls, []).append(v)
         report["per_class"] = {c: float(np.mean(v)) for c, v in sorted(per_class.items())}
         report["relative_per_class"] = {
@@ -378,8 +368,8 @@ def _write_ply(path, verts: np.ndarray) -> None:
         fh.write(np.asarray(verts, dtype="<f4").tobytes())
 
 
-def cmd_export(args, config) -> int:
-    res = _opt_in(args, config, "res", 128, 1)
+def cmd_export(args) -> int:
+    res = _opt_in(args, "res", 128, 1)
     db = _load_db(args.db)
     scene = load_scene(args.scene)
     out = Path(args.out)
@@ -492,15 +482,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else {}
-        return args.func(args, config)
+        if args.config:
+            for key, value in load_config(args.config).items():
+                if getattr(args, key, None) is None:  # explicit flags win
+                    setattr(args, key, value)
+        return args.func(args)
     except _UsageError as e:
         print(f"shapescene: error: {e}", file=sys.stderr)
         return 1
-    except ShapeSceneError as e:
-        print(f"shapescene: error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ShapeSceneError, OSError, MemoryError) as e:
         print(f"shapescene: error: {e}", file=sys.stderr)
         return 2
 

@@ -23,8 +23,10 @@ class Rotation:
         m = np.asarray(self.m, dtype=np.float64)
         if m.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {m.shape}")
+        if not np.all(np.isfinite(m)):  # before m.T @ m, which would warn on inf
+            raise ValueError("matrix has non-finite entries")
         err = np.linalg.norm(m.T @ m - np.eye(3))
-        if not err <= 1e-7:  # also rejects NaN entries
+        if err > 1e-7:
             raise ValueError(f"matrix is not orthogonal (|R^T R - I|_F = {err:.3e})")
         if abs(np.linalg.det(m) - 1.0) > 1e-7:
             raise ValueError("matrix has det != +1 (reflection or degenerate)")

@@ -125,21 +125,6 @@ def pose_loss_rt(
     return total / len(poses_gt) if normalized else total
 
 
-def pose_loss_rt_grads(
-    poses_gt: list[Pose9DoF],
-    raw_ms: list[np.ndarray],
-    ts: list[np.ndarray],
-    ss: list[np.ndarray],
-    clouds: list[np.ndarray],
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Loss value and per-object gradients w.r.t. the unconstrained rotation
-    matrix (through the SO(3) projection), translation, and scale."""
-    if len(poses_gt) != len(clouds):
-        raise MismatchedLengths("per-object lists differ in length")
-    targets = [apply_pose(gt, pts) for gt, pts in zip(poses_gt, clouds)]
-    return pose_loss_world_grads(raw_ms, ts, ss, clouds, targets)
-
-
 def pose_loss_world_grads(
     raw_ms: list[np.ndarray],
     ts: list[np.ndarray],
@@ -147,9 +132,13 @@ def pose_loss_world_grads(
     clouds: list[np.ndarray],
     targets: list[np.ndarray],
 ) -> tuple[float, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """pose_loss_rt_grads against world-frame targets, as one stacked computation
-    over raw_ms (n, 3, 3), ts and ss (n, 3), clouds and targets (n, P, 3). Builds
-    no Pose9DoF, so a non-positive scale (an optimizer iterate) is accepted."""
+    """pose_loss_rt against world-frame targets (apply_pose(gt, cloud) for a
+    ground-truth pose gt), and its per-object gradients w.r.t. the unconstrained
+    rotation matrix (through the SO(3) projection), translation and scale.
+
+    One stacked computation over raw_ms (n, 3, 3), ts and ss (n, 3), clouds and
+    targets (n, P, 3). Builds no Pose9DoF, so a non-positive scale (an optimizer
+    iterate) is accepted."""
     if not len(raw_ms) == len(ts) == len(ss) == len(clouds) == len(targets):
         raise MismatchedLengths("per-object lists differ in length")
     if len(raw_ms) == 0:

@@ -18,14 +18,14 @@ from .scene import PlacedObject, Scene, class_id, scene_grid
 from .shapedb import ShapeDatabase, assign_exemplar
 
 
-@dataclass
+@dataclass(frozen=True)
 class IoUReport:
     per_class: dict[str, float]
     mean: float
     global_iou: float
-    relative_per_class: dict[str, float] | None = None
-    relative_mean: float | None = None
-    relative_global: float | None = None
+    relative_per_class: dict[str, float]
+    relative_mean: float
+    relative_global: float
 
 
 @dataclass
@@ -76,29 +76,16 @@ def scene_class_occupancy(
     return grids
 
 
-def voxel_scene_iou(
-    pred: Scene,
-    gt: Scene,
-    db: ShapeDatabase,
-    resolution: int = 128,
-    bounds=None,
-) -> IoUReport:
-    """Per-class and class-agnostic voxel IoU on a shared world grid.
-
-    Classes absent from both scenes are excluded from the mean; classes
-    present on one side only contribute 0.
-    """
-    if bounds is None:
-        bounds = _scene_bounds([pred, gt], db)
-    origin, dims, spacing = scene_grid(bounds, resolution)
-    occ_p = scene_class_occupancy(pred, db, origin, dims, spacing)
-    occ_g = scene_class_occupancy(gt, db, origin, dims, spacing)
-    return _occupancy_iou(occ_p, occ_g, dims)
+def _mean(values: dict[str, float]) -> float:
+    return float(np.mean(list(values.values()))) if values else 0.0
 
 
 def _occupancy_iou(occ_p: dict[str, np.ndarray], occ_g: dict[str, np.ndarray],
-                   dims) -> IoUReport:
-    """voxel_scene_iou from the per-class occupancy grids of both scenes."""
+                   dims) -> tuple[dict[str, float], float]:
+    """Per-class and class-agnostic IoU of two scenes' per-class occupancy grids.
+
+    Classes present on one side only score 0.
+    """
     if not occ_p and not occ_g:
         raise EmptyScenes("both scenes rasterize empty")
 
@@ -120,8 +107,7 @@ def _occupancy_iou(occ_p: dict[str, np.ndarray], occ_g: dict[str, np.ndarray],
         any_g |= g
     union = np.count_nonzero(any_p | any_g)
     global_iou = np.count_nonzero(any_p & any_g) / union if union else 0.0
-    mean = float(np.mean(list(per_class.values()))) if per_class else 0.0
-    return IoUReport(per_class, mean, float(global_iou))
+    return per_class, float(global_iou)
 
 
 def oracle_scene(gt: Scene, db: ShapeDatabase) -> Scene:
@@ -136,15 +122,17 @@ def oracle_scene(gt: Scene, db: ShapeDatabase) -> Scene:
 
 
 def relative_iou(pred: Scene, gt: Scene, db: ShapeDatabase, resolution: int = 128) -> IoUReport:
-    """Absolute IoU divided by the oracle-reconstruction IoU, clamped to [0,1].
+    """Per-class and class-agnostic voxel IoU on a shared world grid, each also
+    divided by the oracle-reconstruction IoU and clamped to [0, 1].
 
-    Classes whose oracle IoU is zero are reported as undefined (omitted) and
-    excluded from the relative mean.
+    Classes absent from both scenes are excluded from the mean; classes
+    present on one side only contribute 0. Classes whose oracle IoU is zero
+    have no relative IoU (omitted) and are excluded from the relative mean.
     """
     origin, dims, spacing = scene_grid(_scene_bounds([pred, gt], db), resolution)
     occ_p = scene_class_occupancy(pred, db, origin, dims, spacing)
     occ_g = scene_class_occupancy(gt, db, origin, dims, spacing)
-    absolute = _occupancy_iou(occ_p, occ_g, dims)
+    per_class, global_iou = _occupancy_iou(occ_p, occ_g, dims)
     # The oracle is scored on the same grid, so the ground truth is rasterized
     # once. Scenes drawn from the database already hold each object's nearest
     # exemplar; the oracle is then the ground truth and shares its grids.
@@ -153,20 +141,12 @@ def relative_iou(pred: Scene, gt: Scene, db: ShapeDatabase, resolution: int = 12
         occ_o = occ_g
     else:
         occ_o = scene_class_occupancy(oracle_gt, db, origin, dims, spacing)
-    oracle = _occupancy_iou(occ_o, occ_g, dims)
+    oracle_class, oracle_global = _occupancy_iou(occ_o, occ_g, dims)
 
-    rel: dict[str, float] = {}
-    for cls, a in absolute.per_class.items():
-        o = oracle.per_class.get(cls, 0.0)
-        if o > 0.0:
-            rel[cls] = min(a / o, 1.0)
-    absolute.relative_per_class = rel
-    absolute.relative_mean = float(np.mean(list(rel.values()))) if rel else 0.0
-    absolute.relative_global = (
-        min(absolute.global_iou / oracle.global_iou, 1.0)
-        if oracle.global_iou > 0.0 else 0.0
-    )
-    return absolute
+    rel = {cls: min(a / oracle_class[cls], 1.0)
+           for cls, a in per_class.items() if oracle_class.get(cls, 0.0) > 0.0}
+    rel_global = min(global_iou / oracle_global, 1.0) if oracle_global > 0.0 else 0.0
+    return IoUReport(per_class, _mean(per_class), global_iou, rel, _mean(rel), rel_global)
 
 
 def procrustes_align(
@@ -351,8 +331,7 @@ def map3d(
             else:
                 outcomes.append((p.score, False))
         per_class[cls] = average_precision(outcomes, len(cls_gts))
-    mean = float(np.mean(list(per_class.values()))) if per_class else 0.0
-    return per_class, mean
+    return per_class, _mean(per_class)
 
 
 def miv_and_collisions(

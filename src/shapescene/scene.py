@@ -7,6 +7,7 @@ rejection sampling until the pairwise voxel overlap is zero.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,13 +111,16 @@ def scene_grid(bounds, resolution: int) -> tuple[np.ndarray, tuple[int, int, int
     """Cubic-voxel grid covering axis-aligned `bounds` ((lo, hi) per axis).
 
     The longest axis gets `resolution` voxels; others get proportionally fewer.
-    Returns (origin of voxel (0,0,0)'s center, dims, spacing).
+    Returns (origin of voxel (0,0,0)'s center, dims, spacing). MemoryError if
+    a boolean grid of dims is past what numpy can address.
     """
     lo = np.array([b[0] for b in bounds], dtype=np.float64)
     hi = np.array([b[1] for b in bounds], dtype=np.float64)
     extent = hi - lo
     spacing = float(extent.max()) / resolution
     dims = tuple(int(np.ceil(e / spacing)) for e in extent)
+    if math.prod(dims) > np.iinfo(np.intp).max:  # np.zeros would raise a ValueError
+        raise MemoryError(f"a {'x'.join(map(str, dims))} voxel grid is too large to allocate")
     origin = lo + spacing / 2.0
     return origin, dims, spacing
 

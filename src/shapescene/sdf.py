@@ -174,7 +174,7 @@ def read_sdfg(path) -> SdfGrid:
             raise MalformedFile(f"{path}: unsupported version {version}")
         expected = nx * ny * nz * 4
         found = os.fstat(fh.fileno()).st_size - _SDFG_HEADER.size
-        if found < expected:
+        if found != expected:
             raise MalformedFile(
                 f"{path}: {nx}x{ny}x{nz} grid needs {expected} payload bytes, found {found}"
             )

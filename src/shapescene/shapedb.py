@@ -248,27 +248,29 @@ def load_database(directory) -> ShapeDatabase:
     entries, first = [], None
     for cid, cls in enumerate(manifest["classes"]):
         for k in range(manifest["k_per_class"]):
-            stem = f"{cls}_{k:04d}"
-            path = directory / f"{stem}.pts"
-            points = _read_points(path)
-            first = first or (path, len(points))
+            stem = directory / f"{cls}_{k:04d}"
+            points = _read_points(f"{stem}.pts")
+            sdf = read_sdfg(f"{stem}.sdfg")
+            first = first or (stem, len(points), _grid_layout(sdf))
             if len(points) != first[1]:  # the pose fit stacks the clouds
-                raise MalformedFile(f"{path}: {len(points)} points, but {first[0]} has {first[1]}")
-            entries.append(
-                ShapeEntry(
-                    class_id=cid,
-                    exemplar_index=k,
-                    sdf=read_sdfg(directory / f"{stem}.sdfg"),
-                    points=points,
-                    mesh=load_obj(directory / f"{stem}.obj"),
-                )
-            )
+                raise MalformedFile(
+                    f"{stem}.pts: {len(points)} points, but {first[0]}.pts has {first[1]}")
+            if _grid_layout(sdf) != first[2]:  # labels compare grids voxel by voxel
+                raise MalformedFile(
+                    f"{stem}.sdfg: {_grid_layout(sdf)}, but {first[0]}.sdfg has {first[2]}")
+            entries.append(ShapeEntry(cid, k, sdf, points, load_obj(f"{stem}.obj")))
     return ShapeDatabase(
         entries,
         manifest["k_per_class"],
         list(manifest["classes"]),
         float(manifest["normalization"]),
     )
+
+
+def _grid_layout(sdf: SdfGrid) -> str:
+    """Shape, origin and spacing of a grid, exactly (repr round-trips a float)."""
+    return (f"{'x'.join(map(str, sdf.values.shape))} grid, origin {sdf.origin.tolist()}, "
+            f"spacing {sdf.spacing!r}")
 
 
 def _read_manifest(path) -> dict:
@@ -307,7 +309,7 @@ def _read_points(path) -> np.ndarray:
             raise MalformedFile(f"{path}: truncated header ({len(header)} bytes)")
         count, = struct.unpack("<I", header)
         found = os.fstat(fh.fileno()).st_size - 4
-        if found < count * 12:
+        if found != count * 12:
             raise MalformedFile(
                 f"{path}: {count} points need {count * 12} payload bytes, found {found}"
             )

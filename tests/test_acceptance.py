@@ -23,7 +23,7 @@ from shapescene.losses import (
     hard_selection_grad,
     hard_selection_loss,
     pose_loss_rt,
-    pose_loss_rt_grads,
+    pose_loss_world_grads,
     scale_loss,
     scale_loss_grad,
     soft_selection_grad,
@@ -35,7 +35,7 @@ from shapescene.metrics import (
     average_precision,
     miv_and_collisions,
     oriented_box_iou,
-    voxel_scene_iou,
+    relative_iou,
 )
 from shapescene.optim import OptimConfig, fit_poses, resolve_collisions
 from shapescene.scene import (
@@ -149,7 +149,7 @@ def test_criterion_2_gradient_suites():
         t = rng.normal(size=3)
         s = np.exp(rng.normal(size=3) * 0.2)
         pts = rng.normal(size=(16, 3))
-        _, grads = pose_loss_rt_grads([gt], [m], [t], [s], [pts])
+        _, grads = pose_loss_world_grads([m], [t], [s], [pts], [apply_pose(gt, pts)])
         gm, gt_, gs = grads[0]
 
         def f(mm, tt, ss):
@@ -308,7 +308,7 @@ def test_criterion_5_metric_oracles(cube_db):
 
     op = np.logical_or.reduce(occupancies(pred))
     og = np.logical_or.reduce(occupancies(gt))
-    rep = voxel_scene_iou(pred, gt, cube_db, resolution=48, bounds=bounds)
+    rep = relative_iou(pred, gt, cube_db, resolution=48)
     checks.append(rep.per_class["box"]
                   == np.count_nonzero(op & og) / np.count_nonzero(op | og))
 

@@ -1,6 +1,7 @@
 import json
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from shapescene import scene as scene_module
 from shapescene.cli import load_config, main
 from shapescene.geom import Pose9DoF, apply_pose, rotation_about_axis
 from shapescene.mesh import TriMesh, load_obj, save_obj
-from shapescene.metrics import miv_and_collisions, voxel_scene_iou
+from shapescene.metrics import miv_and_collisions, relative_iou
 from shapescene.scene import PlacedObject, Scene, class_id, load_scene, perturb_pose, save_scene
 from shapescene.sdf import read_sdfg
 from shapescene.toys import make_box
@@ -196,6 +197,12 @@ _RESOLVE = ["resolve", "--db", "no-db", "--scene", "s", "--out", "o"]
     (_RESOLVE + ["--anchor", "nan"], None),
     (_RESOLVE + ["--anchor", "inf"], None),
     (_RESOLVE, {"anchor": -0.5}),
+    (_FIT + ["--lr", "0"], None),
+    (_RESOLVE + ["--lr", "nan"], None),
+    (_FIT + ["--iters", "0"], None),
+    (_RESOLVE, {"lr": 0.0}),
+    (_FIT, {"lr": float("nan")}),
+    (_RESOLVE, {"iters": 0}),
     (_EVAL + ["--res", "0"], None),
     (_EVAL + ["--res", "-3"], None),
     (_EVAL, {"res": 0}),
@@ -240,6 +247,19 @@ def _deeply_nested(b: bytes) -> bytes:
 def _invalid_utf8(b: bytes) -> bytes:
     """`b` with its 20th byte replaced by 0xff, which no UTF-8 text holds."""
     return b[:20] + b"\xff" + b[21:]
+
+
+def _first_r_entry_1e400(b: bytes) -> bytes:
+    """The scene with its first R entry written as 1e400, which JSON reads as inf."""
+    payload = json.loads(b)
+    payload["objects"][0]["R"][0] = "BIG"
+    return json.dumps(payload).replace('"BIG"', "1e400").encode()
+
+
+def _four_by_ny_by_nz(b: bytes) -> bytes:
+    """A valid SDFG of a 4 x ny x nz grid, cut from the nx x ny x nz one `b` holds."""
+    ny, nz = struct.unpack("<2I", b[12:20])
+    return b[:8] + struct.pack("<I", 4) + b[12:52 + 4 * ny * nz * 4]
 
 
 def _bad_db(edit):
@@ -295,6 +315,8 @@ MALFORMED_INPUTS = [
     pytest.param(_bad_scene(_set_first("s", ["1", "1", "1"])), id="scene-string-s"),
     pytest.param(_bad_scene(_set_first("t", [10 ** 400, 0.0, 0.0])),
                  id="scene-t-past-float-range"),
+    # JSON reads 1e400 as inf; the rotation check must not warn about it.
+    pytest.param(_bad_scene_bytes(_first_r_entry_1e400), id="scene-R-1e400"),
     pytest.param(_bad_scene_bytes(_invalid_utf8), id="scene-invalid-utf8"),
     pytest.param(_bad_scene_bytes(_deeply_nested), id="scene-nested-100000-deep"),
     pytest.param(_bad_db(_rewrite_first("*.obj", _invalid_utf8)), id="db-obj-invalid-utf8"),
@@ -318,6 +340,22 @@ MALFORMED_INPUTS = [
     pytest.param(_bad_db(_rewrite_first(
         "*.sdfg", lambda b: b[:28] + struct.pack("<d", float("inf")) + b[36:])),
                  id="db-sdfg-inf-origin"),
+    # The header's u32 nx sits at bytes 8-12; the payload must match the header
+    # exactly, and every grid must share the first one's shape, origin and spacing.
+    pytest.param(_bad_db(_rewrite_first(
+        "*.sdfg", lambda b: b[:8] + struct.pack("<I", 8) + b[12:])), id="db-sdfg-shrunk-nx"),
+    pytest.param(_bad_db(_rewrite_first(
+        "*.sdfg", lambda b: b[:20] + struct.pack("<d", struct.unpack("<d", b[20:28])[0] + 0.3)
+        + b[28:])), id="db-sdfg-shifted-origin"),
+    pytest.param(_bad_db(_rewrite_first("*.sdfg", _four_by_ny_by_nz)),
+                 id="db-sdfg-grid-shape-differs"),
+    pytest.param(_bad_db(_rewrite_first(
+        "*.sdfg", lambda b: b[:44] + struct.pack("<d", struct.unpack("<d", b[44:52])[0] * 1.5)
+        + b[52:])), id="db-sdfg-spacing-differs"),
+    pytest.param(_bad_db(_rewrite_first("*.sdfg", lambda b: b + b"\0")),
+                 id="db-sdfg-trailing-bytes"),
+    pytest.param(_bad_db(_rewrite_first("*.pts", lambda b: b + bytes(12))),
+                 id="db-points-trailing-bytes"),
     pytest.param(_bad_db(_rewrite_manifest(
         lambda m: {k: v for k, v in m.items() if k != "k_per_class"})), id="manifest-without-k"),
     pytest.param(_bad_db(_rewrite_manifest(lambda m: [m])), id="manifest-list"),
@@ -335,12 +373,29 @@ MALFORMED_INPUTS = [
 @pytest.mark.parametrize("make", MALFORMED_INPUTS)
 def test_malformed_input_exits_2(pipeline, tmp_path, capsys, make):
     db, scene, bad = make(pipeline, tmp_path)
-    assert main(["resolve", "--db", str(db), "--scene", str(scene),
-                 "--out", str(tmp_path / "out.json"), "--iters", "1"]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print more stderr lines
+        assert main(["resolve", "--db", str(db), "--scene", str(scene),
+                     "--out", str(tmp_path / "out.json"), "--iters", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("shapescene: error:") and bad.name in err
     assert err.count("\n") == 1
     assert not (tmp_path / "out.json").exists()
+
+
+def test_unallocatable_grid_exits_2(pipeline, tmp_path, capsys):
+    db, scene = str(pipeline / "db"), str(pipeline / "scenes" / "scene_0000.json")
+    for argv, message in (
+        # An EiB-scale grid, past any address space: numpy's allocation fails at once.
+        (["evaluate", "--db", db, "--pred", scene, "--gt", scene, "--metric", "iou",
+          "--res", "2000000"], "Unable to allocate"),
+        # Past what numpy can index: refused before any allocation.
+        (["export", "--db", db, "--scene", scene, "--out", str(tmp_path / "out"),
+          "--format", "sdfg", "--res", "10000000"], "voxel grid is too large to allocate"),
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("shapescene: error: ") and message in err and err.count("\n") == 1
 
 
 def _json_of_each_type(rng):
@@ -745,7 +800,7 @@ def test_export_sdfg_matches_direct_rasterization(pipeline, tmp_path):
     # exported occupancy must be non-empty and binary.
     db = load_database(pipeline / "db")
     scene = load_scene(scene_path)
-    rep = voxel_scene_iou(scene, scene, db, resolution=48)
+    rep = relative_iou(scene, scene, db, resolution=48)
     assert rep.global_iou == 1.0
     assert np.count_nonzero(grid.values) > 0
 

@@ -18,7 +18,6 @@ from shapescene.metrics import (
     procrustes_align,
     relative_iou,
     scene_class_occupancy,
-    voxel_scene_iou,
 )
 from shapescene.scene import PlacedObject, Scene, generate_scene, scene_grid
 from shapescene.shapedb import ShapeDatabase
@@ -56,7 +55,7 @@ def _mc_box_iou(a, b, n_side=100, seed=0):
 
 def test_voxel_iou_identity(cube_db):
     scene = _box_scene([[0.0, 0, 0.5], [2.0, 0, 0.5]])
-    rep = voxel_scene_iou(scene, scene, cube_db, resolution=64)
+    rep = relative_iou(scene, scene, cube_db, resolution=64)
     assert rep.per_class == {"box": 1.0}
     assert rep.mean == 1.0 and rep.global_iou == 1.0
 
@@ -64,7 +63,7 @@ def test_voxel_iou_identity(cube_db):
 def test_voxel_iou_disjoint(cube_db):
     a = _box_scene([[0.0, 0, 0.5]])
     b = _box_scene([[3.0, 0, 0.5]])
-    rep = voxel_scene_iou(a, b, cube_db, resolution=64)
+    rep = relative_iou(a, b, cube_db, resolution=64)
     assert rep.per_class == {"box": 0.0}
     assert rep.global_iou == 0.0
 
@@ -72,8 +71,8 @@ def test_voxel_iou_disjoint(cube_db):
 def test_voxel_iou_symmetric(cube_db):
     a = _box_scene([[0.0, 0, 0.5]])
     b = _box_scene([[0.4, 0.2, 0.5]])
-    rep_ab = voxel_scene_iou(a, b, cube_db, resolution=64)
-    rep_ba = voxel_scene_iou(b, a, cube_db, resolution=64)
+    rep_ab = relative_iou(a, b, cube_db, resolution=64)
+    rep_ba = relative_iou(b, a, cube_db, resolution=64)
     assert rep_ab.per_class == rep_ba.per_class
     assert rep_ab.global_iou == rep_ba.global_iou
 
@@ -84,7 +83,7 @@ def test_voxel_iou_popcount_oracle(cube_db):
     pred = _box_scene([[0.0, 0, 0.5], [0.8, 0.3, 0.5]])
     gt = _box_scene([[0.2, 0.1, 0.5]])
     bounds = _scene_bounds([pred, gt], cube_db)
-    rep = voxel_scene_iou(pred, gt, cube_db, resolution=48, bounds=bounds)
+    rep = relative_iou(pred, gt, cube_db, resolution=48)
 
     origin, dims, spacing = scene_grid(bounds, 48)
     axes = [origin[a] + spacing * np.arange(dims[a]) for a in range(3)]
@@ -106,7 +105,7 @@ def test_voxel_iou_popcount_oracle(cube_db):
 
 def test_voxel_iou_empty_raises(cube_db):
     with pytest.raises(EmptyScenes):
-        voxel_scene_iou(Scene(0, ()), Scene(0, ()), cube_db)
+        relative_iou(Scene(0, ()), Scene(0, ()), cube_db)
 
 
 def test_relative_iou_oracle_is_one(toy_db):
@@ -133,12 +132,12 @@ def _rasterised_oracle_iou(pred, gt, db, resolution):
     occ_p = scene_class_occupancy(pred, db, origin, dims, spacing)
     occ_g = scene_class_occupancy(gt, db, origin, dims, spacing)
     occ_o = scene_class_occupancy(oracle_scene(gt, db), db, origin, dims, spacing)
-    absolute = _occupancy_iou(occ_p, occ_g, dims)
-    oracle = _occupancy_iou(occ_o, occ_g, dims)
-    rel = {cls: min(a / oracle.per_class[cls], 1.0)
-           for cls, a in absolute.per_class.items() if oracle.per_class.get(cls, 0.0) > 0.0}
-    glob = min(absolute.global_iou / oracle.global_iou, 1.0) if oracle.global_iou > 0.0 else 0.0
-    return absolute, rel, glob
+    per_class, global_iou = _occupancy_iou(occ_p, occ_g, dims)
+    oracle_class, oracle_global = _occupancy_iou(occ_o, occ_g, dims)
+    rel = {cls: min(a / oracle_class[cls], 1.0)
+           for cls, a in per_class.items() if oracle_class.get(cls, 0.0) > 0.0}
+    glob = min(global_iou / oracle_global, 1.0) if oracle_global > 0.0 else 0.0
+    return (per_class, global_iou), rel, glob
 
 
 def _counting_voxelize(monkeypatch):
@@ -164,7 +163,7 @@ def test_relative_iou_shared_grid_matches_rasterised_oracle(toy_db, monkeypatch)
     rep = relative_iou(pred, gt, toy_db, resolution=64)
     # Drawn from the database, the ground truth is its own oracle: no third pass.
     assert len(calls) == len(pred.objects) + len(gt.objects)
-    assert rep.per_class == absolute.per_class and rep.global_iou == absolute.global_iou
+    assert (rep.per_class, rep.global_iou) == absolute
     assert rep.relative_per_class == rel and rep.relative_global == glob
 
 

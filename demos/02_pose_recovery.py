@@ -10,7 +10,7 @@ import numpy as np
 from shapescene import build_database, fit_poses, generate_scene
 from shapescene.geom import apply_pose, geodesic_distance
 from shapescene.optim import OptimConfig
-from shapescene.scene import PlacedObject, Scene, class_id, perturb_pose
+from shapescene.scene import PlacedObject, Scene, perturb_pose, shape_entry
 from shapescene.toys import toy_shape_set
 
 shapes = [(0 if cls == "box" else 1, mesh) for cls, mesh in toy_shape_set()]
@@ -25,10 +25,7 @@ init = Scene(gt.seed, tuple(
                  perturb_pose(o.pose, 10.0, 0.1, 0.1, seed=100 + k))
     for k, o in enumerate(gt.objects)
 ))
-targets = [
-    apply_pose(o.pose, db.entry(class_id(db, o.class_name), o.exemplar).points)
-    for o in gt.objects
-]
+targets = [apply_pose(o.pose, shape_entry(db, o).points) for o in gt.objects]
 
 for k, (g, p) in enumerate(zip(gt.objects, init.objects)):
     rot = np.rad2deg(geodesic_distance(g.pose.r, p.pose.r))

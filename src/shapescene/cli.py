@@ -18,23 +18,16 @@ import numpy as np
 from .errors import DataError, ShapeSceneError, of_type, parse_json, read_text
 from .geom import apply_pose, rotation_about_axis
 from .mesh import TriMesh, load_obj, save_obj, voxelize_occupancy
-from .metrics import (
-    DetectionBox,
-    _scene_bounds,
-    map3d,
-    miv_and_collisions,
-    relative_iou,
-)
+from .metrics import DetectionBox, map3d, miv_and_collisions, relative_iou, scene_voxel_grid
 from .optim import OptimConfig, fit_poses, resolve_collisions
 from .scene import (
     PlacedObject,
     Scene,
-    class_id,
     generate_scene,
     load_scene,
     perturb_pose,
     save_scene,
-    scene_grid,
+    shape_entry,
 )
 from .sdf import SdfGrid, write_sdfg
 from .shapedb import (
@@ -42,12 +35,12 @@ from .shapedb import (
     DEFAULT_POINTS_PER_ENTRY,
     DEFAULT_SDF_RESOLUTION,
     ShapeDatabase,
-    _write_points,
     build_database,
     hard_label,
     load_database,
     save_database,
     soft_label,
+    write_points,
 )
 from .toys import write_toy_set
 
@@ -145,7 +138,10 @@ def cmd_build_db(args) -> int:
     shapes: list[tuple[int, TriMesh]] = []
     sources: list[str] = []
     for cid, cls in enumerate(classes):
-        for obj_path in sorted((mesh_root / cls).glob("*.obj")):
+        obj_paths = sorted((mesh_root / cls).glob("*.obj"))
+        if not obj_paths:
+            raise DataError(f"{mesh_root / cls}: no .obj files")
+        for obj_path in obj_paths:
             mesh = load_obj(obj_path)
             if pre_rot is not None:
                 mesh = TriMesh(mesh.vertices @ pre_rot.m.T, mesh.triangles)
@@ -192,13 +188,12 @@ def cmd_labels(args) -> int:
     scene = load_scene(args.scene)
     payload = {"objects": []}
     for o in scene.objects:
-        cid = class_id(db, o.class_name)
-        sdf = db.entry(cid, o.exemplar).sdf
+        entry = shape_entry(db, o)
         payload["objects"].append({
             "class": o.class_name,
             "exemplar": o.exemplar,
-            "hard": [float(x) for x in hard_label(db, sdf, cid)],
-            "soft": [float(x) for x in soft_label(db, sdf)],
+            "hard": [float(x) for x in hard_label(db, entry.sdf, entry.class_id)],
+            "soft": [float(x) for x in soft_label(db, entry.sdf)],
         })
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -245,10 +240,7 @@ def cmd_fit_pose(args) -> int:
             for k, o in enumerate(gt.objects)
         ]
         init = Scene(gt.seed, tuple(objects))
-    targets = [
-        apply_pose(o.pose, db.entry(class_id(db, o.class_name), o.exemplar).points)
-        for o in gt.objects
-    ]
+    targets = [apply_pose(o.pose, shape_entry(db, o).points) for o in gt.objects]
     freeze = frozenset(args.freeze or [])
     recovered, trace = fit_poses(db, init, targets, cfg, freeze=freeze)
     save_scene(args.out, recovered)
@@ -295,6 +287,10 @@ def cmd_evaluate(args) -> int:
         raise DataError(
             f"{args.pred} has {len(preds)} scenes but {args.gt} has {len(gts)}"
         )
+    # Two directories pair their scenes by file name (both lists are sorted).
+    unpaired = sorted({p.name for p in preds} ^ {g.name for g in gts})
+    if unpaired and Path(args.pred).is_dir() and Path(args.gt).is_dir():
+        raise DataError(f"{unpaired[0]} is in only one of {args.pred} and {args.gt}")
     report: dict = {"metric": args.metric, "scenes": len(preds)}
 
     if args.metric == "iou":
@@ -375,17 +371,15 @@ def cmd_export(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.format == "sdfg":
-        bounds = _scene_bounds([scene], db)
-        origin, dims, spacing = scene_grid(bounds, res)
+        origin, dims, spacing = scene_voxel_grid([scene], db, res)
         occ = np.zeros(dims, dtype=bool)
         for o in scene.objects:
-            mesh = db.entry(class_id(db, o.class_name), o.exemplar).mesh
-            occ |= voxelize_occupancy(mesh, o.pose, origin, dims, spacing)
+            occ |= voxelize_occupancy(shape_entry(db, o).mesh, o.pose, origin, dims, spacing)
         write_sdfg(out / "scene.sdfg", SdfGrid(occ.astype(np.float64), origin, spacing))
         print(f"wrote occupancy {dims} -> {out / 'scene.sdfg'}")
         return 0
     for k, o in enumerate(scene.objects):
-        entry = db.entry(class_id(db, o.class_name), o.exemplar)
+        entry = shape_entry(db, o)
         stem = out / f"object_{k:03d}"
         if args.format == "obj":
             posed = TriMesh(apply_pose(o.pose, entry.mesh.vertices), entry.mesh.triangles)
@@ -393,7 +387,7 @@ def cmd_export(args) -> int:
         elif args.format == "ply":
             _write_ply(f"{stem}.ply", apply_pose(o.pose, entry.mesh.vertices))
         elif args.format == "pts":
-            _write_points(f"{stem}.pts", apply_pose(o.pose, entry.points))
+            write_points(f"{stem}.pts", apply_pose(o.pose, entry.points))
     print(f"exported {len(scene.objects)} objects as {args.format} -> {out}")
     return 0
 

@@ -122,12 +122,13 @@ def collision_loss_total(scene: list[SceneObject]) -> float:
 def collision_gradient(
     scene: list[SceneObject],
     raw_matrices: list[np.ndarray] | None = None,
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Loss and exact per-object gradients of collision_loss_total.
 
     Gradients are w.r.t. each object's rotation matrix entries, translation,
-    and scale. When `raw_matrices` is given, rotation gradients are chained
-    through the SO(3) projection so they apply to the unconstrained matrices.
+    and scale, stacked as (n, 3, 3), (n, 3) and (n, 3) arrays. When
+    `raw_matrices` is given, rotation gradients are chained through the SO(3)
+    projection so they apply to the unconstrained matrices.
     """
     grads_r = np.zeros((len(scene), 3, 3))
     grads_t, grads_s = np.zeros((len(scene), 3)), np.zeros((len(scene), 3))
@@ -162,4 +163,4 @@ def collision_gradient(
 
     if raw_matrices is not None:
         grads_r = chain_rotation_grad(np.reshape(raw_matrices, (-1, 3, 3)), grads_r)
-    return total, list(zip(grads_r, grads_t, grads_s))
+    return total, (grads_r, grads_t, grads_s)

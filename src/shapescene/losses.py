@@ -131,28 +131,29 @@ def pose_loss_world_grads(
     ss: list[np.ndarray],
     clouds: list[np.ndarray],
     targets: list[np.ndarray],
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """pose_loss_rt against world-frame targets (apply_pose(gt, cloud) for a
-    ground-truth pose gt), and its per-object gradients w.r.t. the unconstrained
-    rotation matrix (through the SO(3) projection), translation and scale.
+    ground-truth pose gt), and its gradients w.r.t. each object's unconstrained
+    rotation matrix (through the SO(3) projection), translation and scale,
+    stacked as (n, 3, 3), (n, 3) and (n, 3) arrays.
 
     One stacked computation over raw_ms (n, 3, 3), ts and ss (n, 3), clouds and
-    targets (n, P, 3). Builds no Pose9DoF, so a non-positive scale (an optimizer
-    iterate) is accepted."""
+    targets (n, P, 3); float64 arrays of those shapes are used without a copy.
+    Builds no Pose9DoF, so a non-positive scale (an optimizer iterate) is
+    accepted."""
     if not len(raw_ms) == len(ts) == len(ss) == len(clouds) == len(targets):
         raise MismatchedLengths("per-object lists differ in length")
     if len(raw_ms) == 0:
-        return 0.0, []
-    try:
-        pts, y = np.asarray([clouds, targets], dtype=np.float64)
-    except ValueError:
-        raise MismatchedLengths("the clouds and targets must share one point count") from None
+        return 0.0, (np.zeros((0, 3, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
+    if len({np.shape(x) for x in (*clouds, *targets)}) != 1:
+        raise MismatchedLengths("the clouds and targets must share one point count")
+    pts, y = np.asarray(clouds, dtype=np.float64), np.asarray(targets, dtype=np.float64)
     s, t = np.asarray(ss, dtype=np.float64), np.asarray(ts, dtype=np.float64)
     r = project_to_so3(raw_ms)
     diff = (s[:, None, :] * pts) @ r.swapaxes(1, 2) + t[:, None, :] - y
     total = float(np.cumsum((diff**2).sum(axis=(1, 2)))[-1])  # objects added in order
     grad_r, grad_t, grad_s = apply_pose_backward(r, s, pts, 2.0 * diff)
-    return total, list(zip(chain_rotation_grad(raw_ms, grad_r), grad_t, grad_s))
+    return total, (chain_rotation_grad(raw_ms, grad_r), grad_t, grad_s)
 
 
 def rot_loss_frobenius(r_gt: Rotation, r_pred: Rotation) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DegenerateConfiguration, EmptyScenes
 from .geom import Pose9DoF, apply_pose
 from .mesh import voxelize_occupancy
-from .scene import PlacedObject, Scene, class_id, scene_grid
+from .scene import PlacedObject, Scene, scene_grid, shape_entry
 from .shapedb import ShapeDatabase, assign_exemplar
 
 
@@ -35,31 +35,28 @@ class DetectionBox:
     score: float = 1.0
 
 
-# World margin around the posed objects in the default voxel-metric bounds.
+# World margin around the posed objects in scene_voxel_grid's bounds.
 _SCENE_PAD = 0.1
 # A pair of objects collides when their voxel overlap exceeds this count.
 MIV_EPSILON_VOXELS = 1
 
 
-def _scene_bounds(scenes: list[Scene], db: ShapeDatabase):
-    los, his = [], []
-    for scene in scenes:
-        for o in scene.objects:
-            mesh = db.entry(class_id(db, o.class_name), o.exemplar).mesh
-            verts = apply_pose(o.pose, mesh.vertices)
-            los.append(verts.min(axis=0))
-            his.append(verts.max(axis=0))
-    if not los:
+def scene_voxel_grid(scenes: list[Scene], db: ShapeDatabase, resolution: int):
+    """scene_grid over the bounds of the scenes' posed meshes, padded by
+    _SCENE_PAD on every side; EmptyScenes if no scene holds an object."""
+    verts = [apply_pose(o.pose, shape_entry(db, o).mesh.vertices)
+             for scene in scenes for o in scene.objects]
+    if not verts:
         raise EmptyScenes("no objects in any scene")
-    lo = np.min(los, axis=0) - _SCENE_PAD
-    hi = np.max(his, axis=0) + _SCENE_PAD
-    return tuple((float(a), float(b)) for a, b in zip(lo, hi))
+    verts = np.concatenate(verts)
+    return scene_grid(list(zip(verts.min(axis=0) - _SCENE_PAD, verts.max(axis=0) + _SCENE_PAD)),
+                      resolution)
 
 
 def _object_occupancy(scene: Scene, db: ShapeDatabase, origin, dims, spacing):
     """(class name, occupancy grid) of each object of a scene, in object order."""
     for o in scene.objects:
-        mesh = db.entry(class_id(db, o.class_name), o.exemplar).mesh
+        mesh = shape_entry(db, o).mesh
         yield o.class_name, voxelize_occupancy(mesh, o.pose, origin, dims, spacing)
 
 
@@ -114,9 +111,8 @@ def oracle_scene(gt: Scene, db: ShapeDatabase) -> Scene:
     """Ground-truth poses with each object's database-nearest exemplar shape."""
     objects = []
     for o in gt.objects:
-        cid = class_id(db, o.class_name)
-        entry = db.entry(cid, o.exemplar)
-        nearest = assign_exemplar(db, entry.sdf, cid)
+        entry = shape_entry(db, o)
+        nearest = assign_exemplar(db, entry.sdf, entry.class_id)
         objects.append(PlacedObject(o.class_name, nearest, o.pose))
     return Scene(gt.seed, tuple(objects))
 
@@ -129,7 +125,7 @@ def relative_iou(pred: Scene, gt: Scene, db: ShapeDatabase, resolution: int = 12
     present on one side only contribute 0. Classes whose oracle IoU is zero
     have no relative IoU (omitted) and are excluded from the relative mean.
     """
-    origin, dims, spacing = scene_grid(_scene_bounds([pred, gt], db), resolution)
+    origin, dims, spacing = scene_voxel_grid([pred, gt], db, resolution)
     occ_p = scene_class_occupancy(pred, db, origin, dims, spacing)
     occ_g = scene_class_occupancy(gt, db, origin, dims, spacing)
     per_class, global_iou = _occupancy_iou(occ_p, occ_g, dims)
@@ -338,16 +334,13 @@ def miv_and_collisions(
     scene: Scene,
     db: ShapeDatabase,
     resolution: int = 64,
-    bounds=None,
 ) -> tuple[float, int]:
     """Mean intersecting volume over colliding object pairs, and their count.
 
     A pair collides when its voxel overlap exceeds MIV_EPSILON_VOXELS; the
     volume is overlap count times voxel volume (world units cubed).
     """
-    if bounds is None:
-        bounds = _scene_bounds([scene], db)
-    origin, dims, spacing = scene_grid(bounds, resolution)
+    origin, dims, spacing = scene_voxel_grid([scene], db, resolution)
     occs = [occ for _, occ in _object_occupancy(scene, db, origin, dims, spacing)]
     voxel_volume = spacing**3
     volumes = []

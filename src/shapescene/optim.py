@@ -15,7 +15,7 @@ from .collision import SceneObject, pair_maps, translation_step
 from .errors import MismatchedLengths, NonFinite
 from .geom import Pose9DoF, Rotation, project_to_so3
 from .losses import pose_loss_world_grads
-from .scene import PlacedObject, Scene, class_id
+from .scene import PlacedObject, Scene, shape_entry
 from .sdf import clamp_interior
 from .shapedb import ShapeDatabase
 
@@ -26,7 +26,8 @@ _EPS = 1e-8
 # A fit converges when its objective falls below this, a resolve when its
 # collision loss reaches it (after the warm-up).
 TOL = 1e-12
-# Columns of one object's row in the fit parameters: raw matrix, t, s.
+# Columns of one object's row in the fit parameters, in the order of
+# pose_loss_world_grads' gradients: raw matrix, t, s.
 _BLOCKS = {"rot": slice(0, 9), "trans": slice(9, 12), "scale": slice(12, 15)}
 
 
@@ -84,14 +85,14 @@ def fit_poses(
     values. Returns the best-seen scene and the per-iteration trace of the
     best objective so far (non-increasing by construction).
     """
-    if len(targets) != len(scene_init.objects):
-        raise MismatchedLengths("one target cloud per object required")
+    clouds = np.array([shape_entry(db, o).points for o in scene_init.objects])
+    if [np.shape(y) for y in targets] != [x.shape for x in clouds]:
+        raise MismatchedLengths("one target cloud per object required, of its point count")
     if not freeze <= _BLOCKS.keys():
         raise ValueError(f"unknown freeze blocks {sorted(freeze)}")
     if not scene_init.objects:
         return scene_init, [0.0]
-    clouds = [db.entry(class_id(db, o.class_name), o.exemplar).points
-              for o in scene_init.objects]
+    targets = np.asarray(targets, dtype=np.float64)  # one stack, not one per evaluation
     trace: list[float] = []
 
     def evaluate(params, it):
@@ -100,9 +101,9 @@ def fit_poses(
             clouds, targets)
         # Report the best objective so far; raw Adam iterates are not monotone.
         trace.append(min(trace[-1], obj) if trace else obj)
-        grad = np.hstack([np.reshape(block, (len(params), -1)) for block in zip(*grads)])
-        for block in freeze:
-            grad[:, _BLOCKS[block]] = 0.0
+        grad = np.empty_like(params)
+        for (block, cols), g in zip(_BLOCKS.items(), grads):
+            grad[:, cols] = 0.0 if block in freeze else g.reshape(len(params), -1)
         return obj, grad, obj < TOL
 
     init = np.array([np.concatenate([o.pose.r.m.reshape(-1), o.pose.t, o.pose.s])
@@ -119,7 +120,7 @@ def scene_to_objects(db: ShapeDatabase, scene: Scene) -> list[SceneObject]:
     """Materialize collision-ready objects (clamped SDF + points) for a scene."""
     objs = []
     for o in scene.objects:
-        entry = db.entry(class_id(db, o.class_name), o.exemplar)
+        entry = shape_entry(db, o)
         objs.append(
             SceneObject(
                 class_id=entry.class_id,

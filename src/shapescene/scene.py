@@ -15,7 +15,7 @@ import numpy as np
 from .errors import MalformedFile, PlacementFailure, UnknownClass, of_type, parse_json, read_text
 from .geom import Pose9DoF, Rotation, apply_pose, rotation_about_axis
 from .mesh import voxelize_occupancy
-from .shapedb import ShapeDatabase
+from .shapedb import ShapeDatabase, ShapeEntry
 
 DEFAULT_GROUND_BOUNDS = ((-1.5, 1.5), (-1.5, 1.5))
 DEFAULT_SCALE_RANGE = (0.5, 1.5)
@@ -200,3 +200,9 @@ def class_id(db: ShapeDatabase, name: str) -> int:
         return db.classes.index(name)
     except ValueError:
         raise UnknownClass(f"class {name!r} not in database {db.classes}") from None
+
+
+def shape_entry(db: ShapeDatabase, o: PlacedObject) -> ShapeEntry:
+    """The database entry of a placed object: its class's exemplar o.exemplar."""
+    cid = class_id(db, o.class_name)
+    return db.entry(cid, o.exemplar)

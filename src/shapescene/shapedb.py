@@ -235,7 +235,7 @@ def save_database(db: ShapeDatabase, directory) -> None:
     for e in db.entries:
         stem = f"{db.classes[e.class_id]}_{e.exemplar_index:04d}"
         write_sdfg(directory / f"{stem}.sdfg", e.sdf)
-        _write_points(directory / f"{stem}.pts", e.points)
+        write_points(directory / f"{stem}.pts", e.points)
         save_obj(directory / f"{stem}.obj", e.mesh)
     with open(directory / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -288,21 +288,27 @@ def _read_manifest(path) -> dict:
     if (not isinstance(classes, list) or not classes
             or not all(isinstance(c, str) for c in classes)):
         raise MalformedFile(f"{path}: classes must be a non-empty list of names")
+    for n, c in enumerate(classes):
+        # Each name stems the entry files inside the database directory.
+        if c in ("", ".", "..") or "/" in c or "\0" in c:
+            raise MalformedFile(f"{path}: class name {c!r} is not a plain file name")
+        if c in classes[:n]:
+            raise MalformedFile(f"{path}: duplicate class name {c!r}")
     norm = of_type(manifest["normalization"], float, f"{path}: normalization")
     if not 0 < norm < np.inf:
         raise MalformedFile(f"{path}: normalization must be positive and finite, got {norm!r}")
     return manifest
 
 
-def _write_points(path, points: np.ndarray) -> None:
-    # Count-prefixed little-endian float32 triples.
+def write_points(path, points: np.ndarray) -> None:
+    """Write a `.pts` file: a little-endian uint32 count, then float32 triples."""
     with open(path, "wb") as fh:
         fh.write(struct.pack("<I", len(points)))
         fh.write(np.asarray(points, dtype="<f4").tobytes())
 
 
 def _read_points(path) -> np.ndarray:
-    """Read a points file (see _write_points); MalformedFile if it is not one."""
+    """Read a points file (see write_points); MalformedFile if it is not one."""
     with open(path, "rb") as fh:
         header = fh.read(4)
         if len(header) < 4:

@@ -31,20 +31,19 @@ from shapescene.losses import (
 )
 from shapescene.mesh import sample_surface_points
 from shapescene.metrics import (
-    _scene_bounds,
     average_precision,
     miv_and_collisions,
     oriented_box_iou,
     relative_iou,
+    scene_voxel_grid,
 )
 from shapescene.optim import OptimConfig, fit_poses, resolve_collisions
 from shapescene.scene import (
     PlacedObject,
     Scene,
-    class_id,
     generate_scene,
     perturb_pose,
-    scene_grid,
+    shape_entry,
 )
 from shapescene.sdf import clamp_interior, mesh_to_sdf
 from shapescene.shapedb import kmeans_pp, soft_label
@@ -150,7 +149,7 @@ def test_criterion_2_gradient_suites():
         s = np.exp(rng.normal(size=3) * 0.2)
         pts = rng.normal(size=(16, 3))
         _, grads = pose_loss_world_grads([m], [t], [s], [pts], [apply_pose(gt, pts)])
-        gm, gt_, gs = grads[0]
+        gm, gt_, gs = (g[0] for g in grads)
 
         def f(mm, tt, ss):
             return pose_loss_rt([gt], [Pose9DoF(project_to_so3(mm), tt, ss)], [pts])
@@ -191,7 +190,7 @@ def test_criterion_2_gradient_suites():
             raws.append(raw)
         if collision_loss_total(objs) < 1e-4:
             continue  # grazing contact sits near the documented kink
-        total, grads = collision_gradient(objs, raw_matrices=raws)
+        total, (grads_r, grads_t, grads_s) = collision_gradient(objs, raw_matrices=raws)
 
         def loss_with(which, mm, tt, ss):
             repl = objs[which].with_pose(Pose9DoF(project_to_so3(mm), tt, ss))
@@ -201,8 +200,7 @@ def test_criterion_2_gradient_suites():
         analytic, fd = [], []
         for k in range(2):
             p = objs[k].pose
-            analytic.append(np.concatenate([grads[k][0].ravel(), grads[k][1],
-                                            grads[k][2]]))
+            analytic.append(np.concatenate([grads_r[k].ravel(), grads_t[k], grads_s[k]]))
             fd.append(np.concatenate([
                 _fd_vector(lambda x: loss_with(k, x, p.t, p.s), raws[k]).ravel(),
                 _fd_vector(lambda x: loss_with(k, raws[k], x, p.s), p.t),
@@ -228,9 +226,7 @@ def test_criterion_3_pose_recovery(toy_db):
         init = Scene(gt.seed, (PlacedObject(
             o.class_name, o.exemplar,
             perturb_pose(o.pose, 10.0, 0.1, 0.1, seed=900 + i)),))
-        targets = [apply_pose(
-            o.pose,
-            toy_db.entry(class_id(toy_db, o.class_name), o.exemplar).points)]
+        targets = [apply_pose(o.pose, shape_entry(toy_db, o).points)]
         rec, _ = fit_poses(toy_db, init, targets,
                            OptimConfig(lr=1e-2, iterations=500))
         r = rec.objects[0]
@@ -297,8 +293,7 @@ def test_criterion_5_metric_oracles(cube_db):
         PlacedObject("box", 0, Pose9DoF(Rotation.identity(),
                                         np.array([0.2, 0.1, 0.5]), np.ones(3))),
     ))
-    bounds = _scene_bounds([pred, gt], cube_db)
-    origin, dims, spacing = scene_grid(bounds, 48)
+    origin, dims, spacing = scene_voxel_grid([pred, gt], cube_db, 48)
     axes = [origin[a] + spacing * np.arange(dims[a]) for a in range(3)]
     centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
@@ -314,7 +309,7 @@ def test_criterion_5_metric_oracles(cube_db):
 
     occ_pair = occupancies(pred)
     overlap = int(np.count_nonzero(occ_pair[0] & occ_pair[1]))
-    miv, cnt = miv_and_collisions(pred, cube_db, resolution=48, bounds=bounds)
+    miv, cnt = miv_and_collisions(pred, cube_db, resolution=48)
     checks.append(cnt == 1 and miv == overlap * spacing**3)
 
     # Oriented-box IoU against a 10^6-sample stratified Monte-Carlo oracle.

@@ -11,7 +11,7 @@ from shapescene.cli import load_config, main
 from shapescene.geom import Pose9DoF, apply_pose, rotation_about_axis
 from shapescene.mesh import TriMesh, load_obj, save_obj
 from shapescene.metrics import miv_and_collisions, relative_iou
-from shapescene.scene import PlacedObject, Scene, class_id, load_scene, perturb_pose, save_scene
+from shapescene.scene import PlacedObject, Scene, load_scene, perturb_pose, save_scene, shape_entry
 from shapescene.sdf import read_sdfg
 from shapescene.toys import make_box
 from shapescene.shapedb import _read_points, load_database
@@ -128,6 +128,17 @@ def test_malformed_files_exit_2(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("shapescene: error:") and sdfg.name in err
     assert err.count("\n") == 1
+
+
+def test_empty_class_dir_exits_2(tmp_path, capsys):
+    meshes = tmp_path / "meshes"
+    (meshes / "box").mkdir(parents=True)
+    (meshes / "cylinder").mkdir()
+    save_obj(meshes / "cylinder" / "c.obj", make_box())
+    assert main(["build-db", "--meshes", str(meshes), "--out", str(tmp_path / "db"),
+                 "--k", "1"]) == 2
+    assert capsys.readouterr().err == f"shapescene: error: {meshes / 'box'}: no .obj files\n"
+    assert not (tmp_path / "db").exists()
 
 
 def test_open_mesh_exits_2(tmp_path, capsys, open_box):
@@ -293,6 +304,12 @@ def _rewrite_manifest(edit):
     return apply
 
 
+def _first_class(rename):
+    """A manifest edit renaming its first class c to rename(c)."""
+    return _rewrite_manifest(
+        lambda m: {**m, "classes": [rename(m["classes"][0]), *m["classes"][1:]]})
+
+
 # Makers of (database dir, scene file, the malformed one of them).
 MALFORMED_INPUTS = [
     pytest.param(_bad_scene(_set_first("R", [1.0, 0.1, 0, 0, 1, 0, 0, 0, 1])),
@@ -367,6 +384,15 @@ MALFORMED_INPUTS = [
                  id="manifest-false-normalization"),
     pytest.param(_bad_db(_rewrite_first("manifest.json", _deeply_nested)),
                  id="manifest-nested-100000-deep"),
+    # Each class name stems its entries' file names inside the database.
+    pytest.param(_bad_db(_first_class(lambda c: "../outside/" + c)),
+                 id="manifest-class-outside-db"),
+    pytest.param(_bad_db(_first_class(lambda c: "..")), id="manifest-class-dot-dot"),
+    pytest.param(_bad_db(_first_class(lambda c: "")), id="manifest-class-empty"),
+    pytest.param(_bad_db(_first_class(lambda c: c + "\0")), id="manifest-class-nul"),
+    pytest.param(_bad_db(_rewrite_manifest(
+        lambda m: {**m, "classes": m["classes"][:1] * 2 + m["classes"][2:]})),
+                 id="manifest-duplicate-class"),
 ]
 
 
@@ -621,7 +647,7 @@ def test_export_obj(pipeline, tmp_path):
     scene = load_scene(scene_path)
     assert len(list(tmp_path.glob("*.obj"))) == len(scene.objects)
     for k, o in enumerate(scene.objects):
-        entry = db.entry(class_id(db, o.class_name), o.exemplar)
+        entry = shape_entry(db, o)
         posed = load_obj(tmp_path / f"object_{k:03d}.obj")
         assert np.array_equal(posed.vertices, apply_pose(o.pose, entry.mesh.vertices))
         assert np.array_equal(posed.triangles, entry.mesh.triangles)
@@ -761,6 +787,22 @@ def test_evaluate_mismatched_counts(pipeline, tmp_path):
                  "--metric", "iou"]) == 2
 
 
+def test_evaluate_pairs_directories_by_name(pipeline, tmp_path, capsys):
+    gt, pred = pipeline / "scenes", tmp_path / "pred"
+    pred.mkdir()
+    for name in ("scene_0000.json", "scene_0001.json"):
+        shutil.copy(gt / name, pred / name)
+    argv = ["evaluate", "--db", str(pipeline / "db"), "--pred", str(pred), "--gt", str(gt),
+            "--metric", "map", "--out", str(tmp_path / "map.json")]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "map.json").read_text())["map"] == 1.0
+    (pred / "scene_0001.json").rename(pred / "scene_0002.json")
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"shapescene: error: scene_0001.json is in only one of {pred} and {gt}\n")
+
+
 def test_export_ply_and_pts(pipeline, tmp_path):
     out = tmp_path / "exp"
     assert main(["export", "--db", str(pipeline / "db"),
@@ -783,7 +825,7 @@ def test_export_ply_and_pts(pipeline, tmp_path):
     db = load_database(pipeline / "db")
     scene = load_scene(pipeline / "scenes" / "scene_0000.json")
     for k, o in enumerate(scene.objects):
-        posed = apply_pose(o.pose, db.entry(class_id(db, o.class_name), o.exemplar).points)
+        posed = apply_pose(o.pose, shape_entry(db, o).points)
         back = _read_points(out / f"object_{k:03d}.pts")
         assert np.array_equal(back, posed.astype("<f4").astype(np.float64))
 

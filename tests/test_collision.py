@@ -149,10 +149,9 @@ def test_loss_bounded():
 def test_gradient_separated_zero():
     a = _cube_object(Pose9DoF.identity())
     b = _cube_object(Pose9DoF(Rotation.identity(), np.array([5.0, 0, 0]), np.ones(3)))
-    total, grads = collision_gradient([a, b])
+    total, (gr, gt, gs) = collision_gradient([a, b])
     assert total == 0.0
-    for gr, gt, gs in grads:
-        assert not np.any(gr) and not np.any(gt) and not np.any(gs)
+    assert not np.any(gr) and not np.any(gt) and not np.any(gs)
 
 
 def test_gradient_sign_overlap_along_x():
@@ -161,9 +160,9 @@ def test_gradient_sign_overlap_along_x():
     a = _cube_object(Pose9DoF.identity())
     b = _cube_object(Pose9DoF(Rotation.identity(), np.array([0.8, 0, 0]),
                               np.ones(3)), seed=1)
-    _, grads = collision_gradient([a, b])
-    assert grads[1][1][0] < 0.0
-    assert grads[0][1][0] > 0.0
+    _, (_, grads_t, _) = collision_gradient([a, b])
+    assert grads_t[1][0] < 0.0
+    assert grads_t[0][0] > 0.0
 
 
 def test_gradient_translation_fd(rng):
@@ -185,7 +184,7 @@ def test_gradient_translation_fd(rng):
             fd[axis] = (collision_loss_total(scene_up)
                         - collision_loss_total(scene_dn)) / (2 * eps)
         denom = max(np.linalg.norm(fd), 1e-10)
-        assert np.linalg.norm(grads[which][1] - fd) / denom < 1e-3
+        assert np.linalg.norm(grads[1][which] - fd) / denom < 1e-3
 
 
 def test_gradient_scale_fd(rng):
@@ -207,7 +206,7 @@ def test_gradient_scale_fd(rng):
             fd[axis] = (collision_loss_total(scene_up)
                         - collision_loss_total(scene_dn)) / (2 * eps)
         denom = max(np.linalg.norm(fd), 1e-10)
-        assert np.linalg.norm(grads[which][2] - fd) / denom < 1e-3
+        assert np.linalg.norm(grads[2][which] - fd) / denom < 1e-3
 
 
 def test_gradient_rotation_fd_through_projection(rng):
@@ -236,7 +235,7 @@ def test_gradient_rotation_fd_through_projection(rng):
                 fd[i, j] = (collision_loss_total(scene_up)
                             - collision_loss_total(scene_dn)) / (2 * eps)
         denom = max(np.linalg.norm(fd), 1e-10)
-        assert np.linalg.norm(grads[which][0] - fd) / denom < 1e-3
+        assert np.linalg.norm(grads[0][which] - fd) / denom < 1e-3
 
 
 def test_translation_step_bit_identical_to_collision_gradient(rng):
@@ -258,7 +257,7 @@ def test_translation_step_bit_identical_to_collision_gradient(rng):
             loss, grad = translation_step(objs, maps, t)
             total, grads = collision_gradient(moved)
             assert loss == total == collision_loss_total(moved)
-            assert np.array_equal(grad, np.array([g[1] for g in grads]))
+            assert np.array_equal(grad, grads[1])
             assert collision_energy_single(moved[-1], moved[:-1]) == 0.0
             assert not np.any(grad[-1])
             assert 0.0 < loss

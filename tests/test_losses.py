@@ -159,7 +159,7 @@ def test_pose_loss_grads_fd(rng):
     s = np.exp(rng.normal(size=3) * 0.2)
     pts = rng.normal(size=(24, 3))
     total, grads = pose_loss_world_grads([m], [t], [s], [pts], [apply_pose(gt, pts)])
-    gm, gt_, gs = grads[0]
+    gm, gt_, gs = (g[0] for g in grads)
 
     def f(mm, tt, ss):
         from shapescene.geom import project_to_so3
@@ -191,7 +191,7 @@ def test_pose_loss_world_grads_nonpositive_scale(rng):
     target = apply_pose(_random_pose(rng), pts)
     total, grads = pose_loss_world_grads([m], [t], [s], [pts], [target])
     assert np.isfinite(total)
-    for g in grads[0]:
+    for g in grads:
         assert np.all(np.isfinite(g))
 
     def f(ss):
@@ -200,7 +200,7 @@ def test_pose_loss_world_grads_nonpositive_scale(rng):
     eps = 1e-6
     fd_s = np.array([(f(s + eps * np.eye(3)[a]) - f(s - eps * np.eye(3)[a])) / (2 * eps)
                      for a in range(3)])
-    assert np.linalg.norm(grads[0][2] - fd_s) / np.linalg.norm(fd_s) < 1e-6
+    assert np.linalg.norm(grads[2][0] - fd_s) / np.linalg.norm(fd_s) < 1e-6
 
 
 def test_pose_loss_world_grads_stack_matches_single_objects(rng):
@@ -216,19 +216,21 @@ def test_pose_loss_world_grads_stack_matches_single_objects(rng):
         clouds = [rng.normal(size=(40, 3)) for _ in range(n)]
         targets = [apply_pose(_random_pose(rng), pts) for pts in clouds]
         total, grads = pose_loss_world_grads(ms, ts, ss, clouds, targets)
-        assert len(grads) == n
+        assert [len(g) for g in grads] == [n] * 3
         running = 0.0
         for k in range(n):
             one_total, one_grads = pose_loss_world_grads(
                 [ms[k]], [ts[k]], [ss[k]], [clouds[k]], [targets[k]])
             running += one_total
-            for got, ref in zip(grads[k], one_grads[0]):
-                assert np.array_equal(got, ref)
+            for got, ref in zip(grads, one_grads):
+                assert np.array_equal(got[k], ref[0])
         assert total == running
 
 
 def test_pose_loss_world_grads_empty_and_mismatched(rng):
-    assert pose_loss_world_grads([], [], [], [], []) == (0.0, [])
+    total, grads = pose_loss_world_grads([], [], [], [], [])
+    assert total == 0.0
+    assert [g.shape for g in grads] == [(0, 3, 3), (0, 3), (0, 3)]
     ms, ts, ss = [np.eye(3)] * 2, [np.zeros(3)] * 2, [np.ones(3)] * 2
     clouds = [rng.normal(size=(24, 3)), rng.normal(size=(30, 3))]
     with pytest.raises(MismatchedLengths):

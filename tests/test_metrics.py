@@ -9,7 +9,6 @@ import shapescene.metrics as metrics_module
 from shapescene.metrics import (
     DetectionBox,
     _occupancy_iou,
-    _scene_bounds,
     average_precision,
     map3d,
     miv_and_collisions,
@@ -18,8 +17,9 @@ from shapescene.metrics import (
     procrustes_align,
     relative_iou,
     scene_class_occupancy,
+    scene_voxel_grid,
 )
-from shapescene.scene import PlacedObject, Scene, generate_scene, scene_grid
+from shapescene.scene import PlacedObject, Scene, generate_scene
 from shapescene.shapedb import ShapeDatabase
 from shapescene.mesh import voxelize_occupancy
 
@@ -82,10 +82,9 @@ def test_voxel_iou_popcount_oracle(cube_db):
     # explicit intersection/union counting.
     pred = _box_scene([[0.0, 0, 0.5], [0.8, 0.3, 0.5]])
     gt = _box_scene([[0.2, 0.1, 0.5]])
-    bounds = _scene_bounds([pred, gt], cube_db)
     rep = relative_iou(pred, gt, cube_db, resolution=48)
 
-    origin, dims, spacing = scene_grid(bounds, 48)
+    origin, dims, spacing = scene_voxel_grid([pred, gt], cube_db, 48)
     axes = [origin[a] + spacing * np.arange(dims[a]) for a in range(3)]
     centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
@@ -128,7 +127,7 @@ def test_relative_iou_ratio(cube_db):
 
 def _rasterised_oracle_iou(pred, gt, db, resolution):
     """relative_iou with the oracle scene always rasterised on its own."""
-    origin, dims, spacing = scene_grid(_scene_bounds([pred, gt], db), resolution)
+    origin, dims, spacing = scene_voxel_grid([pred, gt], db, resolution)
     occ_p = scene_class_occupancy(pred, db, origin, dims, spacing)
     occ_g = scene_class_occupancy(gt, db, origin, dims, spacing)
     occ_o = scene_class_occupancy(oracle_scene(gt, db), db, origin, dims, spacing)
@@ -406,9 +405,8 @@ def test_miv_coincident_cubes(cube_db):
 
 def test_miv_popcount_oracle(cube_db):
     scene = _box_scene([[0.0, 0, 0.5], [0.6, 0.2, 0.5]])
-    bounds = _scene_bounds([scene], cube_db)
-    miv, count = miv_and_collisions(scene, cube_db, resolution=48, bounds=bounds)
-    origin, dims, spacing = scene_grid(bounds, 48)
+    miv, count = miv_and_collisions(scene, cube_db, resolution=48)
+    origin, dims, spacing = scene_voxel_grid([scene], cube_db, 48)
     occs = [
         voxelize_occupancy(cube_db.entry(0, 0).mesh, o.pose, origin, dims, spacing)
         for o in scene.objects

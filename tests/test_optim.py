@@ -16,18 +16,15 @@ from shapescene.optim import (
 from shapescene.scene import (
     PlacedObject,
     Scene,
-    class_id,
     generate_scene,
     perturb_pose,
     scene_to_json,
+    shape_entry,
 )
 
 
 def _targets(db, scene):
-    return [
-        apply_pose(o.pose, db.entry(class_id(db, o.class_name), o.exemplar).points)
-        for o in scene.objects
-    ]
+    return [apply_pose(o.pose, shape_entry(db, o).points) for o in scene.objects]
 
 
 def _perturbed(scene, rot_deg, trans, scale, seed):
@@ -119,6 +116,11 @@ def test_fit_poses_mismatched_targets(toy_db):
     gt = generate_scene(toy_db, 2, seed=35)
     with pytest.raises(MismatchedLengths):
         fit_poses(toy_db, gt, _targets(toy_db, gt)[:1], OptimConfig())
+    # A target cloud with its own point count, on its own or on every object.
+    targets = _targets(toy_db, gt)
+    for short in ([targets[0], targets[1][:20]], [t[:20] for t in targets]):
+        with pytest.raises(MismatchedLengths):
+            fit_poses(toy_db, gt, short, OptimConfig())
 
 
 def test_fit_poses_non_finite_target_stops(toy_db):
@@ -211,8 +213,7 @@ def _resolve_by_full_gradient(db, scene, cfg):
         current = [o.with_pose(Pose9DoF(o.pose.r, t, o.pose.s)) for o, t in zip(objs, params)]
         coll_w = 0.0 if it < cfg.warmup else 1.0
         if coll_w > 0.0:
-            coll, grads = collision_gradient(current)
-            grad = np.array([g[1] for g in grads])
+            coll, (_, grad, _) = collision_gradient(current)
         else:
             coll = collision_loss_total(current)
             grad = np.zeros_like(params)

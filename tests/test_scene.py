@@ -17,6 +17,7 @@ from shapescene.scene import (
     scene_from_json,
     scene_grid,
     scene_to_json,
+    shape_entry,
 )
 
 
@@ -73,7 +74,7 @@ def test_scene_grid_cubic_voxels():
 def test_generate_scene_single_on_ground(toy_db):
     scene = generate_scene(toy_db, 1, seed=5)
     o = scene.objects[0]
-    mesh = toy_db.entry(class_id(toy_db, o.class_name), o.exemplar).mesh
+    mesh = shape_entry(toy_db, o).mesh
     min_z = apply_pose(o.pose, mesh.vertices)[:, 2].min()
     assert abs(min_z) < 1e-9
 

@@ -33,3 +33,23 @@ def test_no_unused_imports(path):
 def test_unused_import_is_found():
     source = "import json\nimport os.path\nfrom x import a, b as c\nprint(os, a)\n"
     assert _unused_imports(source) == ["json (line 1)", "c (line 3)"]
+
+
+def _private_imports(source: str) -> list[str]:
+    """`_`-prefixed names a module imports from another shapescene module."""
+    return [f"{alias.name} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").partition(".")[0] == "shapescene")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert _private_imports(path.read_text()) == []
+
+
+def test_private_import_is_found():
+    source = ("from __future__ import annotations\nfrom os import _exit\n"
+              "from .metrics import _bounds, map3d\nfrom shapescene.shapedb import (\n"
+              "    _write,\n)\nfrom . import _mod\n")
+    assert _private_imports(source) == ["_bounds (line 3)", "_write (line 4)", "_mod (line 7)"]

@@ -29,7 +29,7 @@ from .scene import (
     save_scene,
     shape_entry,
 )
-from .sdf import SdfGrid, write_sdfg
+from .sdf import MIN_SDF_RESOLUTION, SdfGrid, write_sdfg
 from .shapedb import (
     DEFAULT_K_PER_CLASS,
     DEFAULT_POINTS_PER_ENTRY,
@@ -126,8 +126,7 @@ def _parse_pre_rotate(spec: str):
 def cmd_build_db(args) -> int:
     k = _opt_in(args, "k", DEFAULT_K_PER_CLASS, 1)
     seed = _opt_in(args, "seed", 0, 0)
-    # mesh_to_sdf's grid holds 2 voxels of padding on each side.
-    res = _opt_in(args, "res", DEFAULT_SDF_RESOLUTION, 5)
+    res = _opt_in(args, "res", DEFAULT_SDF_RESOLUTION, MIN_SDF_RESOLUTION)
     points = _opt_in(args, "points", DEFAULT_POINTS_PER_ENTRY, 1)
     norm = _opt_in(args, "normalization", None, 0, ends="()")
     pre_rot = _parse_pre_rotate(args.pre_rotate) if args.pre_rotate else None
@@ -230,6 +229,11 @@ def cmd_fit_pose(args) -> int:
         init = load_scene(args.init)
         if len(init.objects) != len(gt.objects):
             raise DataError(f"{args.init}: object count differs from {args.gt}")
+        # The fit pairs point i of object k's cloud with point i of its target.
+        for k, (a, b) in enumerate(zip(init.objects, gt.objects)):
+            if (a.class_name, a.exemplar) != (b.class_name, b.exemplar):
+                raise DataError(f"{args.init}: object {k} is not {b.class_name} exemplar "
+                                f"{b.exemplar} as in {args.gt}")
     else:
         objects = [
             PlacedObject(
@@ -282,15 +286,16 @@ def cmd_evaluate(args) -> int:
     # mAP compares poses only; iou and miv rasterise the database's meshes.
     db = None if args.metric == "map" else _load_db(args.db)
     preds = _scene_paths(args.pred)
-    gts = _scene_paths(args.gt)
-    if len(preds) != len(gts):
-        raise DataError(
-            f"{args.pred} has {len(preds)} scenes but {args.gt} has {len(gts)}"
-        )
-    # Two directories pair their scenes by file name (both lists are sorted).
-    unpaired = sorted({p.name for p in preds} ^ {g.name for g in gts})
-    if unpaired and Path(args.pred).is_dir() and Path(args.gt).is_dir():
-        raise DataError(f"{unpaired[0]} is in only one of {args.pred} and {args.gt}")
+    if args.metric != "miv":  # miv scores the predictions alone
+        gts = _scene_paths(args.gt)
+        if len(preds) != len(gts):
+            raise DataError(
+                f"{args.pred} has {len(preds)} scenes but {args.gt} has {len(gts)}"
+            )
+        # Two directories pair their scenes by file name (both lists are sorted).
+        unpaired = sorted({p.name for p in preds} ^ {g.name for g in gts})
+        if unpaired and Path(args.pred).is_dir() and Path(args.gt).is_dir():
+            raise DataError(f"{unpaired[0]} is in only one of {args.pred} and {args.gt}")
     report: dict = {"metric": args.metric, "scenes": len(preds)}
 
     if args.metric == "iou":
@@ -455,7 +460,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="compare predicted scenes against ground truth")
     p.add_argument("--db", required=True)
     p.add_argument("--pred", required=True, help="scene file or directory")
-    p.add_argument("--gt", required=True, help="scene file or directory")
+    p.add_argument("--gt", required=True, help="scene file or directory; miv does not read it")
     p.add_argument("--metric", required=True, choices=["iou", "map", "miv"])
     p.add_argument("--res", type=int, help="voxel resolution for iou and miv")
     p.add_argument("--thresh", type=float, help="mAP IoU threshold")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ZeroScale
-from .geom import Pose9DoF, apply_pose_backward, chain_rotation_grad
+from .geom import Pose9DoF, apply_pose_backward
 from .sdf import SdfGrid, sample_zero_outside
 
 
@@ -121,14 +121,11 @@ def collision_loss_total(scene: list[SceneObject]) -> float:
 
 def collision_gradient(
     scene: list[SceneObject],
-    raw_matrices: list[np.ndarray] | None = None,
 ) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Loss and exact per-object gradients of collision_loss_total.
 
     Gradients are w.r.t. each object's rotation matrix entries, translation,
-    and scale, stacked as (n, 3, 3), (n, 3) and (n, 3) arrays. When
-    `raw_matrices` is given, rotation gradients are chained through the SO(3)
-    projection so they apply to the unconstrained matrices.
+    and scale, stacked as (n, 3, 3), (n, 3) and (n, 3) arrays.
     """
     grads_r = np.zeros((len(scene), 3, 3))
     grads_t, grads_s = np.zeros((len(scene), 3)), np.zeros((len(scene), 3))
@@ -160,7 +157,4 @@ def collision_gradient(
             grads_t[j] -= dt
             grads_r[j] += u.T @ (g / sj)
             grads_s[j] -= (g * y / sj).sum(axis=0)
-
-    if raw_matrices is not None:
-        grads_r = chain_rotation_grad(np.reshape(raw_matrices, (-1, 3, 3)), grads_r)
     return total, (grads_r, grads_t, grads_s)

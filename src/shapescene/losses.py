@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MismatchedLengths
-from .geom import (Pose9DoF, Rotation, apply_pose, apply_pose_backward, chain_rotation_grad,
-                   project_to_so3)
+from .geom import Pose9DoF, Rotation, apply_pose, apply_pose_backward
 
 
 @dataclass(frozen=True)
@@ -106,54 +105,49 @@ def pose_loss_rt(
     poses_gt: list[Pose9DoF],
     poses_pred: list[Pose9DoF],
     clouds: list[np.ndarray],
-    normalized: bool = False,
 ) -> float:
     """Summed squared distance between point clouds under GT and predicted poses.
 
-    As defined there is no 1/M or per-point normalization; pass normalized=True
-    to average over objects and points instead.
+    As defined there is no 1/M or per-point normalization.
     """
     if not len(poses_gt) == len(poses_pred) == len(clouds):
         raise MismatchedLengths("pose/cloud lists differ in length")
     total = 0.0
     for gt, pred, pts in zip(poses_gt, poses_pred, clouds):
         diff = apply_pose(pred, pts) - apply_pose(gt, pts)
-        term = float(np.sum(diff**2))
-        if normalized:
-            term /= len(pts)
-        total += term
-    return total / len(poses_gt) if normalized else total
+        total += float(np.sum(diff**2))
+    return total
 
 
 def pose_loss_world_grads(
-    raw_ms: list[np.ndarray],
+    rs: list[np.ndarray],
     ts: list[np.ndarray],
     ss: list[np.ndarray],
     clouds: list[np.ndarray],
     targets: list[np.ndarray],
 ) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """pose_loss_rt against world-frame targets (apply_pose(gt, cloud) for a
-    ground-truth pose gt), and its gradients w.r.t. each object's unconstrained
-    rotation matrix (through the SO(3) projection), translation and scale,
-    stacked as (n, 3, 3), (n, 3) and (n, 3) arrays.
+    ground-truth pose gt), and its gradients w.r.t. each object's rotation
+    matrix entries, translation and scale, stacked as (n, 3, 3), (n, 3) and
+    (n, 3) arrays. A caller that optimises unconstrained matrices pulls the
+    rotation gradient back through the SO(3) projection itself.
 
-    One stacked computation over raw_ms (n, 3, 3), ts and ss (n, 3), clouds and
+    One stacked computation over rs (n, 3, 3), ts and ss (n, 3), clouds and
     targets (n, P, 3); float64 arrays of those shapes are used without a copy.
     Builds no Pose9DoF, so a non-positive scale (an optimizer iterate) is
     accepted."""
-    if not len(raw_ms) == len(ts) == len(ss) == len(clouds) == len(targets):
+    if not len(rs) == len(ts) == len(ss) == len(clouds) == len(targets):
         raise MismatchedLengths("per-object lists differ in length")
-    if len(raw_ms) == 0:
+    if len(rs) == 0:
         return 0.0, (np.zeros((0, 3, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
     if len({np.shape(x) for x in (*clouds, *targets)}) != 1:
         raise MismatchedLengths("the clouds and targets must share one point count")
     pts, y = np.asarray(clouds, dtype=np.float64), np.asarray(targets, dtype=np.float64)
     s, t = np.asarray(ss, dtype=np.float64), np.asarray(ts, dtype=np.float64)
-    r = project_to_so3(raw_ms)
+    r = np.asarray(rs, dtype=np.float64)
     diff = (s[:, None, :] * pts) @ r.swapaxes(1, 2) + t[:, None, :] - y
     total = float(np.cumsum((diff**2).sum(axis=(1, 2)))[-1])  # objects added in order
-    grad_r, grad_t, grad_s = apply_pose_backward(r, s, pts, 2.0 * diff)
-    return total, (chain_rotation_grad(raw_ms, grad_r), grad_t, grad_s)
+    return total, apply_pose_backward(r, s, pts, 2.0 * diff)
 
 
 def rot_loss_frobenius(r_gt: Rotation, r_pred: Rotation) -> float:

@@ -3,7 +3,8 @@ resolution, both descended by one Adam loop (Kingma & Ba, ICLR 2015) with
 bias correction and a step size cosine-annealed to zero over the budget.
 
 Rotations are optimized in the unconstrained 9-parameter space; the loss sees
-the SO(3) projection, and gradients flow through the SVD differential.
+the SO(3) projection and returns its gradient w.r.t. the rotation, which
+fit_poses pulls back through the SVD differential.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .collision import SceneObject, pair_maps, translation_step
 from .errors import MismatchedLengths, NonFinite
-from .geom import Pose9DoF, Rotation, project_to_so3
+from .geom import Pose9DoF, Rotation, chain_rotation_grad, project_to_so3
 from .losses import pose_loss_world_grads
 from .scene import PlacedObject, Scene, shape_entry
 from .sdf import clamp_interior
@@ -26,8 +27,8 @@ _EPS = 1e-8
 # A fit converges when its objective falls below this, a resolve when its
 # collision loss reaches it (after the warm-up).
 TOL = 1e-12
-# Columns of one object's row in the fit parameters, in the order of
-# pose_loss_world_grads' gradients: raw matrix, t, s.
+# Columns of one object's row in the fit parameters: the raw matrix that
+# projects to R, then t and s, in the order of pose_loss_world_grads' gradients.
 _BLOCKS = {"rot": slice(0, 9), "trans": slice(9, 12), "scale": slice(12, 15)}
 
 
@@ -96,9 +97,10 @@ def fit_poses(
     trace: list[float] = []
 
     def evaluate(params, it):
-        obj, grads = pose_loss_world_grads(
-            params[:, :9].reshape(-1, 3, 3), params[:, 9:12], params[:, 12:],
-            clouds, targets)
+        raw = params[:, :9].reshape(-1, 3, 3)
+        obj, (g_r, g_t, g_s) = pose_loss_world_grads(
+            project_to_so3(raw), params[:, 9:12], params[:, 12:], clouds, targets)
+        grads = (chain_rotation_grad(raw, g_r), g_t, g_s)
         # Report the best objective so far; raw Adam iterates are not monotone.
         trace.append(min(trace[-1], obj) if trace else obj)
         grad = np.empty_like(params)

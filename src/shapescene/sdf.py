@@ -17,6 +17,8 @@ from .mesh import TriMesh, grid_centers, point_triangle_distance, points_inside,
 
 SDFG_MAGIC = b"SDFG"
 _SDFG_HEADER = struct.Struct("<4sI3I3dd")
+# The smallest mesh_to_sdf resolution: one voxel inside 2 of padding on each side.
+MIN_SDF_RESOLUTION = 5
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ def mesh_to_sdf(mesh: TriMesh, resolution: int = 32) -> SdfGrid:
     tests each triangle only against the bricks of voxels that may have it
     as their nearest.
     """
-    if resolution < 5:
+    if resolution < MIN_SDF_RESOLUTION:
         raise ValueError("resolution must leave room for 2 voxels of padding")
     h = 1.0 / (resolution - 4)
     origin = np.full(3, -0.5 - 1.5 * h)

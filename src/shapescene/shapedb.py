@@ -1,7 +1,7 @@
 """Exemplar shape database: k-means++ clustering over flattened SDF grids,
 nearest-exemplar assignment, and hard/soft selection labels.
 
-Soft labels use RMS-normalized SDF vectors (division by sqrt(voxel count)) so
+Soft labels use RMS-scaled SDF vectors (division by sqrt(voxel count)) so
 the clamped similarity 1 - ||phi_i - phi_k|| is non-trivial; the constant is
 recorded in the on-disk manifest so labels are reproducible.
 """
@@ -214,7 +214,7 @@ def hard_label(db: ShapeDatabase, phi: SdfGrid, class_id: int) -> np.ndarray:
 
 def soft_label(db: ShapeDatabase, phi: SdfGrid) -> np.ndarray:
     """Clamped SDF similarity max(1 - ||phi - phi_k||, 0) over all K entries,
-    computed on RMS-normalized flattened vectors."""
+    computed on RMS-scaled flattened vectors."""
     flat = _flatten(phi) / db.normalization
     out = np.empty(db.total)
     for idx, e in enumerate(db.entries):

@@ -15,6 +15,7 @@ from shapescene.geom import (
     Pose9DoF,
     Rotation,
     apply_pose,
+    chain_rotation_grad,
     geodesic_distance,
     project_to_so3,
     random_rotation,
@@ -148,8 +149,9 @@ def test_criterion_2_gradient_suites():
         t = rng.normal(size=3)
         s = np.exp(rng.normal(size=3) * 0.2)
         pts = rng.normal(size=(16, 3))
-        _, grads = pose_loss_world_grads([m], [t], [s], [pts], [apply_pose(gt, pts)])
-        gm, gt_, gs = (g[0] for g in grads)
+        _, (gr, gt_, gs) = pose_loss_world_grads(
+            project_to_so3([m]), [t], [s], [pts], [apply_pose(gt, pts)])
+        gm, gt_, gs = chain_rotation_grad([m], gr)[0], gt_[0], gs[0]
 
         def f(mm, tt, ss):
             return pose_loss_rt([gt], [Pose9DoF(project_to_so3(mm), tt, ss)], [pts])
@@ -190,7 +192,8 @@ def test_criterion_2_gradient_suites():
             raws.append(raw)
         if collision_loss_total(objs) < 1e-4:
             continue  # grazing contact sits near the documented kink
-        total, (grads_r, grads_t, grads_s) = collision_gradient(objs, raw_matrices=raws)
+        total, (grads_r, grads_t, grads_s) = collision_gradient(objs)
+        grads_r = chain_rotation_grad(np.reshape(raws, (-1, 3, 3)), grads_r)
 
         def loss_with(which, mm, tt, ss):
             repl = objs[which].with_pose(Pose9DoF(project_to_so3(mm), tt, ss))

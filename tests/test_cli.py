@@ -637,6 +637,16 @@ def test_fit_pose_from_init_file(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"shapescene: error: {short}: object count differs from {gt_path}\n"
     assert not (tmp_path / "c.json").exists()
+    # Another exemplar's cloud would be fitted to each object's target, point by point.
+    shifted = tmp_path / "shifted.json"
+    save_scene(shifted, Scene(gt.seed, tuple(
+        PlacedObject(o.class_name, 1 - o.exemplar, o.pose) for o in init.objects)))
+    assert main(fit + ["--init", str(shifted), "--out", str(tmp_path / "c.json")]) == 2
+    o = gt.objects[0]
+    assert capsys.readouterr().err == (
+        f"shapescene: error: {shifted}: object 0 is not {o.class_name} exemplar "
+        f"{o.exemplar} as in {gt_path}\n")
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_export_obj(pipeline, tmp_path):
@@ -778,6 +788,21 @@ def test_evaluate_miv_honours_res(pipeline, tmp_path):
     miv_32 = miv_and_collisions(overlapping, db, resolution=32)[0]
     assert json.loads(out.read_text())["miv"] == miv_32
     assert miv_32 > 0.0 and miv_32 != miv_and_collisions(overlapping, db)[0]
+
+
+def test_evaluate_miv_does_not_read_gt(pipeline, tmp_path):
+    # --gt names a directory of other scene names; miv scores --pred alone.
+    other = tmp_path / "other"
+    other.mkdir()
+    shutil.copy(pipeline / "scenes" / "scene_0000.json", other / "a.json")
+    argv = ["evaluate", "--db", str(pipeline / "db"), "--pred", str(pipeline / "scenes"),
+            "--metric", "miv", "--res", "24"]
+    reports = []
+    for gt in (pipeline / "scenes", other, tmp_path / "missing"):
+        out = tmp_path / f"{gt.name}.json"
+        assert main(argv + ["--gt", str(gt), "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_evaluate_mismatched_counts(pipeline, tmp_path):

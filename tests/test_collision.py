@@ -210,7 +210,7 @@ def test_gradient_scale_fd(rng):
 
 
 def test_gradient_rotation_fd_through_projection(rng):
-    from shapescene.geom import project_to_so3
+    from shapescene.geom import chain_rotation_grad, project_to_so3
     raw = [random_rotation(rng).m + rng.normal(size=(3, 3)) * 0.2 for _ in range(2)]
     ts = [np.array([0.3, 0.1, 0.0]), np.zeros(3)]
     objs = [
@@ -218,7 +218,8 @@ def test_gradient_rotation_fd_through_projection(rng):
                      n_points=96, seed=k)
         for k in range(2)
     ]
-    _, grads = collision_gradient(objs, raw_matrices=raw)
+    _, (grads_r, _, _) = collision_gradient(objs)
+    grads_r = chain_rotation_grad(np.reshape(raw, (-1, 3, 3)), grads_r)
     eps = 1e-6
     for which in range(2):
         fd = np.zeros((3, 3))
@@ -235,7 +236,7 @@ def test_gradient_rotation_fd_through_projection(rng):
                 fd[i, j] = (collision_loss_total(scene_up)
                             - collision_loss_total(scene_dn)) / (2 * eps)
         denom = max(np.linalg.norm(fd), 1e-10)
-        assert np.linalg.norm(grads[0][which] - fd) / denom < 1e-3
+        assert np.linalg.norm(grads_r[which] - fd) / denom < 1e-3
 
 
 def test_translation_step_bit_identical_to_collision_gradient(rng):

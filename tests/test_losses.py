@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from shapescene.errors import MismatchedLengths
-from shapescene.geom import Pose9DoF, Rotation, apply_pose, random_rotation
+from shapescene.geom import (Pose9DoF, Rotation, apply_pose, chain_rotation_grad,
+                             project_to_so3, random_rotation)
 from shapescene.losses import (
     LossWeights,
     binned_rotation_loss,
@@ -143,26 +144,17 @@ def test_pose_loss_loop_oracle(rng):
     assert abs(pose_loss_rt([gt], [pred], [pts]) - oracle) < 1e-9
 
 
-def test_pose_loss_normalized_flag(rng):
-    gt = _random_pose(rng)
-    pred = _random_pose(rng)
-    pts = rng.normal(size=(32, 3))
-    raw = pose_loss_rt([gt], [pred], [pts])
-    norm = pose_loss_rt([gt], [pred], [pts], normalized=True)
-    assert abs(norm - raw / 32.0) < 1e-12
-
-
 def test_pose_loss_grads_fd(rng):
     gt = _random_pose(rng)
     m = random_rotation(rng).m + rng.normal(size=(3, 3)) * 0.2
     t = rng.normal(size=3)
     s = np.exp(rng.normal(size=3) * 0.2)
     pts = rng.normal(size=(24, 3))
-    total, grads = pose_loss_world_grads([m], [t], [s], [pts], [apply_pose(gt, pts)])
-    gm, gt_, gs = (g[0] for g in grads)
+    total, (gr, gt_, gs) = pose_loss_world_grads(
+        project_to_so3([m]), [t], [s], [pts], [apply_pose(gt, pts)])
+    gm, gt_, gs = chain_rotation_grad([m], gr)[0], gt_[0], gs[0]
 
     def f(mm, tt, ss):
-        from shapescene.geom import project_to_so3
         pred = Pose9DoF(project_to_so3(mm), tt, ss)
         return pose_loss_rt([gt], [pred], [pts])
 
@@ -194,13 +186,20 @@ def test_pose_loss_world_grads_nonpositive_scale(rng):
     for g in grads:
         assert np.all(np.isfinite(g))
 
-    def f(ss):
-        return pose_loss_world_grads([m], [t], [ss], [pts], [target])[0]
+    # The gradients are w.r.t. the entries of r, t and s themselves.
+    def f(rr, tt, ss):
+        return pose_loss_world_grads([rr], [tt], [ss], [pts], [target])[0]
 
     eps = 1e-6
-    fd_s = np.array([(f(s + eps * np.eye(3)[a]) - f(s - eps * np.eye(3)[a])) / (2 * eps)
-                     for a in range(3)])
-    assert np.linalg.norm(grads[2][0] - fd_s) / np.linalg.norm(fd_s) < 1e-6
+    e9 = np.eye(9).reshape(9, 3, 3)
+    fd_r = np.array([(f(m + eps * e, t, s) - f(m - eps * e, t, s)) / (2 * eps)
+                     for e in e9]).reshape(3, 3)
+    fd_t = np.array([(f(m, t + eps * e, s) - f(m, t - eps * e, s)) / (2 * eps)
+                     for e in np.eye(3)])
+    fd_s = np.array([(f(m, t, s + eps * e) - f(m, t, s - eps * e)) / (2 * eps)
+                     for e in np.eye(3)])
+    for got, fd in zip(grads, (fd_r, fd_t, fd_s)):
+        assert np.linalg.norm(got[0] - fd) / np.linalg.norm(fd) < 1e-6
 
 
 def test_pose_loss_world_grads_stack_matches_single_objects(rng):

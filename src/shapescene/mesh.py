@@ -3,9 +3,11 @@ and point-to-mesh distance.
 
 Containment uses parity ray casting along the three grid axes with a majority
 vote, which tolerates small cracks in near-watertight input; only rays that can
-cross the mesh's bounding box are cast (see `_parity_along_axis`). Distance is
-exact; it skips the point-triangle pairs that a per-brick bound shows cannot
-hold the minimum (see `point_triangle_distance`).
+cross the mesh's bounding box are cast, and the points of a lattice line share
+one ray per axis (see `_parity_along_axis`). Distance is exact; it skips the
+point-triangle pairs that a per-brick bound shows cannot hold the minimum, by
+the gap between bounding boxes or by the distance from the brick's centre (see
+`point_triangle_distance`).
 """
 from __future__ import annotations
 
@@ -174,13 +176,31 @@ def _cull_margins(e1: np.ndarray, e2: np.ndarray, denom: np.ndarray,
 def _parity_along_axis(mesh: TriMesh, points: np.ndarray, axis: int) -> np.ndarray:
     """Odd crossing parity of +axis rays from each point (True = inside).
 
-    Only the rays that can be counted are cast: those whose (b, c) position
-    lies inside the mesh's bounding box and whose start is not above it, each
-    widened by a rounding-error margin (`_cull_margins`). Every other point
-    crosses nothing, which is what casting its ray would give, so the result
-    is bit-identical to testing every point.
+    `points` is either (n, 3), read as n columns of one point, or a
+    (columns, m, 3) lattice whose m points in a column differ only in their
+    `axis` coordinate; the result has the leading shape of `points`. A
+    column whose other two coordinates differ anywhere raises ValueError.
+
+    The ray test of a point reads its `axis` coordinate only in the last
+    comparison, the start against the crossing height. Everything before
+    it, the jittered (b, c) sums, alpha, beta, the hit test and the crossing
+    height, is a function of the (b, c) floats alone, and those are the same
+    floats for every point of a column. So each triangle is tested once per
+    column, and the crossing height of each hit column is compared with all
+    of the column's starts: the same operations on the same operands as one
+    ray per point, hence the same bits.
+
+    Only the columns whose rays can be counted are cast: those whose (b, c)
+    position lies inside the mesh's bounding box and whose lowest start is
+    not above it, each widened by a rounding-error margin (`_cull_margins`).
+    Every other point crosses nothing, which is what casting its ray would
+    give, so the result is bit-identical to testing every point.
     """
     b_ax, c_ax = [a for a in range(3) if a != axis]
+    columns = points if points.ndim == 3 else points[:, None, :]
+    if any(np.any(columns[:, 1:, a] != columns[:, :1, a]) for a in (b_ax, c_ax)):
+        raise ValueError(f"a column's points differ off axis {axis}")
+    starts = columns[:, :, axis]
     p0, p1, p2 = mesh.corners()
     e1s = p1 - p0
     e2s = p2 - p0
@@ -190,45 +210,68 @@ def _parity_along_axis(mesh: TriMesh, points: np.ndarray, axis: int) -> np.ndarr
     p0, e1s, e2s, denoms = p0[active], e1s[active], e2s[active], denoms[active]
     lo, hi = mesh.bounds()
     across, along = _cull_margins(e1s, e2s, denoms, mesh.vertices)
-    jb, jc = _RAY_JITTER, _RAY_JITTER * np.sqrt(3.0)
-    near = points[:, axis] < hi[axis] + along
-    for a, jitter in ((b_ax, jb), (c_ax, jc)):
-        q = points[:, a] + jitter
-        near &= (q >= lo[a] - across) & (q <= hi[a] + across)
-    # The same jittered sums, formed again for the near points only.
-    qa = points[near, axis]
-    qb = points[near, b_ax] + jb
-    qc = points[near, c_ax] + jc
+    qb = columns[:, 0, b_ax] + _RAY_JITTER
+    qc = columns[:, 0, c_ax] + _RAY_JITTER * np.sqrt(3.0)
+    near = np.flatnonzero(
+        (starts.min(axis=1) < hi[axis] + along)
+        & (qb >= lo[b_ax] - across) & (qb <= hi[b_ax] + across)
+        & (qc >= lo[c_ax] - across) & (qc <= hi[c_ax] + across)
+    )
+    qb, qc = qb.take(near), qc.take(near)
 
-    odd = np.zeros(len(qa), dtype=bool)
+    hits, heights = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     # Python floats: the same float64 arithmetic without numpy scalar indexing.
     for p, e1, e2, denom in zip(p0.tolist(), e1s.tolist(), e2s.tolist(), denoms.tolist()):
         db = qb - p[b_ax]
         dc = qc - p[c_ax]
         alpha = (db * e2[c_ax] - dc * e2[b_ax]) / denom
         beta = (e1[b_ax] * dc - e1[c_ax] * db) / denom
-        hit = (alpha >= 0.0) & (beta >= 0.0) & (alpha + beta <= 1.0)
-        if not hit.any():
-            continue
-        x_int = p[axis] + alpha * e1[axis] + beta * e2[axis]
-        odd ^= hit & (x_int > qa)
-    parity = np.zeros(len(points), dtype=bool)
-    parity[near] = odd
-    return parity
+        hit = ((alpha >= 0.0) & (beta >= 0.0) & (alpha + beta <= 1.0)).nonzero()[0]
+        if len(hit):
+            hits.append(hit)
+            heights.append(p[axis] + alpha[hit] * e1[axis] + beta[hit] * e2[axis])
+    # Every crossing against its column's starts at once; the parity of a
+    # point is that of the number of crossings above it.
+    column = near.take(np.concatenate(hits))
+    above = np.concatenate(heights)[:, None] > starts.take(column, axis=0)
+    m = starts.shape[1]
+    crossings = np.bincount((column[:, None] * m + np.arange(m))[above], minlength=starts.size)
+    parity = (crossings % 2 == 1).reshape(starts.shape)
+    return parity if points.ndim == 3 else parity[:, 0]
 
 
 def points_inside(mesh: TriMesh, points: np.ndarray) -> tuple[np.ndarray, float]:
     """Majority-vote containment for arbitrary points.
 
-    Returns (inside mask, fraction of points where the three axis votes
-    disagree). Callers decide whether the disagreement is fatal.
+    `points` is (..., 3) and flattened to (n, 3), except that a 4-D array
+    is read as an (nx, ny, nz, 3) lattice such as `grid_centers` returns,
+    whose lines along each axis vary in that axis's coordinate alone
+    (ValueError otherwise). A lattice casts one ray per line and axis
+    (`_parity_along_axis`); the votes are the same as for its points one
+    by one.
+
+    Returns (inside mask over the points in C order, fraction of points
+    where the three axis votes disagree). Callers decide whether the
+    disagreement is fatal.
     """
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    votes = np.stack([_parity_along_axis(mesh, points, a) for a in range(3)])
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim == 4:
+        votes = np.stack([_lattice_parity(mesh, points, a) for a in range(3)])
+    else:
+        points = points.reshape(-1, 3)
+        votes = np.stack([_parity_along_axis(mesh, points, a) for a in range(3)])
     total = votes.sum(axis=0)
     inside = total >= 2
-    disagree = float(np.mean((total != 0) & (total != 3))) if len(points) else 0.0
+    disagree = float(np.mean((total != 0) & (total != 3))) if total.size else 0.0
     return inside, disagree
+
+
+def _lattice_parity(mesh: TriMesh, lattice: np.ndarray, axis: int) -> np.ndarray:
+    """`_parity_along_axis` of an (nx, ny, nz, 3) lattice, one column per
+    line along `axis`, flattened back to the lattice's C order."""
+    lines = np.moveaxis(lattice, axis, 2)
+    parity = _parity_along_axis(mesh, lines.reshape(-1, lines.shape[2], 3), axis)
+    return np.moveaxis(parity.reshape(lines.shape[:3]), 2, axis).ravel()
 
 
 def require_watertight(disagreement: float) -> None:
@@ -313,13 +356,31 @@ def point_triangle_distance(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
     """Unsigned distance from each point to the nearest mesh triangle.
 
     Exact and brick-culled. The points are binned into an 8x8x8 grid of
-    bricks over their bounding box. For each brick, the distance d(c) from
-    the centre c of its points' bounding box to the mesh, plus the box's
-    half-diagonal r, bounds the distance of every point in it. A triangle is
-    evaluated only on the bricks whose bounding box lies within that bound of
-    the triangle's bounding box. The skipped pairs cannot hold a point's
-    minimum, and the evaluated ones use the same arithmetic as testing every
-    pair, so the result is bit-identical to the all-pairs minimum.
+    bricks over their bounding box. For each brick, with c the centre of its
+    points' bounding box, r the box's half-diagonal and D_t the distance from
+    c to triangle t, bound = min_t D_t + r + s bounds the distance of every
+    point in it. A triangle is evaluated on a brick only if it passes two
+    tests (Ericson, Real-Time Collision Detection, ch. 4):
+    - box: the gap between its bounding box and the brick's is <= bound;
+    - centre: D_t - r - s <= bound. As d(p, t) >= d(c, t) - |p - c|, a
+      triangle that fails it is farther than bound from every point p of
+      the brick.
+    The skipped pairs cannot hold a point's minimum, and the evaluated ones
+    use the same arithmetic as testing every pair, so the result is
+    bit-identical to the all-pairs minimum.
+
+    The slack s. Write u for the unit roundoff, S for the largest coordinate
+    magnitude of the points and vertices, B = min_t D_t, and F(p, t) and
+    d(p, t) for the computed and exact distances, |F - d| <= e
+    (`_distance_rounding`; e >= 128 u S). Rounding c and r lets |p - c|
+    exceed r by at most 8 u S <= e. Then, for t* the triangle of B,
+    F(p, t*) <= d(c, t*) + r + 8 u S + e <= B + r + 3e. A triangle the box
+    test skips has F(p, t) >= gap - e > bound - e, and one the centre test
+    skips has F(p, t) >= D_t - r - 8 u S - 2e > bound + s - 3e; each stays
+    >= B + r + 3e when s >= 4e, apart from the rounding of the sums and
+    comparisons, a few u (bound + S). So s = 1e-9 (bound + S) + 4e. The
+    centre test reads D_t rounded down to float32 (`_float32_below`), which
+    only skips fewer pairs.
 
     The points and brick centres are also held as (3, n) C-ordered rows, and
     each triangle gets its near subset in both layouts. Projections,
@@ -348,36 +409,104 @@ def point_triangle_distance(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
     key = (cell[:, 0] * _BRICKS_PER_AXIS + cell[:, 1]) * _BRICKS_PER_AXIS + cell[:, 2]
     order = np.argsort(key, kind="stable")
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-    ends = np.append(starts[1:], len(points))
+    sizes = np.diff(np.append(starts, len(points)))
     brick_lo = np.minimum.reduceat(points[order], starts, axis=0)
     brick_hi = np.maximum.reduceat(points[order], starts, axis=0)
 
-    # d(p) <= d(c) + |p - c| <= d(c) + r for every point p of a brick. The
-    # slack covers rounding in the distance formula and the box gap, which is
-    # a few ulps of the coordinates.
+    # d(p) <= d(c) + |p - c| <= d(c) + r for every point p of a brick; the
+    # slack is derived in the docstring. `centre_low[t]` holds each brick
+    # centre's distance to triangle t rounded down to float32, half the
+    # memory of float64 and never above the distance it stands for.
     centre = (brick_lo + brick_hi) / 2.0
     centre_rows = np.ascontiguousarray(centre.T)
+    centre_low = np.empty((len(p0s), len(centre)), dtype=np.float32)
     bound = np.full(len(centre), np.inf)
     for t in range(len(p0s)):
-        bound = np.minimum(
-            bound, _triangle_distance(centre, centre_rows, p0s[t], p1s[t], p2s[t])
-        )
-    bound += np.linalg.norm(brick_hi - brick_lo, axis=1) / 2.0
+        dist = _triangle_distance(centre, centre_rows, p0s[t], p1s[t], p2s[t])
+        bound = np.minimum(bound, dist)
+        centre_low[t] = _float32_below(dist)
+    radius = np.linalg.norm(brick_hi - brick_lo, axis=1) / 2.0
+    bound += radius
     scale = max(np.abs(points).max(), np.abs(mesh.vertices).max())
-    bound += 1e-9 * (bound + scale)
+    slack = 1e-9 * (bound + scale) + 4.0 * _distance_rounding(p0s, p1s, p2s, scale)
+    bound += slack
+    reach = radius + slack
 
     tri_lo = np.minimum(np.minimum(p0s, p1s), p2s)
     tri_hi = np.maximum(np.maximum(p0s, p1s), p2s)
     for t in range(len(p0s)):
         gap = np.maximum(np.maximum(tri_lo[t] - brick_hi, brick_lo - tri_hi[t]), 0.0)
-        near = np.flatnonzero(np.einsum("ij,ij->i", gap, gap) <= bound * bound)
+        near = np.flatnonzero(
+            (np.einsum("ij,ij->i", gap, gap) <= bound * bound)
+            & (centre_low[t] - reach <= bound)
+        )
         if len(near) == 0:
             continue
-        idx = np.concatenate([order[starts[b]:ends[b]] for b in near])
-        best[idx] = np.minimum(
-            best[idx], _triangle_distance(points[idx], rows[:, idx], p0s[t], p1s[t], p2s[t])
-        )
+        # The near bricks' runs of `order`, gathered in one pass; `take`
+        # copies the same values as fancy indexing, several times faster.
+        lens = sizes[near]
+        runs = np.repeat(starts[near] - (np.cumsum(lens) - lens), lens)
+        idx = order.take(np.arange(len(runs)) + runs)
+        best[idx] = np.minimum(best[idx], _triangle_distance(
+            points.take(idx, axis=0), rows.take(idx, axis=1), p0s[t], p1s[t], p2s[t]))
     return best
+
+
+def _float32_below(x: np.ndarray) -> np.ndarray:
+    """The largest float32 at or below each float64 of x (x not NaN)."""
+    with np.errstate(over="ignore"):  # beyond the float32 range: inf, stepped down below
+        low = x.astype(np.float32)
+    return np.where(low > x, np.nextafter(low, np.float32(-np.inf)), low)
+
+
+def _distance_rounding(p0s: np.ndarray, p1s: np.ndarray, p2s: np.ndarray,
+                       scale: float) -> float:
+    """A bound e on |F - d|, where F is the distance `_triangle_distance`
+    computes from a point to one of the triangles (p0s, p1s, p2s), d the
+    exact one, and `scale` bounds every coordinate magnitude.
+
+    First-order error analysis, with u the unit roundoff and S = scale, so
+    every difference of two points has norm at most 2 sqrt(3) S < 3.5 S:
+    - A segment's rounded, clipped parameter moves its point by at most
+      (4.1 |p - a| + 5 |ab|) u <= 32 u S; forming the edge vector, the
+      point and the norm adds at most 28 u S. A zero-length edge
+      (|ab| < 1e-15) is measured to its start, off by less than 1e-15.
+    - The plane branch, taken when det = ac - b^2 > 1e-15, solves a 2x2
+      system of condition kappa = ac / det. Rounding moves alpha e1 by at
+      most u kappa (18.2 |d| + 16 alpha |e1|), and likewise beta e2; with
+      alpha + beta <= 1 that is at most 184 u kappa S, plus at most 50 u S
+      for forming the point and the norm. Its point lies in the triangle,
+      so F also exceeds d by at most the triangle's diameter, under half
+      its perimeter P. The analysis needs 1024 u kappa <= 1; beyond that
+      only the diameter term holds.
+    - A triangle with det <= 1e-15 is measured by its edges alone. A point
+      over its interior is at most the inradius sqrt(det) / P farther from
+      the border than from the triangle.
+    A computed point near the triangle's border may take the other branch
+    than the exact one; each branch then misses by at most the same
+    displacement. The a, b, c and det formed here sum in another order
+    than `_triangle_distance`'s dot products: each det lies within 15 u ac
+    of the exact one, so a margin of 32 u ac decides which branches a
+    triangle may take, and bounds kappa and the inradius. e is the largest
+    of these per-triangle terms, plus 128 u S + 1e-15 for the fixed ones.
+    """
+    u = np.finfo(np.float64).eps / 2.0
+    e1 = p1s - p0s
+    e2 = p2s - p0s
+    a = np.einsum("ij,ij->i", e1, e1)
+    b = np.einsum("ij,ij->i", e1, e2)
+    c = np.einsum("ij,ij->i", e2, e2)
+    det = a * c - b * b
+    margin = 32.0 * u * (a * c)
+    perimeter = np.sqrt(a) + np.sqrt(c) + np.linalg.norm(e2 - e1, axis=1)
+    fixed = 128.0 * u * scale + 1e-15
+    kappa = a * c / np.maximum(det - margin, 1e-15)
+    plane = np.minimum(np.where(1024.0 * u * kappa <= 1.0, 184.0 * u * kappa * scale, np.inf),
+                       perimeter / 2.0)
+    edges = np.sqrt(np.maximum(det + margin, 0.0)) / np.maximum(perimeter, np.finfo(float).tiny)
+    err = np.maximum(np.where(det + margin > 1e-15, plane, 0.0),
+                     np.where(det - margin <= 1e-15, edges, 0.0))
+    return float(err.max()) + fixed
 
 
 def _row_norm(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -417,7 +546,7 @@ def _triangle_distance(
         if len(inner):
             alpha = alpha[inner]
             beta = beta[inner]
-            x, y, z = rows[:, inner]
+            x, y, z = rows.take(inner, axis=1)
             dist[inner] = _row_norm(
                 x - (p0[0] + alpha * e1[0] + beta * e2[0]),
                 y - (p0[1] + alpha * e1[1] + beta * e2[1]),

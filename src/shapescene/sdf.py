@@ -59,20 +59,24 @@ def mesh_to_sdf(mesh: TriMesh, resolution: int = 32) -> SdfGrid:
 
     The grid covers the unit cube [-0.5, 0.5]^3 plus 2 voxels of padding on
     each side, so `resolution` includes the padding. Sign comes from parity
-    ray casting along +x/+y/+z with majority vote; magnitude is the exact
-    distance to the nearest triangle, from `point_triangle_distance`, which
-    tests each triangle only against the bricks of voxels that may have it
-    as their nearest.
+    ray casting along +x/+y/+z with majority vote, on the voxel-centre
+    lattice: each line of voxels along an axis shares one ray, whose
+    crossings are compared with every voxel's start (`points_inside`).
+    Magnitude is the exact distance to the nearest triangle, from
+    `point_triangle_distance`, which tests each triangle only against the
+    bricks of voxels that may have it as their nearest, by bounding box and
+    by the distance from the brick's centre. Both give the bits that testing
+    every voxel against every triangle gives.
     """
     if resolution < MIN_SDF_RESOLUTION:
         raise ValueError("resolution must leave room for 2 voxels of padding")
     h = 1.0 / (resolution - 4)
     origin = np.full(3, -0.5 - 1.5 * h)
-    centers = grid_centers(origin, h, (0, 0, 0), (resolution,) * 3).reshape(-1, 3)
+    centers = grid_centers(origin, h, (0, 0, 0), (resolution,) * 3)
 
     inside, disagreement = points_inside(mesh, centers)
     require_watertight(disagreement)
-    dist = point_triangle_distance(centers, mesh)
+    dist = point_triangle_distance(centers.reshape(-1, 3), mesh)
     values = np.where(inside, -dist, dist).reshape(resolution, resolution, resolution)
     return SdfGrid(values, origin, h)
 

@@ -428,6 +428,16 @@ def _run_pipeline(root: Path, threads: str) -> dict[str, bytes]:
         "--scene", str(root / "scenes" / "scene_0001.json"),
         "--out", str(root / "resolved.json"), "--trace", str(root / "res.csv"),
         "--iters", "10", "--anchor", "1e-3")
+    # Labels read the database's SDFs; iou, miv and the occupancy export
+    # test containment one point per ray (`voxelize_occupancy`).
+    run("labels", "--db", str(root / "db"),
+        "--scene", str(root / "scenes" / "scene_0000.json"), "--out", str(root / "labels.json"))
+    for metric in ("iou", "map", "miv"):
+        run("evaluate", "--db", str(root / "db"), "--pred", str(root / "resolved.json"),
+            "--gt", str(root / "scenes" / "scene_0001.json"), "--metric", metric,
+            "--res", "32", "--out", str(root / f"eval_{metric}.json"))
+    run("export", "--db", str(root / "db"), "--scene", str(root / "resolved.json"),
+        "--out", str(root / "export"), "--format", "sdfg", "--res", "32")
     return {
         str(p.relative_to(root)): p.read_bytes()
         for p in sorted(root.rglob("*")) if p.is_file()

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,10 +8,15 @@ from shapescene.errors import DegenerateMesh, NonWatertight
 from shapescene.geom import Pose9DoF, Rotation, rotation_about_axis
 from shapescene.mesh import (
     _RAY_JITTER,
+    WATERTIGHT_DISAGREEMENT,
     TriMesh,
+    _distance_rounding,
+    _float32_below,
     _parity_along_axis,
     _points_inside_picked_first,
+    _triangle_distance,
     canonicalize_mesh,
+    grid_centers,
     load_obj,
     point_triangle_distance,
     points_inside,
@@ -16,6 +24,7 @@ from shapescene.mesh import (
     save_obj,
     voxelize_occupancy,
 )
+from shapescene.sdf import mesh_to_sdf
 from shapescene.toys import make_box, make_cylinder, toy_shape_set
 
 
@@ -420,3 +429,177 @@ def test_point_triangle_distance_matches_all_pairs(rng):
 def test_point_triangle_distance_rejects_non_finite():
     with pytest.raises(ValueError):
         point_triangle_distance(np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]), make_box())
+
+
+def _sdf_lattice(resolution=32):
+    """The (r, r, r, 3) voxel-centre lattice `mesh_to_sdf` computes on."""
+    h = 1.0 / (resolution - 4)
+    return grid_centers(np.full(3, -0.5 - 1.5 * h), h, (0, 0, 0), (resolution,) * 3)
+
+
+def _majority_of_all_points(mesh, points):
+    """Inside mask and disagreement from the all-points parity reference."""
+    total = np.sum([_all_points_parity(mesh, points, axis) for axis in range(3)], axis=0)
+    return total >= 2, float(np.mean((total != 0) & (total != 3)))
+
+
+def _box_on_lattice_planes(shift):
+    """A box whose faces lie on voxel-centre planes of `_sdf_lattice()`,
+    moved by `shift` along every axis."""
+    axis = _sdf_lattice()[:, 0, 0, 0]
+    lo, hi = axis[6] + shift, axis[25] + shift
+    box = make_box()
+    return TriMesh(np.where(box.vertices > 0, hi, lo), box.triangles)
+
+
+def _cracked_cylinder():
+    """The 1000-triangle cylinder without four adjacent bottom-cap wedges:
+    its votes disagree on the voxels of the few columns through the crack."""
+    cylinder = make_cylinder(0.5, 1.0, segments=250, taper=0.7)
+    return TriMesh(cylinder.vertices, np.delete(cylinder.triangles, [2, 6, 10, 14], axis=0))
+
+
+@pytest.mark.parametrize("name, mesh", [
+    ("cylinder1000", make_cylinder(0.5, 1.0, segments=250, taper=0.7)),
+    *[(f"box_on_planes{shift:+.1e}", _box_on_lattice_planes(shift))
+      for shift in (0.0, _RAY_JITTER, -_RAY_JITTER, _RAY_JITTER * np.sqrt(3.0))],
+    ("cracked", _cracked_cylinder()),
+])
+def test_lattice_containment_matches_all_points(name, mesh):
+    lattice = _sdf_lattice()
+    points = lattice.reshape(-1, 3)
+    inside, disagreement = _majority_of_all_points(mesh, points)
+    got, got_disagreement = points_inside(mesh, lattice)
+    assert np.array_equal(got, inside)
+    assert got_disagreement == disagreement == points_inside(mesh, points)[1]
+    if name == "cracked":
+        assert 0.0 < disagreement < WATERTIGHT_DISAGREEMENT
+    if disagreement <= WATERTIGHT_DISAGREEMENT:
+        values = mesh_to_sdf(mesh, 32).values.reshape(-1)
+        assert np.array_equal(np.signbit(values), inside)
+    else:
+        with pytest.raises(NonWatertight):
+            mesh_to_sdf(mesh, 32)
+
+
+def test_parity_columns_must_share_their_ray():
+    mesh = make_box()
+    lattice = _sdf_lattice(8)
+    columns = lattice.reshape(-1, 8, 3)  # lines along z
+    expected = _all_points_parity(mesh, lattice.reshape(-1, 3), 2).reshape(-1, 8)
+    assert np.array_equal(_parity_along_axis(mesh, columns, 2), expected)
+    for off_axis in (0, 1):
+        bad = columns.copy()
+        bad[5, 3, off_axis] = np.nextafter(bad[5, 3, off_axis], np.inf)
+        with pytest.raises(ValueError):
+            _parity_along_axis(mesh, bad, 2)
+
+
+_CYLINDER_MOVED = TriMesh(make_cylinder(0.5, 1.0, 64, taper=0.6).vertices + 1e3,
+                          make_cylinder(0.5, 1.0, 64, taper=0.6).triangles)
+
+
+@pytest.mark.parametrize("name, mesh, shift", [
+    ("cylinder1000", make_cylinder(0.5, 1.0, segments=250, taper=0.7), 0.0),
+    ("cylinder_moved_1e3", _CYLINDER_MOVED, 0.0),  # far from every voxel
+    ("both_moved_1e3", _CYLINDER_MOVED, 1e3),  # the same geometry, coordinates near 1e3
+    ("box_ties", make_box(), 0.0),  # voxels equidistant from two or three faces
+])
+def test_point_triangle_distance_on_sdf_lattice_matches_all_pairs(name, mesh, shift):
+    points = _sdf_lattice().reshape(-1, 3) + shift
+    assert np.array_equal(point_triangle_distance(points, mesh), _all_pairs_distance(points, mesh))
+
+
+def test_centre_distance_store_never_exceeds_the_distance():
+    cylinder = make_cylinder(0.5, 1.0, segments=64, taper=0.6)
+    centres = _sdf_lattice(16).reshape(-1, 3)
+    rows = np.ascontiguousarray(centres.T)
+    dists = np.concatenate([
+        _triangle_distance(centres, rows, p0, p1, p2) for p0, p1, p2 in zip(*cylinder.corners())
+    ])
+    f32 = np.finfo(np.float32)
+    extremes = np.array([0.0, 5e-324, f32.tiny, float(f32.max), 2.0 * float(f32.max), 1e300,
+                         0.1, 1.0 / 3.0, float(np.float32(0.1))])
+    for x in (dists, extremes):
+        low = _float32_below(x)
+        assert low.dtype == np.float32
+        assert np.all(low.astype(np.float64) <= x)
+        # The largest such float32: the next one up is above x.
+        with np.errstate(over="ignore"):
+            assert np.all(np.nextafter(low, np.float32(np.inf)).astype(np.float64) > x)
+
+
+def _exact_distance(point, p0, p1, p2):
+    """Distance from a point to the triangle (p0, p1, p2), exact in rational
+    arithmetic up to the final square root: the plane's closest point where
+    it lies in the triangle, else the nearest edge."""
+    p, p0, p1, p2 = ([Fraction(float(x)) for x in v] for v in (point, p0, p1, p2))
+
+    def sub(u, v):
+        return [x - y for x, y in zip(u, v)]
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def segment(a, b):
+        ab = sub(b, a)
+        denom = dot(ab, ab)
+        t = min(max(dot(sub(p, a), ab) / denom, 0), 1) if denom else 0
+        off = sub(p, [x + t * y for x, y in zip(a, ab)])
+        return dot(off, off)
+
+    squared = min(segment(p0, p1), segment(p1, p2), segment(p0, p2))
+    e1, e2, d = sub(p1, p0), sub(p2, p0), sub(p, p0)
+    a, b, c = dot(e1, e1), dot(e1, e2), dot(e2, e2)
+    det = a * c - b * b
+    if det > 0:
+        alpha = (c * dot(d, e1) - b * dot(d, e2)) / det
+        beta = (a * dot(d, e2) - b * dot(d, e1)) / det
+        if alpha >= 0 and beta >= 0 and alpha + beta <= 1:
+            off = [x - alpha * y - beta * z for x, y, z in zip(d, e1, e2)]
+            squared = dot(off, off)
+    return math.sqrt(squared)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_distance_rounding_bounds_the_computed_distance(offset):
+    rng = np.random.default_rng(11)
+    triangles = [
+        np.array([[0.0, 0.0, 0.0], [1.0, 0.1, 0.0], [0.2, 0.9, 0.3]]),      # well shaped
+        np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1e-4, 0.0]]),     # kappa 2.5e7
+        np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1e-7, 1e-8]]),    # det 1e-14, kappa 1e14
+        np.array([[0.0, 0.0, 0.0], [1e-4, 0.0, 0.0], [0.0, 1e-4, 0.0]]),    # det 1e-16: edges alone
+        np.array([[0.0, 0.0, 0.0], [0.3, 0.3, 0.3], [0.6, 0.6, 0.6]]),      # collinear
+        np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.2, -0.1, 0.4]]),     # zero-length edge
+    ]
+    for tri in triangles:
+        tri = tri + offset
+        centre = tri.mean(axis=0)
+        size = max(np.abs(tri - centre).max(), 1e-3)
+        points = np.concatenate([
+            centre + rng.normal(scale=size, size=(100, 3)),
+            centre + rng.normal(scale=size, size=(100, 3)) * [1.0, 1.0, 1e-6],
+            tri[rng.integers(0, 3, 50)] + rng.normal(scale=1e-6, size=(50, 3)),
+        ])
+        scale = max(np.abs(points).max(), np.abs(tri).max())
+        got = _triangle_distance(points, np.ascontiguousarray(points.T), *tri)
+        exact = np.array([_exact_distance(p, *tri) for p in points])
+        assert np.abs(got - exact).max() <= _distance_rounding(tri[:1], tri[1:2], tri[2:], scale)
+
+
+def test_centre_cull_keeps_the_triangle_nearest_a_brick_corner():
+    # Lattice points 0..15 per axis: the brick of coordinates {6, 7} has
+    # centre c = 6.5 and half-diagonal r = sqrt(3) / 2. Along the diagonal,
+    # a speck 2 below c is the centre's nearest triangle, and a speck just
+    # under 2 + r beyond the corner (7, 7, 7) is that corner's nearest: its
+    # centre distance exceeds the bound by r less 0.01, the tightest case.
+    axis = np.arange(16.0)
+    points = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    diagonal = np.ones(3) / np.sqrt(3.0)
+    speck = 1e-4 * np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]])
+    centres = [6.5 - 2.0 * diagonal, 7.0 + (2.0 + np.sqrt(3.0) / 2.0 - 0.01) * diagonal]
+    mesh = TriMesh(np.concatenate([c + speck for c in centres]), np.array([[0, 1, 2], [3, 4, 5]]))
+    got = point_triangle_distance(points, mesh)
+    assert np.array_equal(got, _all_pairs_distance(points, mesh))
+    corner = np.flatnonzero(np.all(points == 7.0, axis=1))
+    assert got[corner] < 2.0 + np.sqrt(3.0) / 2.0 - 0.009

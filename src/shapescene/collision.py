@@ -49,51 +49,66 @@ def relative_transform(i: SceneObject, j: SceneObject) -> tuple[np.ndarray, np.n
     return a, b
 
 
-def pair_maps(scene: list[SceneObject]) -> dict[tuple[int, int], np.ndarray]:
-    """i's points under the linear part A of relative_transform(i, j), for
-    every ordered pair (i, j) of distinct objects.
+def pair_maps(scene: list[SceneObject]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each target j, the points of every other object i under the linear
+    part A of relative_transform(i, j), stacked in ascending i into one (m, 3)
+    array, and the bounds of the sources' segments: j's k-th source (the k-th
+    i != j) holds rows bounds[k]:bounds[k + 1].
 
     A depends only on rotations and scales, so a translation-only descent
     forms these once per run and passes them to translation_step.
     """
-    maps = {}
-    for i, obj_i in enumerate(scene):
-        for j, obj_j in enumerate(scene):
-            if j != i:
-                a, _ = relative_transform(obj_i, obj_j)
-                maps[i, j] = obj_i.points @ a.T
+    maps = []
+    for j, obj_j in enumerate(scene):
+        sources = [obj_i for i, obj_i in enumerate(scene) if i != j]
+        bounds = np.cumsum([0] + [len(obj_i.points) for obj_i in sources])
+        stack = np.empty((bounds[-1], 3))
+        for obj_i, lo, hi in zip(sources, bounds, bounds[1:]):
+            a, _ = relative_transform(obj_i, obj_j)
+            stack[lo:hi] = obj_i.points @ a.T
+        maps.append((stack, bounds))
     return maps
 
 
 def translation_step(
-    scene: list[SceneObject], maps: dict[tuple[int, int], np.ndarray], t: np.ndarray
+    scene: list[SceneObject], maps: list[tuple[np.ndarray, np.ndarray]], t: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """collision_loss_total and the (n, 3) translation gradients of
     collision_gradient, for `scene` with its translations replaced by the rows
     of t; `maps` is pair_maps(scene).
 
-    Both are bit-identical to those functions: each pair's points are the
-    same y = A x + b, sampled once for its value and field gradient, and the
-    sums run in the same order.
+    Each target's field is sampled once, on the stacked points of all its
+    sources, each segment shifted by its own offset b of relative_transform.
+    Both results are bit-identical to those functions: every point is the
+    same y = A x + b with the same per-point arithmetic, each pair's depth is
+    the sum of its own contiguous segment, and the sums run in the same order.
     """
+    n = len(scene)
     total, grad = 0.0, np.zeros(np.shape(t))  # an empty scene's t may be (0,)
-    for i in range(len(scene)):
+    sampled = {}  # (i, j): values and field gradients of i's points in j's field
+    for j, (obj_j, (stack, bounds)) in enumerate(zip(scene, maps)):
+        rj, sj = obj_j.pose.r.m, obj_j.pose.s
+        sources = [i for i in range(n) if i != j]
+        offsets = np.reshape([(rj.T @ (t[i] - t[j])) / sj for i in sources], (-1, 3))
+        vals, grad_field = sample_zero_outside(
+            obj_j.clamped_sdf, stack + np.repeat(offsets, np.diff(bounds), axis=0))
+        for i, lo, hi in zip(sources, bounds, bounds[1:]):
+            sampled[i, j] = vals[lo:hi], grad_field[lo:hi]
+    for i in range(n):
         energy, fields = 0.0, []
-        for j, obj_j in enumerate(scene):
-            if j == i:
-                continue
-            rj, sj = obj_j.pose.r.m, obj_j.pose.s
-            y = maps[i, j] + (rj.T @ (t[i] - t[j])) / sj
-            vals, grad_field = sample_zero_outside(obj_j.clamped_sdf, y)
-            energy += float(vals.sum())
-            fields.append((j, rj, sj, grad_field))
+        for j in range(n):
+            if j != i:
+                vals, grad_field = sampled[i, j]
+                energy += float(vals.sum())
+                fields.append((j, grad_field))
         total += geman_mcclure(energy)
         rho_prime = geman_mcclure_deriv(energy)
         if rho_prime == 0.0:
             continue
-        for j, rj, sj, grad_field in fields:
+        for j, grad_field in fields:
             g = rho_prime * grad_field
             if np.any(g):
+                rj, sj = scene[j].pose.r.m, scene[j].pose.s
                 dt = ((g / sj) @ rj.T).sum(axis=0)
                 grad[i] += dt
                 grad[j] -= dt

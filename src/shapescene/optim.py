@@ -50,25 +50,29 @@ def _descend(params: np.ndarray, cfg: OptimConfig, evaluate) -> np.ndarray:
     stops after the first converged evaluation or after cfg.iterations steps,
     and raises NonFinite on a non-finite iterate or objective. Each step makes
     a new array, so kept parameters are never written to.
+
+    Floating-point overflow inside the loop raises no NumPy warning: a
+    non-finite iterate or objective is reported by NonFinite alone.
     """
     m = v = np.zeros_like(params)  # rebound, never written in place
     best_obj, best = np.inf, params
-    for it in range(cfg.iterations + 1):
-        if not np.all(np.isfinite(params)):
-            raise NonFinite(f"parameters became non-finite at iteration {it}")
-        obj, grad, converged = evaluate(params, it)
-        if not np.isfinite(obj):
-            raise NonFinite(f"objective became non-finite at iteration {it}")
-        if obj < best_obj:
-            best_obj, best = obj, params
-        if converged or it == cfg.iterations:
-            return best
-        m = _BETA1 * m + (1.0 - _BETA1) * grad
-        v = _BETA2 * v + (1.0 - _BETA2) * grad**2
-        mhat = m / (1.0 - _BETA1**(it + 1))
-        vhat = v / (1.0 - _BETA2**(it + 1))
-        lr_scale = 0.5 * (1.0 + np.cos(np.pi * it / cfg.iterations))
-        params = params - cfg.lr * lr_scale * mhat / (np.sqrt(vhat) + _EPS)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(cfg.iterations + 1):
+            if not np.all(np.isfinite(params)):
+                raise NonFinite(f"parameters became non-finite at iteration {it}")
+            obj, grad, converged = evaluate(params, it)
+            if not np.isfinite(obj):
+                raise NonFinite(f"objective became non-finite at iteration {it}")
+            if obj < best_obj:
+                best_obj, best = obj, params
+            if converged or it == cfg.iterations:
+                return best
+            m = _BETA1 * m + (1.0 - _BETA1) * grad
+            v = _BETA2 * v + (1.0 - _BETA2) * grad**2
+            mhat = m / (1.0 - _BETA1**(it + 1))
+            vhat = v / (1.0 - _BETA2**(it + 1))
+            lr_scale = 0.5 * (1.0 + np.cos(np.pi * it / cfg.iterations))
+            params = params - cfg.lr * lr_scale * mhat / (np.sqrt(vhat) + _EPS)
 
 
 def fit_poses(

@@ -1,5 +1,6 @@
 """End-to-end acceptance gate: one test per criterion, each printing a
 single PASS/FAIL line with its headline numbers."""
+import json
 import os
 import subprocess
 import sys
@@ -428,6 +429,20 @@ def _run_pipeline(root: Path, threads: str) -> dict[str, bytes]:
         "--scene", str(root / "scenes" / "scene_0001.json"),
         "--out", str(root / "resolved.json"), "--trace", str(root / "res.csv"),
         "--iters", "10", "--anchor", "1e-3")
+    # Five objects pulled onto their centroid in x and y, so they interpenetrate
+    # and each target's field is sampled on the stacked points of four sources.
+    run("gen-scenes", "--db", str(root / "db"), "--out", str(root / "crowd"),
+        "--count", "1", "--objects", "5", "--seed", "11")
+    crowd = json.loads((root / "crowd" / "scene_0000.json").read_text())
+    ts = np.array([o["t"] for o in crowd["objects"]])
+    for o, t in zip(crowd["objects"], ts):
+        o["t"] = [*(0.5 * (t[:2] + ts[:, :2].mean(axis=0))).tolist(), float(t[2])]
+    (root / "crowd" / "pulled.json").write_text(json.dumps(crowd))
+    run("resolve", "--db", str(root / "db"), "--scene", str(root / "crowd" / "pulled.json"),
+        "--out", str(root / "crowd_resolved.json"), "--trace", str(root / "crowd_res.csv"),
+        "--iters", "10")
+    first_row = (root / "crowd_res.csv").read_text().splitlines()[1]
+    assert float(first_row.split(",")[1]) > 0.0  # the pulled objects do collide
     # Labels read the database's SDFs; iou, miv and the occupancy export
     # test containment one point per ray (`voxelize_occupancy`).
     run("labels", "--db", str(root / "db"),

@@ -556,6 +556,37 @@ def test_empty_scene_fit_and_resolve_exit_0(pipeline, tmp_path):
             ["iteration,collision,anchor,total"] + [f"{k},0.0,0.0,0.0" for k in range(rows)])
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["fit-pose", "--lr", "1e300"], 2),
+    (["fit-pose", "--perturb-trans", "1e300"], 2),
+    (["resolve", "--lr", "1e300"], 2),
+    # The initial positions are the anchored optimum: Adam's second moment
+    # overflows to inf, every step is exactly 0, and resolve keeps the input.
+    (["resolve", "--anchor", "1e300"], 0),
+])
+def test_overflow_in_descent_prints_one_line(pipeline, tmp_path, capsys, argv, code):
+    # Every object moved onto the first one's position, so that they collide.
+    payload = json.loads((pipeline / "scenes" / "scene_0000.json").read_text())
+    for k, o in enumerate(payload["objects"]):
+        o["t"] = list(np.add(payload["objects"][0]["t"], [0.1 * k, 0.0, 0.0]))
+    scene = tmp_path / "overlapping.json"
+    scene.write_text(json.dumps(payload))
+    cmd, *flags = argv
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print more stderr lines
+        assert main([cmd, "--db", str(pipeline / "db"),
+                     "--gt" if cmd == "fit-pose" else "--scene", str(scene),
+                     "--out", str(out), "--iters", "20", *flags]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("shapescene: error:") and err.count("\n") == 1
+    else:
+        assert err == ""
+        assert [o.pose.t.tolist() for o in load_scene(out).objects] \
+            == [o["t"] for o in payload["objects"]]
+
+
 def test_config_flag_precedence(pipeline, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"k": 3, "seed": 42, "res": 24, "points": 256}\n')

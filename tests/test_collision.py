@@ -267,6 +267,68 @@ def test_translation_step_bit_identical_to_collision_gradient(rng):
 def test_pair_maps_zero_scale():
     i = _cube_object(Pose9DoF.identity())
     j = i.with_pose(Pose9DoF(Rotation.identity(), np.zeros(3), np.array([1.0, 1.0, 1e-15])))
-    assert set(pair_maps([i, i])) == {(0, 1), (1, 0)}
+    # Two targets, each stacking exactly one source: the other object's points.
+    n = len(i.points)
+    assert [(stack.shape, bounds.tolist()) for stack, bounds in pair_maps([i, i])] \
+        == [((n, 3), [0, n]), ((n, 3), [0, n])]
     with pytest.raises(ZeroScale):
         pair_maps([i, j])
+
+
+def _assert_step_matches_collision_gradient(objs, shifts):
+    """translation_step on pair_maps(objs) equals collision_gradient and
+    collision_loss_total bit for bit at each shift of the translations."""
+    maps = pair_maps(objs)
+    for shift in shifts:
+        moved = [o.with_pose(Pose9DoF(o.pose.r, o.pose.t + d, o.pose.s))
+                 for o, d in zip(objs, shift)]
+        t = np.reshape([o.pose.t for o in moved], np.shape(shift))
+        loss, grad = translation_step(objs, maps, t)
+        total, grads = collision_gradient(moved)
+        assert loss == total == collision_loss_total(moved)
+        assert grad.shape == np.shape(t)
+        assert np.array_equal(grad.reshape(-1, 3), grads[1])
+
+
+def test_translation_step_uneven_segments(rng):
+    """Sources of different point counts stack into segments of different
+    lengths; each target's call holds every one of them."""
+    counts = (16, 97, 40, 128, 63)
+    objs = [_cube_object(Pose9DoF(random_rotation(rng), rng.normal(size=3) * 0.3,
+                                  np.exp(rng.normal(size=3) * 0.2)), n_points=n, seed=k)
+            for k, n in enumerate(counts)]
+    for j, (stack, bounds) in enumerate(pair_maps(objs)):
+        assert np.diff(bounds).tolist() == [n for i, n in enumerate(counts) if i != j]
+        assert len(stack) == bounds[-1]
+    _assert_step_matches_collision_gradient(
+        objs, [np.zeros((5, 3))] + [rng.normal(size=(5, 3)) * 0.1 for _ in range(3)])
+    assert 0.0 < collision_loss_total(objs)
+
+
+def test_translation_step_target_missed_by_every_source():
+    """A small cube deep inside a big one: its points sit in the big cube's
+    field, but no point of any source lands in its own grid."""
+    big = _cube_object(Pose9DoF.identity(), n_points=64)
+    other = _cube_object(Pose9DoF(Rotation.identity(), np.array([0.9, 0.0, 0.0]), np.ones(3)),
+                         n_points=80, seed=1)
+    small = _cube_object(Pose9DoF(Rotation.identity(), np.zeros(3), np.full(3, 0.2)),
+                         n_points=48, seed=2)
+    objs = [big, other, small]
+    assert collision_energy_single(big, [small]) == 0.0
+    assert collision_energy_single(other, [small]) == 0.0
+    assert collision_energy_single(small, [big]) > 0.0
+    _assert_step_matches_collision_gradient(
+        objs, [np.zeros((3, 3)), np.array([[0.0, 0.01, 0.0], [0.05, 0.0, 0.0], [0.0, 0.0, 0.02]])])
+
+
+def test_translation_step_one_and_zero_objects():
+    obj = _cube_object(Pose9DoF.identity())
+    assert [bounds.tolist() for _, bounds in pair_maps([obj])] == [[0]]
+    loss, grad = translation_step([obj], pair_maps([obj]), np.zeros((1, 3)))
+    assert loss == 0.0 and not np.any(grad)
+    _assert_step_matches_collision_gradient([obj], [np.zeros((1, 3)), np.ones((1, 3))])
+    assert pair_maps([]) == []
+    for t in (np.zeros((0, 3)), np.zeros(0)):  # resolve's t0 of an empty scene is (0,)
+        loss, grad = translation_step([], [], t)
+        assert loss == 0.0 and grad.shape == t.shape
+    _assert_step_matches_collision_gradient([], [np.zeros((0, 3))])

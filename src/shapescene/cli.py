@@ -64,11 +64,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad usage; our contract reserves 2 for data errors."""
+    """argparse exits 2 on bad usage; our contract reserves 2 for data errors.
+    A usage error is one line on stderr, as every other error is; -h prints
+    the usage."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"{self.prog}: error: {message} (see {self.prog} -h)\n")
 
 
 def load_config(path) -> dict:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ZeroScale
-from .geom import Pose9DoF, apply_pose_backward
+from .geom import Pose9DoF, apply_pose_backward, sum_points
 from .sdf import SdfGrid, sample_zero_outside
 
 
@@ -82,14 +82,16 @@ def translation_step(
     Both results are bit-identical to those functions: every point is the
     same y = A x + b with the same per-point arithmetic, each pair's depth is
     the sum of its own contiguous segment, and the sums run in the same order.
+    The offsets of all of a target's sources come from one (m, 3) @ (3, 3)
+    product, whose rows have the bits of relative_transform's R_j^T (t_i - t_j).
     """
     n = len(scene)
     total, grad = 0.0, np.zeros(np.shape(t))  # an empty scene's t may be (0,)
+    rts = [np.ascontiguousarray(o.pose.r.m.T) for o in scene]  # as collision_gradient's
     sampled = {}  # (i, j): values and field gradients of i's points in j's field
     for j, (obj_j, (stack, bounds)) in enumerate(zip(scene, maps)):
-        rj, sj = obj_j.pose.r.m, obj_j.pose.s
         sources = [i for i in range(n) if i != j]
-        offsets = np.reshape([(rj.T @ (t[i] - t[j])) / sj for i in sources], (-1, 3))
+        offsets = ((t[sources] - t[j]) @ obj_j.pose.r.m) / obj_j.pose.s
         vals, grad_field = sample_zero_outside(
             obj_j.clamped_sdf, stack + np.repeat(offsets, np.diff(bounds), axis=0))
         for i, lo, hi in zip(sources, bounds, bounds[1:]):
@@ -108,8 +110,7 @@ def translation_step(
         for j, grad_field in fields:
             g = rho_prime * grad_field
             if np.any(g):
-                rj, sj = scene[j].pose.r.m, scene[j].pose.s
-                dt = ((g / sj) @ rj.T).sum(axis=0)
+                dt = sum_points((g / scene[j].pose.s) @ rts[j])
                 grad[i] += dt
                 grad[j] -= dt
     return total, grad
@@ -164,12 +165,15 @@ def collision_gradient(
                 continue
             ri, si, ti = obj_i.pose.r.m, obj_i.pose.s, obj_i.pose.t
             rj, sj, tj = obj_j.pose.r.m, obj_j.pose.s, obj_j.pose.t
-            dr, dt, ds = apply_pose_backward(ri, si, obj_i.points, (g / sj) @ rj.T)
+            sx = si * obj_i.points
+            # A C-ordered right operand takes matmul's fast path, with the same bits.
+            dr, dt, ds = apply_pose_backward(
+                ri, sx, obj_i.points, (g / sj) @ np.ascontiguousarray(rj.T))
             grads_r[i] += dr
             grads_t[i] += dt
             grads_s[i] += ds
-            u = (si * obj_i.points) @ ri.T + ti - tj  # w - t_j
+            u = sx @ ri.T + ti - tj  # w - t_j
             grads_t[j] -= dt
             grads_r[j] += u.T @ (g / sj)
-            grads_s[j] -= (g * y / sj).sum(axis=0)
+            grads_s[j] -= sum_points(g * y / sj)
     return total, (grads_r, grads_t, grads_s)

@@ -140,14 +140,19 @@ def pose_loss_world_grads(
         raise MismatchedLengths("per-object lists differ in length")
     if len(rs) == 0:
         return 0.0, (np.zeros((0, 3, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
-    if len({np.shape(x) for x in (*clouds, *targets)}) != 1:
-        raise MismatchedLengths("the clouds and targets must share one point count")
-    pts, y = np.asarray(clouds, dtype=np.float64), np.asarray(targets, dtype=np.float64)
+    try:  # lists of clouds with different point counts form no stack
+        pts, y = np.asarray(clouds, dtype=np.float64), np.asarray(targets, dtype=np.float64)
+        if pts.shape != y.shape:
+            raise ValueError
+    except ValueError:
+        raise MismatchedLengths("the clouds and targets must share one point count") from None
     s, t = np.asarray(ss, dtype=np.float64), np.asarray(ts, dtype=np.float64)
     r = np.asarray(rs, dtype=np.float64)
-    diff = (s[:, None, :] * pts) @ r.swapaxes(1, 2) + t[:, None, :] - y
+    sx = s[:, None, :] * pts
+    # A C-ordered right operand takes matmul's fast path, with the same bits.
+    diff = sx @ np.ascontiguousarray(r.swapaxes(1, 2)) + t[:, None, :] - y
     total = float(np.cumsum((diff**2).sum(axis=(1, 2)))[-1])  # objects added in order
-    return total, apply_pose_backward(r, s, pts, 2.0 * diff)
+    return total, apply_pose_backward(r, sx, pts, 2.0 * diff)
 
 
 def rot_loss_frobenius(r_gt: Rotation, r_pred: Rotation) -> float:

@@ -183,6 +183,7 @@ def perturb_pose(
     (1 +- scale_frac). Deterministic per seed."""
     if min(rot_deg, trans, scale_frac) < 0:
         raise ValueError("perturbation magnitudes must be >= 0")
+    trans, scale_frac = abs(trans), abs(scale_frac)  # rng.uniform rejects a high of -0.0
     rng = np.random.default_rng(seed)
     axis = rng.normal(size=3)
     while np.linalg.norm(axis) < 1e-12:

@@ -556,6 +556,17 @@ def test_empty_scene_fit_and_resolve_exit_0(pipeline, tmp_path):
             ["iteration,collision,anchor,total"] + [f"{k},0.0,0.0,0.0" for k in range(rows)])
 
 
+def _overlapping_scene(pipeline, tmp_path):
+    """The fixture's first scene with every object moved onto the first one's
+    position, so that they collide; returns its path and its JSON payload."""
+    payload = json.loads((pipeline / "scenes" / "scene_0000.json").read_text())
+    for k, o in enumerate(payload["objects"]):
+        o["t"] = list(np.add(payload["objects"][0]["t"], [0.1 * k, 0.0, 0.0]))
+    scene = tmp_path / "overlapping.json"
+    scene.write_text(json.dumps(payload))
+    return scene, payload
+
+
 @pytest.mark.parametrize("argv, code", [
     (["fit-pose", "--lr", "1e300"], 2),
     (["fit-pose", "--perturb-trans", "1e300"], 2),
@@ -565,12 +576,7 @@ def test_empty_scene_fit_and_resolve_exit_0(pipeline, tmp_path):
     (["resolve", "--anchor", "1e300"], 0),
 ])
 def test_overflow_in_descent_prints_one_line(pipeline, tmp_path, capsys, argv, code):
-    # Every object moved onto the first one's position, so that they collide.
-    payload = json.loads((pipeline / "scenes" / "scene_0000.json").read_text())
-    for k, o in enumerate(payload["objects"]):
-        o["t"] = list(np.add(payload["objects"][0]["t"], [0.1 * k, 0.0, 0.0]))
-    scene = tmp_path / "overlapping.json"
-    scene.write_text(json.dumps(payload))
+    scene, payload = _overlapping_scene(pipeline, tmp_path)
     cmd, *flags = argv
     out = tmp_path / "out.json"
     with warnings.catch_warnings():
@@ -585,6 +591,56 @@ def test_overflow_in_descent_prints_one_line(pipeline, tmp_path, capsys, argv, c
         assert err == ""
         assert [o.pose.t.tolist() for o in load_scene(out).objects] \
             == [o["t"] for o in payload["objects"]]
+
+
+# Edge values of every numeric flag; an int flag takes the ones that parse as
+# int. Each flag adds its own range ends below.
+_FLOAT_EDGES = ("0", "-0.0", "5e-324", "1e-300", "1e300", "1.7e308", str(2**63),
+                "1.7976931348623157e308", "-5e-324", "-1e300", "inf", "-inf", "nan")
+_INT_EDGES = ("0", "-0", "1", "-1", str(2**63), str(2**63 - 1), str(-2**63))
+# --iters keeps its budget at most 3, so that no case runs long.
+_ITERS_EDGES = ("0", "-0", "1", "3", "-1", str(-2**63))
+_FLAG_EDGES = {
+    "fit-pose": {"--lr": _FLOAT_EDGES, "--perturb-trans": _FLOAT_EDGES,
+                 "--perturb-rot": _FLOAT_EDGES + ("360", "360.00000000000006"),
+                 "--perturb-scale": _FLOAT_EDGES + ("1", "0.9999999999999999"),
+                 "--seed": _INT_EDGES, "--iters": _ITERS_EDGES},
+    "resolve": {"--lr": _FLOAT_EDGES, "--anchor": _FLOAT_EDGES, "--warmup": _INT_EDGES,
+                "--iters": _ITERS_EDGES},
+}
+
+
+def test_flag_edge_values(pipeline, tmp_path, capsys):
+    """Each numeric flag of fit-pose and resolve at its edge values, then at
+    seeded random values over the whole double range (float flags), on a
+    scene of colliding objects: every run exits 0, 1 or 2 with at most one
+    line on stderr and no NumPy warning, and an exception other than
+    argparse's exit that escapes `main` fails the test."""
+    scene, _ = _overlapping_scene(pipeline, tmp_path)
+    rng = np.random.default_rng(1990)
+    codes = set()
+    for cmd, flags in _FLAG_EDGES.items():
+        for flag, edges in flags.items():
+            values = list(edges)
+            if "nan" in edges:  # a float flag
+                values += [repr(float(sign * 10.0 ** rng.uniform(-323, 308)))
+                           for sign in rng.choice([-1.0, 1.0], size=3)]
+            for value in values:
+                budget = [] if flag == "--iters" else ["--iters", "3"]
+                argv = [cmd, "--db", str(pipeline / "db"),
+                        "--gt" if cmd == "fit-pose" else "--scene", str(scene),
+                        "--out", str(tmp_path / "out.json"), *budget, flag, value]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # a warning would print more stderr lines
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:  # argparse's own usage errors
+                        code = exc.code
+                codes.add(code)
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2) and err.count("\n") <= int(code != 0), \
+                    f"{cmd} {flag} {value}: exit {code}, {err!r}"
+    assert codes == {0, 1, 2}
 
 
 def test_config_flag_precedence(pipeline, tmp_path):

@@ -239,10 +239,22 @@ def test_gradient_rotation_fd_through_projection(rng):
         assert np.linalg.norm(grads_r[which] - fd) / denom < 1e-3
 
 
+def _nested_cubes(rng, counts):
+    """Randomly rotated cubes of halving scale about nearly one centre, with
+    counts[k] surface points on cube k: each cube lies inside every larger
+    one, so even a one-point cloud hits the larger cubes' fields."""
+    return [_cube_object(Pose9DoF(random_rotation(rng), rng.normal(size=3) * 0.01,
+                                  np.full(3, 0.5**k)), n_points=n, seed=k)
+            for k, n in enumerate(counts)]
+
+
 def test_translation_step_bit_identical_to_collision_gradient(rng):
     """Random overlapping 3-8 object scenes, each with one far object (zero
     energy, and pairs whose points miss every field), at the scene's own
-    translations and at shifted ones that reuse the same pair maps."""
+    translations and at shifted ones that reuse the same pair maps. Then
+    2-object scenes: each target has one source, so its offsets come from a
+    (1, 3) product, and 1- and 2-point clouds make single-row products in the
+    gradient too; NumPy runs those as matrix-vector products."""
     for trial in range(6):
         n = 3 + trial
         objs = [_cube_object(Pose9DoF(random_rotation(rng), rng.normal(size=3) * 0.4,
@@ -262,6 +274,11 @@ def test_translation_step_bit_identical_to_collision_gradient(rng):
             assert collision_energy_single(moved[-1], moved[:-1]) == 0.0
             assert not np.any(grad[-1])
             assert 0.0 < loss
+    for counts in ((64, 64), (64, 1), (2, 1), (1, 2)):
+        objs = _nested_cubes(rng, counts)
+        _assert_step_matches_collision_gradient(
+            objs, [np.zeros((2, 3))] + [rng.normal(size=(2, 3)) * 0.02 for _ in range(3)])
+        assert 0.0 < collision_loss_total(objs)
 
 
 def test_pair_maps_zero_scale():
@@ -292,17 +309,20 @@ def _assert_step_matches_collision_gradient(objs, shifts):
 
 def test_translation_step_uneven_segments(rng):
     """Sources of different point counts stack into segments of different
-    lengths; each target's call holds every one of them."""
-    counts = (16, 97, 40, 128, 63)
-    objs = [_cube_object(Pose9DoF(random_rotation(rng), rng.normal(size=3) * 0.3,
-                                  np.exp(rng.normal(size=3) * 0.2)), n_points=n, seed=k)
-            for k, n in enumerate(counts)]
-    for j, (stack, bounds) in enumerate(pair_maps(objs)):
-        assert np.diff(bounds).tolist() == [n for i, n in enumerate(counts) if i != j]
-        assert len(stack) == bounds[-1]
-    _assert_step_matches_collision_gradient(
-        objs, [np.zeros((5, 3))] + [rng.normal(size=(5, 3)) * 0.1 for _ in range(3)])
-    assert 0.0 < collision_loss_total(objs)
+    lengths; each target's call holds every one of them. Nested cubes add
+    segments of one and two points, and a 2-object scene a single source."""
+    scenes = [[_cube_object(Pose9DoF(random_rotation(rng), rng.normal(size=3) * 0.3,
+                                     np.exp(rng.normal(size=3) * 0.2)), n_points=n, seed=k)
+               for k, n in enumerate((16, 97, 40, 128, 63))],
+              _nested_cubes(rng, (97, 2, 40, 1)), _nested_cubes(rng, (40, 2))]
+    for objs in scenes:
+        counts, n = [len(o.points) for o in objs], len(objs)
+        for j, (stack, bounds) in enumerate(pair_maps(objs)):
+            assert np.diff(bounds).tolist() == [c for i, c in enumerate(counts) if i != j]
+            assert len(stack) == bounds[-1]
+        _assert_step_matches_collision_gradient(
+            objs, [np.zeros((n, 3))] + [rng.normal(size=(n, 3)) * 0.1 for _ in range(3)])
+        assert 0.0 < collision_loss_total(objs)
 
 
 def test_translation_step_target_missed_by_every_source():

@@ -13,6 +13,7 @@ from shapescene.geom import (
     random_rotation,
     rotation_about_axis,
     so3_projection_jacobian,
+    sum_points,
 )
 
 
@@ -253,6 +254,22 @@ def test_inverse_apply_pose_round_trip(rng):
                  np.exp(rng.normal(size=3) * 0.3))
     pts = rng.normal(size=(40, 3))
     assert np.allclose(inverse_apply_pose(p, apply_pose(p, pts)), pts, atol=1e-12)
+
+
+def test_sum_points_adds_points_in_order(rng):
+    """sum_points adds the points one by one in point order, bit for bit as a
+    Python loop and x.sum(axis=-2) do. Values spread over 26 decades round
+    differently under any other order, so a NumPy whose einsum reorders the
+    terms (pairwise or blocked) fails here."""
+    for n in (1, 8, 40):
+        for p in (1, 2, 7, 128, 129, 512, 4096):
+            x = rng.normal(size=(n, p, 3)) * np.exp(rng.uniform(-30, 30, size=(n, p, 3)))
+            running = np.zeros((n, 3))
+            for k in range(p):
+                running = running + x[:, k]
+            assert np.array_equal(sum_points(x), running)
+            assert np.array_equal(sum_points(x), x.sum(axis=-2))
+            assert np.array_equal(sum_points(x[-1]), running[-1])
 
 
 def test_rotation_about_axis_quarter_turn():

@@ -205,14 +205,16 @@ def test_pose_loss_world_grads_nonpositive_scale(rng):
 def test_pose_loss_world_grads_stack_matches_single_objects(rng):
     # Each object's terms equal a call on that object alone, and the total
     # adds the objects' losses one by one, in order (a sum over the whole
-    # stack rounds differently on some of these draws).
+    # stack rounds differently on some of these draws). One-point clouds make
+    # each object's products single rows, which NumPy runs as matrix-vector
+    # products; their bits must still match the stacked call's.
     n = 7
-    for _ in range(10):
+    for p in (40,) * 10 + (1, 2) * 5:
         ms = [random_rotation(rng).m + rng.normal(size=(3, 3)) * 0.2 for _ in range(n)]
         ms[2] = -ms[2]  # a det < 0 raw matrix
         ts = [rng.normal(size=3) for _ in range(n)]
         ss = [np.exp(rng.normal(size=3) * 0.2) for _ in range(n)]
-        clouds = [rng.normal(size=(40, 3)) for _ in range(n)]
+        clouds = [rng.normal(size=(p, 3)) for _ in range(n)]
         targets = [apply_pose(_random_pose(rng), pts) for pts in clouds]
         total, grads = pose_loss_world_grads(ms, ts, ss, clouds, targets)
         assert [len(g) for g in grads] == [n] * 3

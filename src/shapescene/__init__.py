@@ -28,18 +28,12 @@ from .geom import (
     apply_pose,
     geodesic_distance,
     project_to_so3,
-    so3_projection_jacobian,
 )
 from .losses import (
-    LossWeights,
-    binned_rotation_loss,
     hard_selection_loss,
     pose_loss_rt,
-    rot_loss_frobenius,
     scale_loss,
     soft_selection_loss,
-    total_objective,
-    trans_loss_huber,
 )
 from .mesh import TriMesh, canonicalize_mesh, load_obj, sample_surface_points, save_obj
 from .metrics import (
@@ -48,7 +42,6 @@ from .metrics import (
     map3d,
     miv_and_collisions,
     oriented_box_iou,
-    procrustes_align,
     relative_iou,
 )
 from .optim import OptimConfig, fit_poses, resolve_collisions, scene_to_objects
@@ -60,7 +53,7 @@ from .scene import (
     perturb_pose,
     save_scene,
 )
-from .sdf import SdfGrid, clamp_interior, mesh_to_sdf, read_sdfg, trilinear_sample, write_sdfg
+from .sdf import SdfGrid, clamp_interior, mesh_to_sdf, read_sdfg, write_sdfg
 from .shapedb import (
     ShapeDatabase,
     ShapeEntry,

@@ -163,7 +163,7 @@ def _parse_objects(spec: str) -> tuple[int, int]:
         b = int(hi) if hi else a
     except ValueError:
         a = b = 0
-    if a < 1 or b < a:
+    if a < 1 or b < a or b > np.iinfo(np.int64).max:  # rng.integers draws int64
         raise _UsageError(f"--objects: bad range {spec!r}")
     return a, b
 
@@ -173,6 +173,8 @@ def cmd_gen_scenes(args) -> int:
     lo, hi = _parse_objects(args.objects)
     count = _opt_in(args, "count", None, 0)
     db = _load_db(args.db)
+    if 8 * count > np.iinfo(np.intp).max:  # numpy could not form the counts
+        raise MemoryError(f"{count} scenes are too many to allocate")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     counts = np.random.default_rng(seed).integers(lo, hi + 1, size=count)

@@ -32,10 +32,6 @@ class NonWatertight(DataError):
     """Parity ray casts disagree on too many voxels."""
 
 
-class OutOfBounds(DataError):
-    """Sample point lacks a complete 8-corner interpolation stencil."""
-
-
 class InsufficientShapes(DataError):
     """A class has fewer member shapes than requested exemplars."""
 
@@ -66,10 +62,6 @@ class NonFinite(ShapeSceneError):
 
 class EmptyScenes(DataError):
     """Both scenes rasterize to empty occupancy."""
-
-
-class DegenerateConfiguration(DataError):
-    """Point configuration too flat for Procrustes alignment."""
 
 
 def read_text(path) -> str:

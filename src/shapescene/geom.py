@@ -36,12 +36,6 @@ class Rotation:
     def identity() -> "Rotation":
         return Rotation(np.eye(3))
 
-    def compose(self, other: "Rotation") -> "Rotation":
-        return project_to_so3(self.m @ other.m)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64) @ self.m.T
-
 
 @dataclass(frozen=True)
 class Pose9DoF:
@@ -98,15 +92,6 @@ def project_to_so3(m: np.ndarray) -> Rotation | np.ndarray:
     diag[..., 2, 2] = np.sign(np.linalg.det(u @ vt))
     r = u @ diag @ vt
     return Rotation(r) if m.ndim == 2 else r
-
-
-def so3_projection_jacobian(m: np.ndarray) -> np.ndarray:
-    """9x9 Jacobian d vec(R) / d vec(M) of the SO(3) projection (row-major vec).
-
-    Row k is the vector-Jacobian product of the k-th unit gradient, so the
-    Jacobian shares chain_rotation_grad's formula and its validity range.
-    """
-    return chain_rotation_grad(m, np.eye(9).reshape(9, 3, 3)).reshape(9, 9)
 
 
 def chain_rotation_grad(m: np.ndarray, grad_r: np.ndarray) -> np.ndarray:

@@ -1,31 +1,14 @@
-"""Per-object supervision terms: shape selection (hard/soft), pose, scale,
-the binned-rotation baseline, and the weighted multi-task total.
+"""Per-object supervision terms: shape selection (hard/soft), pose and scale.
 
 Gradients are provided analytically where the optimizer or the gradient test
 suite needs them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import MismatchedLengths
-from .geom import Pose9DoF, Rotation, apply_pose, apply_pose_backward
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Multi-task weighting coefficients (rt, scale, selection, collision)."""
-
-    rt: float = 10.0
-    s: float = 10.0
-    z: float = 0.1
-    coll: float = 1.0
-
-    def __post_init__(self):
-        if min(self.rt, self.s, self.z, self.coll) < 0:
-            raise ValueError("loss weights must be non-negative")
+from .geom import Pose9DoF, apply_pose, apply_pose_backward
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -155,21 +138,6 @@ def pose_loss_world_grads(
     return total, apply_pose_backward(r, sx, pts, 2.0 * diff)
 
 
-def rot_loss_frobenius(r_gt: Rotation, r_pred: Rotation) -> float:
-    return float(np.linalg.norm(r_gt.m - r_pred.m))
-
-
-def _huber(e, delta: float) -> np.ndarray:
-    """Smooth-L1 of absolute errors e with threshold delta, elementwise."""
-    return np.where(e <= delta, 0.5 * e**2, delta * (e - 0.5 * delta))
-
-
-def trans_loss_huber(t_gt: np.ndarray, t_pred: np.ndarray, delta: float = 1.0) -> float:
-    """Per-component smooth-L1 with threshold delta, summed over the 3 axes."""
-    e = np.abs(np.asarray(t_gt, dtype=np.float64) - np.asarray(t_pred, dtype=np.float64))
-    return float(_huber(e, delta).sum())
-
-
 def scale_loss(s_gt: list[np.ndarray], s_pred: list[np.ndarray]) -> float:
     """L1 distance between scales, summed over axes, averaged over objects."""
     if len(s_gt) != len(s_pred):
@@ -183,43 +151,3 @@ def scale_loss_grad(s_gt: list[np.ndarray], s_pred: list[np.ndarray]) -> list[np
     m = len(s_gt)
     return [np.sign(np.asarray(b, dtype=np.float64) - np.asarray(a)) / m
             for a, b in zip(s_gt, s_pred)]
-
-
-def binned_rotation_loss(
-    yaw_gt: float,
-    bin_logits: np.ndarray,
-    offset_preds: np.ndarray,
-    delta: float = 1.0,
-) -> float:
-    """Quantized-yaw baseline: bin classification plus in-bin offset regression.
-
-    Bins partition [0, 2pi) evenly; the offset target is the signed residual
-    from the ground-truth bin's center.
-    """
-    bin_logits = np.asarray(bin_logits, dtype=np.float64)
-    offset_preds = np.asarray(offset_preds, dtype=np.float64)
-    b = len(bin_logits)
-    if b < 2 or len(offset_preds) != b:
-        raise ValueError("need >= 2 bins and matching offset predictions")
-    width = 2.0 * np.pi / b
-    yaw = float(yaw_gt) % (2.0 * np.pi)
-    gt_bin = min(int(yaw // width), b - 1)
-    center = (gt_bin + 0.5) * width
-    ce = -float(_log_softmax(bin_logits)[gt_bin])
-    e = abs(offset_preds[gt_bin] - (yaw - center))
-    return ce + float(_huber(e, delta))
-
-
-def total_objective(
-    key: float,
-    rt: float,
-    s: float,
-    z: float,
-    coll: float,
-    weights: LossWeights = LossWeights(),
-    iteration: int = 0,
-    warmup: int = 100,
-) -> float:
-    """Weighted multi-task total; the collision weight is zero during warm-up."""
-    coll_w = 0.0 if iteration < warmup else weights.coll
-    return key + weights.rt * rt + weights.s * s + weights.z * z + coll_w * coll

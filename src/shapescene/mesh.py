@@ -127,6 +127,8 @@ def sample_surface_points(mesh: TriMesh, n: int, seed: int) -> np.ndarray:
     """Draw n points area-uniformly from the mesh surface. Deterministic per seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if 24 * n > np.iinfo(np.intp).max:  # numpy could not form the (n, 3) points
+        raise MemoryError(f"{n} surface points are too many to allocate")
     areas = mesh.triangle_areas()
     total = areas.sum()
     if total <= 0:

@@ -1,5 +1,5 @@
-"""Evaluation metrics: voxel-grid scene IoU (absolute/relative), Procrustes
-alignment, oriented-box IoU, 3D mAP, and intersecting-volume statistics.
+"""Evaluation metrics: voxel-grid scene IoU (absolute/relative), oriented-box
+IoU, 3D mAP, and intersecting-volume statistics.
 
 Voxel metrics rasterize posed meshes onto a shared world grid. Oriented-box
 IoU is exact: the intersection volume of the two boxes, clipped face by face
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConfiguration, EmptyScenes
+from .errors import EmptyScenes
 from .geom import Pose9DoF, apply_pose
 from .mesh import voxelize_occupancy
 from .scene import PlacedObject, Scene, scene_grid, shape_entry
@@ -143,32 +143,6 @@ def relative_iou(pred: Scene, gt: Scene, db: ShapeDatabase, resolution: int = 12
            for cls, a in per_class.items() if oracle_class.get(cls, 0.0) > 0.0}
     rel_global = min(global_iou / oracle_global, 1.0) if oracle_global > 0.0 else 0.0
     return IoUReport(per_class, _mean(per_class), global_iou, rel, _mean(rel), rel_global)
-
-
-def procrustes_align(
-    pred_points: np.ndarray, gt_points: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Closed-form similarity (scale c, rotation R, translation t) minimizing
-    sum |c R p + t - g|^2 over corresponding points."""
-    p = np.asarray(pred_points, dtype=np.float64)
-    g = np.asarray(gt_points, dtype=np.float64)
-    if p.shape != g.shape or len(p) < 3:
-        raise DegenerateConfiguration("need >= 3 corresponding points")
-    mu_p = p.mean(axis=0)
-    mu_g = g.mean(axis=0)
-    pc = p - mu_p
-    gc = g - mu_g
-    cov = gc.T @ pc / len(p)
-    u, sv, vt = np.linalg.svd(cov)
-    if np.sum(sv > 1e-12 * max(sv[0], 1e-300)) < 2:
-        raise DegenerateConfiguration("point covariance has rank < 2")
-    d = np.sign(np.linalg.det(u @ vt))
-    s_mat = np.diag([1.0, 1.0, d])
-    r = u @ s_mat @ vt
-    var_p = np.mean(np.sum(pc**2, axis=1))
-    c = float(np.trace(np.diag(sv) @ s_mat) / var_p)
-    t = mu_g - c * (r @ mu_p)
-    return c, r, t
 
 
 def _unit_cube_faces() -> np.ndarray:

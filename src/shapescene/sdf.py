@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedFile, OutOfBounds
+from .errors import MalformedFile
 from .mesh import TriMesh, grid_centers, point_triangle_distance, points_inside, require_watertight
 
 SDFG_MAGIC = b"SDFG"
@@ -70,6 +70,8 @@ def mesh_to_sdf(mesh: TriMesh, resolution: int = 32) -> SdfGrid:
     """
     if resolution < MIN_SDF_RESOLUTION:
         raise ValueError("resolution must leave room for 2 voxels of padding")
+    if 24 * resolution**3 > np.iinfo(np.intp).max:  # numpy could not form the centres
+        raise MemoryError(f"a {resolution}^3 SDF grid is too large to allocate")
     h = 1.0 / (resolution - 4)
     origin = np.full(3, -0.5 - 1.5 * h)
     centers = grid_centers(origin, h, (0, 0, 0), (resolution,) * 3)
@@ -86,33 +88,16 @@ def clamp_interior(g: SdfGrid) -> SdfGrid:
     return SdfGrid(np.maximum(-g.values, 0.0), g.origin, g.spacing)
 
 
-def trilinear_sample(g: SdfGrid, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Trilinearly interpolated value and its exact spatial gradient at x.
-
-    Raises OutOfBounds when x lacks a complete 8-corner stencil.
-    """
-    vals, grads, in_grid = _sample_many(g, np.asarray(x, dtype=np.float64).reshape(1, 3))
-    if not in_grid[0]:
-        raise OutOfBounds(f"point {x} outside the interpolable grid interior")
-    return float(vals[0]), grads[0]
-
-
 def sample_zero_outside(g: SdfGrid, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batch sampling where out-of-grid points contribute value 0, gradient 0.
+    """Trilinearly interpolated values and their exact spatial gradients at
+    a batch of points.
 
-    Matches the clamped-interior field convention: the field vanishes outside
-    the grid, so optimization never sees boundary errors.
+    Only the points with a complete 8-corner stencil are interpolated; every
+    other point gets value 0 and gradient 0. This matches the clamped-interior
+    field convention: the field vanishes outside the grid, so optimization
+    never sees boundary errors.
     """
-    vals, grads, _ = _sample_many(g, np.asarray(pts, dtype=np.float64).reshape(-1, 3))
-    return vals, grads
-
-
-def _sample_many(g: SdfGrid, pts: np.ndarray):
-    """Values, gradients and in-grid mask of the trilinear field at pts.
-
-    Only the points with a complete 8-corner stencil (the mask) are
-    interpolated; every other point gets value 0 and gradient 0.
-    """
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
     vals = np.zeros(len(pts))
     grads = np.zeros((len(pts), 3))
     # Grid coordinates as (3, m) rows, so each operation runs along the points.
@@ -122,7 +107,7 @@ def _sample_many(g: SdfGrid, pts: np.ndarray):
     ok = ok[0] & ok[1] & ok[2]
     inside = np.flatnonzero(ok)
     if inside.size == 0:
-        return vals, grads, ok
+        return vals, grads
     u = u[:, inside]
     i = np.floor(u).astype(np.int64)
     fx, fy, fz = u - i
@@ -155,7 +140,7 @@ def _sample_many(g: SdfGrid, pts: np.ndarray):
     gy = (v10 - v00) + fz * ((v11 - v01) - (v10 - v00))
     gz = v1 - v0
     grads[inside] = (np.stack([gx, gy, gz]) / g.spacing).T
-    return vals, grads, ok
+    return vals, grads
 
 
 def write_sdfg(path, g: SdfGrid, version: int = 1) -> None:

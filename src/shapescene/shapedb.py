@@ -213,13 +213,17 @@ def hard_label(db: ShapeDatabase, phi: SdfGrid, class_id: int) -> np.ndarray:
 
 
 def soft_label(db: ShapeDatabase, phi: SdfGrid) -> np.ndarray:
-    """Clamped SDF similarity max(1 - ||phi - phi_k||, 0) over all K entries,
-    computed on RMS-scaled flattened vectors."""
-    flat = _flatten(phi) / db.normalization
+    """Clamped SDF similarity max(1 - ||phi - phi_k|| / normalization, 0) over
+    all K entries, on flattened SDF vectors (the default normalization makes
+    the distance an RMS one)."""
+    flat = _flatten(phi)
     out = np.empty(db.total)
-    for idx, e in enumerate(db.entries):
-        d = np.linalg.norm(flat - _flatten(e.sdf) / db.normalization)
-        out[idx] = max(1.0 - d, 0.0)
+    # Scaling the distance, not the vectors, keeps it finite or +inf (label 0)
+    # under a tiny normalization, where scaled vectors would give inf - inf.
+    with np.errstate(over="ignore"):
+        for idx, e in enumerate(db.entries):
+            d = np.linalg.norm(flat - _flatten(e.sdf)) / db.normalization
+            out[idx] = max(1.0 - d, 0.0)
     return out
 
 

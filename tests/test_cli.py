@@ -600,6 +600,10 @@ _FLOAT_EDGES = ("0", "-0.0", "5e-324", "1e-300", "1e300", "1.7e308", str(2**63),
 _INT_EDGES = ("0", "-0", "1", "-1", str(2**63), str(2**63 - 1), str(-2**63))
 # --iters keeps its budget at most 3, so that no case runs long.
 _ITERS_EDGES = ("0", "-0", "1", "3", "-1", str(-2**63))
+# The other budget flags take small values, or sizes that no array can have,
+# which fail before anything is allocated; never a size the OS might grant
+# lazily.
+_BUDGET_EDGES = ("0", "-0", "1", "2", "-1", str(2**63 - 1), str(2**63), str(-2**63))
 _FLAG_EDGES = {
     "fit-pose": {"--lr": _FLOAT_EDGES, "--perturb-trans": _FLOAT_EDGES,
                  "--perturb-rot": _FLOAT_EDGES + ("360", "360.00000000000006"),
@@ -607,18 +611,72 @@ _FLAG_EDGES = {
                  "--seed": _INT_EDGES, "--iters": _ITERS_EDGES},
     "resolve": {"--lr": _FLOAT_EDGES, "--anchor": _FLOAT_EDGES, "--warmup": _INT_EDGES,
                 "--iters": _ITERS_EDGES},
+    # Each database that builds is then labelled (see test_flag_edge_values).
+    "build-db": {"--k": _BUDGET_EDGES, "--seed": _INT_EDGES,
+                 "--res": _BUDGET_EDGES + ("4", "5"), "--points": _BUDGET_EDGES,
+                 "--normalization": _FLOAT_EDGES},
+    # Not --objects 2**63 - 1: it is a valid count that places objects until
+    # the ground is full, seconds later.
+    "gen-scenes": {"--count": _BUDGET_EDGES, "--seed": _INT_EDGES,
+                   "--objects": ("0", "-1", "1", "2", "2:1", "1:2", ":", "1:", str(2**63),
+                                 f"1:{2**63}", f"{2**63}:{2**63}")},
+    "evaluate": {"--res": _BUDGET_EDGES, "--thresh": _FLOAT_EDGES},
+    "export": {"--res": _BUDGET_EDGES},
 }
+_SMALL_DB = ["--k", "1", "--res", "8", "--points", "16"]
+
+
+def _fuzz_argv(cmd, flag, pipeline, scene, tmp_path) -> list[str]:
+    """`cmd`'s inputs and outputs and small budgets, which a later `flag`
+    overrides (argparse keeps a flag's last value)."""
+    db, out = str(pipeline / "db"), str(tmp_path / cmd)
+    return [cmd] + {
+        "fit-pose": ["--db", db, "--gt", str(scene), "--out", out, "--iters", "3"],
+        "resolve": ["--db", db, "--scene", str(scene), "--out", out, "--iters", "3"],
+        "build-db": ["--meshes", str(pipeline / "meshes"), "--out", out, *_SMALL_DB],
+        "gen-scenes": ["--db", db, "--out", out, "--count", "1", "--objects", "1"],
+        "evaluate": ["--db", db, "--pred", str(pipeline / "scenes"),
+                     "--gt", str(pipeline / "scenes"), "--res", "2",
+                     "--metric", "map" if flag == "--thresh" else "iou"],
+        "export": ["--db", db, "--scene", str(scene), "--out", out, "--format", "sdfg",
+                   "--res", "2"],
+    }[cmd]
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} in a JSON output")
+
+
+def _run_quietly(argv, capsys) -> int:
+    """main's exit code; asserts it is 0, 1 or 2 with at most one line on
+    stderr and no NumPy warning. An exception other than argparse's exit that
+    escapes `main` fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print more stderr lines
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2) and err.count("\n") <= int(code != 0), \
+        f"{' '.join(argv)}: exit {code}, {err!r}"
+    return code
 
 
 def test_flag_edge_values(pipeline, tmp_path, capsys):
-    """Each numeric flag of fit-pose and resolve at its edge values, then at
-    seeded random values over the whole double range (float flags), on a
-    scene of colliding objects: every run exits 0, 1 or 2 with at most one
-    line on stderr and no NumPy warning, and an exception other than
-    argparse's exit that escapes `main` fails the test."""
-    scene, _ = _overlapping_scene(pipeline, tmp_path)
+    """Each numeric flag of every command at its edge values, then at seeded
+    random values over the whole double range (float flags), on a scene of
+    colliding objects; `labels`, which has no numeric flag, labels a scene on
+    every database a build-db case builds. Every run exits 0, 1 or 2 with at
+    most one line on stderr and no NumPy warning, and labels write JSON
+    without NaN or infinity."""
+    scene, payload = _overlapping_scene(pipeline, tmp_path)
+    for o in payload["objects"]:
+        o["exemplar"] = 0  # build-db cases build one exemplar per class
+    labelled = tmp_path / "labelled.json"
+    labelled.write_text(json.dumps(payload))
     rng = np.random.default_rng(1990)
-    codes = set()
+    codes = {}
     for cmd, flags in _FLAG_EDGES.items():
         for flag, edges in flags.items():
             values = list(edges)
@@ -626,21 +684,35 @@ def test_flag_edge_values(pipeline, tmp_path, capsys):
                 values += [repr(float(sign * 10.0 ** rng.uniform(-323, 308)))
                            for sign in rng.choice([-1.0, 1.0], size=3)]
             for value in values:
-                budget = [] if flag == "--iters" else ["--iters", "3"]
-                argv = [cmd, "--db", str(pipeline / "db"),
-                        "--gt" if cmd == "fit-pose" else "--scene", str(scene),
-                        "--out", str(tmp_path / "out.json"), *budget, flag, value]
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")  # a warning would print more stderr lines
-                    try:
-                        code = main(argv)
-                    except SystemExit as exc:  # argparse's own usage errors
-                        code = exc.code
-                codes.add(code)
-                err = capsys.readouterr().err
-                assert code in (0, 1, 2) and err.count("\n") <= int(code != 0), \
-                    f"{cmd} {flag} {value}: exit {code}, {err!r}"
-    assert codes == {0, 1, 2}
+                argv = _fuzz_argv(cmd, flag, pipeline, scene, tmp_path) + [flag, value]
+                code = _run_quietly(argv, capsys)
+                codes.setdefault(cmd, set()).add(code)
+                if cmd == "build-db" and code == 0:
+                    out = tmp_path / "labels.json"
+                    codes.setdefault("labels", set()).add(_run_quietly(
+                        ["labels", "--db", str(tmp_path / cmd), "--scene", str(labelled),
+                         "--out", str(out)], capsys))
+                    json.loads(out.read_text(), parse_constant=_no_constant)
+                    shutil.rmtree(tmp_path / cmd)
+    assert codes == {"fit-pose": {0, 1, 2}, "resolve": {0, 1, 2}, "build-db": {0, 1, 2},
+                     "labels": {0}, "gen-scenes": {0, 1, 2}, "evaluate": {0, 1, 2},
+                     "export": {0, 1, 2}}
+
+
+def test_labels_on_a_tiny_normalization(pipeline, tmp_path, capsys):
+    """Under a normalization whose scaled SDFs overflow, every label other
+    than the object's own exemplar is 0, with no NaN and no warning."""
+    scene = tmp_path / "scene.json"
+    save_scene(scene, Scene(0, (PlacedObject("box", 0, Pose9DoF()),)))
+    for norm in ("5e-324", "1e-300", "1e-160"):
+        db, out = tmp_path / norm, tmp_path / f"{norm}.json"
+        assert _run_quietly(["build-db", "--meshes", str(pipeline / "meshes"),
+                             "--out", str(db), *_SMALL_DB, "--normalization", norm],
+                            capsys) == 0
+        assert _run_quietly(["labels", "--db", str(db), "--scene", str(scene),
+                             "--out", str(out)], capsys) == 0
+        labels = json.loads(out.read_text(), parse_constant=_no_constant)
+        assert labels["objects"][0]["soft"] == [1.0, 0.0], norm
 
 
 def test_config_flag_precedence(pipeline, tmp_path):
@@ -652,9 +724,6 @@ def test_config_flag_precedence(pipeline, tmp_path):
                  "--out", str(tmp_path / "db"), "--k", "2"]) == 0
     db = load_database(tmp_path / "db")
     assert db.k_per_class == 2
-
-
-_SMALL_DB = ["--k", "1", "--res", "8", "--points", "16"]
 
 
 def _files(directory) -> dict[str, bytes]:

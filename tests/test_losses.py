@@ -2,22 +2,17 @@ import numpy as np
 import pytest
 
 from shapescene.errors import MismatchedLengths
-from shapescene.geom import (Pose9DoF, Rotation, apply_pose, chain_rotation_grad,
+from shapescene.geom import (Pose9DoF, apply_pose, chain_rotation_grad,
                              project_to_so3, random_rotation)
 from shapescene.losses import (
-    LossWeights,
-    binned_rotation_loss,
     hard_selection_grad,
     hard_selection_loss,
     pose_loss_rt,
     pose_loss_world_grads,
-    rot_loss_frobenius,
     scale_loss,
     scale_loss_grad,
     soft_selection_grad,
     soft_selection_loss,
-    total_objective,
-    trans_loss_huber,
 )
 
 
@@ -243,20 +238,6 @@ def test_pose_loss_world_grads_empty_and_mismatched(rng):
         pose_loss_world_grads(ms, ts, ss, same, same[:1])
 
 
-def test_rot_loss_frobenius_cases(rng):
-    r = random_rotation(rng)
-    assert rot_loss_frobenius(r, r) == 0.0
-    flip = Rotation(np.diag([-1.0, -1.0, 1.0]))
-    assert abs(rot_loss_frobenius(Rotation.identity(), flip) - np.sqrt(8.0)) < 1e-12
-
-
-def test_trans_loss_huber_cases():
-    t = np.array([1.0, 2.0, 3.0])
-    assert trans_loss_huber(t, t) == 0.0
-    assert abs(trans_loss_huber(t, t + np.array([0.5, 0, 0])) - 0.125) < 1e-12
-    assert abs(trans_loss_huber(t, t + np.array([2.0, 0, 0])) - 1.5) < 1e-12
-
-
 def test_scale_loss_cases(rng):
     s = np.array([1.0, 1.2, 0.8])
     assert scale_loss([s], [s]) == 0.0
@@ -280,38 +261,3 @@ def test_scale_loss_grad_fd(rng):
         bm[0][k] -= eps
         fd = (scale_loss(a, bp) - scale_loss(a, bm)) / (2 * eps)
         assert abs(grad[k] - fd) < 1e-9
-
-
-def test_binned_rotation_uniform_ce():
-    loss = binned_rotation_loss(np.pi / 8.0, np.zeros(8), np.zeros(8))
-    assert abs(loss - np.log(8)) < 1e-12  # yaw at bin 0's center, zero offset
-
-
-def test_binned_rotation_perfect():
-    logits = np.zeros(8)
-    logits[2] = 60.0
-    center = (2 + 0.5) * (2 * np.pi / 8)
-    assert binned_rotation_loss(center, logits, np.zeros(8)) < 1e-12
-
-
-def test_binned_rotation_scalar_oracle(rng):
-    yaw = float(rng.uniform(0, 2 * np.pi))
-    logits = rng.normal(size=8)
-    offsets = rng.normal(size=8) * 0.1
-    width = 2 * np.pi / 8
-    gt_bin = int(yaw // width)
-    ce = -np.log(np.exp(logits)[gt_bin] / np.exp(logits).sum())
-    e = abs(offsets[gt_bin] - (yaw - (gt_bin + 0.5) * width))
-    huber = 0.5 * e * e if e <= 1.0 else e - 0.5
-    assert abs(binned_rotation_loss(yaw, logits, offsets) - (ce + huber)) < 1e-10
-
-
-def test_total_objective_weights():
-    assert total_objective(0, 0, 0, 0, 0) == 0.0
-    assert abs(total_objective(1, 1, 1, 1, 1, iteration=200) - 22.1) < 1e-12
-    assert abs(total_objective(1, 1, 1, 1, 1, iteration=50) - 21.1) < 1e-12
-
-
-def test_loss_weights_validate():
-    with pytest.raises(ValueError):
-        LossWeights(rt=-1.0)

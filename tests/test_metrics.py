@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shapescene.errors import DegenerateConfiguration, EmptyScenes
+from shapescene.errors import EmptyScenes
 from shapescene.geom import Pose9DoF, Rotation, apply_pose, random_rotation, rotation_about_axis
 from dataclasses import replace
 
@@ -14,7 +14,6 @@ from shapescene.metrics import (
     miv_and_collisions,
     oracle_scene,
     oriented_box_iou,
-    procrustes_align,
     relative_iou,
     scene_class_occupancy,
     scene_voxel_grid,
@@ -187,48 +186,6 @@ def test_relative_iou_rasterises_another_oracle(toy_db, monkeypatch):
     monkeypatch.undo()
     absolute, rel, glob = _rasterised_oracle_iou(oracle, gt, db, 64)
     assert rep.relative_per_class == rel and rep.relative_global == glob
-
-
-def test_procrustes_identity(rng):
-    pts = rng.normal(size=(20, 3))
-    c, r, t = procrustes_align(pts, pts)
-    assert abs(c - 1.0) < 1e-9
-    assert np.allclose(r, np.eye(3), atol=1e-9)
-    assert np.allclose(t, 0.0, atol=1e-9)
-
-
-def test_procrustes_recovers_similarity(rng):
-    pts = rng.normal(size=(30, 3))
-    r_true = random_rotation(rng).m
-    c_true, t_true = 1.7, np.array([0.3, -2.0, 1.1])
-    gt = c_true * pts @ r_true.T + t_true
-    c, r, t = procrustes_align(pts, gt)
-    assert abs(c - c_true) < 1e-9
-    assert np.allclose(r, r_true, atol=1e-9)
-    assert np.allclose(t, t_true, atol=1e-9)
-
-
-def test_procrustes_residual_least_squares(rng):
-    pred = rng.normal(size=(25, 3))
-    gt = rng.normal(size=(25, 3))
-    c, r, t = procrustes_align(pred, gt)
-    best = np.sum((c * pred @ r.T + t - gt) ** 2)
-    # No nearby similarity transform does better.
-    for seed in range(20):
-        prng = np.random.default_rng(seed)
-        dc = c * (1.0 + prng.normal() * 1e-3)
-        dr = rotation_about_axis(prng.normal(size=3), prng.normal() * 1e-3).m @ r
-        dt = t + prng.normal(size=3) * 1e-3
-        perturbed = np.sum((dc * pred @ dr.T + dt - gt) ** 2)
-        assert perturbed >= best - 1e-8
-
-
-def test_procrustes_degenerate(rng):
-    line = np.outer(np.arange(5.0), np.array([1.0, 0, 0]))
-    with pytest.raises(DegenerateConfiguration):
-        procrustes_align(line, line * 2.0)
-    with pytest.raises(DegenerateConfiguration):
-        procrustes_align(rng.normal(size=(2, 3)), rng.normal(size=(2, 3)))
 
 
 def _box(t=(0.0, 0.0, 0.0), s=(1.0, 1.0, 1.0), r=None):

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from shapescene.errors import MalformedFile, NonWatertight, OutOfBounds
+from shapescene.errors import MalformedFile, NonWatertight
 from shapescene.sdf import (
     SdfGrid,
     clamp_interior,
@@ -11,7 +11,6 @@ from shapescene.sdf import (
     read_heatmap,
     read_sdfg,
     sample_zero_outside,
-    trilinear_sample,
     write_heatmap,
     write_sdfg,
 )
@@ -127,13 +126,6 @@ def test_sampler_matches_eight_gather_bit_for_bit(tmp_path, rng):
         vals, grads = sample_zero_outside(g, pts)
         assert _same_bits(vals, ref_vals) and _same_bits(grads, ref_grads), name
         assert np.all(vals[oob] == 0.0) and np.all(grads[oob] == 0.0)
-        for x, out, v, gr in zip(pts[-6:], oob[-6:], ref_vals[-6:], ref_grads[-6:]):
-            if out:
-                with pytest.raises(OutOfBounds):
-                    trilinear_sample(g, x)
-            else:
-                val, grad = trilinear_sample(g, x)
-                assert _same_bits(val, v) and _same_bits(grad, gr), name
 
 
 def test_sampler_all_outside_and_empty_batches(tmp_path, rng):
@@ -185,10 +177,16 @@ def test_sampled_field_lipschitz(cube_sdf, rng):
     assert np.all(np.abs(va - vb) <= slack)
 
 
+def _sample_one(g, x):
+    """Value and gradient at one point, through a one-point batch."""
+    vals, grads = sample_zero_outside(g, np.reshape(x, (1, 3)))
+    return vals[0], grads[0]
+
+
 def test_trilinear_at_voxel_center(cube_sdf):
     idx = (7, 9, 11)
     x = cube_sdf.origin + cube_sdf.spacing * np.array(idx)
-    val, _ = trilinear_sample(cube_sdf, x)
+    val, _ = _sample_one(cube_sdf, x)
     assert val == cube_sdf.values[idx]
 
 
@@ -197,7 +195,7 @@ def test_trilinear_midpoint_mean():
     values[1, 1, 1] = 2.0
     values[2, 1, 1] = 4.0
     g = SdfGrid(values, np.zeros(3), 1.0)
-    val, _ = trilinear_sample(g, np.array([1.5, 1.0, 1.0]))
+    val, _ = _sample_one(g, np.array([1.5, 1.0, 1.0]))
     assert abs(val - 3.0) < 1e-15
 
 
@@ -206,7 +204,7 @@ def test_trilinear_matches_oracle(cube_sdf, rng):
     hi = cube_sdf.origin + cube_sdf.spacing * (np.array(cube_sdf.resolution) - 2)
     for _ in range(100):
         x = rng.uniform(lo, hi)
-        val, _ = trilinear_sample(cube_sdf, x)
+        val, _ = _sample_one(cube_sdf, x)
         assert abs(val - _trilinear_oracle(cube_sdf, x)) < 1e-12
 
 
@@ -221,22 +219,17 @@ def test_trilinear_gradient_fd(cube_sdf, rng):
         frac = (x - cube_sdf.origin) / cube_sdf.spacing % 1.0
         if np.any(frac < 0.05) or np.any(frac > 0.95):
             continue
-        _, grad = trilinear_sample(cube_sdf, x)
+        _, grad = _sample_one(cube_sdf, x)
         fd = np.zeros(3)
         for a in range(3):
             e = np.zeros(3)
             e[a] = eps
-            fd[a] = (trilinear_sample(cube_sdf, x + e)[0]
-                     - trilinear_sample(cube_sdf, x - e)[0]) / (2 * eps)
+            fd[a] = (_sample_one(cube_sdf, x + e)[0]
+                     - _sample_one(cube_sdf, x - e)[0]) / (2 * eps)
         denom = max(np.linalg.norm(fd), 1e-10)
         assert np.linalg.norm(grad - fd) / denom < 1e-5
         checked += 1
     assert checked >= 100
-
-
-def test_trilinear_out_of_bounds(cube_sdf):
-    with pytest.raises(OutOfBounds):
-        trilinear_sample(cube_sdf, np.array([10.0, 0.0, 0.0]))
 
 
 def test_sample_zero_outside(cube_sdf):

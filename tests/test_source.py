@@ -1,5 +1,11 @@
-"""Checks on the package's source text itself."""
+"""Checks on the package's source text itself.
+
+`python tests/test_source.py` prints the code lines of each module and their
+total (see code_lines).
+"""
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -53,3 +59,57 @@ def test_private_import_is_found():
               "from .metrics import _bounds, map3d\nfrom shapescene.shapedb import (\n"
               "    _write,\n)\nfrom . import _mod\n")
     assert _private_imports(source) == ["_bounds (line 3)", "_write (line 4)", "_mod (line 7)"]
+
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """Lines on which a token other than a comment, newline, indent or dedent
+    lies, outside module, class and function docstrings."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def test_code_lines_counts_code_only():
+    source = '''"""Module
+docstring."""
+import os
+
+
+# a comment
+def f(a,
+      b):  # trailing comment
+    """One-line docstring."""
+    return os.path.join(
+        a,
+        b,
+    )
+
+
+class C:
+    """Class
+    docstring."""
+    x = """not a
+    docstring"""
+'''
+    # import, def (2 lines), return (4 lines), class and the 2-line string.
+    assert code_lines(source) == 10
+
+
+if __name__ == "__main__":
+    total = 0
+    for path in sorted(Path(shapescene.__file__).parent.glob("*.py")):
+        n = code_lines(path.read_text())
+        total += n
+        print(f"{path.name:16} {n:5}")
+    print(f"{'total':16} {total:5}")

@@ -699,20 +699,50 @@ def test_flag_edge_values(pipeline, tmp_path, capsys):
                      "export": {0, 1, 2}}
 
 
-def test_labels_on_a_tiny_normalization(pipeline, tmp_path, capsys):
+@pytest.mark.parametrize("norm", ["5e-324", "1e-300", "1e-160"])
+def test_labels_on_a_tiny_normalization(pipeline, tmp_path, capsys, norm):
     """Under a normalization whose scaled SDFs overflow, every label other
     than the object's own exemplar is 0, with no NaN and no warning."""
-    scene = tmp_path / "scene.json"
+    scene, db, out = tmp_path / "scene.json", tmp_path / "db", tmp_path / "labels.json"
     save_scene(scene, Scene(0, (PlacedObject("box", 0, Pose9DoF()),)))
-    for norm in ("5e-324", "1e-300", "1e-160"):
-        db, out = tmp_path / norm, tmp_path / f"{norm}.json"
-        assert _run_quietly(["build-db", "--meshes", str(pipeline / "meshes"),
-                             "--out", str(db), *_SMALL_DB, "--normalization", norm],
-                            capsys) == 0
-        assert _run_quietly(["labels", "--db", str(db), "--scene", str(scene),
-                             "--out", str(out)], capsys) == 0
-        labels = json.loads(out.read_text(), parse_constant=_no_constant)
-        assert labels["objects"][0]["soft"] == [1.0, 0.0], norm
+    assert _run_quietly(["build-db", "--meshes", str(pipeline / "meshes"),
+                         "--out", str(db), *_SMALL_DB, "--normalization", norm],
+                        capsys) == 0
+    assert _run_quietly(["labels", "--db", str(db), "--scene", str(scene),
+                         "--out", str(out)], capsys) == 0
+    labels = json.loads(out.read_text(), parse_constant=_no_constant)
+    assert labels["objects"][0]["soft"] == [1.0, 0.0]
+
+
+_TOO_LARGE = {"--count": "{} scenes are too many to allocate",
+              "--points": "{} surface points are too many to allocate",
+              "--res": "a {}^3 SDF grid is too large to allocate"}
+
+
+@pytest.mark.parametrize("cmd, flag", [("gen-scenes", "--count"), ("build-db", "--points"),
+                                       ("build-db", "--res")])
+@pytest.mark.parametrize("value", [2**63 - 1, 2**63])
+def test_size_past_the_address_space_exits_2(pipeline, tmp_path, capsys, cmd, flag, value):
+    """A count or resolution whose array numpy could not address is refused
+    where the size is formed, in one line and before anything is written."""
+    argv = _fuzz_argv(cmd, flag, pipeline, None, tmp_path) + [flag, str(value)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"shapescene: error: {_TOO_LARGE[flag].format(value)}\n"
+    assert not (tmp_path / cmd).exists()
+
+
+@pytest.mark.parametrize("spec", [str(2**63), f"1:{2**63}", f"{2**63}:{2**63}"])
+def test_objects_past_int64_is_a_usage_error(pipeline, tmp_path, capsys, spec):
+    """gen-scenes draws each scene's object count as an int64, so a bound
+    past its range is a usage error (exit 1), not a NumPy traceback."""
+    argv = _fuzz_argv("gen-scenes", "--objects", pipeline, None, tmp_path) + ["--objects", spec]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"shapescene: error: --objects: bad range '{spec}'\n"
+    assert not (tmp_path / "gen-scenes").exists()
 
 
 def test_config_flag_precedence(pipeline, tmp_path):

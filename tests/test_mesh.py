@@ -122,6 +122,15 @@ def test_sample_surface_deterministic():
     assert np.array_equal(a, b)
 
 
+
+@pytest.mark.parametrize("n", [(2**63 - 1) // 24 + 1, 2**63 - 1, 2**63])
+def test_sample_surface_unaddressable_count_raises(n):
+    """A count whose (n, 3) float array numpy could not address is refused
+    before anything is drawn or allocated."""
+    with pytest.raises(MemoryError, match=f"{n} surface points are too many to allocate"):
+        sample_surface_points(make_box(), n, seed=0)
+
+
 def test_points_inside_cube(rng):
     cube = make_box()
     pts = rng.uniform(-1.0, 1.0, size=(500, 3))

@@ -149,6 +149,15 @@ def test_mesh_to_sdf_open_mesh_raises(open_box):
         mesh_to_sdf(open_box, resolution=12)
 
 
+
+@pytest.mark.parametrize("resolution", [2**21, 2**63 - 1, 2**63])
+def test_mesh_to_sdf_unaddressable_resolution_raises(resolution):
+    """A grid whose voxel centres numpy could not address is refused before
+    any allocation."""
+    with pytest.raises(MemoryError, match=rf"a {resolution}\^3 SDF grid is too large"):
+        mesh_to_sdf(make_box(), resolution=resolution)
+
+
 def test_mesh_to_sdf_center_depth(cube_sdf):
     center = np.array([15, 15, 15])  # voxel nearest the origin
     assert abs(cube_sdf.values[tuple(center)] - (-0.5)) < cube_sdf.spacing

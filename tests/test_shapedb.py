@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -217,6 +220,22 @@ def test_soft_label_within_class_maximal(toy_db):
         lo = e.class_id * toy_db.k_per_class
         within = label[lo:lo + toy_db.k_per_class]
         assert int(np.argmax(within)) == e.exemplar_index
+
+
+
+@pytest.mark.parametrize("normalization", [5e-324, 1e-300, 1e-160])
+def test_soft_label_tiny_normalization(toy_db, normalization):
+    """Under a normalization whose scaled SDF vectors would overflow, the
+    scaled distance is finite or +inf: label 1 for the entry itself and 0 for
+    every other, with no NaN and no overflow warning."""
+    db = dataclasses.replace(toy_db, normalization=normalization)
+    e = db.entry(0, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        label = soft_label(db, e.sdf)
+    expected = np.zeros(len(db.entries))
+    expected[db.global_index(0, 1)] = 1.0
+    assert np.array_equal(label, expected)
 
 
 def test_save_load_round_trip(tmp_path, toy_db):

@@ -52,7 +52,6 @@ CONFIG_KEYS = {
     "points": int,
     "lr": float,
     "iters": int,
-    "warmup": int,
     "anchor": float,
     "thresh": float,
     "normalization": float,
@@ -206,7 +205,6 @@ def cmd_labels(args) -> int:
 
 def _optim_config(args) -> OptimConfig:
     return OptimConfig(
-        warmup=_opt_in(args, "warmup", 0, 0),
         lr=_opt_in(args, "lr", 1e-2, 0, ends="()"),
         iterations=_opt_in(args, "iters", 500, 1),
     )
@@ -267,7 +265,8 @@ def cmd_resolve(args) -> int:
     save_scene(args.out, resolved)
     if args.trace:
         _write_trace(args.trace, ["iteration", "collision", "anchor", "total"], trace)
-    print(f"resolved scene, final collision loss {trace[-1][0]:.6g} -> {args.out}")
+    written = min(trace, key=lambda row: row[2])  # the iterate written: the first lowest total
+    print(f"resolved scene, final collision loss {written[0]:.6g} -> {args.out}")
     return 0
 
 
@@ -456,7 +455,6 @@ def build_parser() -> _Parser:
     p.add_argument("--trace", help="loss trace CSV")
     p.add_argument("--iters", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--warmup", type=int)
     p.add_argument("--anchor", type=float, help="anchor term weight")
     p.set_defaults(func=cmd_resolve)
 

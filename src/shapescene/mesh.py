@@ -6,8 +6,7 @@ vote, which tolerates small cracks in near-watertight input; only rays that can
 cross the mesh's bounding box are cast, and the points of a lattice line share
 one ray per axis (see `_parity_along_axis`). Distance is exact; it skips the
 point-triangle pairs that a per-brick bound shows cannot hold the minimum, by
-the gap between bounding boxes or by the distance from the brick's centre (see
-`point_triangle_distance`).
+the distance from the brick's centre (see `point_triangle_distance`).
 """
 from __future__ import annotations
 
@@ -361,28 +360,24 @@ def point_triangle_distance(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
     bricks over their bounding box. For each brick, with c the centre of its
     points' bounding box, r the box's half-diagonal and D_t the distance from
     c to triangle t, bound = min_t D_t + r + s bounds the distance of every
-    point in it. A triangle is evaluated on a brick only if it passes two
-    tests (Ericson, Real-Time Collision Detection, ch. 4):
-    - box: the gap between its bounding box and the brick's is <= bound;
-    - centre: D_t - r - s <= bound. As d(p, t) >= d(c, t) - |p - c|, a
-      triangle that fails it is farther than bound from every point p of
-      the brick.
-    The skipped pairs cannot hold a point's minimum, and the evaluated ones
-    use the same arithmetic as testing every pair, so the result is
-    bit-identical to the all-pairs minimum.
+    point in it. A triangle is evaluated on a brick only if D_t - r - s <=
+    bound (Ericson, Real-Time Collision Detection, ch. 4). As d(p, t) >=
+    d(c, t) - |p - c|, a triangle that fails it is farther than bound from
+    every point p of the brick. The skipped pairs cannot hold a point's
+    minimum, and the evaluated ones use the same arithmetic as testing every
+    pair, so the result is bit-identical to the all-pairs minimum.
 
     The slack s. Write u for the unit roundoff, S for the largest coordinate
     magnitude of the points and vertices, B = min_t D_t, and F(p, t) and
     d(p, t) for the computed and exact distances, |F - d| <= e
     (`_distance_rounding`; e >= 128 u S). Rounding c and r lets |p - c|
     exceed r by at most 8 u S <= e. Then, for t* the triangle of B,
-    F(p, t*) <= d(c, t*) + r + 8 u S + e <= B + r + 3e. A triangle the box
-    test skips has F(p, t) >= gap - e > bound - e, and one the centre test
-    skips has F(p, t) >= D_t - r - 8 u S - 2e > bound + s - 3e; each stays
-    >= B + r + 3e when s >= 4e, apart from the rounding of the sums and
+    F(p, t*) <= d(c, t*) + r + 8 u S + e <= B + r + 3e. A triangle the test
+    skips has F(p, t) >= D_t - r - 8 u S - 2e > bound + s - 3e, which stays
+    >= B + r + 3e when s >= 3e, apart from the rounding of the sums and
     comparisons, a few u (bound + S). So s = 1e-9 (bound + S) + 4e. The
-    centre test reads D_t rounded down to float32 (`_float32_below`), which
-    only skips fewer pairs.
+    test reads D_t rounded down to float32 (`_float32_below`), which only
+    skips fewer pairs.
 
     The points and brick centres are also held as (3, n) C-ordered rows, and
     each triangle gets its near subset in both layouts. Projections,
@@ -434,14 +429,8 @@ def point_triangle_distance(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
     bound += slack
     reach = radius + slack
 
-    tri_lo = np.minimum(np.minimum(p0s, p1s), p2s)
-    tri_hi = np.maximum(np.maximum(p0s, p1s), p2s)
     for t in range(len(p0s)):
-        gap = np.maximum(np.maximum(tri_lo[t] - brick_hi, brick_lo - tri_hi[t]), 0.0)
-        near = np.flatnonzero(
-            (np.einsum("ij,ij->i", gap, gap) <= bound * bound)
-            & (centre_low[t] - reach <= bound)
-        )
+        near = np.flatnonzero(centre_low[t] - reach <= bound)
         if len(near) == 0:
             continue
         # The near bricks' runs of `order`, gathered in one pass; `take`

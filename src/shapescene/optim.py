@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import SceneObject, pair_maps, translation_step
-from .errors import MismatchedLengths, NonFinite
+from .errors import MismatchedLengths, NonFinite, ShapeSceneError
 from .geom import Pose9DoF, Rotation, chain_rotation_grad, project_to_so3
 from .losses import pose_loss_world_grads
 from .scene import PlacedObject, Scene, shape_entry
@@ -25,7 +25,7 @@ _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
 # A fit converges when its objective falls below this, a resolve when its
-# collision loss reaches it (after the warm-up).
+# collision loss reaches it.
 TOL = 1e-12
 # Columns of one object's row in the fit parameters: the raw matrix that
 # projects to R, then t and s, in the order of pose_loss_world_grads' gradients.
@@ -36,7 +36,6 @@ _BLOCKS = {"rot": slice(0, 9), "trans": slice(9, 12), "scale": slice(12, 15)}
 class OptimConfig:
     lr: float = 1e-2
     iterations: int = 500
-    warmup: int = 0               # resolve iterations with the collision weight zeroed
 
     def __post_init__(self):
         if not 0 < self.lr < np.inf or self.iterations <= 0:
@@ -88,7 +87,9 @@ def fit_poses(
     ground-truth poses, in the same order as scene_init.objects. Parameter
     blocks named in `freeze` ("rot", "trans", "scale") stay at their initial
     values. Returns the best-seen scene and the per-iteration trace of the
-    best objective so far (non-increasing by construction).
+    best objective so far (non-increasing by construction). Negative scales
+    are written as their magnitudes with the signs in the rotation's columns;
+    ShapeSceneError if they make a reflection.
     """
     clouds = np.array([shape_entry(db, o).points for o in scene_init.objects])
     if [np.shape(y) for y in targets] != [x.shape for x in clouds]:
@@ -115,9 +116,16 @@ def fit_poses(
     init = np.array([np.concatenate([o.pose.r.m.reshape(-1), o.pose.t, o.pose.s])
                      for o in scene_init.objects])
     best = _descend(init, cfg, evaluate)
+    # R diag(sign s) with |s| is the transform R with s, bit for bit. A zero or
+    # an odd count of negative scales makes a reflection, which no pose holds.
+    signs = np.sign(best[:, 12:])
+    reflected = np.prod(signs, axis=1) != 1.0
+    if reflected.any():
+        raise ShapeSceneError(f"the fit of object {np.argmax(reflected)} ended on a reflection")
+    rotations = project_to_so3(best[:, :9].reshape(-1, 3, 3)) * signs[:, None, :]
     objects = [
         PlacedObject(o.class_name, o.exemplar, Pose9DoF(Rotation(r), p[9:12], np.abs(p[12:])))
-        for o, r, p in zip(scene_init.objects, project_to_so3(best[:, :9].reshape(-1, 3, 3)), best)
+        for o, r, p in zip(scene_init.objects, rotations, best)
     ]
     return Scene(scene_init.seed, tuple(objects)), trace
 
@@ -148,7 +156,6 @@ def resolve_collisions(
     """Push interpenetrating objects apart by descending the collision loss
     over translations, with a quadratic anchor to the initial positions.
 
-    The collision weight is forced to zero for the first cfg.warmup iterations.
     Returns the scene with the lowest seen objective and a per-iteration trace
     of (collision loss, anchor term, total objective)."""
     objs = scene_to_objects(db, scene)
@@ -158,17 +165,14 @@ def resolve_collisions(
 
     def evaluate(params, it):
         coll, grad = translation_step(objs, maps, params)
-        coll_w = 0.0 if it < cfg.warmup else 1.0
-        if coll_w == 0.0:
-            grad = np.zeros_like(params)
         delta = params - t0
         anchor = 0.0
         for d in delta:
             anchor += anchor_term_weight * float(d @ d)
         grad = grad + 2.0 * anchor_term_weight * delta
-        obj = coll_w * coll + anchor
+        obj = coll + anchor
         trace.append((coll, anchor, obj))
-        return obj, grad, coll <= TOL and it >= cfg.warmup
+        return obj, grad, coll <= TOL
 
     best = _descend(t0, cfg, evaluate)
     objects = [

@@ -64,9 +64,9 @@ def mesh_to_sdf(mesh: TriMesh, resolution: int = 32) -> SdfGrid:
     crossings are compared with every voxel's start (`points_inside`).
     Magnitude is the exact distance to the nearest triangle, from
     `point_triangle_distance`, which tests each triangle only against the
-    bricks of voxels that may have it as their nearest, by bounding box and
-    by the distance from the brick's centre. Both give the bits that testing
-    every voxel against every triangle gives.
+    bricks of voxels that may have it as their nearest, by the distance from
+    the brick's centre. It gives the bits that testing every voxel against
+    every triangle gives.
     """
     if resolution < MIN_SDF_RESOLUTION:
         raise ValueError("resolution must leave room for 2 voxels of padding")

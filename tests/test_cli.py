@@ -8,9 +8,11 @@ import pytest
 
 from shapescene import scene as scene_module
 from shapescene.cli import load_config, main
+from shapescene.collision import collision_loss_total
 from shapescene.geom import Pose9DoF, apply_pose, rotation_about_axis
 from shapescene.mesh import TriMesh, load_obj, save_obj
 from shapescene.metrics import miv_and_collisions, relative_iou
+from shapescene.optim import scene_to_objects
 from shapescene.scene import PlacedObject, Scene, load_scene, perturb_pose, save_scene, shape_entry
 from shapescene.sdf import read_sdfg
 from shapescene.toys import make_box
@@ -44,10 +46,14 @@ def test_usage_errors_exit_1(capsys):
         main(["export", "--db", "x", "--scene", "y", "--out", "z",
               "--format", "stl"])
     assert exc.value.code == 1
-    with pytest.raises(SystemExit) as exc:  # resolve draws no random numbers
-        main(["resolve", "--db", "x", "--scene", "y", "--out", "z", "--seed", "5"])
-    assert exc.value.code == 1
     capsys.readouterr()
+    # resolve draws no random numbers and has no warm-up.
+    for flag, value in (("--seed", "5"), ("--warmup", "1")):
+        with pytest.raises(SystemExit) as exc:
+            main(["resolve", "--db", "x", "--scene", "y", "--out", "z", flag, value])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in err and err.count("\n") == 1
     # Out-of-range optimizer settings are rejected before any input is read.
     for argv in (["fit-pose", "--db", "x", "--gt", "y", "--out", "z", "--iters", "0"],
                  ["resolve", "--db", "x", "--scene", "y", "--out", "z", "--lr", "0"],
@@ -91,10 +97,12 @@ def test_data_errors_exit_2(tmp_path, capsys):
     config = load_config(bad)
     assert config == {"iters": 3, "lr": 1.0, "anchor": 0.5}
     assert type(config["lr"]) is float
-    # No command reads tau, so a config may not set it.
-    bad.write_text('{"tau": 0.5}\n')
-    assert main(["--config", str(bad), "make-toys", "--out", str(tmp_path / "m")]) == 2
-    assert "'tau'" in capsys.readouterr().err
+    # No command reads tau or warmup, so a config may not set them.
+    for key, text in (("tau", '{"tau": 0.5}'), ("warmup", '{"warmup": 0}')):
+        bad.write_text(text + "\n")
+        assert main(["--config", str(bad), "make-toys", "--out", str(tmp_path / "m")]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown config key '{key}'" in err and err.count("\n") == 1
 
 
 def test_malformed_files_exit_2(pipeline, tmp_path, capsys):
@@ -201,9 +209,6 @@ _RESOLVE = ["resolve", "--db", "no-db", "--scene", "s", "--out", "o"]
     (_FIT + ["--perturb-scale", "inf"], None),
     (_FIT + ["--perturb-scale", "1"], None),
     (_FIT + ["--perturb-scale", "-0.1"], None),
-    (_FIT, {"warmup": -1}),
-    (_RESOLVE + ["--warmup", "-1"], None),
-    (_RESOLVE, {"warmup": -2}),
     (_RESOLVE + ["--anchor", "-1"], None),
     (_RESOLVE + ["--anchor", "nan"], None),
     (_RESOLVE + ["--anchor", "inf"], None),
@@ -498,7 +503,7 @@ def test_mutation_fuzz(pipeline, tmp_path, capsys):
     shutil.copy(pipeline / "scenes" / "scene_0000.json", scene)
     config = tmp_path / "config.json"
     # No spaces: a flipped space could lengthen a number into a slow run.
-    config.write_text('{"iters":1,"lr":0.01,"anchor":1.0,"warmup":0}')
+    config.write_text('{"iters":1,"lr":0.01,"anchor":1.0}')
     source = tmp_path / "meshes" / "box" / "box.obj"
     source.parent.mkdir(parents=True)
     save_obj(source, make_box())
@@ -546,14 +551,12 @@ def test_empty_scene_fit_and_resolve_exit_0(pipeline, tmp_path):
                  "--trace", str(tmp_path / "fit.csv"), "--iters", "5"]) == 0
     assert load_scene(tmp_path / "fit.json").objects == ()
     assert (tmp_path / "fit.csv").read_text().splitlines() == ["iteration,pose,total", "0,0.0,0.0"]
-    # resolve records zero rows until its warm-up ends (or the budget runs out).
-    for warmup, rows in (("0", 1), ("3", 4), ("9", 6)):
-        out, trace = tmp_path / f"res{warmup}.json", tmp_path / f"res{warmup}.csv"
-        assert main(["resolve", "--db", db, "--scene", str(empty), "--out", str(out),
-                     "--trace", str(trace), "--iters", "5", "--warmup", warmup]) == 0
-        assert load_scene(out).objects == ()
-        assert trace.read_text().splitlines() == (
-            ["iteration,collision,anchor,total"] + [f"{k},0.0,0.0,0.0" for k in range(rows)])
+    # resolve converges at once: no collision loss to descend.
+    out, trace = tmp_path / "res.json", tmp_path / "res.csv"
+    assert main(["resolve", "--db", db, "--scene", str(empty), "--out", str(out),
+                 "--trace", str(trace), "--iters", "5"]) == 0
+    assert load_scene(out).objects == ()
+    assert trace.read_text().splitlines() == ["iteration,collision,anchor,total", "0,0.0,0.0,0.0"]
 
 
 def _overlapping_scene(pipeline, tmp_path):
@@ -609,8 +612,7 @@ _FLAG_EDGES = {
                  "--perturb-rot": _FLOAT_EDGES + ("360", "360.00000000000006"),
                  "--perturb-scale": _FLOAT_EDGES + ("1", "0.9999999999999999"),
                  "--seed": _INT_EDGES, "--iters": _ITERS_EDGES},
-    "resolve": {"--lr": _FLOAT_EDGES, "--anchor": _FLOAT_EDGES, "--warmup": _INT_EDGES,
-                "--iters": _ITERS_EDGES},
+    "resolve": {"--lr": _FLOAT_EDGES, "--anchor": _FLOAT_EDGES, "--iters": _ITERS_EDGES},
     # Each database that builds is then labelled (see test_flag_edge_values).
     "build-db": {"--k": _BUDGET_EDGES, "--seed": _INT_EDGES,
                  "--res": _BUDGET_EDGES + ("4", "5"), "--points": _BUDGET_EDGES,
@@ -926,6 +928,21 @@ def test_resolve_trace_csv(pipeline, tmp_path):
     assert 1 <= len(rows) <= 5  # early stop on convergence is allowed
     assert rows[-1][0] <= rows[0][0]
     load_scene(out)  # output parses back as a scene
+
+
+def test_resolve_prints_the_collision_of_the_scene_it_writes(pipeline, tmp_path, capsys):
+    scene, _ = _overlapping_scene(pipeline, tmp_path)
+    out, trace = tmp_path / "resolved.json", tmp_path / "trace.csv"
+    assert main(["resolve", "--db", str(pipeline / "db"), "--scene", str(scene),
+                 "--out", str(out), "--trace", str(trace), "--iters", "20", "--lr", "0.1"]) == 0
+    rows = [[float(x) for x in line.split(",")[1:]]
+            for line in trace.read_text().splitlines()[1:]]
+    written = min(rows, key=lambda row: row[2])  # the first lowest total
+    assert rows.index(written) < len(rows) - 1 and written[0] != rows[-1][0]
+    objs = scene_to_objects(load_database(pipeline / "db"), load_scene(out))
+    assert collision_loss_total(objs) == pytest.approx(written[0], rel=1e-12)
+    assert capsys.readouterr().out == \
+        f"resolved scene, final collision loss {written[0]:.6g} -> {out}\n"
 
 
 def test_evaluate_iou_report(pipeline, tmp_path, capsys):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from shapescene.collision import collision_gradient, collision_loss_total
-from shapescene.errors import MismatchedLengths, NonFinite, ZeroScale
+from shapescene.errors import MismatchedLengths, NonFinite, ShapeSceneError, ZeroScale
 from shapescene.geom import Pose9DoF, apply_pose, geodesic_distance
+from shapescene.losses import pose_loss_rt
 from shapescene.metrics import miv_and_collisions
 from shapescene.optim import (
     OptimConfig,
@@ -112,6 +113,29 @@ def test_fit_poses_freeze_blocks(toy_db):
                   freeze=frozenset({"bogus"}))
 
 
+def test_fit_poses_writes_the_pose_it_scored(toy_db):
+    # At lr 3 the best iterate has negative scale components; the written
+    # pose moves their signs into the rotation and scores the traced objective.
+    gt = generate_scene(toy_db, 2, seed=0)
+    init = _perturbed(gt, 30.0, 0.3, 0.3, seed=0)
+    fit, trace = fit_poses(toy_db, init, _targets(toy_db, gt),
+                           OptimConfig(lr=3.0, iterations=60))
+    clouds = [shape_entry(toy_db, o).points for o in gt.objects]
+    score = pose_loss_rt([o.pose for o in gt.objects], [o.pose for o in fit.objects], clouds)
+    assert score == pytest.approx(trace[-1], rel=1e-12)
+
+
+def test_fit_poses_reflection_raises(toy_db):
+    # Targets mirrored in x are best fitted by a negative x scale, with the
+    # rotation and translation frozen: a reflection, which no pose holds.
+    gt = generate_scene(toy_db, 1, seed=37)
+    o = gt.objects[0]
+    mirrored = [apply_pose(o.pose, shape_entry(toy_db, o).points * [-1.0, 1.0, 1.0])]
+    with pytest.raises(ShapeSceneError, match="reflection"):
+        fit_poses(toy_db, gt, mirrored, OptimConfig(lr=0.1, iterations=100),
+                  freeze=frozenset({"rot", "trans"}))
+
+
 def test_fit_poses_mismatched_targets(toy_db):
     gt = generate_scene(toy_db, 2, seed=35)
     with pytest.raises(MismatchedLengths):
@@ -148,7 +172,6 @@ def test_resolve_lowers_collision_loss(toy_db):
                      Pose9DoF(b.pose.r, a.pose.t + np.array([0.1, 0.05, 0.0]),
                               b.pose.s)),
     ))
-    from shapescene.collision import collision_loss_total
     before = collision_loss_total(scene_to_objects(toy_db, overlap))
     assert before > 0.0
     resolved, _ = resolve_collisions(
@@ -175,23 +198,6 @@ def test_resolve_moves_translations_only(toy_db):
         assert np.array_equal(res.pose.s, orig.pose.s)
 
 
-def test_resolve_warmup_freezes_collision_term(toy_db):
-    base = generate_scene(toy_db, 2, seed=44)
-    a, b = base.objects
-    overlap = Scene(base.seed, (
-        a,
-        PlacedObject(b.class_name, b.exemplar,
-                     Pose9DoF(b.pose.r, a.pose.t + np.array([0.1, 0.0, 0.0]),
-                              b.pose.s)),
-    ))
-    resolved, trace = resolve_collisions(
-        toy_db, overlap, OptimConfig(lr=2e-2, iterations=10, warmup=10),
-        anchor_term_weight=1e-3)
-    # With the collision weight zeroed throughout, nothing should move.
-    assert scene_to_json(resolved) == scene_to_json(overlap)
-    assert all(row[0] == trace[0][0] for row in trace)
-
-
 def test_resolve_collision_count_not_increased(toy_db):
     scene = generate_scene(toy_db, 3, seed=45)
     _, count_before = miv_and_collisions(scene, toy_db)
@@ -211,42 +217,35 @@ def _resolve_by_full_gradient(db, scene, cfg):
 
     def evaluate(params, it):
         current = [o.with_pose(Pose9DoF(o.pose.r, t, o.pose.s)) for o, t in zip(objs, params)]
-        coll_w = 0.0 if it < cfg.warmup else 1.0
-        if coll_w > 0.0:
-            coll, (_, grad, _) = collision_gradient(current)
-        else:
-            coll = collision_loss_total(current)
-            grad = np.zeros_like(params)
+        coll, (_, grad, _) = collision_gradient(current)
         delta = params - t0
         anchor = 0.0
         for d in delta:
             anchor += float(d @ d)
-        obj = coll_w * coll + anchor
+        obj = coll + anchor
         trace.append((coll, anchor, obj))
-        return obj, grad + 2.0 * delta, coll <= TOL and it >= cfg.warmup
+        return obj, grad + 2.0 * delta, coll <= TOL
 
     return _descend(t0, cfg, evaluate), trace
 
 
-@pytest.mark.parametrize("warmup", [0, 5])
-def test_resolve_trace_bit_identical_to_full_gradient(toy_db, warmup):
+def test_resolve_trace_bit_identical_to_full_gradient(toy_db):
     base = generate_scene(toy_db, 4, seed=46)
     centroid = np.mean([o.pose.t for o in base.objects], axis=0)
     pulled = Scene(base.seed, tuple(
         PlacedObject(o.class_name, o.exemplar,
                      Pose9DoF(o.pose.r, centroid + 0.5 * (o.pose.t - centroid), o.pose.s))
         for o in base.objects))
-    cfg = OptimConfig(lr=2e-2, iterations=15, warmup=warmup)
+    cfg = OptimConfig(lr=2e-2, iterations=15)
     resolved, trace = resolve_collisions(toy_db, pulled, cfg)
     best, expected = _resolve_by_full_gradient(toy_db, pulled, cfg)
     assert trace == expected and trace[0][0] > 0.0
     assert np.array_equal([o.pose.t for o in resolved.objects], best)
 
 
-@pytest.mark.parametrize("warmup", [0, 5])
-def test_resolve_near_zero_scale_raises(toy_db, warmup):
+def test_resolve_near_zero_scale_raises(toy_db):
     a, b = generate_scene(toy_db, 2, seed=47).objects
     tiny = PlacedObject(b.class_name, b.exemplar,
                         Pose9DoF(b.pose.r, b.pose.t, np.array([1.0, 1e-13, 1.0])))
     with pytest.raises(ZeroScale):
-        resolve_collisions(toy_db, Scene(0, (a, tiny)), OptimConfig(iterations=10, warmup=warmup))
+        resolve_collisions(toy_db, Scene(0, (a, tiny)), OptimConfig(iterations=10))

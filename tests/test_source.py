@@ -1,9 +1,12 @@
 """Checks on the package's source text itself.
 
 `python tests/test_source.py` prints the code lines of each module and their
-total (see code_lines).
+total (see code_lines), then the settable values: each command's optional
+flags, the config keys and the OptimConfig fields, with their counts.
 """
+import argparse
 import ast
+import dataclasses
 import io
 import tokenize
 from pathlib import Path
@@ -11,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import shapescene
+from shapescene.cli import CONFIG_KEYS, build_parser
+from shapescene.optim import OptimConfig
 
 MODULES = sorted(p for p in Path(shapescene.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")  # __init__ imports names to re-export them
@@ -106,10 +111,32 @@ class C:
     assert code_lines(source) == 10
 
 
+def command_options() -> dict[str, list[argparse.Action]]:
+    """Each command's optional flags, -h aside, by command name."""
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    return {name: [a for a in p._actions if a.option_strings and not a.required
+                   and not isinstance(a, argparse._HelpAction)]
+            for name, p in commands.items()}
+
+
+def test_config_keys_are_flags():
+    # Each config key supplies the default of a like-named, like-typed flag.
+    flags = {(a.dest, a.type) for actions in command_options().values() for a in actions}
+    assert set(CONFIG_KEYS.items()) <= flags
+
+
 if __name__ == "__main__":
     total = 0
     for path in sorted(Path(shapescene.__file__).parent.glob("*.py")):
         n = code_lines(path.read_text())
         total += n
         print(f"{path.name:16} {n:5}")
-    print(f"{'total':16} {total:5}")
+    print(f"{'total':16} {total:5}\n")
+    options = command_options()
+    for name, actions in options.items():
+        print(f"{name:16} {len(actions):5}  {' '.join(a.option_strings[0] for a in actions)}".rstrip())
+    print(f"{'optional flags':16} {sum(map(len, options.values())):5}")
+    print(f"{'config keys':16} {len(CONFIG_KEYS):5}  {' '.join(CONFIG_KEYS)}")
+    fields = [f.name for f in dataclasses.fields(OptimConfig)]
+    print(f"{'OptimConfig':16} {len(fields):5}  {' '.join(fields)}")

@@ -125,12 +125,31 @@ def test_fit_poses_writes_the_pose_it_scored(toy_db):
     assert score == pytest.approx(trace[-1], rel=1e-12)
 
 
-def test_fit_poses_reflection_raises(toy_db):
-    # Targets mirrored in x are best fitted by a negative x scale, with the
-    # rotation and translation frozen: a reflection, which no pose holds.
+def test_fit_poses_folds_an_even_sign_count_into_the_rotation(toy_db):
+    # Targets mirrored in x and y are best fitted by negative x and y scales,
+    # with the rotation and translation frozen: a half turn about z, written
+    # as positive scales with the turn in the rotation.
     gt = generate_scene(toy_db, 1, seed=37)
     o = gt.objects[0]
-    mirrored = [apply_pose(o.pose, shape_entry(toy_db, o).points * [-1.0, 1.0, 1.0])]
+    points = shape_entry(toy_db, o).points
+    turned = [apply_pose(o.pose, points * [-1.0, -1.0, 1.0])]
+    fit, trace = fit_poses(toy_db, gt, turned, OptimConfig(lr=0.1, iterations=100),
+                           freeze=frozenset({"rot", "trans"}))
+    pose = fit.objects[0].pose
+    assert np.all(pose.s > 0.0)
+    assert np.array_equal(pose.r.m, o.pose.r.m * [-1.0, -1.0, 1.0])
+    assert np.sum((apply_pose(pose, points) - turned[0]) ** 2) == pytest.approx(
+        trace[-1], rel=1e-12)
+
+
+@pytest.mark.parametrize("mirror", [(-1.0, 1.0, 1.0), (-1.0, -1.0, -1.0)])
+def test_fit_poses_reflection_raises(toy_db, mirror):
+    # Targets mirrored in x, or in all three axes, are best fitted by an odd
+    # count of negative scales, with the rotation and translation frozen: a
+    # reflection, which no pose holds.
+    gt = generate_scene(toy_db, 1, seed=37)
+    o = gt.objects[0]
+    mirrored = [apply_pose(o.pose, shape_entry(toy_db, o).points * mirror)]
     with pytest.raises(ShapeSceneError, match="reflection"):
         fit_poses(toy_db, gt, mirrored, OptimConfig(lr=0.1, iterations=100),
                   freeze=frozenset({"rot", "trans"}))
@@ -208,7 +227,7 @@ def test_resolve_collision_count_not_increased(toy_db):
     assert count_after <= count_before
 
 
-def _resolve_by_full_gradient(db, scene, cfg):
+def _resolve_by_full_gradient(db, scene, cfg, anchor_term_weight):
     """resolve_collisions' trace and translations, with every evaluation
     rebuilding the posed objects and taking collision_gradient's t rows."""
     objs = scene_to_objects(db, scene)
@@ -221,15 +240,16 @@ def _resolve_by_full_gradient(db, scene, cfg):
         delta = params - t0
         anchor = 0.0
         for d in delta:
-            anchor += float(d @ d)
+            anchor += anchor_term_weight * float(d @ d)
         obj = coll + anchor
         trace.append((coll, anchor, obj))
-        return obj, grad + 2.0 * delta, coll <= TOL
+        return obj, grad + 2.0 * anchor_term_weight * delta, coll <= TOL
 
     return _descend(t0, cfg, evaluate), trace
 
 
-def test_resolve_trace_bit_identical_to_full_gradient(toy_db):
+@pytest.mark.parametrize("anchor", [1.0, 1e-3])
+def test_resolve_trace_bit_identical_to_full_gradient(toy_db, anchor):
     base = generate_scene(toy_db, 4, seed=46)
     centroid = np.mean([o.pose.t for o in base.objects], axis=0)
     pulled = Scene(base.seed, tuple(
@@ -237,8 +257,8 @@ def test_resolve_trace_bit_identical_to_full_gradient(toy_db):
                      Pose9DoF(o.pose.r, centroid + 0.5 * (o.pose.t - centroid), o.pose.s))
         for o in base.objects))
     cfg = OptimConfig(lr=2e-2, iterations=15)
-    resolved, trace = resolve_collisions(toy_db, pulled, cfg)
-    best, expected = _resolve_by_full_gradient(toy_db, pulled, cfg)
+    resolved, trace = resolve_collisions(toy_db, pulled, cfg, anchor_term_weight=anchor)
+    best, expected = _resolve_by_full_gradient(toy_db, pulled, cfg, anchor)
     assert trace == expected and trace[0][0] > 0.0
     assert np.array_equal([o.pose.t for o in resolved.objects], best)
 

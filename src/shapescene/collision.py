@@ -7,7 +7,7 @@ is passed through the bounded Geman-McClure penalty.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +25,6 @@ class SceneObject:
     pose: Pose9DoF
     clamped_sdf: SdfGrid  # interior depth field, canonical frame
     points: np.ndarray    # (n, 3) canonical surface samples
-
-    def with_pose(self, pose: Pose9DoF) -> "SceneObject":
-        return replace(self, pose=pose)
 
 
 def geman_mcclure(x: float) -> float:

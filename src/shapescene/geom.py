@@ -151,12 +151,6 @@ def apply_pose_backward(r: np.ndarray, sx: np.ndarray, x: np.ndarray, g: np.ndar
     return g.swapaxes(-1, -2) @ sx, sum_points(g), sum_points((g @ r) * x)
 
 
-def inverse_apply_pose(p: Pose9DoF, y: np.ndarray) -> np.ndarray:
-    """Map world points back to the canonical frame: S^-1 R^T (y - t)."""
-    y = np.asarray(y, dtype=np.float64)
-    return ((y - p.t) @ p.r.m) / p.s
-
-
 def rotation_about_axis(axis: np.ndarray, angle: float) -> Rotation:
     """Rodrigues rotation by `angle` radians about a (non-zero) axis."""
     axis = np.asarray(axis, dtype=np.float64)

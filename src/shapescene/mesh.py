@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMesh, MalformedFile, NonWatertight, read_text
-from .geom import Pose9DoF, apply_pose, inverse_apply_pose
+from .geom import Pose9DoF, apply_pose
 
 # Fixed sub-voxel jitter applied to ray origins so rays never pass exactly
 # through triangle edges of axis-aligned fixtures. Irrational, deterministic.
@@ -296,61 +296,30 @@ def voxelize_occupancy(
     origin: np.ndarray,
     dims: tuple[int, int, int],
     spacing: float,
-    first: np.ndarray | None = None,
 ) -> np.ndarray:
     """Boolean occupancy: voxel center inside the posed mesh.
 
     `origin` is the world position of voxel (0, 0, 0)'s center; cubic voxels.
-    Only voxels inside the posed mesh's bounding box are ray-tested.
-
-    `first`, a boolean grid of `dims`, names voxels to test before the rest
-    of the box. If one of them is inside, the rest are left untested and the
-    grid holds only the inside voxels of `first`: a caller that rejects any
-    overlap with `first` learns it from the fewest points. Otherwise the grid
-    is the full occupancy. The watertight check covers the voxels tested.
+    The mesh's vertices are posed once, and only the voxels inside the posed
+    mesh's bounding box are tested. Their world centres form a lattice, so
+    `points_inside` casts one ray per lattice line and world axis, as
+    `sdf.mesh_to_sdf` does; the watertight check covers the box.
     """
     origin = np.asarray(origin, dtype=np.float64)
-    nx, ny, nz = dims
-    occ = np.zeros((nx, ny, nz), dtype=bool)
+    occ = np.zeros(dims, dtype=bool)
 
-    world_verts = apply_pose(pose, mesh.vertices)
-    lo = world_verts.min(axis=0)
-    hi = world_verts.max(axis=0)
+    world = TriMesh(apply_pose(pose, mesh.vertices), mesh.triangles)
+    lo, hi = world.bounds()
     i_lo = np.maximum(np.ceil((lo - origin) / spacing - 0.5).astype(int), 0)
     i_hi = np.minimum(np.floor((hi - origin) / spacing + 0.5).astype(int), np.array(dims) - 1)
     if np.any(i_lo > i_hi):
         return occ
 
-    centers = grid_centers(origin, spacing, i_lo, i_hi + 1).reshape(-1, 3)
-    canon = inverse_apply_pose(pose, centers)
-    box = tuple(slice(i_lo[a], i_hi[a] + 1) for a in range(3))
-    if first is None:
-        inside, disagreement = points_inside(mesh, canon)
-    else:
-        inside, disagreement = _points_inside_picked_first(mesh, canon, first[box].reshape(-1))
+    inside, disagreement = points_inside(world, grid_centers(origin, spacing, i_lo, i_hi + 1))
     require_watertight(disagreement)
+    box = tuple(slice(i_lo[a], i_hi[a] + 1) for a in range(3))
     occ[box] = inside.reshape(occ[box].shape)
     return occ
-
-
-def _points_inside_picked_first(
-    mesh: TriMesh, points: np.ndarray, pick: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """points_inside, testing the `pick` points first and stopping there when
-    one of them is inside; the disagreement is over the points tested."""
-    n_pick = np.count_nonzero(pick)
-    if n_pick in (0, len(points)):
-        return points_inside(mesh, points)
-    inside = np.zeros(len(points), dtype=bool)
-    inside[pick], disagreement = points_inside(mesh, points[pick])
-    if inside.any():
-        return inside, disagreement
-    rest = ~pick
-    inside[rest], rest_disagreement = points_inside(mesh, points[rest])
-    # Both fractions are counts over their sizes; their sum over all points
-    # is the fraction points_inside gives the whole box, bit for bit.
-    count = round(disagreement * n_pick) + round(rest_disagreement * (len(points) - n_pick))
-    return inside, count / len(points)
 
 
 def point_triangle_distance(points: np.ndarray, mesh: TriMesh) -> np.ndarray:

@@ -45,7 +45,7 @@ class OptimConfig:
 def _descend(params: np.ndarray, cfg: OptimConfig, evaluate) -> np.ndarray:
     """Adam from `params`; returns the parameters with the lowest objective.
 
-    `evaluate(params, it)` returns (objective, gradient, converged). The loop
+    `evaluate(params)` returns (objective, gradient, converged). The loop
     stops after the first converged evaluation or after cfg.iterations steps,
     and raises NonFinite on a non-finite iterate or objective. Each step makes
     a new array, so kept parameters are never written to.
@@ -59,7 +59,7 @@ def _descend(params: np.ndarray, cfg: OptimConfig, evaluate) -> np.ndarray:
         for it in range(cfg.iterations + 1):
             if not np.all(np.isfinite(params)):
                 raise NonFinite(f"parameters became non-finite at iteration {it}")
-            obj, grad, converged = evaluate(params, it)
+            obj, grad, converged = evaluate(params)
             if not np.isfinite(obj):
                 raise NonFinite(f"objective became non-finite at iteration {it}")
             if obj < best_obj:
@@ -101,7 +101,7 @@ def fit_poses(
     targets = np.asarray(targets, dtype=np.float64)  # one stack, not one per evaluation
     trace: list[float] = []
 
-    def evaluate(params, it):
+    def evaluate(params):
         raw = params[:, :9].reshape(-1, 3, 3)
         obj, (g_r, g_t, g_s) = pose_loss_world_grads(
             project_to_so3(raw), params[:, 9:12], params[:, 12:], clouds, targets)
@@ -163,7 +163,7 @@ def resolve_collisions(
     maps = pair_maps(objs)  # rotations and scales stay fixed
     trace: list[tuple[float, float, float]] = []
 
-    def evaluate(params, it):
+    def evaluate(params):
         coll, grad = translation_step(objs, maps, params)
         delta = params - t0
         anchor = 0.0

@@ -158,8 +158,7 @@ def generate_scene(db: ShapeDatabase, n_objects: int, seed: int) -> Scene:
             min_z = apply_pose(pose0, mesh.vertices)[:, 2].min()
             pose = Pose9DoF(rot, np.array([x, y, -min_z]), s)
 
-            # Taken voxels are tested first: one inside rejects the candidate.
-            occ = voxelize_occupancy(mesh, pose, origin, dims, spacing, first=taken)
+            occ = voxelize_occupancy(mesh, pose, origin, dims, spacing)
             if not np.any(occ & taken):
                 placed.append(PlacedObject(db.classes[cls], exemplar, pose))
                 taken |= occ

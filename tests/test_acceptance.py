@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -197,7 +198,7 @@ def test_criterion_2_gradient_suites():
         grads_r = chain_rotation_grad(np.reshape(raws, (-1, 3, 3)), grads_r)
 
         def loss_with(which, mm, tt, ss):
-            repl = objs[which].with_pose(Pose9DoF(project_to_so3(mm), tt, ss))
+            repl = replace(objs[which], pose=Pose9DoF(project_to_so3(mm), tt, ss))
             return collision_loss_total(
                 [repl if k == which else objs[k] for k in range(2)])
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -92,7 +94,7 @@ def test_relative_transform_round_trip(rng):
 def test_relative_transform_zero_scale():
     i = _cube_object(Pose9DoF.identity())
     bad = Pose9DoF(Rotation.identity(), np.zeros(3), np.array([1.0, 1.0, 1e-15]))
-    j = i.with_pose(bad)
+    j = replace(i, pose=bad)
     with pytest.raises(ZeroScale):
         relative_transform(i, j)
 
@@ -177,8 +179,8 @@ def test_gradient_translation_fd(rng):
         for axis in range(3):
             e = np.zeros(3)
             e[axis] = eps
-            up = obj.with_pose(Pose9DoF(obj.pose.r, obj.pose.t + e, obj.pose.s))
-            dn = obj.with_pose(Pose9DoF(obj.pose.r, obj.pose.t - e, obj.pose.s))
+            up = replace(obj, pose=Pose9DoF(obj.pose.r, obj.pose.t + e, obj.pose.s))
+            dn = replace(obj, pose=Pose9DoF(obj.pose.r, obj.pose.t - e, obj.pose.s))
             scene_up = [up, b] if which == 0 else [a, up]
             scene_dn = [dn, b] if which == 0 else [a, dn]
             fd[axis] = (collision_loss_total(scene_up)
@@ -199,8 +201,8 @@ def test_gradient_scale_fd(rng):
         for axis in range(3):
             e = np.zeros(3)
             e[axis] = eps
-            up = obj.with_pose(Pose9DoF(obj.pose.r, obj.pose.t, obj.pose.s + e))
-            dn = obj.with_pose(Pose9DoF(obj.pose.r, obj.pose.t, obj.pose.s - e))
+            up = replace(obj, pose=Pose9DoF(obj.pose.r, obj.pose.t, obj.pose.s + e))
+            dn = replace(obj, pose=Pose9DoF(obj.pose.r, obj.pose.t, obj.pose.s - e))
             scene_up = [up, b] if which == 0 else [a, up]
             scene_dn = [dn, b] if which == 0 else [a, dn]
             fd[axis] = (collision_loss_total(scene_up)
@@ -227,10 +229,10 @@ def test_gradient_rotation_fd_through_projection(rng):
             for j in range(3):
                 e = np.zeros((3, 3))
                 e[i, j] = eps
-                up = objs[which].with_pose(
-                    Pose9DoF(project_to_so3(raw[which] + e), ts[which], np.ones(3)))
-                dn = objs[which].with_pose(
-                    Pose9DoF(project_to_so3(raw[which] - e), ts[which], np.ones(3)))
+                up = replace(objs[which], pose=Pose9DoF(
+                    project_to_so3(raw[which] + e), ts[which], np.ones(3)))
+                dn = replace(objs[which], pose=Pose9DoF(
+                    project_to_so3(raw[which] - e), ts[which], np.ones(3)))
                 scene_up = [up if k == which else objs[k] for k in range(2)]
                 scene_dn = [dn if k == which else objs[k] for k in range(2)]
                 fd[i, j] = (collision_loss_total(scene_up)
@@ -264,7 +266,7 @@ def test_translation_step_bit_identical_to_collision_gradient(rng):
                                           np.ones(3)), n_points=64, seed=n))
         maps = pair_maps(objs)
         for shift in (np.zeros((n, 3)), rng.normal(size=(n, 3)) * 0.1):
-            moved = [o.with_pose(Pose9DoF(o.pose.r, o.pose.t + d, o.pose.s))
+            moved = [replace(o, pose=Pose9DoF(o.pose.r, o.pose.t + d, o.pose.s))
                      for o, d in zip(objs, shift)]
             t = np.array([o.pose.t for o in moved])
             loss, grad = translation_step(objs, maps, t)
@@ -283,7 +285,7 @@ def test_translation_step_bit_identical_to_collision_gradient(rng):
 
 def test_pair_maps_zero_scale():
     i = _cube_object(Pose9DoF.identity())
-    j = i.with_pose(Pose9DoF(Rotation.identity(), np.zeros(3), np.array([1.0, 1.0, 1e-15])))
+    j = replace(i, pose=Pose9DoF(Rotation.identity(), np.zeros(3), np.array([1.0, 1.0, 1e-15])))
     # Two targets, each stacking exactly one source: the other object's points.
     n = len(i.points)
     assert [(stack.shape, bounds.tolist()) for stack, bounds in pair_maps([i, i])] \
@@ -297,7 +299,7 @@ def _assert_step_matches_collision_gradient(objs, shifts):
     collision_loss_total bit for bit at each shift of the translations."""
     maps = pair_maps(objs)
     for shift in shifts:
-        moved = [o.with_pose(Pose9DoF(o.pose.r, o.pose.t + d, o.pose.s))
+        moved = [replace(o, pose=Pose9DoF(o.pose.r, o.pose.t + d, o.pose.s))
                  for o, d in zip(objs, shift)]
         t = np.reshape([o.pose.t for o in moved], np.shape(shift))
         loss, grad = translation_step(objs, maps, t)

@@ -8,7 +8,6 @@ from shapescene.geom import (
     apply_pose,
     chain_rotation_grad,
     geodesic_distance,
-    inverse_apply_pose,
     project_to_so3,
     random_rotation,
     rotation_about_axis,
@@ -239,13 +238,6 @@ def test_apply_pose_homogeneous_oracle():
         hom[:3, 3] = p.t
         oracle = (hom @ np.append(x, 1.0))[:3]
         assert np.linalg.norm(apply_pose(p, x) - oracle) < 1e-12
-
-
-def test_inverse_apply_pose_round_trip(rng):
-    p = Pose9DoF(random_rotation(rng), rng.normal(size=3),
-                 np.exp(rng.normal(size=3) * 0.3))
-    pts = rng.normal(size=(40, 3))
-    assert np.allclose(inverse_apply_pose(p, apply_pose(p, pts)), pts, atol=1e-12)
 
 
 def test_sum_points_adds_points_in_order(rng):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from shapescene.errors import DegenerateMesh, NonWatertight
-from shapescene.geom import Pose9DoF, Rotation, rotation_about_axis
+from shapescene.geom import Pose9DoF, Rotation, apply_pose, random_rotation, rotation_about_axis
 from shapescene.mesh import (
     _RAY_JITTER,
     WATERTIGHT_DISAGREEMENT,
@@ -13,7 +13,6 @@ from shapescene.mesh import (
     _distance_rounding,
     _float32_below,
     _parity_along_axis,
-    _points_inside_picked_first,
     _triangle_distance,
     canonicalize_mesh,
     grid_centers,
@@ -24,6 +23,7 @@ from shapescene.mesh import (
     save_obj,
     voxelize_occupancy,
 )
+from shapescene.scene import scene_grid
 from shapescene.sdf import mesh_to_sdf
 from shapescene.toys import make_box, make_cylinder, toy_shape_set
 
@@ -270,42 +270,52 @@ def test_voxelize_cube_exact():
     assert np.array_equal(occ, oracle)
 
 
-def test_voxelize_open_mesh_raises(open_box):
+def _canonical_frame_occupancy(mesh, pose, origin, dims, spacing):
+    """Occupancy by mapping every voxel centre of the posed mesh's box back
+    into the canonical frame, S^-1 R^T (c - t), and ray-testing it there."""
+    world = apply_pose(pose, mesh.vertices)
+    i_lo = np.maximum(np.ceil((world.min(axis=0) - origin) / spacing - 0.5).astype(int), 0)
+    i_hi = np.minimum(np.floor((world.max(axis=0) - origin) / spacing + 0.5).astype(int),
+                      np.array(dims) - 1)
+    occ = np.zeros(dims, dtype=bool)
+    if np.any(i_lo > i_hi):
+        return occ
+    centers = grid_centers(origin, spacing, i_lo, i_hi + 1).reshape(-1, 3)
+    inside, _ = points_inside(mesh, ((centers - pose.t) @ pose.r.m) / pose.s)
+    box = tuple(slice(i_lo[a], i_hi[a] + 1) for a in range(3))
+    occ[box] = inside.reshape(occ[box].shape)
+    return occ
+
+
+@pytest.mark.parametrize("resolution", [64, 128])
+@pytest.mark.parametrize("turn", ["yaw", "random"])
+def test_voxelize_matches_canonical_frame_reference(resolution, turn):
+    # Posing the vertices and casting along world axes rounds differently
+    # from mapping each voxel centre back; every voxel must still vote alike.
+    rng = np.random.default_rng(resolution)
+    origin, dims, spacing = scene_grid(((-1.5, 1.5), (-1.5, 1.5), (-1.0, 1.0)), resolution)
+    occupied = 0
+    for _, mesh in toy_shape_set():
+        for _ in range(2):
+            rot = (rotation_about_axis(np.array([0.0, 0.0, 1.0]), rng.uniform(0.0, 2.0 * np.pi))
+                   if turn == "yaw" else random_rotation(rng))
+            pose = Pose9DoF(rot, rng.uniform(-0.4, 0.4, size=3),
+                            np.exp(rng.uniform(np.log(0.5), np.log(1.5), size=3)))
+            grid = (origin, dims, spacing)
+            occ = voxelize_occupancy(mesh, pose, *grid)
+            assert np.array_equal(occ, _canonical_frame_occupancy(mesh, pose, *grid))
+            occupied += np.count_nonzero(occ)
+    assert occupied > 0
+
+
+@pytest.mark.parametrize("pose", [
+    Pose9DoF.identity(),
+    Pose9DoF(rotation_about_axis(np.array([0.3, -0.5, 1.0]), 0.8),
+             np.array([0.05, -0.1, 0.02]), np.array([1.2, 0.7, 0.9])),
+])
+def test_voxelize_open_mesh_raises(open_box, pose):
     with pytest.raises(NonWatertight):
-        voxelize_occupancy(open_box, Pose9DoF.identity(), np.full(3, -0.95), (20, 20, 20), 0.1)
-
-
-def test_voxelize_first_outside_gives_full_grid(rng, open_box):
-    mesh = make_cylinder(0.5, 1.0, 8, taper=0.6)
-    pose = Pose9DoF(rotation_about_axis(np.array([0.2, 1.0, 0.4]), 0.9),
-                    np.array([0.1, -0.2, 0.05]), np.array([1.2, 0.8, 1.0]))
-    origin, dims, spacing = np.full(3, -1.0), (40, 40, 40), 0.05
-    full = voxelize_occupancy(mesh, pose, origin, dims, spacing)
-    for density in (0.0, 0.01, 0.3, 1.0):
-        first = (rng.random(dims) < density) & ~full
-        assert np.array_equal(
-            voxelize_occupancy(mesh, pose, origin, dims, spacing, first=first), full)
-    # One voxel of `first` inside: the grid holds only the inside voxels of `first`.
-    first = rng.random(dims) < 0.05
-    first[tuple(np.argwhere(full)[0])] = True
-    got = voxelize_occupancy(mesh, pose, origin, dims, spacing, first=first)
-    assert got.any() and np.array_equal(got, full & first)
-    # Nothing of `first` inside: the watertight check covers the whole box.
-    outside = np.zeros((20, 20, 20), dtype=bool)
-    outside[:3] = True
-    with pytest.raises(NonWatertight):
-        voxelize_occupancy(open_box, Pose9DoF.identity(), np.full(3, -0.95), (20, 20, 20),
-                           0.1, first=outside)
-
-
-def test_points_inside_picked_first_matches_one_pass(open_box):
-    axis = np.linspace(-0.7, 0.7, 15)
-    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    inside, disagreement = points_inside(open_box, grid)
-    pick = np.random.default_rng(2).random(len(grid)) < 0.3
-    pick &= ~inside
-    got, got_disagreement = _points_inside_picked_first(open_box, grid, pick)
-    assert np.array_equal(got, inside) and got_disagreement == disagreement > 0.0
+        voxelize_occupancy(open_box, pose, np.full(3, -0.95), (20, 20, 20), 0.1)
 
 
 def test_voxelize_scale_doubles_count():

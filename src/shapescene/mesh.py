@@ -1,10 +1,11 @@
 """Triangle meshes: OBJ I/O, canonicalization, surface sampling, containment
 and point-to-mesh distance.
 
-Containment uses parity ray casting along the three grid axes with a majority
-vote, which tolerates small cracks in near-watertight input; only rays that can
-cross the mesh's bounding box are cast, and the points of a lattice line share
-one ray per axis (see `_parity_along_axis`). Distance is exact; it skips the
+Containment is decided on a lattice given by its coordinates along x, y and z
+(`grid_axes`), by parity ray casting along the three axes with a majority vote,
+which tolerates small cracks in near-watertight input; each lattice line casts
+one ray per axis, and only rays that can cross the mesh's bounding box are cast
+(see `_parity_along_axis`). Distance is exact; it skips the
 point-triangle pairs that a per-brick bound shows cannot hold the minimum, by
 the distance from the brick's centre (see `point_triangle_distance`).
 """
@@ -174,34 +175,32 @@ def _cull_margins(e1: np.ndarray, e2: np.ndarray, denom: np.ndarray,
     return (span * (k + 8.0 * u) if k <= 0.25 else np.inf), along
 
 
-def _parity_along_axis(mesh: TriMesh, points: np.ndarray, axis: int) -> np.ndarray:
-    """Odd crossing parity of +axis rays from each point (True = inside).
-
-    `points` is either (n, 3), read as n columns of one point, or a
-    (columns, m, 3) lattice whose m points in a column differ only in their
-    `axis` coordinate; the result has the leading shape of `points`. A
-    column whose other two coordinates differ anywhere raises ValueError.
+def _parity_along_axis(mesh: TriMesh, axes, axis: int) -> np.ndarray:
+    """Odd crossing parity of +axis rays from each point of the lattice whose
+    coordinates along x, y and z are `axes` (True = inside), as a
+    (len(axes[0]), len(axes[1]), len(axes[2])) array.
 
     The ray test of a point reads its `axis` coordinate only in the last
     comparison, the start against the crossing height. Everything before
     it, the jittered (b, c) sums, alpha, beta, the hit test and the crossing
     height, is a function of the (b, c) floats alone, and those are the same
-    floats for every point of a column. So each triangle is tested once per
-    column, and the crossing height of each hit column is compared with all
-    of the column's starts: the same operations on the same operands as one
-    ray per point, hence the same bits.
+    floats for every point of a lattice line along `axis`. So each triangle
+    is tested once per line, and the crossing height of each hit line is
+    compared with every start in `axes[axis]`. The products of alpha's and
+    beta's numerators are formed once per b and per c coordinate and
+    broadcast over the lines: the same operations on the same operands as
+    one ray per point, hence the same bits.
 
-    Only the columns whose rays can be counted are cast: those whose (b, c)
-    position lies inside the mesh's bounding box and whose lowest start is
-    not above it, each widened by a rounding-error margin (`_cull_margins`).
-    Every other point crosses nothing, which is what casting its ray would
-    give, so the result is bit-identical to testing every point.
+    Only the lines whose rays can be counted are cast: those whose b and c
+    coordinates lie inside the mesh's bounding box, and all of them only if
+    the lowest start is not above it, each widened by a rounding-error
+    margin (`_cull_margins`). Every other point crosses nothing, which is
+    what casting its ray would give, so the result is bit-identical to
+    testing every point.
     """
     b_ax, c_ax = [a for a in range(3) if a != axis]
-    columns = points if points.ndim == 3 else points[:, None, :]
-    if any(np.any(columns[:, 1:, a] != columns[:, :1, a]) for a in (b_ax, c_ax)):
-        raise ValueError(f"a column's points differ off axis {axis}")
-    starts = columns[:, :, axis]
+    starts = axes[axis]
+    shape = (len(axes[b_ax]), len(axes[c_ax]), len(starts))
     p0, p1, p2 = mesh.corners()
     e1s = p1 - p0
     e2s = p2 - p0
@@ -211,68 +210,48 @@ def _parity_along_axis(mesh: TriMesh, points: np.ndarray, axis: int) -> np.ndarr
     p0, e1s, e2s, denoms = p0[active], e1s[active], e2s[active], denoms[active]
     lo, hi = mesh.bounds()
     across, along = _cull_margins(e1s, e2s, denoms, mesh.vertices)
-    qb = columns[:, 0, b_ax] + _RAY_JITTER
-    qc = columns[:, 0, c_ax] + _RAY_JITTER * np.sqrt(3.0)
-    near = np.flatnonzero(
-        (starts.min(axis=1) < hi[axis] + along)
-        & (qb >= lo[b_ax] - across) & (qb <= hi[b_ax] + across)
-        & (qc >= lo[c_ax] - across) & (qc <= hi[c_ax] + across)
-    )
-    qb, qc = qb.take(near), qc.take(near)
+    qb = axes[b_ax] + _RAY_JITTER
+    qc = axes[c_ax] + _RAY_JITTER * np.sqrt(3.0)
+    cast = np.min(starts, initial=np.inf) < hi[axis] + along
+    near_b = np.flatnonzero((qb >= lo[b_ax] - across) & (qb <= hi[b_ax] + across) & cast)
+    near_c = np.flatnonzero((qc >= lo[c_ax] - across) & (qc <= hi[c_ax] + across))
+    qb, qc = qb.take(near_b), qc.take(near_c)
 
     hits, heights = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     # Python floats: the same float64 arithmetic without numpy scalar indexing.
     for p, e1, e2, denom in zip(p0.tolist(), e1s.tolist(), e2s.tolist(), denoms.tolist()):
-        db = qb - p[b_ax]
+        db = (qb - p[b_ax])[:, None]
         dc = qc - p[c_ax]
         alpha = (db * e2[c_ax] - dc * e2[b_ax]) / denom
         beta = (e1[b_ax] * dc - e1[c_ax] * db) / denom
-        hit = ((alpha >= 0.0) & (beta >= 0.0) & (alpha + beta <= 1.0)).nonzero()[0]
+        hit = ((alpha >= 0.0) & (beta >= 0.0) & (alpha + beta <= 1.0)).ravel().nonzero()[0]
         if len(hit):
             hits.append(hit)
-            heights.append(p[axis] + alpha[hit] * e1[axis] + beta[hit] * e2[axis])
-    # Every crossing against its column's starts at once; the parity of a
-    # point is that of the number of crossings above it.
-    column = near.take(np.concatenate(hits))
-    above = np.concatenate(heights)[:, None] > starts.take(column, axis=0)
-    m = starts.shape[1]
-    crossings = np.bincount((column[:, None] * m + np.arange(m))[above], minlength=starts.size)
-    parity = (crossings % 2 == 1).reshape(starts.shape)
-    return parity if points.ndim == 3 else parity[:, 0]
+            heights.append(p[axis] + alpha.take(hit) * e1[axis] + beta.take(hit) * e2[axis])
+    # Every crossing against all the starts at once; the parity of a point
+    # is that of the number of crossings above it.
+    line = (near_b[:, None] * shape[1] + near_c).ravel().take(np.concatenate(hits))
+    above = np.concatenate(heights)[:, None] > starts
+    m = shape[2]
+    crossings = np.bincount((line[:, None] * m + np.arange(m))[above], minlength=np.prod(shape))
+    return np.moveaxis((crossings % 2 == 1).reshape(shape), 2, axis)
 
 
-def points_inside(mesh: TriMesh, points: np.ndarray) -> tuple[np.ndarray, float]:
-    """Majority-vote containment for arbitrary points.
+def points_inside(mesh: TriMesh, axes) -> tuple[np.ndarray, float]:
+    """Majority-vote containment of the lattice whose coordinates along x, y
+    and z are the 1-D arrays `axes`, such as `grid_axes` returns.
 
-    `points` is (..., 3) and flattened to (n, 3), except that a 4-D array
-    is read as an (nx, ny, nz, 3) lattice such as `grid_centers` returns,
-    whose lines along each axis vary in that axis's coordinate alone
-    (ValueError otherwise). A lattice casts one ray per line and axis
-    (`_parity_along_axis`); the votes are the same as for its points one
-    by one.
+    Each lattice line casts one ray per axis (`_parity_along_axis`); the
+    votes are the same as for its points one by one.
 
-    Returns (inside mask over the points in C order, fraction of points
-    where the three axis votes disagree). Callers decide whether the
+    Returns (inside mask over the lattice's points in C order, fraction of
+    points where the three axis votes disagree). Callers decide whether the
     disagreement is fatal.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim == 4:
-        votes = np.stack([_lattice_parity(mesh, points, a) for a in range(3)])
-    else:
-        points = points.reshape(-1, 3)
-        votes = np.stack([_parity_along_axis(mesh, points, a) for a in range(3)])
-    total = votes.sum(axis=0)
+    total = np.sum([_parity_along_axis(mesh, axes, a) for a in range(3)], axis=0).ravel()
     inside = total >= 2
     disagree = float(np.mean((total != 0) & (total != 3))) if total.size else 0.0
     return inside, disagree
-
-
-def _lattice_parity(mesh: TriMesh, lattice: np.ndarray, axis: int) -> np.ndarray:
-    """`_parity_along_axis` of an (nx, ny, nz, 3) lattice, one column per
-    line along `axis`, flattened back to the lattice's C order."""
-    lines = np.moveaxis(lattice, axis, 2)
-    parity = _parity_along_axis(mesh, lines.reshape(-1, lines.shape[2], 3), axis)
-    return np.moveaxis(parity.reshape(lines.shape[:3]), 2, axis).ravel()
 
 
 def require_watertight(disagreement: float) -> None:
@@ -282,12 +261,16 @@ def require_watertight(disagreement: float) -> None:
         )
 
 
+def grid_axes(origin, spacing: float, lo, hi) -> list[np.ndarray]:
+    """World coordinates along x, y and z of the centres of the voxels with
+    lo[a] <= index < hi[a] on each axis a, on the cubic grid whose voxel
+    (0, 0, 0) is centred at `origin`."""
+    return [origin[a] + spacing * np.arange(lo[a], hi[a]) for a in range(3)]
+
+
 def grid_centers(origin, spacing: float, lo, hi) -> np.ndarray:
-    """(nx, ny, nz, 3) world centers of the voxels with lo[a] <= index < hi[a]
-    on each axis a, on the cubic grid whose voxel (0, 0, 0) is centered at
-    `origin`."""
-    axes = [origin[a] + spacing * np.arange(lo[a], hi[a]) for a in range(3)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    """(nx, ny, nz, 3) world centres of the voxels `grid_axes` spans."""
+    return np.stack(np.meshgrid(*grid_axes(origin, spacing, lo, hi), indexing="ij"), axis=-1)
 
 
 def voxelize_occupancy(
@@ -301,9 +284,9 @@ def voxelize_occupancy(
 
     `origin` is the world position of voxel (0, 0, 0)'s center; cubic voxels.
     The mesh's vertices are posed once, and only the voxels inside the posed
-    mesh's bounding box are tested. Their world centres form a lattice, so
-    `points_inside` casts one ray per lattice line and world axis, as
-    `sdf.mesh_to_sdf` does; the watertight check covers the box.
+    mesh's bounding box are tested: `points_inside` takes their world axes
+    (`grid_axes`) and casts one ray per lattice line and world axis, as for
+    `sdf.mesh_to_sdf`; the watertight check covers the box.
     """
     origin = np.asarray(origin, dtype=np.float64)
     occ = np.zeros(dims, dtype=bool)
@@ -315,7 +298,7 @@ def voxelize_occupancy(
     if np.any(i_lo > i_hi):
         return occ
 
-    inside, disagreement = points_inside(world, grid_centers(origin, spacing, i_lo, i_hi + 1))
+    inside, disagreement = points_inside(world, grid_axes(origin, spacing, i_lo, i_hi + 1))
     require_watertight(disagreement)
     box = tuple(slice(i_lo[a], i_hi[a] + 1) for a in range(3))
     occ[box] = inside.reshape(occ[box].shape)

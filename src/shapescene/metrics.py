@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyScenes
+from .errors import DataError, EmptyScenes
 from .geom import Pose9DoF, apply_pose
 from .mesh import voxelize_occupancy
 from .scene import PlacedObject, Scene, scene_grid, shape_entry
@@ -41,16 +41,22 @@ _SCENE_PAD = 0.1
 MIV_EPSILON_VOXELS = 1
 
 
+# A pose past the float range makes inf or NaN vertices: one DataError, not a
+# NumPy warning per operation.
+@np.errstate(over="ignore", invalid="ignore")
 def scene_voxel_grid(scenes: list[Scene], db: ShapeDatabase, resolution: int):
     """scene_grid over the bounds of the scenes' posed meshes, padded by
-    _SCENE_PAD on every side; EmptyScenes if no scene holds an object."""
+    _SCENE_PAD on every side; EmptyScenes if no scene holds an object, and
+    DataError if the bounds' extent is past the float range."""
     verts = [apply_pose(o.pose, shape_entry(db, o).mesh.vertices)
              for scene in scenes for o in scene.objects]
     if not verts:
         raise EmptyScenes("no objects in any scene")
     verts = np.concatenate(verts)
-    return scene_grid(list(zip(verts.min(axis=0) - _SCENE_PAD, verts.max(axis=0) + _SCENE_PAD)),
-                      resolution)
+    lo, hi = verts.min(axis=0) - _SCENE_PAD, verts.max(axis=0) + _SCENE_PAD
+    if not np.all(np.isfinite(hi - lo)):
+        raise DataError("the posed meshes span more than the float range")
+    return scene_grid(list(zip(lo, hi)), resolution)
 
 
 def _object_occupancy(scene: Scene, db: ShapeDatabase, origin, dims, spacing):
@@ -304,6 +310,7 @@ def map3d(
     return per_class, _mean(per_class)
 
 
+@np.errstate(over="ignore")  # a volume past the float range is the DataError below
 def miv_and_collisions(
     scene: Scene,
     db: ShapeDatabase,
@@ -316,7 +323,7 @@ def miv_and_collisions(
     """
     origin, dims, spacing = scene_voxel_grid([scene], db, resolution)
     occs = [occ for _, occ in _object_occupancy(scene, db, origin, dims, spacing)]
-    voxel_volume = spacing**3
+    voxel_volume = np.float64(spacing)**3  # inf past the float range, where Python's ** raises
     volumes = []
     for i in range(len(occs)):
         for j in range(i + 1, len(occs)):
@@ -325,4 +332,7 @@ def miv_and_collisions(
                 volumes.append(overlap * voxel_volume)
     if not volumes:
         return 0.0, 0
-    return float(np.mean(volumes)), len(volumes)
+    miv = float(np.mean(volumes))
+    if miv == np.inf:
+        raise DataError("the mean intersecting volume is past the float range")
+    return miv, len(volumes)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedFile
-from .mesh import TriMesh, grid_centers, point_triangle_distance, points_inside, require_watertight
+from .mesh import (TriMesh, grid_axes, grid_centers, point_triangle_distance, points_inside,
+                   require_watertight)
 
 SDFG_MAGIC = b"SDFG"
 _SDFG_HEADER = struct.Struct("<4sI3I3dd")
@@ -60,8 +61,9 @@ def mesh_to_sdf(mesh: TriMesh, resolution: int = 32) -> SdfGrid:
     The grid covers the unit cube [-0.5, 0.5]^3 plus 2 voxels of padding on
     each side, so `resolution` includes the padding. Sign comes from parity
     ray casting along +x/+y/+z with majority vote, on the voxel-centre
-    lattice: each line of voxels along an axis shares one ray, whose
-    crossings are compared with every voxel's start (`points_inside`).
+    lattice that `points_inside` takes as its three axes (`grid_axes`):
+    each line of voxels along an axis shares one ray, whose crossings are
+    compared with every start on that axis.
     Magnitude is the exact distance to the nearest triangle, from
     `point_triangle_distance`, which tests each triangle only against the
     bricks of voxels that may have it as their nearest, by the distance from
@@ -74,11 +76,11 @@ def mesh_to_sdf(mesh: TriMesh, resolution: int = 32) -> SdfGrid:
         raise MemoryError(f"a {resolution}^3 SDF grid is too large to allocate")
     h = 1.0 / (resolution - 4)
     origin = np.full(3, -0.5 - 1.5 * h)
-    centers = grid_centers(origin, h, (0, 0, 0), (resolution,) * 3)
+    grid = (origin, h, (0, 0, 0), (resolution,) * 3)
 
-    inside, disagreement = points_inside(mesh, centers)
+    inside, disagreement = points_inside(mesh, grid_axes(*grid))
     require_watertight(disagreement)
-    dist = point_triangle_distance(centers.reshape(-1, 3), mesh)
+    dist = point_triangle_distance(grid_centers(*grid).reshape(-1, 3), mesh)
     values = np.where(inside, -dist, dist).reshape(resolution, resolution, resolution)
     return SdfGrid(values, origin, h)
 

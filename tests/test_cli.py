@@ -596,6 +596,60 @@ def test_overflow_in_descent_prints_one_line(pipeline, tmp_path, capsys, argv, c
             == [o["t"] for o in payload["objects"]]
 
 
+def _posed_scene(pipeline, tmp_path, *edits):
+    """The fixture's first scene with edits[k] updating the pose entries of
+    object k; returns its path."""
+    payload = json.loads((pipeline / "scenes" / "scene_0000.json").read_text())
+    for o, edit in zip(payload["objects"], edits):
+        o.update(edit)
+    scene = tmp_path / "posed.json"
+    scene.write_text(json.dumps(payload))
+    return scene
+
+
+@pytest.mark.parametrize("argv", [["evaluate", "--metric", "iou"],
+                                  ["evaluate", "--metric", "miv"],
+                                  ["export", "--format", "sdfg"]])
+def test_posed_meshes_past_the_float_range_exit_2(pipeline, tmp_path, capsys, argv):
+    # Translation plus half the scale overflows: the posed vertices are inf.
+    scene = _posed_scene(pipeline, tmp_path, {"t": [1.7e308, 0.0, 0.0], "s": [1e308, 1e308, 1.0]})
+    cmd, *flags = argv
+    files = (["--pred", str(scene), "--gt", str(scene)] if cmd == "evaluate"
+             else ["--scene", str(scene), "--out", str(tmp_path / "out")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print more stderr lines
+        assert main([cmd, "--db", str(pipeline / "db"), *files, *flags]) == 2
+    assert capsys.readouterr().err \
+        == "shapescene: error: the posed meshes span more than the float range\n"
+
+
+@pytest.mark.parametrize("edits, code, collisions", [
+    # One object 1e200 away: voxels of ~1e198, a volume past the float range,
+    # but no pair collides.
+    (({"t": [1e200, 0.0, 0.0]},), 0, 0),
+    # Two coinciding objects of scale 1e102 collide in about 1e306 units^3;
+    # at scale 1e103 their volume is past the float range.
+    (({"t": [0.0, 0.0, 0.0], "s": [1e102] * 3},) * 2, 0, 1),
+    (({"t": [0.0, 0.0, 0.0], "s": [1e103] * 3},) * 2, 2, None),
+])
+def test_miv_of_a_scene_past_the_float_range(pipeline, tmp_path, capsys, edits, code, collisions):
+    scene = _posed_scene(pipeline, tmp_path, *edits)
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print more stderr lines
+        assert main(["evaluate", "--db", str(pipeline / "db"), "--pred", str(scene),
+                     "--gt", str(scene), "--metric", "miv", "--out", str(report)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == "shapescene: error: the mean intersecting volume is past the float range\n"
+        assert not report.exists()
+    else:
+        assert err == ""
+        result = json.loads(report.read_text())
+        assert result["collisions"] == collisions
+        assert (result["miv"] == 0.0) == (collisions == 0) and np.isfinite(result["miv"])
+
+
 # Edge values of every numeric flag; an int flag takes the ones that parse as
 # int. Each flag adds its own range ends below.
 _FLOAT_EDGES = ("0", "-0.0", "5e-324", "1e-300", "1e300", "1.7e308", str(2**63),

@@ -15,6 +15,7 @@ from shapescene.mesh import (
     _parity_along_axis,
     _triangle_distance,
     canonicalize_mesh,
+    grid_axes,
     grid_centers,
     load_obj,
     point_triangle_distance,
@@ -131,11 +132,17 @@ def test_sample_surface_unaddressable_count_raises(n):
         sample_surface_points(make_box(), n, seed=0)
 
 
+def _lattice_points(axes):
+    """The (n, 3) points of the lattice whose coordinates along x, y and z
+    are `axes`, in C order."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
 def test_points_inside_cube(rng):
     cube = make_box()
-    pts = rng.uniform(-1.0, 1.0, size=(500, 3))
-    inside, disagreement = points_inside(cube, pts)
-    oracle = np.all(np.abs(pts) < 0.5, axis=1)
+    axes = rng.uniform(-1.0, 1.0, size=(3, 8))
+    inside, disagreement = points_inside(cube, axes)
+    oracle = np.all(np.abs(_lattice_points(axes)) < 0.5, axis=1)
     assert disagreement == 0.0
     assert np.array_equal(inside, oracle)
 
@@ -167,26 +174,28 @@ def _all_points_parity(mesh, points, axis):
     return (count % 2).astype(bool)
 
 
-def _assert_containment_matches_all_points(mesh, points):
+def _assert_containment_matches_all_points(mesh, axes):
+    points = _lattice_points(axes)
     votes = []
     for axis in range(3):
         votes.append(_all_points_parity(mesh, points, axis))
-        assert np.array_equal(_parity_along_axis(mesh, points, axis), votes[-1])
+        assert np.array_equal(_parity_along_axis(mesh, axes, axis).ravel(), votes[-1])
     total = np.sum(votes, axis=0)
-    inside, disagreement = points_inside(mesh, points)
+    inside, disagreement = points_inside(mesh, axes)
     assert np.array_equal(inside, total >= 2)
     assert disagreement == (float(np.mean((total != 0) & (total != 3))) if len(points) else 0.0)
 
 
-def _box_probe_points(mesh, rng):
-    """Random points around the mesh's box, and points on each box face
-    shifted by a few ulps, by the ray jitter and by a little more."""
+def _box_probe_lattices(mesh, rng):
+    """A lattice of random coordinates around the mesh's box and, per axis,
+    one whose coordinates along that axis lie on the box's two faces,
+    shifted by a few ulps, by the ray jitter and by a little more, and whose
+    other coordinates are random inside the box."""
     lo, hi = mesh.bounds()
     pad = 0.3 * (hi - lo)
-    around = rng.uniform(lo - pad, hi + pad, size=(2000, 3))
-    base = rng.uniform(lo, hi, size=(40, 3))
-    probes = [around]
+    lattices = [list(rng.uniform(lo - pad, hi + pad, size=(13, 3)).T)]
     for a in range(3):
+        faces = []
         for face in (lo[a], hi[a]):
             for shift in (0.0, -_RAY_JITTER, -_RAY_JITTER * np.sqrt(3.0)):
                 for ulps in (-4, -1, 0, 1, 4):
@@ -194,11 +203,11 @@ def _box_probe_points(mesh, rng):
                     step = np.inf if ulps > 0 else -np.inf
                     for _ in range(abs(ulps)):
                         value = np.nextafter(value, step)
-                    for offset in (0.0, -1e-9, 1e-9):
-                        pts = base.copy()
-                        pts[:, a] = value + offset
-                        probes.append(pts)
-    return np.concatenate(probes)
+                    faces.extend(value + offset for offset in (0.0, -1e-9, 1e-9))
+        axes = list(rng.uniform(lo, hi, size=(6, 3)).T)
+        axes[a] = np.array(faces)
+        lattices.append(axes)
+    return lattices
 
 
 @pytest.mark.parametrize("name, mesh", [
@@ -207,8 +216,9 @@ def _box_probe_points(mesh, rng):
 ])
 def test_points_inside_matches_all_points(name, mesh):
     rng = np.random.default_rng(7)
-    _assert_containment_matches_all_points(mesh, _box_probe_points(mesh, rng))
-    spread = rng.normal(scale=0.4, size=(500, 3)) @ np.diag([1.0, 0.3, 2.0])
+    for axes in _box_probe_lattices(mesh, rng):
+        _assert_containment_matches_all_points(mesh, axes)
+    spread = [rng.normal(scale=0.4 * s, size=8) for s in (1.0, 0.3, 2.0)]
     _assert_containment_matches_all_points(mesh, spread)
 
 
@@ -224,12 +234,12 @@ def test_points_inside_near_parallel_triangle(span, delta):
                       [span, 0.37 * span + delta, 0.4]])
     sliver = TriMesh(verts, np.array([[0, 1, 2]]))
     rng = np.random.default_rng(3)
-    x = span * (1.0 + rng.uniform(-1e-4, 1e-4, 20000))
-    y = 0.37 * x + delta * rng.uniform(-1.0, 2.0, 20000)
-    pts = np.stack([x - _RAY_JITTER, y - _RAY_JITTER * np.sqrt(3.0), np.zeros_like(x)], axis=1)
-    counted = _all_points_parity(sliver, pts, 2)
-    assert np.any(counted & (x > span))  # hits outside the box exist
-    _assert_containment_matches_all_points(sliver, pts)
+    x = span * (1.0 + rng.uniform(-1e-4, 1e-4, 1000))
+    y = 0.37 * x + delta * rng.uniform(-1.0, 2.0, 1000)
+    axes = [x - _RAY_JITTER, y - _RAY_JITTER * np.sqrt(3.0), np.zeros(1)]
+    counted = _all_points_parity(sliver, _lattice_points(axes), 2)
+    assert np.any(counted & (np.repeat(x, len(y)) > span))  # hits outside the box exist
+    _assert_containment_matches_all_points(sliver, axes)
 
 
 def test_points_inside_crossing_rounded_above_the_box():
@@ -240,25 +250,27 @@ def test_points_inside_crossing_rounded_above_the_box():
                       [-0.45889446934322353, 0.2790807213609332, -0.25632883444754895]])
     tri = TriMesh(verts, np.array([[0, 1, 2]]))
     rng = np.random.default_rng(5)
-    weights = rng.dirichlet([1.0, 1.0, 1.0], size=3000) * rng.choice([1e-3, 1e-9, 1e-15], (3000, 1))
+    weights = rng.dirichlet([1.0, 1.0, 1.0], size=1000) * rng.choice([1e-3, 1e-9, 1e-15], (1000, 1))
     weights[:, 1] += 1.0 - weights.sum(axis=1)
-    pts = weights @ verts - [_RAY_JITTER, _RAY_JITTER * np.sqrt(3.0), 0.0]
-    pts[:, 2] = verts[1, 2]
-    assert np.any(_all_points_parity(tri, pts, 2))
-    _assert_containment_matches_all_points(tri, pts)
+    x, y, _ = (weights @ verts - [_RAY_JITTER, _RAY_JITTER * np.sqrt(3.0), 0.0]).T
+    axes = [x, y, verts[1, 2:]]
+    assert np.any(_all_points_parity(tri, _lattice_points(axes), 2))
+    _assert_containment_matches_all_points(tri, axes)
 
 
 def test_points_inside_open_mesh_matches_all_points(open_box):
-    axis = np.linspace(-0.7, 0.7, 15)
-    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    _assert_containment_matches_all_points(open_box, grid)
-    assert points_inside(open_box, grid)[1] > 0.0
+    axes = [np.linspace(-0.7, 0.7, 15)] * 3
+    _assert_containment_matches_all_points(open_box, axes)
+    assert points_inside(open_box, axes)[1] > 0.0
 
 
 def test_points_inside_empty():
-    inside, disagreement = points_inside(make_box(), np.zeros((0, 3)))
-    assert inside.shape == (0,) and inside.dtype == bool
-    assert disagreement == 0.0
+    for empty in range(3):
+        axes = [np.linspace(-0.7, 0.7, 4)] * 3
+        axes[empty] = np.zeros(0)
+        inside, disagreement = points_inside(make_box(), axes)
+        assert inside.shape == (0,) and inside.dtype == bool
+        assert disagreement == 0.0
 
 
 def test_voxelize_cube_exact():
@@ -281,7 +293,7 @@ def _canonical_frame_occupancy(mesh, pose, origin, dims, spacing):
     if np.any(i_lo > i_hi):
         return occ
     centers = grid_centers(origin, spacing, i_lo, i_hi + 1).reshape(-1, 3)
-    inside, _ = points_inside(mesh, ((centers - pose.t) @ pose.r.m) / pose.s)
+    inside, _ = _majority_of_all_points(mesh, ((centers - pose.t) @ pose.r.m) / pose.s)
     box = tuple(slice(i_lo[a], i_hi[a] + 1) for a in range(3))
     occ[box] = inside.reshape(occ[box].shape)
     return occ
@@ -450,10 +462,16 @@ def test_point_triangle_distance_rejects_non_finite():
         point_triangle_distance(np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]), make_box())
 
 
-def _sdf_lattice(resolution=32):
-    """The (r, r, r, 3) voxel-centre lattice `mesh_to_sdf` computes on."""
+def _sdf_axes(resolution=32):
+    """The coordinates along x, y and z of the voxel-centre lattice
+    `mesh_to_sdf` computes on."""
     h = 1.0 / (resolution - 4)
-    return grid_centers(np.full(3, -0.5 - 1.5 * h), h, (0, 0, 0), (resolution,) * 3)
+    return grid_axes(np.full(3, -0.5 - 1.5 * h), h, (0, 0, 0), (resolution,) * 3)
+
+
+def _sdf_lattice(resolution=32):
+    """The (r^3, 3) voxel centres `mesh_to_sdf` computes on, in C order."""
+    return _lattice_points(_sdf_axes(resolution))
 
 
 def _majority_of_all_points(mesh, points):
@@ -463,9 +481,9 @@ def _majority_of_all_points(mesh, points):
 
 
 def _box_on_lattice_planes(shift):
-    """A box whose faces lie on voxel-centre planes of `_sdf_lattice()`,
+    """A box whose faces lie on voxel-centre planes of `_sdf_axes()`,
     moved by `shift` along every axis."""
-    axis = _sdf_lattice()[:, 0, 0, 0]
+    axis = _sdf_axes()[0]
     lo, hi = axis[6] + shift, axis[25] + shift
     box = make_box()
     return TriMesh(np.where(box.vertices > 0, hi, lo), box.triangles)
@@ -485,12 +503,11 @@ def _cracked_cylinder():
     ("cracked", _cracked_cylinder()),
 ])
 def test_lattice_containment_matches_all_points(name, mesh):
-    lattice = _sdf_lattice()
-    points = lattice.reshape(-1, 3)
-    inside, disagreement = _majority_of_all_points(mesh, points)
-    got, got_disagreement = points_inside(mesh, lattice)
+    axes = _sdf_axes()
+    inside, disagreement = _majority_of_all_points(mesh, _lattice_points(axes))
+    got, got_disagreement = points_inside(mesh, axes)
     assert np.array_equal(got, inside)
-    assert got_disagreement == disagreement == points_inside(mesh, points)[1]
+    assert got_disagreement == disagreement
     if name == "cracked":
         assert 0.0 < disagreement < WATERTIGHT_DISAGREEMENT
     if disagreement <= WATERTIGHT_DISAGREEMENT:
@@ -499,19 +516,6 @@ def test_lattice_containment_matches_all_points(name, mesh):
     else:
         with pytest.raises(NonWatertight):
             mesh_to_sdf(mesh, 32)
-
-
-def test_parity_columns_must_share_their_ray():
-    mesh = make_box()
-    lattice = _sdf_lattice(8)
-    columns = lattice.reshape(-1, 8, 3)  # lines along z
-    expected = _all_points_parity(mesh, lattice.reshape(-1, 3), 2).reshape(-1, 8)
-    assert np.array_equal(_parity_along_axis(mesh, columns, 2), expected)
-    for off_axis in (0, 1):
-        bad = columns.copy()
-        bad[5, 3, off_axis] = np.nextafter(bad[5, 3, off_axis], np.inf)
-        with pytest.raises(ValueError):
-            _parity_along_axis(mesh, bad, 2)
 
 
 _CYLINDER_MOVED = TriMesh(make_cylinder(0.5, 1.0, 64, taper=0.6).vertices + 1e3,
@@ -525,13 +529,13 @@ _CYLINDER_MOVED = TriMesh(make_cylinder(0.5, 1.0, 64, taper=0.6).vertices + 1e3,
     ("box_ties", make_box(), 0.0),  # voxels equidistant from two or three faces
 ])
 def test_point_triangle_distance_on_sdf_lattice_matches_all_pairs(name, mesh, shift):
-    points = _sdf_lattice().reshape(-1, 3) + shift
+    points = _sdf_lattice() + shift
     assert np.array_equal(point_triangle_distance(points, mesh), _all_pairs_distance(points, mesh))
 
 
 def test_centre_distance_store_never_exceeds_the_distance():
     cylinder = make_cylinder(0.5, 1.0, segments=64, taper=0.6)
-    centres = _sdf_lattice(16).reshape(-1, 3)
+    centres = _sdf_lattice(16)
     rows = np.ascontiguousarray(centres.T)
     dists = np.concatenate([
         _triangle_distance(centres, rows, p0, p1, p2) for p0, p1, p2 in zip(*cylinder.corners())

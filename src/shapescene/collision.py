@@ -42,7 +42,8 @@ def relative_transform(i: SceneObject, j: SceneObject) -> tuple[np.ndarray, np.n
     if np.any(sj < 1e-12):
         raise ZeroScale("target pose has a near-zero scale component")
     a = (j.pose.r.m.T @ i.pose.r.m) * i.pose.s[None, :] / sj[:, None]
-    b = (j.pose.r.m.T @ (i.pose.t - j.pose.t)) / sj
+    with np.errstate(over="ignore"):  # an offset past the float range is inf: outside every field
+        b = (j.pose.r.m.T @ (i.pose.t - j.pose.t)) / sj
     return a, b
 
 

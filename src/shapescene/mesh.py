@@ -4,8 +4,9 @@ and point-to-mesh distance.
 Containment is decided on a lattice given by its coordinates along x, y and z
 (`grid_axes`), by parity ray casting along the three axes with a majority vote,
 which tolerates small cracks in near-watertight input; each lattice line casts
-one ray per axis, and only rays that can cross the mesh's bounding box are cast
-(see `_parity_along_axis`). Distance is exact; it skips the
+one ray per axis, only rays that can cross the mesh's bounding box are cast,
+and the triangles are tested against them in blocks, one array operation per
+block (see `_parity_along_axis`). Distance is exact; it skips the
 point-triangle pairs that a per-brick bound shows cannot hold the minimum, by
 the distance from the brick's centre (see `point_triangle_distance`).
 """
@@ -25,6 +26,10 @@ _RAY_JITTER = 1e-9 * np.sqrt(2.0)
 # Cells per axis of the brick grid `point_triangle_distance` bins points into;
 # at 32^3 that is about 64 voxels per brick, the fastest count measured.
 _BRICKS_PER_AXIS = 8
+
+# Elements of the (triangles x b lines x c lines) arrays `_parity_along_axis`
+# forms per block of triangles; a block holds at least one triangle.
+_BLOCK_ELEMENTS = 1 << 16
 
 # Fraction of voxels on which the three parity votes may disagree before the
 # mesh is rejected as non-watertight.
@@ -186,10 +191,16 @@ def _parity_along_axis(mesh: TriMesh, axes, axis: int) -> np.ndarray:
     height, is a function of the (b, c) floats alone, and those are the same
     floats for every point of a lattice line along `axis`. So each triangle
     is tested once per line, and the crossing height of each hit line is
-    compared with every start in `axes[axis]`. The products of alpha's and
-    beta's numerators are formed once per b and per c coordinate and
-    broadcast over the lines: the same operations on the same operands as
-    one ray per point, hence the same bits.
+    compared with every start in `axes[axis]`.
+
+    The triangles are tested in blocks of (triangles x b lines x c lines)
+    arrays of at most `_BLOCK_ELEMENTS` elements, or of one triangle where
+    the lines alone are more. The products of alpha's and beta's numerators are formed per
+    triangle and b, and per triangle and c coordinate, and broadcast over the
+    block; one `nonzero` gives its (triangle, line) hits, whose heights are
+    gathered with a flat `take`. Each element is the same operations on the
+    same operands as one ray per point, hence the same bits; the crossings
+    are counted by one `bincount`, in any order.
 
     Only the lines whose rays can be counted are cast: those whose b and c
     coordinates lie inside the mesh's bounding box, and all of them only if
@@ -218,16 +229,21 @@ def _parity_along_axis(mesh: TriMesh, axes, axis: int) -> np.ndarray:
     qb, qc = qb.take(near_b), qc.take(near_c)
 
     hits, heights = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    # Python floats: the same float64 arithmetic without numpy scalar indexing.
-    for p, e1, e2, denom in zip(p0.tolist(), e1s.tolist(), e2s.tolist(), denoms.tolist()):
-        db = (qb - p[b_ax])[:, None]
-        dc = qc - p[c_ax]
+    lines = len(qb) * len(qc)
+    step = max(1, _BLOCK_ELEMENTS // max(lines, 1))
+    for s in range(0, len(denoms), step):
+        # One block: each coordinate of its triangles is a (t, 1, 1) column,
+        # which broadcasts over the (b, c) lines as one triangle's scalar did.
+        p, e1, e2, denom = (x[s:s + step].T[..., None, None] for x in (p0, e1s, e2s, denoms))
+        db, dc = qb[:, None] - p[b_ax], qc - p[c_ax]
         alpha = (db * e2[c_ax] - dc * e2[b_ax]) / denom
         beta = (e1[b_ax] * dc - e1[c_ax] * db) / denom
-        hit = ((alpha >= 0.0) & (beta >= 0.0) & (alpha + beta <= 1.0)).ravel().nonzero()[0]
-        if len(hit):
-            hits.append(hit)
-            heights.append(p[axis] + alpha.take(hit) * e1[axis] + beta.take(hit) * e2[axis])
+        counted = (alpha >= 0.0) & (beta >= 0.0) & (alpha + beta <= 1.0)
+        tri, hit = counted.reshape(len(denom), lines).nonzero()
+        flat = tri * lines + hit
+        hits.append(hit)
+        heights.append(p[axis].take(tri) + alpha.take(flat) * e1[axis].take(tri)
+                       + beta.take(flat) * e2[axis].take(tri))
     # Every crossing against all the starts at once; the parity of a point
     # is that of the number of crossings above it.
     line = (near_b[:, None] * shape[1] + near_c).ravel().take(np.concatenate(hits))

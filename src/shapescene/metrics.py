@@ -218,8 +218,9 @@ def oriented_box_iou(a: Pose9DoF, b: Pose9DoF) -> float:
     and the volume is the divergence-theorem sum of offset times area over
     the clipped faces. A face plane shared by both boxes is counted once.
     """
-    if np.linalg.norm(a.t - b.t) > (np.linalg.norm(a.s) + np.linalg.norm(b.s)) / 2:
-        return 0.0  # each box lies inside its circumscribed sphere
+    with np.errstate(over="ignore"):  # centres past the float range apart: inf, no overlap
+        if np.linalg.norm(a.t - b.t) > (np.linalg.norm(a.s) + np.linalg.norm(b.s)) / 2:
+            return 0.0  # each box lies inside its circumscribed sphere
     # A fixed argument order makes the result exactly symmetric.
     if tuple(np.concatenate([b.t, b.s, b.r.m.ravel()])) < tuple(
             np.concatenate([a.t, a.s, a.r.m.ravel()])):

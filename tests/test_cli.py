@@ -623,6 +623,24 @@ def test_posed_meshes_past_the_float_range_exit_2(pipeline, tmp_path, capsys, ar
         == "shapescene: error: the posed meshes span more than the float range\n"
 
 
+@pytest.mark.parametrize("argv", [["evaluate", "--metric", "map"], ["resolve", "--iters", "2"]])
+def test_translation_past_the_float_range_is_silent(pipeline, tmp_path, capsys, argv):
+    # Object 0's offsets from the others overflow to inf: its box overlaps no
+    # other, and its points sample outside every other field.
+    scene = _posed_scene(pipeline, tmp_path, {"t": [1.7e308, 0.0, 0.0]})
+    cmd, *flags = argv
+    out = tmp_path / "out.json"
+    files = ["--pred", str(scene), "--gt", str(scene)] if cmd == "evaluate" else ["--scene", str(scene)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print more stderr lines
+        assert main([cmd, "--db", str(pipeline / "db"), *files, "--out", str(out), *flags]) == 0
+    assert capsys.readouterr().err == ""
+    if cmd == "evaluate":
+        assert json.loads(out.read_text())["map"] == 1.0  # every box matches itself
+    else:
+        assert load_scene(out).objects[0].pose.t.tolist() == [1.7e308, 0.0, 0.0]
+
+
 @pytest.mark.parametrize("edits, code, collisions", [
     # One object 1e200 away: voxels of ~1e198, a volume past the float range,
     # but no pair collides.

@@ -7,6 +7,7 @@ import pytest
 from shapescene.errors import DegenerateMesh, NonWatertight
 from shapescene.geom import Pose9DoF, Rotation, apply_pose, random_rotation, rotation_about_axis
 from shapescene.mesh import (
+    _BLOCK_ELEMENTS,
     _RAY_JITTER,
     WATERTIGHT_DISAGREEMENT,
     TriMesh,
@@ -256,6 +257,50 @@ def test_points_inside_crossing_rounded_above_the_box():
     axes = [x, y, verts[1, 2:]]
     assert np.any(_all_points_parity(tri, _lattice_points(axes), 2))
     _assert_containment_matches_all_points(tri, axes)
+
+
+def _inner_axes(mesh, counts, rng):
+    """Sorted random coordinates strictly inside the mesh's box, counts[a]
+    along axis a: every lattice line is near for `_parity_along_axis`."""
+    lo, hi = mesh.bounds()
+    return [np.sort(rng.uniform(lo[a] + 1e-3, hi[a] - 1e-3, n)) for a, n in enumerate(counts)]
+
+
+def _block_sizes(mesh, axes, axis):
+    """(triangles `_parity_along_axis` tests, triangles per block) for a
+    lattice whose lines along `axis` are all near."""
+    b_ax, c_ax = [a for a in range(3) if a != axis]
+    p0, p1, p2 = mesh.corners()
+    e1, e2 = p1 - p0, p2 - p0
+    tested = np.count_nonzero(np.abs(e1[:, b_ax] * e2[:, c_ax] - e1[:, c_ax] * e2[:, b_ax]) >= 1e-15)
+    return tested, max(1, _BLOCK_ELEMENTS // (len(axes[b_ax]) * len(axes[c_ax])))
+
+
+def test_parity_blocks_end_in_a_partial_block():
+    mesh = make_cylinder(0.5, 1.0, segments=250, taper=0.7)
+    axes = _inner_axes(mesh, (37, 41, 43), np.random.default_rng(11))
+    for axis in range(3):
+        tested, per_block = _block_sizes(mesh, axes, axis)
+        assert tested > 2 * per_block and tested % per_block != 0
+    _assert_containment_matches_all_points(mesh, axes)
+
+
+def test_parity_blocks_of_one_triangle():
+    mesh = make_cylinder(0.5, 1.0, segments=8)
+    axes = _inner_axes(mesh, (257, 257, 2), np.random.default_rng(12))
+    assert len(axes[0]) * len(axes[1]) > _BLOCK_ELEMENTS
+    assert _block_sizes(mesh, axes, 2)[1] == 1
+    _assert_containment_matches_all_points(mesh, axes)
+
+
+def test_parity_with_no_near_lines_on_an_axis():
+    # Every y lies below the box: x and z rays miss it, y rays cross it twice.
+    mesh = make_box()
+    rng = np.random.default_rng(13)
+    axes = [rng.uniform(-0.4, 0.4, 9), rng.uniform(-2.0, -0.6, 7), rng.uniform(-0.4, 0.4, 8)]
+    for axis in (0, 2):
+        assert not _parity_along_axis(mesh, axes, axis).any()
+    _assert_containment_matches_all_points(mesh, axes)
 
 
 def test_points_inside_open_mesh_matches_all_points(open_box):

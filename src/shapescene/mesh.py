@@ -3,12 +3,12 @@ and point-to-mesh distance.
 
 Containment is decided on a lattice given by its coordinates along x, y and z
 (`grid_axes`), by parity ray casting along the three axes with a majority vote,
-which tolerates small cracks in near-watertight input; each lattice line casts
-one ray per axis, only rays that can cross the mesh's bounding box are cast,
-and the triangles are tested against them in blocks, one array operation per
-block (see `_parity_along_axis`). Distance is exact; it skips the
-point-triangle pairs that a per-brick bound shows cannot hold the minimum, by
-the distance from the brick's centre (see `point_triangle_distance`).
+which tolerates small cracks in near-watertight input; each line of the lattice
+the caller passes casts one ray per axis, and the triangles are tested against
+them in blocks, one array operation per block (see `_parity_along_axis`).
+Distance is exact; it skips the point-triangle pairs that a per-brick bound
+shows cannot hold the minimum, by the distance from the brick's centre (see
+`point_triangle_distance`).
 """
 from __future__ import annotations
 
@@ -149,37 +149,6 @@ def sample_surface_points(mesh: TriMesh, n: int, seed: int) -> np.ndarray:
     return p0[tri] + u[:, None] * (p1[tri] - p0[tri]) + v[:, None] * (p2[tri] - p0[tri])
 
 
-def _cull_margins(e1: np.ndarray, e2: np.ndarray, denom: np.ndarray,
-                  vertices: np.ndarray) -> tuple[float, float]:
-    """Box margins (across the ray, along it) outside which no +axis ray can
-    be counted by `_parity_along_axis`'s arithmetic; `e1`, `e2`, `denom`
-    belong to the triangles it tests.
-
-    Across the ray, in the (b, c) plane of one triangle, write u for the unit
-    roundoff, L for a bound on the |b| and |c| components of e1 and e2, and
-    k = 32 u L^2 / |denom|. Rounding moves denom by at most 2 gamma_2 L^2 and
-    each numerator of alpha and beta by at most gamma_3 (|db| + |dc|) L. A
-    counted ray has rounded alpha, beta >= 0 and alpha + beta <= 1; the point
-    r they name lies in the triangle's box up to 3.1 u L. The exact alpha and
-    beta of q differ from the rounded ones so little that, for k <= 1/4,
-    |q - r| <= L (0.95 k + 2.5 u): q lies within L (k + 8 u) of the box. One
-    L and the smallest |denom| serve every triangle. A near-parallel triangle
-    (large k) widens the margin; beyond k = 1/4 the bound is void and nothing
-    is culled. Along the ray, the rounded crossing p0 + alpha e1 + beta e2 of
-    a counted ray exceeds the largest vertex coordinate by at most
-    16 u max|vertex|, so a point 32 u max|vertex| above the box is never
-    below a crossing. Comparing a float with a rounded bound is the same as
-    comparing it with the exact bound: no float lies between the two.
-    """
-    u = np.finfo(np.float64).eps / 2.0
-    along = 32.0 * u * float(np.abs(vertices).max())
-    if len(denom) == 0:
-        return 0.0, along
-    span = float(max(np.abs(e1).max(), np.abs(e2).max()))
-    k = 32.0 * u * span * span / float(np.abs(denom).min())
-    return (span * (k + 8.0 * u) if k <= 0.25 else np.inf), along
-
-
 def _parity_along_axis(mesh: TriMesh, axes, axis: int) -> np.ndarray:
     """Odd crossing parity of +axis rays from each point of the lattice whose
     coordinates along x, y and z are `axes` (True = inside), as a
@@ -202,12 +171,9 @@ def _parity_along_axis(mesh: TriMesh, axes, axis: int) -> np.ndarray:
     same operands as one ray per point, hence the same bits; the crossings
     are counted by one `bincount`, in any order.
 
-    Only the lines whose rays can be counted are cast: those whose b and c
-    coordinates lie inside the mesh's bounding box, and all of them only if
-    the lowest start is not above it, each widened by a rounding-error
-    margin (`_cull_margins`). Every other point crosses nothing, which is
-    what casting its ray would give, so the result is bit-identical to
-    testing every point.
+    Every line of the lattice is cast; a line that misses the mesh adds no
+    crossings. The caller owns the lattice and is the one to cull it
+    (`voxelize_occupancy` passes only the voxels inside the posed mesh's box).
     """
     b_ax, c_ax = [a for a in range(3) if a != axis]
     starts = axes[axis]
@@ -219,14 +185,8 @@ def _parity_along_axis(mesh: TriMesh, axes, axis: int) -> np.ndarray:
     # Below 1e-15 the ray is parallel to the triangle plane and never counts.
     active = np.abs(denoms) >= 1e-15
     p0, e1s, e2s, denoms = p0[active], e1s[active], e2s[active], denoms[active]
-    lo, hi = mesh.bounds()
-    across, along = _cull_margins(e1s, e2s, denoms, mesh.vertices)
     qb = axes[b_ax] + _RAY_JITTER
     qc = axes[c_ax] + _RAY_JITTER * np.sqrt(3.0)
-    cast = np.min(starts, initial=np.inf) < hi[axis] + along
-    near_b = np.flatnonzero((qb >= lo[b_ax] - across) & (qb <= hi[b_ax] + across) & cast)
-    near_c = np.flatnonzero((qc >= lo[c_ax] - across) & (qc <= hi[c_ax] + across))
-    qb, qc = qb.take(near_b), qc.take(near_c)
 
     hits, heights = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     lines = len(qb) * len(qc)
@@ -246,7 +206,7 @@ def _parity_along_axis(mesh: TriMesh, axes, axis: int) -> np.ndarray:
                        + beta.take(flat) * e2[axis].take(tri))
     # Every crossing against all the starts at once; the parity of a point
     # is that of the number of crossings above it.
-    line = (near_b[:, None] * shape[1] + near_c).ravel().take(np.concatenate(hits))
+    line = np.concatenate(hits)
     above = np.concatenate(heights)[:, None] > starts
     m = shape[2]
     crossings = np.bincount((line[:, None] * m + np.arange(m))[above], minlength=np.prod(shape))
@@ -258,7 +218,9 @@ def points_inside(mesh: TriMesh, axes) -> tuple[np.ndarray, float]:
     and z are the 1-D arrays `axes`, such as `grid_axes` returns.
 
     Each lattice line casts one ray per axis (`_parity_along_axis`); the
-    votes are the same as for its points one by one.
+    votes are the same as for its points one by one. Every line is cast: the
+    one cull is the caller's, which passes only the lattice it needs, as
+    `voxelize_occupancy` clips it to the posed mesh's bounding box.
 
     Returns (inside mask over the lattice's points in C order, fraction of
     points where the three axis votes disagree). Callers decide whether the
@@ -299,10 +261,11 @@ def voxelize_occupancy(
     """Boolean occupancy: voxel center inside the posed mesh.
 
     `origin` is the world position of voxel (0, 0, 0)'s center; cubic voxels.
-    The mesh's vertices are posed once, and only the voxels inside the posed
-    mesh's bounding box are tested: `points_inside` takes their world axes
-    (`grid_axes`) and casts one ray per lattice line and world axis, as for
-    `sdf.mesh_to_sdf`; the watertight check covers the box.
+    The mesh's vertices are posed once, and the grid is clipped to the voxels
+    inside the posed mesh's bounding box, the one cull of containment:
+    `points_inside` takes their world axes (`grid_axes`) and casts one ray
+    per line of that lattice and world axis, as for `sdf.mesh_to_sdf`; the
+    watertight check covers the box.
     """
     origin = np.asarray(origin, dtype=np.float64)
     occ = np.zeros(dims, dtype=bool)

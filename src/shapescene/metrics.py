@@ -172,13 +172,14 @@ _CUBE_NORMALS = np.vstack([np.eye(3), -np.eye(3)])
 _COINCIDENT_TOL = 1e-9
 
 
-def _box_faces(p: Pose9DoF, origin: np.ndarray):
+def _box_faces(p: Pose9DoF, origin: np.ndarray, shift: int):
     """World faces (6, 4, 3), unit outward normals (6, 3) and plane offsets (6,)
-    of the unit cube under `p`, in coordinates relative to `origin`."""
-    t = p.t - origin
+    of the unit cube under `p`, in coordinates relative to `origin` scaled by
+    2**shift."""
+    t, s = np.ldexp(p.t - origin, shift), np.ldexp(p.s, shift)
     normals = _CUBE_NORMALS @ p.r.m.T
-    offsets = normals @ t + 0.5 * np.tile(p.s, 2)
-    return (p.s * _CUBE_FACES) @ p.r.m.T + t, normals, offsets
+    offsets = normals @ t + 0.5 * np.tile(s, 2)
+    return (s * _CUBE_FACES) @ p.r.m.T + t, normals, offsets
 
 
 def _clip(poly, count, normal, offset):
@@ -217,6 +218,12 @@ def oriented_box_iou(a: Pose9DoF, b: Pose9DoF) -> float:
     planes. Each box's faces are clipped to the other box (Sutherland-Hodgman)
     and the volume is the divergence-theorem sum of offset times area over
     the clipped faces. A face plane shared by both boxes is counted once.
+
+    IoU is scale-free, so both boxes are scaled by the power of two that
+    brings their largest side into [0.5, 1). That rounds every operation as
+    before, bit for bit, and keeps every coordinate within a few units, so no
+    product overflows. DataError if the larger volume, so scaled, is below
+    the normal floats: the boxes' sides span more than the float range.
     """
     with np.errstate(over="ignore"):  # centres past the float range apart: inf, no overlap
         if np.linalg.norm(a.t - b.t) > (np.linalg.norm(a.s) + np.linalg.norm(b.s)) / 2:
@@ -225,9 +232,14 @@ def oriented_box_iou(a: Pose9DoF, b: Pose9DoF) -> float:
     if tuple(np.concatenate([b.t, b.s, b.r.m.ravel()])) < tuple(
             np.concatenate([a.t, a.s, a.r.m.ravel()])):
         a, b = b, a
-    faces_a, normals_a, offsets_a = _box_faces(a, a.t)
-    faces_b, normals_b, offsets_b = _box_faces(b, a.t)
-    tol = _COINCIDENT_TOL * max(a.s.max(), b.s.max())
+    largest = max(a.s.max(), b.s.max())
+    shift = -int(np.frexp(largest)[1])
+    vol_a, vol_b = (float(np.prod(np.ldexp(p.s, shift))) for p in (a, b))
+    if max(vol_a, vol_b) < np.finfo(np.float64).tiny:
+        raise DataError("a box's sides span more than the float range")
+    faces_a, normals_a, offsets_a = _box_faces(a, a.t, shift)
+    faces_b, normals_b, offsets_b = _box_faces(b, a.t, shift)
+    tol = _COINCIDENT_TOL * np.ldexp(largest, shift)
     shared = ((np.abs(normals_a[:, None] - normals_b[None]).max(axis=2) <= _COINCIDENT_TOL)
               & (np.abs(offsets_a[:, None] - offsets_b[None]) <= tol))
 
@@ -251,7 +263,6 @@ def oriented_box_iou(a: Pose9DoF, b: Pose9DoF) -> float:
     nxt = (np.arange(poly.shape[1]) + 1) % np.maximum(count, 1)[:, None]
     edges = np.cross(poly, poly[np.arange(len(poly))[:, None], nxt])
     twice_area = np.einsum("fmi,fi->f", edges, face_n)
-    vol_a, vol_b = float(np.prod(a.s)), float(np.prod(b.s))
     inter = min(max(float(face_d @ twice_area) / 6.0, 0.0), vol_a, vol_b)
     return inter / (vol_a + vol_b - inter)
 

@@ -668,6 +668,29 @@ def test_miv_of_a_scene_past_the_float_range(pipeline, tmp_path, capsys, edits, 
         assert (result["miv"] == 0.0) == (collisions == 0) and np.isfinite(result["miv"])
 
 
+@pytest.mark.parametrize("s, code", [
+    # A volume of 1e616, past the float range.
+    ([1e308, 1e308, 1.0], 2),
+    # A volume of 1e-600, below it; box IoU is scale-free, so every box
+    # still matches itself.
+    ([1e-200] * 3, 0),
+])
+def test_map_of_a_box_past_the_float_range(pipeline, tmp_path, capsys, s, code):
+    scene = _posed_scene(pipeline, tmp_path, {"t": [0.0, 0.0, 0.0], "s": s})
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print more stderr lines
+        assert main(["evaluate", "--db", str(pipeline / "db"), "--pred", str(scene),
+                     "--gt", str(scene), "--metric", "map", "--out", str(report)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == "shapescene: error: a box's sides span more than the float range\n"
+        assert not report.exists()
+    else:
+        assert err == ""
+        assert json.loads(report.read_text())["map"] == 1.0
+
+
 # Edge values of every numeric flag; an int flag takes the ones that parse as
 # int. Each flag adds its own range ends below.
 _FLOAT_EDGES = ("0", "-0.0", "5e-324", "1e-300", "1e300", "1.7e308", str(2**63),

@@ -149,7 +149,7 @@ def test_points_inside_cube(rng):
 
 
 def _all_points_parity(mesh, points, axis):
-    """Every point against every triangle: the reference the box-culled
+    """Every point against every triangle: the reference the line-by-line
     `_parity_along_axis` must match bit for bit."""
     b_ax, c_ax = [a for a in range(3) if a != axis]
     p0, p1, p2 = mesh.corners()
@@ -224,13 +224,14 @@ def test_points_inside_matches_all_points(name, mesh):
 
 
 @pytest.mark.parametrize("span, delta", [
-    (0.1, 1.2e-14),   # |denom| = 1.2e-15: a finite, wide margin
-    (1.0, 1.2e-15),   # |denom| = 1.2e-15: no margin bound holds, nothing is culled
+    (0.1, 1.2e-14),   # |denom| = 1.2e-15 over a span of 0.1
+    (1.0, 1.2e-15),   # |denom| = 1.2e-15 over a span of 1: the widest rounding edge
     (0.1, 1e-12),
 ])
 def test_points_inside_near_parallel_triangle(span, delta):
     # A sliver almost parallel to z: rounding counts some z rays from points
-    # just beyond its x extent, which the box cull must keep.
+    # just beyond its x extent, a rounding edge the lines must get as every
+    # point's own ray does.
     verts = np.array([[0.0, 0.0, 0.3], [span, 0.37 * span, 0.5],
                       [span, 0.37 * span + delta, 0.4]])
     sliver = TriMesh(verts, np.array([[0, 1, 2]]))
@@ -245,7 +246,8 @@ def test_points_inside_near_parallel_triangle(span, delta):
 
 def test_points_inside_crossing_rounded_above_the_box():
     # Near its top vertex, this triangle's rounded crossing height exceeds the
-    # top vertex for some z rays: points at that height must still be cast.
+    # top vertex for some z rays: points at that height count the crossing,
+    # on the lines as on every point's own ray.
     verts = np.array([[0.6454420452537737, 0.7705093968064936, -0.8735500770425177],
                       [-0.8039240153090772, 0.6201169833167535, 0.2794474454738909],
                       [-0.45889446934322353, 0.2790807213609332, -0.25632883444754895]])
@@ -261,14 +263,14 @@ def test_points_inside_crossing_rounded_above_the_box():
 
 def _inner_axes(mesh, counts, rng):
     """Sorted random coordinates strictly inside the mesh's box, counts[a]
-    along axis a: every lattice line is near for `_parity_along_axis`."""
+    along axis a: every lattice line crosses the box."""
     lo, hi = mesh.bounds()
     return [np.sort(rng.uniform(lo[a] + 1e-3, hi[a] - 1e-3, n)) for a, n in enumerate(counts)]
 
 
 def _block_sizes(mesh, axes, axis):
-    """(triangles `_parity_along_axis` tests, triangles per block) for a
-    lattice whose lines along `axis` are all near."""
+    """(triangles `_parity_along_axis` tests, triangles per block) for the
+    lattice `axes` and rays along `axis`."""
     b_ax, c_ax = [a for a in range(3) if a != axis]
     p0, p1, p2 = mesh.corners()
     e1, e2 = p1 - p0, p2 - p0

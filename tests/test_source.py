@@ -66,6 +66,45 @@ def test_private_import_is_found():
     assert _private_imports(source) == ["_bounds (line 3)", "_write (line 4)", "_mod (line 7)"]
 
 
+def _unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Top-level `_`-prefixed functions and constants of each module (by
+    file name) that no module of `sources` reads."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [f"{name}: {d} (line {node.lineno})" for d in defined
+                       if d.startswith("_") and not d.startswith("__") and d not in read]
+    return unused
+
+
+def test_no_unused_private_names():
+    package = Path(shapescene.__file__).parent
+    assert _unused_private_names({p.name: p.read_text() for p in package.glob("*.py")}) == []
+
+
+def test_unused_private_name_is_found():
+    sources = {
+        "a.py": ("__all__ = []\n_USED = 1\n_LEFT: int = 2\n"
+                 "def _helper():\n    return _USED\n"
+                 "def _left_over():\n    '_left_over'\n"
+                 "def _called_from_b():\n    _LEFT = 5\n    return _helper()\n"),
+        "b.py": "from . import a\na._called_from_b()\n",
+    }
+    assert _unused_private_names(sources) == ["a.py: _LEFT (line 3)", "a.py: _left_over (line 6)"]
+
+
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 

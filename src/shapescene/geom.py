@@ -94,29 +94,35 @@ def project_to_so3(m: np.ndarray) -> Rotation | np.ndarray:
     return Rotation(r) if m.ndim == 2 else r
 
 
-def chain_rotation_grad(m: np.ndarray, grad_r: np.ndarray) -> np.ndarray:
+def chain_rotation_grad(r: np.ndarray, m: np.ndarray, grad_r: np.ndarray) -> np.ndarray:
     """Pull a gradient w.r.t. the projected rotation back to the raw matrix.
 
-    Closed-form vector-Jacobian product of the SVD projection (Levinson et al.,
-    "An Analysis of SVD for Deep Rotation Estimation", NeurIPS 2020):
-    grad_M = U C V^T, where C is built pair by pair from B = U^T grad_R V and
-    has a zero diagonal; m and grad_r broadcast over (..., 3, 3). Only valid
-    away from singular-value degeneracies (pairwise gaps above ~1e-3).
+    Vector-Jacobian product of the projection r = project_to_so3(m), which
+    the caller has already made, through the polar decomposition m = r P
+    (Higham, "Computing the polar decomposition", 1986): P = r^T m is
+    symmetric for either sign of det m, and a step dm turns r by dr = r [w]x
+    with (tr P I - P) w = vee(r^T dm - dm^T r). Transposed, that gives
+    grad_M = r [w]x with (tr P I - P) w = vee(r^T grad_R - grad_R^T r); the
+    rows of r [w]x are the rows of r crossed with w. r is an array; r, m and
+    grad_r broadcast over (..., 3, 3).
+
+    With m = U diag(s1, s2, s3) V^T, s1 >= s2 >= s3, and r = U diag(1, 1, d) V^T,
+    tr P I - P has eigenvalues s1 + s2, s1 + d s3 and s2 + d s3. For d = 1
+    they vanish only at s2 = s3 = 0, which project_to_so3 rejects; for d = -1
+    at s2 = s3, where the projection is not differentiable. There the result
+    is NaN or inf, without a warning.
     """
-    u, sv, vt = np.linalg.svd(np.asarray(m, dtype=np.float64))
-    d = np.sign(np.linalg.det(u @ vt))
-    b = u.swapaxes(-1, -2) @ np.asarray(grad_r, dtype=np.float64) @ vt.swapaxes(-1, -2)
-    c = np.zeros(b.shape)
+    p, x = r.swapaxes(-1, -2) @ m, r.swapaxes(-1, -2) @ grad_r
+    i, j = [1, 2, 0], [2, 0, 1]  # a x b = a[i] b[j] - a[j] b[i], rolled
+    z = x[..., j, i] - x[..., i, j]  # vee(x - x^T)
+    q = np.trace(p, axis1=-2, axis2=-1)[..., None, None] * np.eye(3) - p
+    a, b = q[..., i, :], q[..., j, :]
+    adj = a[..., i] * b[..., j] - a[..., j] * b[..., i]  # row k: column k of adj(q)
+    det = np.sum(q[..., 0, :] * adj[..., 0, :], axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            # Equal signs in diag(1, 1, d): valid whenever sigma_i + sigma_j > 0.
-            # Otherwise a reflection pair: unique only while sigma_i > sigma_j.
-            same = (j < 2) | (d == 1.0)
-            skew = (b[..., i, j] - b[..., j, i]) / (sv[..., i] + sv[..., j])
-            sym = (b[..., i, j] + b[..., j, i]) / (sv[..., i] - sv[..., j])
-            c[..., i, j] = np.where(same, skew, sym)
-            c[..., j, i] = np.where(same, -skew, sym)
-        return u @ c @ vt  # NaN where a reflection pair has equal sigmas
+        # Elementwise sums, not matmul: a stack gives each matrix's bits.
+        w = np.sum(adj * z[..., :, None], axis=-2) / det[..., None]
+        return r[..., i] * w[..., None, j] - r[..., j] * w[..., None, i]
 
 
 def geodesic_distance(a: Rotation, b: Rotation) -> float:

@@ -259,9 +259,12 @@ def oriented_box_iou(a: Pose9DoF, b: Pose9DoF) -> float:
     for k in range(6):
         poly, count = _clip(poly, count, clip_n[:, k], clip_d[:, k])
 
-    # Shoelace sum per face; the zero padding adds nothing to it.
-    nxt = (np.arange(poly.shape[1]) + 1) % np.maximum(count, 1)[:, None]
-    edges = np.cross(poly, poly[np.arange(len(poly))[:, None], nxt])
+    # Shoelace sum per face about its first vertex, so a thin face far from
+    # a's centre keeps its area. The edges from the last vertex on, padding
+    # included, end at the first vertex, which is 0 in rel, and add nothing.
+    rel = poly - poly[:, :1]
+    nxt = np.arange(1, poly.shape[1] + 1)
+    edges = np.cross(rel, rel[np.arange(len(rel))[:, None], nxt * (nxt < count[:, None])])
     twice_area = np.einsum("fmi,fi->f", edges, face_n)
     inter = min(max(float(face_d @ twice_area) / 6.0, 0.0), vol_a, vol_b)
     return inter / (vol_a + vol_b - inter)

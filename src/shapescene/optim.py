@@ -4,7 +4,8 @@ bias correction and a step size cosine-annealed to zero over the budget.
 
 Rotations are optimized in the unconstrained 9-parameter space; the loss sees
 the SO(3) projection and returns its gradient w.r.t. the rotation, which
-fit_poses pulls back through the SVD differential.
+fit_poses pulls back through the differential of the polar decomposition,
+from the rotation it has just projected.
 """
 from __future__ import annotations
 
@@ -103,9 +104,10 @@ def fit_poses(
 
     def evaluate(params):
         raw = params[:, :9].reshape(-1, 3, 3)
+        rot = project_to_so3(raw)
         obj, (g_r, g_t, g_s) = pose_loss_world_grads(
-            project_to_so3(raw), params[:, 9:12], params[:, 12:], clouds, targets)
-        grads = (chain_rotation_grad(raw, g_r), g_t, g_s)
+            rot, params[:, 9:12], params[:, 12:], clouds, targets)
+        grads = (chain_rotation_grad(rot, raw, g_r), g_t, g_s)
         # Report the best objective so far; raw Adam iterates are not monotone.
         trace.append(min(trace[-1], obj) if trace else obj)
         grad = np.empty_like(params)

@@ -153,7 +153,7 @@ def test_criterion_2_gradient_suites():
         pts = rng.normal(size=(16, 3))
         _, (gr, gt_, gs) = pose_loss_world_grads(
             project_to_so3([m]), [t], [s], [pts], [apply_pose(gt, pts)])
-        gm, gt_, gs = chain_rotation_grad([m], gr)[0], gt_[0], gs[0]
+        gm, gt_, gs = chain_rotation_grad(project_to_so3([m]), [m], gr)[0], gt_[0], gs[0]
 
         def f(mm, tt, ss):
             return pose_loss_rt([gt], [Pose9DoF(project_to_so3(mm), tt, ss)], [pts])
@@ -195,7 +195,7 @@ def test_criterion_2_gradient_suites():
         if collision_loss_total(objs) < 1e-4:
             continue  # grazing contact sits near the documented kink
         total, (grads_r, grads_t, grads_s) = collision_gradient(objs)
-        grads_r = chain_rotation_grad(np.reshape(raws, (-1, 3, 3)), grads_r)
+        grads_r = chain_rotation_grad(project_to_so3(np.array(raws)), raws, grads_r)
 
         def loss_with(which, mm, tt, ss):
             repl = replace(objs[which], pose=Pose9DoF(project_to_so3(mm), tt, ss))

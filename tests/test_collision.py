@@ -221,7 +221,7 @@ def test_gradient_rotation_fd_through_projection(rng):
         for k in range(2)
     ]
     _, (grads_r, _, _) = collision_gradient(objs)
-    grads_r = chain_rotation_grad(np.reshape(raw, (-1, 3, 3)), grads_r)
+    grads_r = chain_rotation_grad(project_to_so3(np.array(raw)), raw, grads_r)
     eps = 1e-6
     for which in range(2):
         fd = np.zeros((3, 3))

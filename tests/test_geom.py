@@ -141,10 +141,11 @@ def test_chain_rotation_grad_stack_matches_per_matrix():
     rng = np.random.default_rng(13)
     stack = _stack_with_edge_cases(rng)
     grads = rng.normal(size=stack.shape)
-    out = chain_rotation_grad(stack, grads)
+    out = chain_rotation_grad(project_to_so3(stack), stack, grads)
     assert out.shape == stack.shape
     for m, g, got in zip(stack, grads, out):
-        assert np.array_equal(got, chain_rotation_grad(m, g), equal_nan=True)
+        assert np.array_equal(got, chain_rotation_grad(project_to_so3(m).m, m, g),
+                              equal_nan=True)
     assert not np.all(np.isfinite(out[1]))
     assert np.all(np.isfinite(out[[0, 2]]))  # equal-sign pairs stay finite
 
@@ -163,7 +164,7 @@ def test_projection_gradient_matches_fd():
             return float(np.sum((project_to_so3(mat).m - target) ** 2))
 
         grad_r = 2.0 * (project_to_so3(m).m - target)
-        analytic = chain_rotation_grad(m, grad_r)
+        analytic = chain_rotation_grad(project_to_so3(m).m, m, grad_r)
         fd = np.zeros((3, 3))
         eps = 1e-5
         for i in range(3):
@@ -179,26 +180,42 @@ def test_projection_gradient_matches_fd():
     assert count >= 100
 
 
+def _jacobian_error(m, eps=1e-6):
+    """Relative error of the pullback's 9x9 Jacobian at m against central
+    differences of the projection itself."""
+    fd = np.zeros((9, 9))
+    for k in range(9):
+        e = np.zeros(9)
+        e[k] = eps
+        e = e.reshape(3, 3)
+        fd[:, k] = ((project_to_so3(m + e).m - project_to_so3(m - e).m)
+                    / (2.0 * eps)).reshape(-1)
+    jac = chain_rotation_grad(project_to_so3(m).m, m,
+                              np.eye(9).reshape(9, 3, 3)).reshape(9, 9)
+    return np.linalg.norm(jac - fd) / np.linalg.norm(fd)
+
+
 def test_projection_jacobian_matches_fd():
-    # Central differences of the projection itself, on matrices of both
-    # determinant signs (the reflection pairs use the other formula).
+    # On matrices of both determinant signs (det < 0 puts the third singular
+    # value in the pullback with a minus sign).
     negative = 0
-    eps = 1e-6
     for seed in range(40):
         m = np.random.default_rng(300 + seed).normal(size=(3, 3))
         if not _sv_gaps_ok(m):
             continue
-        fd = np.zeros((9, 9))
-        for k in range(9):
-            e = np.zeros(9)
-            e[k] = eps
-            e = e.reshape(3, 3)
-            fd[:, k] = ((project_to_so3(m + e).m - project_to_so3(m - e).m)
-                        / (2.0 * eps)).reshape(-1)
-        jac = chain_rotation_grad(m, np.eye(9).reshape(9, 3, 3)).reshape(9, 9)
-        assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-6
+        assert _jacobian_error(m) < 1e-6
         negative += np.linalg.det(m) < 0
     assert negative >= 10
+
+
+def test_projection_jacobian_matches_fd_near_rotations():
+    # The fit's raw iterates lie near rotations, where all three singular values
+    # are about 1: no gap filter, the pullback's own regime.
+    for seed in range(40):
+        rng = np.random.default_rng(700 + seed)
+        base = random_rotation(rng).m
+        for noise in (0.0, 1e-6, 1e-3):
+            assert _jacobian_error(base + noise * rng.normal(size=(3, 3))) < 1e-6
 
 
 def test_geodesic_trivial():

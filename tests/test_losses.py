@@ -147,7 +147,7 @@ def test_pose_loss_grads_fd(rng):
     pts = rng.normal(size=(24, 3))
     total, (gr, gt_, gs) = pose_loss_world_grads(
         project_to_so3([m]), [t], [s], [pts], [apply_pose(gt, pts)])
-    gm, gt_, gs = chain_rotation_grad([m], gr)[0], gt_[0], gs[0]
+    gm, gt_, gs = chain_rotation_grad(project_to_so3([m]), [m], gr)[0], gt_[0], gs[0]
 
     def f(mm, tt, ss):
         pred = Pose9DoF(project_to_so3(mm), tt, ss)

@@ -234,6 +234,16 @@ def test_box_iou_touching_is_zero():
     assert abs(oriented_box_iou(p, turned)) < 1e-12
 
 
+def test_box_iou_thin_rotated_box_with_itself():
+    # A face of sides 1 and 1e-12 lies 5e-13 from the centre: its shoelace sum
+    # about the centre cancels, about its own first vertex it keeps its area.
+    for seed in range(10):
+        r = random_rotation(np.random.default_rng(seed))
+        for thin in (1e-10, 1e-12):
+            p = _box((0.3, -0.2, 0.1), (1.0, thin, thin), r)
+            assert oriented_box_iou(p, p) > 0.999
+
+
 def test_box_iou_symmetric(rng):
     for _ in range(20):
         a = Pose9DoF(random_rotation(rng), rng.normal(size=3) * 0.3,

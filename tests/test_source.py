@@ -66,6 +66,27 @@ def test_private_import_is_found():
     assert _private_imports(source) == ["_bounds (line 3)", "_write (line 4)", "_mod (line 7)"]
 
 
+def _svd_callers(source: str) -> list[str]:
+    """The top-level definition (or "<module>") around each call of an `svd`."""
+    return [getattr(stmt, "name", "<module>") for stmt in ast.parse(source).body
+            for node in ast.walk(stmt) if isinstance(node, ast.Call)
+            and ast.unparse(node.func).rpartition(".")[2] == "svd"]
+
+
+def test_svd_only_in_projection():
+    # The pullback reuses the projection's rotation; the SVD has one home.
+    callers = {p.name: _svd_callers(p.read_text()) for p in MODULES}
+    assert {name: c for name, c in callers.items() if c} == {
+        "geom.py": ["project_to_so3", "project_to_so3"]}
+
+
+def test_svd_caller_is_found():
+    source = ("import numpy as np\nfrom numpy.linalg import svd\nu = svd(np.eye(3))\n"
+              "def f(m):\n    return np.linalg.svd(m, compute_uv=False)\n"
+              "class C:\n    def g(self):\n        return np.linalg.svd\n")
+    assert _svd_callers(source) == ["<module>", "f"]
+
+
 def _unused_private_names(sources: dict[str, str]) -> list[str]:
     """Top-level `_`-prefixed functions and constants of each module (by
     file name) that no module of `sources` reads."""

@@ -310,52 +310,45 @@ def point_triangle_distance(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
     test reads D_t rounded down to float32 (`_float32_below`), which only
     skips fewer pairs.
 
-    The points and brick centres are also held as (3, n) C-ordered rows, and
-    each triangle gets its near subset in both layouts. Projections,
-    differences and norms run on the rows, where numpy is fast, instead of
-    over a length-3 inner axis. The norm is `sqrt((x * x + y * y) + z * z)`:
-    that association is the sum `np.linalg.norm(v, axis=1)` forms, so it
-    matches it bit for bit, where `x * x + (y * y + z * z)` does not. The dot
-    products stay the BLAS `(m, 3) @ (3,)` gemv on the (m, 3) differences:
-    an elementwise or `(3, m)` form sums in another order and changes the
-    last bits of many dots.
+    The points and the brick centres are held once, as (3, n) rows: the
+    differences, dot products `(x * v[0] + y * v[1]) + z * v[2]` and norms
+    `sqrt((x * x + y * y) + z * z)` run on the rows, where numpy is fast.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if not np.all(np.isfinite(points)):
         raise ValueError("points contain non-finite values")
-    best = np.full(len(points), np.inf)
-    if len(points) == 0:
+    rows = np.ascontiguousarray(points.T)
+    best = np.full(rows.shape[1], np.inf)
+    if len(best) == 0:
         return best
     p0s, p1s, p2s = mesh.corners()
-    rows = np.ascontiguousarray(points.T)
 
     # Bin the points into bricks; `order` lists them brick by brick.
-    lo = points.min(axis=0)
-    extent = points.max(axis=0) - lo
-    cell = np.floor((points - lo) / np.where(extent > 0, extent, 1.0) * _BRICKS_PER_AXIS)
+    lo = rows.min(axis=1, keepdims=True)
+    extent = rows.max(axis=1, keepdims=True) - lo
+    cell = np.floor((rows - lo) / np.where(extent > 0, extent, 1.0) * _BRICKS_PER_AXIS)
     cell = np.clip(cell.astype(np.int64), 0, _BRICKS_PER_AXIS - 1)
-    key = (cell[:, 0] * _BRICKS_PER_AXIS + cell[:, 1]) * _BRICKS_PER_AXIS + cell[:, 2]
+    key = (cell[0] * _BRICKS_PER_AXIS + cell[1]) * _BRICKS_PER_AXIS + cell[2]
     order = np.argsort(key, kind="stable")
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-    sizes = np.diff(np.append(starts, len(points)))
-    brick_lo = np.minimum.reduceat(points[order], starts, axis=0)
-    brick_hi = np.maximum.reduceat(points[order], starts, axis=0)
+    sizes = np.diff(np.append(starts, rows.shape[1]))
+    brick_lo = np.minimum.reduceat(rows[:, order], starts, axis=1)
+    brick_hi = np.maximum.reduceat(rows[:, order], starts, axis=1)
 
     # d(p) <= d(c) + |p - c| <= d(c) + r for every point p of a brick; the
     # slack is derived in the docstring. `centre_low[t]` holds each brick
     # centre's distance to triangle t rounded down to float32, half the
     # memory of float64 and never above the distance it stands for.
-    centre = (brick_lo + brick_hi) / 2.0
-    centre_rows = np.ascontiguousarray(centre.T)
-    centre_low = np.empty((len(p0s), len(centre)), dtype=np.float32)
-    bound = np.full(len(centre), np.inf)
+    centres = (brick_lo + brick_hi) / 2.0
+    centre_low = np.empty((len(p0s), len(starts)), dtype=np.float32)
+    bound = np.full(len(starts), np.inf)
     for t in range(len(p0s)):
-        dist = _triangle_distance(centre, centre_rows, p0s[t], p1s[t], p2s[t])
+        dist = _triangle_distance(centres, p0s[t], p1s[t], p2s[t])
         bound = np.minimum(bound, dist)
         centre_low[t] = _float32_below(dist)
-    radius = np.linalg.norm(brick_hi - brick_lo, axis=1) / 2.0
+    radius = _row_norm(*(brick_hi - brick_lo)) / 2.0
     bound += radius
-    scale = max(np.abs(points).max(), np.abs(mesh.vertices).max())
+    scale = max(np.abs(rows).max(), np.abs(mesh.vertices).max())
     slack = 1e-9 * (bound + scale) + 4.0 * _distance_rounding(p0s, p1s, p2s, scale)
     bound += slack
     reach = radius + slack
@@ -370,7 +363,7 @@ def point_triangle_distance(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
         runs = np.repeat(starts[near] - (np.cumsum(lens) - lens), lens)
         idx = order.take(np.arange(len(runs)) + runs)
         best[idx] = np.minimum(best[idx], _triangle_distance(
-            points.take(idx, axis=0), rows.take(idx, axis=1), p0s[t], p1s[t], p2s[t]))
+            rows.take(idx, axis=1), p0s[t], p1s[t], p2s[t]))
     return best
 
 
@@ -438,21 +431,16 @@ def _row_norm(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _triangle_distance(
-    points: np.ndarray, rows: np.ndarray, p0: np.ndarray, p1: np.ndarray, p2: np.ndarray
+    rows: np.ndarray, p0: np.ndarray, p1: np.ndarray, p2: np.ndarray
 ) -> np.ndarray:
-    """Unsigned distance from each point to the triangle (p0, p1, p2).
-
-    `points` is (m, 3) and `rows` the same points as (3, m) rows.
-    """
+    """Unsigned distance from the points `rows` (3, m) to the triangle
+    (p0, p1, p2)."""
     e1 = p1 - p0
     e2 = p2 - p0
-    d = points - p0
     dist = np.minimum(
-        _point_segment_distance(rows, d, p0, e1),
-        np.minimum(
-            _point_segment_distance(rows, points - p1, p1, p2 - p1),
-            _point_segment_distance(rows, d, p0, e2),
-        ),
+        _point_segment_distance(rows, p0, e1),
+        np.minimum(_point_segment_distance(rows, p1, p2 - p1),
+                   _point_segment_distance(rows, p0, e2)),
     )
     a = e1 @ e1
     b = e1 @ e2
@@ -460,8 +448,9 @@ def _triangle_distance(
     det = a * c - b * b
     if det > 1e-15:
         # The plane's closest point wins only where it lies in the triangle.
-        d1 = d @ e1
-        d2 = d @ e2
+        dx, dy, dz = rows - p0[:, None]
+        d1 = (dx * e1[0] + dy * e1[1]) + dz * e1[2]
+        d2 = (dx * e2[0] + dy * e2[1]) + dz * e2[2]
         alpha = (c * d1 - b * d2) / det
         beta = (a * d2 - b * d1) / det
         inner = np.flatnonzero((alpha >= 0) & (beta >= 0) & (alpha + beta <= 1))
@@ -477,16 +466,14 @@ def _triangle_distance(
     return dist
 
 
-def _point_segment_distance(
-    rows: np.ndarray, diff: np.ndarray, a: np.ndarray, ab: np.ndarray
-) -> np.ndarray:
-    """Distance from the points `rows` (3, m) to the segment from `a` along
-    `ab`; `diff` is the (m, 3) array of the points minus `a`."""
+def _point_segment_distance(rows: np.ndarray, a: np.ndarray, ab: np.ndarray) -> np.ndarray:
+    """Distance from the points `rows` (3, m) to the segment from `a` along `ab`."""
     x, y, z = rows
+    dx, dy, dz = x - a[0], y - a[1], z - a[2]
     denom = ab @ ab
     if denom < 1e-30:
-        return _row_norm(x - a[0], y - a[1], z - a[2])
-    t = np.clip((diff @ ab) / denom, 0.0, 1.0)
+        return _row_norm(dx, dy, dz)
+    t = np.clip(((dx * ab[0] + dy * ab[1]) + dz * ab[2]) / denom, 0.0, 1.0)
     return _row_norm(
         x - (a[0] + t * ab[0]), y - (a[1] + t * ab[1]), z - (a[2] + t * ab[2])
     )

@@ -417,9 +417,18 @@ def test_point_triangle_distance_cube_oracle(rng):
 
 def _all_pairs_distance(points, mesh):
     """Every point against every triangle, in triangle order: the reference
-    the brick-culled `point_triangle_distance` must match bit for bit."""
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    best = np.full(len(points), np.inf)
+    the brick-culled `point_triangle_distance` must match bit for bit. The
+    points are (3, n) rows; a dot product is `(x * v[0] + y * v[1]) + z * v[2]`
+    and a norm `sqrt((x * x + y * y) + z * z)`, as in the kernel."""
+    rows = np.ascontiguousarray(np.asarray(points, dtype=np.float64).reshape(-1, 3).T)
+    best = np.full(rows.shape[1], np.inf)
+
+    def dot(d, v):
+        return (d[0] * v[0] + d[1] * v[1]) + d[2] * v[2]
+
+    def norm(d):
+        return np.sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2])
+
     for p0, p1, p2 in zip(*mesh.corners()):
         e1 = p1 - p0
         e2 = p2 - p0
@@ -427,27 +436,26 @@ def _all_pairs_distance(points, mesh):
         b = e1 @ e2
         c = e2 @ e2
         det = a * c - b * b
-        d = points - p0
-        d1 = d @ e1
-        d2 = d @ e2
+        d = rows - p0[:, None]
+        d1 = dot(d, e1)
+        d2 = dot(d, e2)
         if det > 1e-15:
             alpha = (c * d1 - b * d2) / det
             beta = (a * d2 - b * d1) / det
             interior = (alpha >= 0) & (beta >= 0) & (alpha + beta <= 1)
-            closest = p0 + alpha[:, None] * e1 + beta[:, None] * e2
-            dist = np.linalg.norm(points - closest, axis=1)
+            dist = norm(rows - (p0[:, None] + alpha * e1[:, None] + beta * e2[:, None]))
         else:
-            interior = np.zeros(len(points), dtype=bool)
-            dist = np.zeros(len(points))
+            interior = np.zeros(rows.shape[1], dtype=bool)
+            dist = np.zeros(rows.shape[1])
         edges = []
         for u, v in ((p0, p1), (p1, p2), (p0, p2)):
             uv = v - u
             denom = uv @ uv
             if denom < 1e-30:
-                edges.append(np.linalg.norm(points - u, axis=1))
+                edges.append(norm(rows - u[:, None]))
             else:
-                t = np.clip(((points - u) @ uv) / denom, 0.0, 1.0)
-                edges.append(np.linalg.norm(points - (u + t[:, None] * uv), axis=1))
+                t = np.clip(dot(rows - u[:, None], uv) / denom, 0.0, 1.0)
+                edges.append(norm(rows - (u[:, None] + t * uv[:, None])))
         edge = np.minimum(edges[0], np.minimum(edges[1], edges[2]))
         best = np.minimum(best, np.where(interior, dist, edge))
     return best
@@ -574,6 +582,7 @@ _CYLINDER_MOVED = TriMesh(make_cylinder(0.5, 1.0, 64, taper=0.6).vertices + 1e3,
     ("cylinder_moved_1e3", _CYLINDER_MOVED, 0.0),  # far from every voxel
     ("both_moved_1e3", _CYLINDER_MOVED, 1e3),  # the same geometry, coordinates near 1e3
     ("box_ties", make_box(), 0.0),  # voxels equidistant from two or three faces
+    ("box_on_planes", _box_on_lattice_planes(0.0), 0.0),  # voxels on the faces
 ])
 def test_point_triangle_distance_on_sdf_lattice_matches_all_pairs(name, mesh, shift):
     points = _sdf_lattice() + shift
@@ -582,10 +591,9 @@ def test_point_triangle_distance_on_sdf_lattice_matches_all_pairs(name, mesh, sh
 
 def test_centre_distance_store_never_exceeds_the_distance():
     cylinder = make_cylinder(0.5, 1.0, segments=64, taper=0.6)
-    centres = _sdf_lattice(16)
-    rows = np.ascontiguousarray(centres.T)
+    rows = np.ascontiguousarray(_sdf_lattice(16).T)
     dists = np.concatenate([
-        _triangle_distance(centres, rows, p0, p1, p2) for p0, p1, p2 in zip(*cylinder.corners())
+        _triangle_distance(rows, p0, p1, p2) for p0, p1, p2 in zip(*cylinder.corners())
     ])
     f32 = np.finfo(np.float32)
     extremes = np.array([0.0, 5e-324, f32.tiny, float(f32.max), 2.0 * float(f32.max), 1e300,
@@ -652,7 +660,7 @@ def test_distance_rounding_bounds_the_computed_distance(offset):
             tri[rng.integers(0, 3, 50)] + rng.normal(scale=1e-6, size=(50, 3)),
         ])
         scale = max(np.abs(points).max(), np.abs(tri).max())
-        got = _triangle_distance(points, np.ascontiguousarray(points.T), *tri)
+        got = _triangle_distance(np.ascontiguousarray(points.T), *tri)
         exact = np.array([_exact_distance(p, *tri) for p in points])
         assert np.abs(got - exact).max() <= _distance_rounding(tri[:1], tri[1:2], tri[2:], scale)
 

@@ -7,7 +7,9 @@ which tolerates small cracks in near-watertight input; each line of the lattice
 the caller passes casts one ray per axis, and the triangles are tested against
 them in blocks, one array operation per block (see `_parity_along_axis`).
 Distance is exact; it skips the point-triangle pairs that a per-brick bound
-shows cannot hold the minimum, by the distance from the brick's centre (see
+shows cannot hold the minimum, by the distance from the brick's centre,
+coarse to fine: every triangle is tested against the coarse bricks, and only
+those that pass a coarse brick against its eight fine children (see
 `point_triangle_distance`).
 """
 from __future__ import annotations
@@ -23,9 +25,17 @@ from .geom import Pose9DoF, apply_pose
 # through triangle edges of axis-aligned fixtures. Irrational, deterministic.
 _RAY_JITTER = 1e-9 * np.sqrt(2.0)
 
-# Cells per axis of the brick grid `point_triangle_distance` bins points into;
-# at 32^3 that is about 64 voxels per brick, the fastest count measured.
-_BRICKS_PER_AXIS = 8
+# Cells per axis of the fine brick grid `point_triangle_distance` bins points
+# into; its coarse grid has half as many. At 32^3 a fine brick holds 8 voxels
+# and a coarse one 64. Of 8, 16 and 32 on the `build` benchmark meshes, 16
+# was the fastest (8 took 1.03-1.25x its time and 32 about 2x).
+_BRICKS_PER_AXIS = 16
+
+# Elements of the (triangles x bricks) arrays the two tests of
+# `point_triangle_distance` form per block. On the `build` benchmark meshes
+# 1 << 12 was slower and 1 << 14 no faster; 1 << 14 raised the traced peak
+# of a 1000-triangle mesh at 32^3 from 4.6 to 5.9 MB.
+_BOUND_ELEMENTS = 1 << 13
 
 # Elements of the (triangles x b lines x c lines) arrays `_parity_along_axis`
 # forms per block of triangles; a block holds at least one triangle.
@@ -287,84 +297,147 @@ def voxelize_occupancy(
 def point_triangle_distance(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
     """Unsigned distance from each point to the nearest mesh triangle.
 
-    Exact and brick-culled. The points are binned into an 8x8x8 grid of
-    bricks over their bounding box. For each brick, with c the centre of its
-    points' bounding box, r the box's half-diagonal and D_t the distance from
-    c to triangle t, bound = min_t D_t + r + s bounds the distance of every
-    point in it. A triangle is evaluated on a brick only if D_t - r - s <=
-    bound (Ericson, Real-Time Collision Detection, ch. 4). As d(p, t) >=
-    d(c, t) - |p - c|, a triangle that fails it is farther than bound from
-    every point p of the brick. The skipped pairs cannot hold a point's
-    minimum, and the evaluated ones use the same arithmetic as testing every
-    pair, so the result is bit-identical to the all-pairs minimum.
+    Exact, and culled coarse to fine (Ericson, Real-Time Collision
+    Detection, ch. 4 and 6). The points are binned into a 16x16x16 grid of
+    fine bricks over their bounding box; the 2x2x2 fine bricks, the
+    children, of each cell of the 8x8x8 grid make one coarse brick. For a
+    brick, with c the centre of its points' bounding box, r the box's
+    half-diagonal and D_t the distance from c to triangle t, every point of
+    the brick is within B + r of its nearest triangle, where B = min_t D_t.
+    A triangle is evaluated on a brick only if D_t <= B + 2 (r + s): as
+    d(p, t) >= d(c, t) - |p - c|, a triangle that fails it is farther than
+    B + r from every point p of the brick.
+
+    Every triangle is tested against every coarse brick, then each triangle
+    that passes a coarse brick against the brick's children, with B for a
+    child the minimum over its parent's passing triangles only. That minimum
+    is exact: the child's centre lies in the parent's box, so the parent's
+    test keeps the triangle nearest it, as for any point of the box, and the
+    child's test is the same test with the same B as if it stood alone. The
+    loop then evaluates each triangle on the fine bricks it passes. The
+    skipped pairs cannot hold a point's minimum, and the evaluated ones use
+    the same arithmetic as testing every pair, so the result is
+    bit-identical to the all-pairs minimum.
 
     The slack s. Write u for the unit roundoff, S for the largest coordinate
-    magnitude of the points and vertices, B = min_t D_t, and F(p, t) and
-    d(p, t) for the computed and exact distances, |F - d| <= e
-    (`_distance_rounding`; e >= 128 u S). Rounding c and r lets |p - c|
-    exceed r by at most 8 u S <= e. Then, for t* the triangle of B,
-    F(p, t*) <= d(c, t*) + r + 8 u S + e <= B + r + 3e. A triangle the test
-    skips has F(p, t) >= D_t - r - 8 u S - 2e > bound + s - 3e, which stays
-    >= B + r + 3e when s >= 3e, apart from the rounding of the sums and
-    comparisons, a few u (bound + S). So s = 1e-9 (bound + S) + 4e. The
-    test reads D_t rounded down to float32 (`_float32_below`), which only
-    skips fewer pairs.
+    magnitude of the points and vertices, and F(p, t) and d(p, t) for the
+    computed and exact distances, |F - d| <= e (`_distance_rounding`;
+    e >= 128 u S). Rounding c and r lets |p - c| exceed r by at most
+    8 u S <= e. Then, for t* the triangle of B, F(p, t*) <= d(c, t*) + r +
+    8 u S + e <= B + r + 3e. A triangle the test skips has F(p, t) >= D_t -
+    r - 8 u S - 2e > B + r + 2s - 3e, which stays >= B + r + 3e when
+    s >= 3e, apart from the rounding of the sums and the comparison, a few
+    u (B + r + S). So s = 1e-9 (B + r + S) + 4e (`_reach`). The coarse test
+    reads D_t rounded down to float32 (`_float32_below`), which only skips
+    fewer pairs.
 
     The points and the brick centres are held once, as (3, n) rows: the
     differences, dot products `(x * v[0] + y * v[1]) + z * v[2]` and norms
     `sqrt((x * x + y * y) + z * z)` run on the rows, where numpy is fast.
+    The two tests broadcast blocks of stacked triangles against the centres,
+    arrays of about `_BOUND_ELEMENTS` elements; the loop takes one triangle
+    at a time, against its gathered points.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if not np.all(np.isfinite(points)):
         raise ValueError("points contain non-finite values")
     rows = np.ascontiguousarray(points.T)
-    best = np.full(rows.shape[1], np.inf)
-    if len(best) == 0:
-        return best
+    if rows.shape[1] == 0:
+        return np.zeros(0)
     p0s, p1s, p2s = mesh.corners()
+    scale = max(np.abs(rows).max(), np.abs(mesh.vertices).max())
+    rounding = 4.0 * _distance_rounding(p0s, p1s, p2s, scale)
 
-    # Bin the points into bricks; `order` lists them brick by brick.
+    # Bin the points into fine bricks. A key is the coarse cell, then the
+    # fine cell's octant in it, so the children of a coarse brick are one run
+    # of keys. `rows` and `best` are held in key order, `order` maps back.
     lo = rows.min(axis=1, keepdims=True)
     extent = rows.max(axis=1, keepdims=True) - lo
     cell = np.floor((rows - lo) / np.where(extent > 0, extent, 1.0) * _BRICKS_PER_AXIS)
-    cell = np.clip(cell.astype(np.int64), 0, _BRICKS_PER_AXIS - 1)
-    key = (cell[0] * _BRICKS_PER_AXIS + cell[1]) * _BRICKS_PER_AXIS + cell[2]
+    cell = np.minimum(cell.astype(np.int64), _BRICKS_PER_AXIS - 1)
+    half = _BRICKS_PER_AXIS // 2
+    key = ((((cell[0] >> 1) * half + (cell[1] >> 1)) * half + (cell[2] >> 1)) * 8
+           + (cell[0] & 1) * 4 + (cell[1] & 1) * 2 + (cell[2] & 1))
+    del cell  # each table is freed once read, to keep the peak memory low
     order = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-    sizes = np.diff(np.append(starts, rows.shape[1]))
-    brick_lo = np.minimum.reduceat(rows[:, order], starts, axis=1)
-    brick_hi = np.maximum.reduceat(rows[:, order], starts, axis=1)
+    key = key[order]
+    rows = rows.take(order, axis=1)  # C order, unlike rows[:, order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    sizes = np.diff(np.append(starts, len(key)))
+    first = np.flatnonzero(np.diff(key[starts] >> 3, prepend=-1))
+    del key
+    fine_lo = np.minimum.reduceat(rows, starts, axis=1)
+    fine_hi = np.maximum.reduceat(rows, starts, axis=1)
+    coarse_lo = np.minimum.reduceat(fine_lo, first, axis=1)
+    coarse_hi = np.maximum.reduceat(fine_hi, first, axis=1)
+    # Each coarse brick's children, padded to eight with its last child.
+    children = np.diff(np.append(first, len(starts)))
+    kids = first + np.minimum(np.arange(8)[:, None], children - 1)
+    real = np.arange(8)[:, None] < children
 
-    # d(p) <= d(c) + |p - c| <= d(c) + r for every point p of a brick; the
-    # slack is derived in the docstring. `centre_low[t]` holds each brick
-    # centre's distance to triangle t rounded down to float32, half the
-    # memory of float64 and never above the distance it stands for.
-    centres = (brick_lo + brick_hi) / 2.0
-    centre_low = np.empty((len(p0s), len(starts)), dtype=np.float32)
-    bound = np.full(len(starts), np.inf)
-    for t in range(len(p0s)):
-        dist = _triangle_distance(centres, p0s[t], p1s[t], p2s[t])
-        bound = np.minimum(bound, dist)
-        centre_low[t] = _float32_below(dist)
-    radius = _row_norm(*(brick_hi - brick_lo)) / 2.0
-    bound += radius
-    scale = max(np.abs(rows).max(), np.abs(mesh.vertices).max())
-    slack = 1e-9 * (bound + scale) + 4.0 * _distance_rounding(p0s, p1s, p2s, scale)
-    bound += slack
-    reach = radius + slack
+    # Coarse test. `centre_low[t]` holds each coarse centre's distance to
+    # triangle t rounded down to float32, half the memory of float64 and
+    # never above the distance it stands for.
+    centres = (coarse_lo + coarse_hi) / 2.0
+    centre_low = np.empty((len(p0s), len(first)), dtype=np.float32)
+    nearest = np.full(len(first), np.inf)
+    step = max(1, _BOUND_ELEMENTS // len(first))
+    for s in range(0, len(p0s), step):
+        block = slice(s, s + step)
+        dist = _triangle_distance(centres[:, None], p0s[block, None], p1s[block, None],
+                                  p2s[block, None])
+        nearest = np.minimum(nearest, dist.min(axis=0))
+        centre_low[block] = _float32_below(dist)
+    near = centre_low <= _reach(_row_norm(*(coarse_hi - coarse_lo)) / 2.0, nearest,
+                                scale, rounding)
+    del centre_low
 
+    # Fine test, over runs of coarse bricks with about `_BOUND_ELEMENTS`
+    # (triangle, child) pairs each. Bit j of `passed[t, c]` is set if
+    # triangle t passes child j of coarse brick c.
+    fine = (fine_lo + fine_hi) / 2.0
+    radius = _row_norm(*(fine_hi - fine_lo)) / 2.0
+    nearest = np.full(len(starts), np.inf)
+    passed = np.zeros(near.shape, dtype=np.uint8)
+    pairs = np.cumsum(np.count_nonzero(near, axis=0)) * 8
+    runs = np.flatnonzero(np.diff(pairs // _BOUND_ELEMENTS, prepend=-1))
+    for a, b in zip(runs, np.append(runs[1:], len(first))):
+        tri, brick = np.nonzero(near[:, a:b])
+        brick += a
+        kid = kids.take(brick, axis=1)
+        dist = _triangle_distance(fine.take(kid, axis=1), p0s[tri], p1s[tri], p2s[tri])
+        # The run holds every passing triangle of its bricks: their children's
+        # nearest is complete.
+        np.minimum.at(nearest, kid.ravel(), dist.ravel())
+        keep = (dist <= _reach(radius[kid], nearest[kid], scale, rounding)) & real[:, brick]
+        passed[tri, brick] = np.packbits(keep, axis=0, bitorder="little")[0]
+    del near
+
+    best = np.full(rows.shape[1], np.inf)
     for t in range(len(p0s)):
-        near = np.flatnonzero(centre_low[t] - reach <= bound)
-        if len(near) == 0:
+        brick = np.flatnonzero(passed[t])
+        if len(brick) == 0:
             continue
-        # The near bricks' runs of `order`, gathered in one pass; `take`
+        keep = np.unpackbits(passed[t, brick, None], axis=1, bitorder="little").view(bool)
+        bricks = kids.T[brick][keep]
+        # The passing bricks' runs of points, gathered in one pass; `take`
         # copies the same values as fancy indexing, several times faster.
-        lens = sizes[near]
-        runs = np.repeat(starts[near] - (np.cumsum(lens) - lens), lens)
-        idx = order.take(np.arange(len(runs)) + runs)
-        best[idx] = np.minimum(best[idx], _triangle_distance(
-            rows.take(idx, axis=1), p0s[t], p1s[t], p2s[t]))
-    return best
+        lens = sizes[bricks]
+        at = np.repeat(starts[bricks] - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+        best[at] = np.minimum(best[at], _triangle_distance(
+            rows.take(at, axis=1), p0s[t], p1s[t], p2s[t]))
+    out = np.empty_like(best)
+    out[order] = best
+    return out
+
+
+def _reach(radius: np.ndarray, nearest: np.ndarray, scale: float, rounding: float) -> np.ndarray:
+    """B + 2 (r + s) for bricks of half-diagonal r = `radius` whose centres
+    are B = `nearest` from the mesh: the farthest a triangle's distance from
+    the centre may be for it to hold a point's minimum, with the slack s
+    derived in `point_triangle_distance` (`rounding` is its 4e term)."""
+    slack = 1e-9 * ((nearest + radius) + scale) + rounding
+    return nearest + 2.0 * (radius + slack)
 
 
 def _float32_below(x: np.ndarray) -> np.ndarray:
@@ -434,7 +507,18 @@ def _triangle_distance(
     rows: np.ndarray, p0: np.ndarray, p1: np.ndarray, p2: np.ndarray
 ) -> np.ndarray:
     """Unsigned distance from the points `rows` (3, m) to the triangle
-    (p0, p1, p2)."""
+    (p0, p1, p2), whose corners are (3,) vectors.
+
+    Stacked corners, (..., 3) arrays, are as many triangles: their leading
+    shape broadcasts against the rows' trailing shape, as the (k, 1, 3)
+    corners of k triangles against (3, 1, n) brick centres give (k, n)
+    distances. Each element takes the operations one triangle's call takes
+    on the same operands, so it has the same bits; the edges' dot products
+    are `np.vecdot`'s, which has the bits of `@`. The plane's closest point
+    wins only where it lies in the triangle: one triangle forms it only for
+    those points, stacked triangles for every element. Where
+    det = ac - b^2 <= 1e-15 the edges alone decide.
+    """
     e1 = p1 - p0
     e2 = p2 - p0
     dist = np.minimum(
@@ -442,38 +526,43 @@ def _triangle_distance(
         np.minimum(_point_segment_distance(rows, p1, p2 - p1),
                    _point_segment_distance(rows, p0, e2)),
     )
-    a = e1 @ e1
-    b = e1 @ e2
-    c = e2 @ e2
+    a, b, c = np.vecdot(e1, e1), np.vecdot(e1, e2), np.vecdot(e2, e2)
     det = a * c - b * b
-    if det > 1e-15:
-        # The plane's closest point wins only where it lies in the triangle.
-        dx, dy, dz = rows - p0[:, None]
-        d1 = (dx * e1[0] + dy * e1[1]) + dz * e1[2]
-        d2 = (dx * e2[0] + dy * e2[1]) + dz * e2[2]
-        alpha = (c * d1 - b * d2) / det
-        beta = (a * d2 - b * d1) / det
-        inner = np.flatnonzero((alpha >= 0) & (beta >= 0) & (alpha + beta <= 1))
-        if len(inner):
-            alpha = alpha[inner]
-            beta = beta[inner]
-            x, y, z = rows.take(inner, axis=1)
-            dist[inner] = _row_norm(
-                x - (p0[0] + alpha * e1[0] + beta * e2[0]),
-                y - (p0[1] + alpha * e1[1] + beta * e2[1]),
-                z - (p0[2] + alpha * e1[2] + beta * e2[2]),
-            )
-    return dist
+    plane = det > 1e-15
+    det = np.where(plane, det, 1.0)
+    (ox, oy, oz), (ux, uy, uz), (vx, vy, vz) = _xyz(p0), _xyz(e1), _xyz(e2)
+    x, y, z = rows
+    dx, dy, dz = x - ox, y - oy, z - oz
+    d1 = (dx * ux + dy * uy) + dz * uz
+    d2 = (dx * vx + dy * vy) + dz * vz
+    alpha = (c * d1 - b * d2) / det
+    beta = (a * d2 - b * d1) / det
+    inner = plane & (alpha >= 0) & (beta >= 0) & (alpha + beta <= 1)
+    if p0.ndim == 1:
+        inner = np.flatnonzero(inner)
+        alpha, beta = alpha[inner], beta[inner]
+        x, y, z = rows.take(inner, axis=1)
+    on = _row_norm(x - (ox + alpha * ux + beta * vx), y - (oy + alpha * uy + beta * vy),
+                   z - (oz + alpha * uz + beta * vz))
+    if p0.ndim == 1:
+        dist[inner] = on
+        return dist
+    return np.where(inner, on, dist)
 
 
 def _point_segment_distance(rows: np.ndarray, a: np.ndarray, ab: np.ndarray) -> np.ndarray:
-    """Distance from the points `rows` (3, m) to the segment from `a` along `ab`."""
+    """Distance from the points `rows` (3, m) to the segment from `a` along
+    `ab`; stacked segments broadcast as in `_triangle_distance`. A segment
+    with |ab|^2 < 1e-30 is measured to `a`: its parameter is 0."""
     x, y, z = rows
-    dx, dy, dz = x - a[0], y - a[1], z - a[2]
-    denom = ab @ ab
-    if denom < 1e-30:
-        return _row_norm(dx, dy, dz)
-    t = np.clip(((dx * ab[0] + dy * ab[1]) + dz * ab[2]) / denom, 0.0, 1.0)
-    return _row_norm(
-        x - (a[0] + t * ab[0]), y - (a[1] + t * ab[1]), z - (a[2] + t * ab[2])
-    )
+    (ax, ay, az), (ux, uy, uz) = _xyz(a), _xyz(ab)
+    dx, dy, dz = x - ax, y - ay, z - az
+    denom = np.vecdot(ab, ab)
+    denom = np.where(denom < 1e-30, np.inf, denom)
+    t = np.clip(((dx * ux + dy * uy) + dz * uz) / denom, 0.0, 1.0)
+    return _row_norm(x - (ax + t * ux), y - (ay + t * uy), z - (az + t * uz))
+
+
+def _xyz(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x, y and z of the (..., 3) vectors v, each of shape (...)."""
+    return v[..., 0], v[..., 1], v[..., 2]

@@ -67,8 +67,9 @@ def mesh_to_sdf(mesh: TriMesh, resolution: int = 32) -> SdfGrid:
     Magnitude is the exact distance to the nearest triangle, from
     `point_triangle_distance`, which tests each triangle only against the
     bricks of voxels that may have it as their nearest, by the distance from
-    the brick's centre. It gives the bits that testing every voxel against
-    every triangle gives.
+    the brick's centre: first against the coarse bricks, then, for the
+    coarse bricks it passes, against their eight fine children. It gives
+    the bits that testing every voxel against every triangle gives.
     """
     if resolution < MIN_SDF_RESOLUTION:
         raise ValueError("resolution must leave room for 2 voxels of padding")

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from shapescene import mesh as mesh_module
 from shapescene.errors import DegenerateMesh, NonWatertight
 from shapescene.geom import Pose9DoF, Rotation, apply_pose, random_rotation, rotation_about_axis
 from shapescene.mesh import (
@@ -26,7 +28,7 @@ from shapescene.mesh import (
     voxelize_occupancy,
 )
 from shapescene.scene import scene_grid
-from shapescene.sdf import mesh_to_sdf
+from shapescene.sdf import MIN_SDF_RESOLUTION, mesh_to_sdf
 from shapescene.toys import make_box, make_cylinder, toy_shape_set
 
 
@@ -665,19 +667,76 @@ def test_distance_rounding_bounds_the_computed_distance(offset):
         assert np.abs(got - exact).max() <= _distance_rounding(tri[:1], tri[1:2], tri[2:], scale)
 
 
-def test_centre_cull_keeps_the_triangle_nearest_a_brick_corner():
-    # Lattice points 0..15 per axis: the brick of coordinates {6, 7} has
-    # centre c = 6.5 and half-diagonal r = sqrt(3) / 2. Along the diagonal,
-    # a speck 2 below c is the centre's nearest triangle, and a speck just
-    # under 2 + r beyond the corner (7, 7, 7) is that corner's nearest: its
-    # centre distance exceeds the bound by r less 0.01, the tightest case.
-    axis = np.arange(16.0)
+@pytest.mark.parametrize("level", ["coarse", "fine"])
+def test_cull_keeps_the_nearest_triangle_by_the_slimmest_margin(level):
+    # Lattice points 0..31 per axis: a fine brick holds 2 x 2 x 2 of them
+    # and a coarse one 4 x 4 x 4. The coarse brick of coordinates 12..15 has
+    # centre c = 13.5 and half-diagonal r = 1.5 sqrt(3); its child of
+    # coordinates 14..15 has centre c + sqrt(3) along the diagonal and
+    # half-diagonal sqrt(3) / 2. A speck 2 below c along the diagonal is c's
+    # nearest triangle.
+    # coarse: a speck just under 2 + r beyond the corner (15, 15, 15) is that
+    # corner's nearest. Its distance from c passes the coarse test by 0.01,
+    # the tightest case, and its distance from the child's centre passes
+    # the child's test by as little.
+    # fine: a speck 0.01 nearer the child's centre than the first is that
+    # centre's nearest, so it sets the child's bound. It passes the coarse
+    # test by twice the child's half-diagonal plus 0.01, the slimmest margin
+    # the nearest triangle of a child's centre can have.
+    axis = np.arange(32.0)
     points = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     diagonal = np.ones(3) / np.sqrt(3.0)
     speck = 1e-4 * np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]])
-    centres = [6.5 - 2.0 * diagonal, 7.0 + (2.0 + np.sqrt(3.0) / 2.0 - 0.01) * diagonal]
+    r = 1.5 * np.sqrt(3.0)
+    if level == "coarse":
+        corner, reach = np.full(3, 15.0), 2.0 + r
+    else:
+        corner, reach = np.full(3, 14.5), 2.0 + np.sqrt(3.0)
+    centres = [13.5 - 2.0 * diagonal, corner + (reach - 0.01) * diagonal]
     mesh = TriMesh(np.concatenate([c + speck for c in centres]), np.array([[0, 1, 2], [3, 4, 5]]))
     got = point_triangle_distance(points, mesh)
     assert np.array_equal(got, _all_pairs_distance(points, mesh))
-    corner = np.flatnonzero(np.all(points == 7.0, axis=1))
-    assert got[corner] < 2.0 + np.sqrt(3.0) / 2.0 - 0.009
+    assert _all_pairs_distance(corner[None], mesh)[0] < reach - 0.009
+
+
+@pytest.mark.parametrize("resolution", [MIN_SDF_RESOLUTION, 33])
+def test_point_triangle_distance_on_ragged_sdf_lattice_matches_all_pairs(resolution):
+    # At 5^3 the fine bricks hold one voxel or none; at 33^3 the last fine
+    # brick on each axis holds 3 voxels and the others 2.
+    cylinder = make_cylinder(0.5, 1.0, segments=64, taper=0.6)
+    points = _sdf_lattice(resolution)
+    assert np.array_equal(point_triangle_distance(points, cylinder),
+                          _all_pairs_distance(points, cylinder))
+
+
+def test_distance_work_and_memory_on_the_sdf_lattice(monkeypatch):
+    # The loop measures each triangle on the points of the fine bricks it
+    # passes: 2,171,456 (point, triangle) pairs on the 1000-triangle
+    # cylinder at 32^3, where the one-level 8^3 brick cull measured
+    # 5,191,552.
+    cylinder = make_cylinder(0.5, 1.0, segments=250, taper=0.7)
+    points = _sdf_lattice()
+    pairs = []
+
+    def counted(rows, p0, p1, p2):
+        if p0.ndim == 1:  # one triangle: the loop's call
+            pairs.append(rows.shape[1])
+        return _triangle_distance(rows, p0, p1, p2)
+
+    monkeypatch.setattr(mesh_module, "_triangle_distance", counted)
+    point_triangle_distance(points, cylinder)
+    assert sum(pairs) == 2_171_456
+    monkeypatch.undo()
+    # Traced peak of the call: 4,562,025 bytes; the one-level cull peaked at
+    # 5,659,842 measured the same way.
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        point_triangle_distance(points, cylinder)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 5_700_000

@@ -66,16 +66,17 @@ def test_private_import_is_found():
     assert _private_imports(source) == ["_bounds (line 3)", "_write (line 4)", "_mod (line 7)"]
 
 
-def _svd_callers(source: str) -> list[str]:
-    """The top-level definition (or "<module>") around each call of an `svd`."""
+def _callers(source: str, name: str) -> list[str]:
+    """The top-level definition (or "<module>") around each call of a
+    function named `name`, as `f(...)` or `x.f(...)`."""
     return [getattr(stmt, "name", "<module>") for stmt in ast.parse(source).body
             for node in ast.walk(stmt) if isinstance(node, ast.Call)
-            and ast.unparse(node.func).rpartition(".")[2] == "svd"]
+            and ast.unparse(node.func).rpartition(".")[2] == name]
 
 
 def test_svd_only_in_projection():
     # The pullback reuses the projection's rotation; the SVD has one home.
-    callers = {p.name: _svd_callers(p.read_text()) for p in MODULES}
+    callers = {p.name: _callers(p.read_text(), "svd") for p in MODULES}
     assert {name: c for name, c in callers.items() if c} == {
         "geom.py": ["project_to_so3", "project_to_so3"]}
 
@@ -84,7 +85,15 @@ def test_svd_caller_is_found():
     source = ("import numpy as np\nfrom numpy.linalg import svd\nu = svd(np.eye(3))\n"
               "def f(m):\n    return np.linalg.svd(m, compute_uv=False)\n"
               "class C:\n    def g(self):\n        return np.linalg.svd\n")
-    assert _svd_callers(source) == ["<module>", "f"]
+    assert _callers(source, "svd") == ["<module>", "f"]
+
+
+def test_distance_formula_in_one_place():
+    # The point-segment distance clips its parameter in one function, which
+    # only the triangle distance calls, for one triangle or stacked ones.
+    source = (Path(shapescene.__file__).parent / "mesh.py").read_text()
+    assert _callers(source, "clip") == ["_point_segment_distance"]
+    assert _callers(source, "_point_segment_distance") == ["_triangle_distance"] * 3
 
 
 def _unused_private_names(sources: dict[str, str]) -> list[str]:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ZeroScale
 from .geom import Pose9DoF, apply_pose_backward, sum_points
-from .sdf import SdfGrid, sample_zero_outside
+from .sdf import SdfGrid, sample_grids, sample_zero_outside
 
 
 @dataclass(frozen=True)
@@ -42,76 +42,145 @@ def relative_transform(i: SceneObject, j: SceneObject) -> tuple[np.ndarray, np.n
     if np.any(sj < 1e-12):
         raise ZeroScale("target pose has a near-zero scale component")
     a = (j.pose.r.m.T @ i.pose.r.m) * i.pose.s[None, :] / sj[:, None]
-    with np.errstate(over="ignore"):  # an offset past the float range is inf: outside every field
+    # An offset past the float range is inf or NaN (inf * 0): outside every field.
+    with np.errstate(over="ignore", invalid="ignore"):
         b = (j.pose.r.m.T @ (i.pose.t - j.pose.t)) / sj
     return a, b
 
 
-def pair_maps(scene: list[SceneObject]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each target j, the points of every other object i under the linear
-    part A of relative_transform(i, j), stacked in ascending i into one (m, 3)
-    array, and the bounds of the sources' segments: j's k-th source (the k-th
-    i != j) holds rows bounds[k]:bounds[k + 1].
+@dataclass(frozen=True)
+class PairMaps:
+    """What pair_maps forms once per run. Ordered pair p is (source[p],
+    target[p]); pairs run source-major, each source's n - 1 pairs in
+    ascending target, and pair p holds counts[source[p]] rows, one per point
+    of its source, in point order."""
+
+    points: np.ndarray      # (3, rows): A x for each row's source point x
+    source: np.ndarray      # (pairs,)
+    target: np.ndarray      # (pairs,)
+    counts: np.ndarray      # (n,) point count of each object
+    row_pair: np.ndarray    # (rows,)
+    row_target: np.ndarray  # (rows,)
+    offset_of_pair: np.ndarray  # (pairs,) pair's row in the (n (n - 1), 3) target-major offsets
+    rotations: np.ndarray   # (n, 3, 3)
+    scales: np.ndarray      # (n, 3)
+    fields: np.ndarray      # (n, nx, ny, nz) C-ordered clamped fields
+    origin: np.ndarray      # (3,) the fields' shared origin
+    spacing: float          # the fields' shared spacing
+
+
+def pair_maps(scene: list[SceneObject]) -> PairMaps | None:
+    """Every ordered pair (i, j), i != j, of `scene` in collision_gradient's
+    order, with i's points under the linear part A of relative_transform(i,
+    j), and the objects' clamped fields stacked into one array; None when
+    the scene has no ordered pair.
 
     A depends only on rotations and scales, so a translation-only descent
-    forms these once per run and passes them to translation_step.
+    forms these once per run and passes them to translation_step. The fields
+    must share one layout (shape, origin and spacing), as a database's do;
+    ValueError if they do not. ZeroScale as relative_transform.
     """
-    maps = []
-    for j, obj_j in enumerate(scene):
-        sources = [obj_i for i, obj_i in enumerate(scene) if i != j]
-        bounds = np.cumsum([0] + [len(obj_i.points) for obj_i in sources])
-        stack = np.empty((bounds[-1], 3))
-        for obj_i, lo, hi in zip(sources, bounds, bounds[1:]):
-            a, _ = relative_transform(obj_i, obj_j)
-            stack[lo:hi] = obj_i.points @ a.T
-        maps.append((stack, bounds))
-    return maps
+    n = len(scene)
+    if n < 2:
+        return None
+    grids = [o.clamped_sdf for o in scene]
+    for k, g in enumerate(grids):
+        if (g.values.shape != grids[0].values.shape or g.spacing != grids[0].spacing
+                or not np.array_equal(g.origin, grids[0].origin)):
+            raise ValueError(f"object {k}'s field layout differs from object 0's")
+    source, target = np.nonzero(~np.eye(n, dtype=bool))
+    counts = np.array([len(o.points) for o in scene])
+    starts = np.concatenate([[0], np.cumsum(counts[source])])
+    points = np.empty((3, starts[-1]))
+    for i, j, lo, hi in zip(source, target, starts, starts[1:]):
+        a, _ = relative_transform(scene[i], scene[j])
+        points[:, lo:hi] = (scene[i].points @ a.T).T
+    row_pair = np.repeat(np.arange(len(source)), counts[source])
+    return PairMaps(
+        points=points, source=source, target=target, counts=counts, row_pair=row_pair,
+        row_target=target[row_pair],
+        # Target j's k-th source i sits at row j (n - 1) + k, with k = i - (i > j).
+        offset_of_pair=target * (n - 1) + source - (source > target),
+        rotations=np.array([o.pose.r.m for o in scene]),
+        scales=np.array([o.pose.s for o in scene]),
+        fields=np.stack([g.values for g in grids]), origin=grids[0].origin,
+        spacing=grids[0].spacing)
+
+
+def _sum_rows(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """(size, 3) sums of the (m, 3) rows by their index, each sum adding its
+    rows in row order from +0, so with sum_points' bits."""
+    return np.bincount((3 * index[:, None] + np.arange(3)).ravel(), rows.ravel(),
+                       minlength=3 * size).reshape(size, 3)
 
 
 def translation_step(
-    scene: list[SceneObject], maps: list[tuple[np.ndarray, np.ndarray]], t: np.ndarray
+    scene: list[SceneObject], maps: PairMaps | None, t: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """collision_loss_total and the (n, 3) translation gradients of
     collision_gradient, for `scene` with its translations replaced by the rows
     of t; `maps` is pair_maps(scene).
 
-    Each target's field is sampled once, on the stacked points of all its
-    sources, each segment shifted by its own offset b of relative_transform.
-    Both results are bit-identical to those functions: every point is the
-    same y = A x + b with the same per-point arithmetic, each pair's depth is
-    the sum of its own contiguous segment, and the sums run in the same order.
-    The offsets of all of a target's sources come from one (m, 3) @ (3, 3)
-    product, whose rows have the bits of relative_transform's R_j^T (t_i - t_j).
+    One sample_grids call samples the rows of every pair in its target's
+    field, each shifted by its pair's offset b of relative_transform. Only
+    the rows with a non-zero gradient enter the gradient's sums. Both
+    results are bit-identical to those functions:
+    - every row is the same y = A x + b with the same per-point arithmetic;
+      each target's offsets come from one (n - 1, 3) @ (3, 3) product, as
+      relative_transform's R_j^T (t_i - t_j) rows;
+    - each pair's depth is NumPy's pairwise sum of its whole segment, zeros
+      included, and each object's energy adds its pairs' depths in j order;
+    - a row's gradient has collision_gradient's bits, as the rows of a
+      (., 3) @ (3, 3) product do not depend on the other rows; each pair's
+      gradient adds its rows in point order from +0, on which the skipped
+      rows of exact zeros would change nothing;
+    - the pairs with a non-zero row add their gradient to grad[i] and
+      subtract it from grad[j] in (i, j) order.
     """
-    n = len(scene)
-    total, grad = 0.0, np.zeros(np.shape(t))  # an empty scene's t may be (0,)
-    rts = [np.ascontiguousarray(o.pose.r.m.T) for o in scene]  # as collision_gradient's
-    sampled = {}  # (i, j): values and field gradients of i's points in j's field
-    for j, (obj_j, (stack, bounds)) in enumerate(zip(scene, maps)):
-        sources = [i for i in range(n) if i != j]
-        offsets = ((t[sources] - t[j]) @ obj_j.pose.r.m) / obj_j.pose.s
-        vals, grad_field = sample_zero_outside(
-            obj_j.clamped_sdf, stack + np.repeat(offsets, np.diff(bounds), axis=0))
-        for i, lo, hi in zip(sources, bounds, bounds[1:]):
-            sampled[i, j] = vals[lo:hi], grad_field[lo:hi]
-    for i in range(n):
-        energy, fields = 0.0, []
-        for j in range(n):
-            if j != i:
-                vals, grad_field = sampled[i, j]
-                energy += float(vals.sum())
-                fields.append((j, grad_field))
+    if maps is None:
+        return 0.0, np.zeros(np.shape(t))
+    n, pairs = len(scene), len(maps.source)
+    sources = maps.target.reshape(n, n - 1)  # the objects other than j, for each j
+    offsets = ((t[sources] - t[:, None]) @ maps.rotations) / maps.scales[:, None]
+    # Each row's grid coordinates ((A x + b) - origin) / spacing, formed in
+    # place: fewer large temporaries keep the allocator from returning pages.
+    u = np.repeat(offsets.reshape(-1, 3)[maps.offset_of_pair].T, maps.counts[maps.source],
+                  axis=1)
+    u += maps.points
+    u -= maps.origin[:, None]
+    u /= maps.spacing
+    inside, vals_in, field = sample_grids(maps.fields, maps.spacing, maps.row_target, u)
+    vals = np.zeros(u.shape[1])
+    vals[inside] = vals_in
+
+    total, rho_prime, lo = 0.0, np.empty(n), 0
+    for i, count in enumerate(maps.counts.tolist()):  # source i's block of n - 1 pairs
+        energy, block = 0.0, vals[lo:lo + (n - 1) * count]
+        for depth in block.reshape(n - 1, count).sum(axis=1).tolist():
+            energy += depth
         total += geman_mcclure(energy)
-        rho_prime = geman_mcclure_deriv(energy)
-        if rho_prime == 0.0:
-            continue
-        for j, grad_field in fields:
-            g = rho_prime * grad_field
-            if np.any(g):
-                dt = sum_points((g / scene[j].pose.s) @ rts[j])
-                grad[i] += dt
-                grad[j] -= dt
-    return total, grad
+        rho_prime[i] = geman_mcclure_deriv(energy)
+        lo += len(block)
+
+    g = rho_prime[maps.source[maps.row_pair[inside]], None] * field
+    # Carry the rows with a non-zero entry (a sum of magnitudes is 0 only if
+    # every entry is), grouped by target, each pair's rows in point order.
+    rows = np.flatnonzero(np.abs(g) @ np.ones(3))
+    rows = rows[np.argsort(maps.row_target[inside[rows]], kind="stable")]
+    pair = maps.row_pair[inside[rows]]
+    g = np.take(g, rows, axis=0) / maps.scales[maps.target[pair]]
+    rts = np.ascontiguousarray(maps.rotations.swapaxes(1, 2))  # as collision_gradient's
+    lo = 0
+    for rt, count in zip(rts, np.bincount(maps.target[pair], minlength=n).tolist()):
+        g[lo:lo + count] = g[lo:lo + count] @ rt
+        lo += count
+    hit = np.zeros(pairs, dtype=bool)
+    hit[pair] = True
+    dt = _sum_rows(pair, g, pairs)[hit]
+    # grad[i] += dt, then grad[j] -= dt, for each pair hit in (i, j) order.
+    ends = np.stack([maps.source[hit], maps.target[hit]], axis=1).ravel()
+    grad = _sum_rows(ends, np.stack([dt, -dt], axis=1).reshape(-1, 3), n)
+    return total, grad.reshape(np.shape(t))
 
 
 def collision_energy_single(i: SceneObject, others: list[SceneObject]) -> float:

@@ -98,30 +98,48 @@ def sample_zero_outside(g: SdfGrid, pts: np.ndarray) -> tuple[np.ndarray, np.nda
     Only the points with a complete 8-corner stencil are interpolated; every
     other point gets value 0 and gradient 0. This matches the clamped-interior
     field convention: the field vanishes outside the grid, so optimization
-    never sees boundary errors.
+    never sees boundary errors. This is the one-grid case of sample_grids.
     """
     pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
     vals = np.zeros(len(pts))
     grads = np.zeros((len(pts), 3))
     # Grid coordinates as (3, m) rows, so each operation runs along the points.
     u = np.subtract(pts.T, g.origin[:, None], order="C") / g.spacing
+    inside, vals_in, grads_in = sample_grids(g.values[None], g.spacing,
+                                             np.zeros(len(pts), dtype=np.intp), u)
+    vals[inside] = vals_in
+    grads[inside] = grads_in
+    return vals, grads
+
+
+def sample_grids(values: np.ndarray, spacing: float, grid: np.ndarray,
+                 u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trilinear values and exact spatial gradients of the points that have a
+    complete 8-corner stencil in their own grid.
+
+    `values` is a C-ordered (k, nx, ny, nz) stack of grids that share one
+    origin and `spacing`. Column p of the C-ordered (3, m) rows `u` holds
+    point p's grid coordinates, (x - origin) / spacing, in grid grid[p] of
+    the (m,) integer array `grid`. Returns the ascending indices of the
+    points with a full stencil, their values, and their gradients as a
+    C-ordered (., 3) array; every other point, and every point with a NaN
+    or infinite coordinate, is outside.
+    """
     # floor(u) lies in [0, n - 2] on every axis; a NaN fails both tests.
-    ok = (u >= 0.0) & (u < np.subtract(g.values.shape, 1)[:, None])
-    ok = ok[0] & ok[1] & ok[2]
-    inside = np.flatnonzero(ok)
-    if inside.size == 0:
-        return vals, grads
-    u = u[:, inside]
+    ok = (u >= 0.0) & (u < np.subtract(values.shape[1:], 1)[:, None])
+    inside = np.flatnonzero(ok[0] & ok[1] & ok[2])
+    u = u.take(inside, axis=1)
     i = np.floor(u).astype(np.int64)
     fx, fy, fz = u - i
 
-    # One gather of the whole stencil from the flat C-ordered grid, where
+    # One gather of the whole stencil from the flat C-ordered stack, where
     # corner (ix + a, iy + b, iz + c) sits a*sx + b*sy + c past corner (ix, iy, iz).
-    _, ny, nz = g.values.shape
+    # Grid k starts k*nx*sx into the stack.
+    _, nx, ny, nz = values.shape
     sx, sy = ny * nz, nz
     steps = np.array([0, sx, sy, sx + sy, 1, sx + 1, sy + 1, sx + sy + 1])
-    base = np.array([sx, sy, 1]) @ i
-    v000, v100, v010, v110, v001, v101, v011, v111 = g.values.ravel().take(
+    base = np.array([sx, sy, 1]) @ i + grid[inside] * (nx * sx)
+    v000, v100, v010, v110, v001, v101, v011, v111 = values.ravel().take(
         steps[:, None] + base)
 
     # Interpolate along x, then y, then z; keep intermediates for the gradient.
@@ -131,7 +149,7 @@ def sample_zero_outside(g: SdfGrid, pts: np.ndarray) -> tuple[np.ndarray, np.nda
     v11 = v011 + fx * (v111 - v011)
     v0 = v00 + fy * (v10 - v00)
     v1 = v01 + fy * (v11 - v01)
-    vals[inside] = v0 + fz * (v1 - v0)
+    vals = v0 + fz * (v1 - v0)
 
     dx00 = v100 - v000
     dx10 = v110 - v010
@@ -142,8 +160,7 @@ def sample_zero_outside(g: SdfGrid, pts: np.ndarray) -> tuple[np.ndarray, np.nda
     gx = dx0 + fz * (dx1 - dx0)
     gy = (v10 - v00) + fz * ((v11 - v01) - (v10 - v00))
     gz = v1 - v0
-    grads[inside] = (np.stack([gx, gy, gz]) / g.spacing).T
-    return vals, grads
+    return inside, vals, np.stack([gx, gy, gz], axis=1) / spacing
 
 
 def write_sdfg(path, g: SdfGrid, version: int = 1) -> None:

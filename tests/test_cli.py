@@ -623,11 +623,17 @@ def test_posed_meshes_past_the_float_range_exit_2(pipeline, tmp_path, capsys, ar
         == "shapescene: error: the posed meshes span more than the float range\n"
 
 
-@pytest.mark.parametrize("argv", [["evaluate", "--metric", "map"], ["resolve", "--iters", "2"]])
-def test_translation_past_the_float_range_is_silent(pipeline, tmp_path, capsys, argv):
+@pytest.mark.parametrize("edits", [
     # Object 0's offsets from the others overflow to inf: its box overlaps no
     # other, and its points sample outside every other field.
-    scene = _posed_scene(pipeline, tmp_path, {"t": [1.7e308, 0.0, 0.0]})
+    ({"t": [1.7e308, 0.0, 0.0]},),
+    # Objects 0 and 1 are an inf apart, and inf * 0 in the rotation products
+    # makes NaN offsets, which sample outside every field too.
+    ({"t": [1.7e308, 0.0, 0.0]}, {"t": [-1.7e308, 0.0, 0.0]}),
+], ids=["one_far", "two_far_apart"])
+@pytest.mark.parametrize("argv", [["evaluate", "--metric", "map"], ["resolve", "--iters", "2"]])
+def test_translation_past_the_float_range_is_silent(pipeline, tmp_path, capsys, argv, edits):
+    scene = _posed_scene(pipeline, tmp_path, *edits)
     cmd, *flags = argv
     out = tmp_path / "out.json"
     files = ["--pred", str(scene), "--gt", str(scene)] if cmd == "evaluate" else ["--scene", str(scene)]
@@ -638,7 +644,8 @@ def test_translation_past_the_float_range_is_silent(pipeline, tmp_path, capsys, 
     if cmd == "evaluate":
         assert json.loads(out.read_text())["map"] == 1.0  # every box matches itself
     else:
-        assert load_scene(out).objects[0].pose.t.tolist() == [1.7e308, 0.0, 0.0]
+        resolved = load_scene(out).objects
+        assert [o.pose.t.tolist() for o in resolved[:len(edits)]] == [e["t"] for e in edits]
 
 
 @pytest.mark.parametrize("edits, code, collisions", [

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from shapescene import collision
 from shapescene.collision import (
     SceneObject,
     collision_energy_single,
@@ -16,7 +17,7 @@ from shapescene.collision import (
 )
 from shapescene.errors import ZeroScale
 from shapescene.geom import Pose9DoF, Rotation, apply_pose, random_rotation
-from shapescene.sdf import clamp_interior, mesh_to_sdf
+from shapescene.sdf import SdfGrid, clamp_interior, mesh_to_sdf
 from shapescene.toys import make_box
 
 
@@ -286,12 +287,30 @@ def test_translation_step_bit_identical_to_collision_gradient(rng):
 def test_pair_maps_zero_scale():
     i = _cube_object(Pose9DoF.identity())
     j = replace(i, pose=Pose9DoF(Rotation.identity(), np.zeros(3), np.array([1.0, 1.0, 1e-15])))
-    # Two targets, each stacking exactly one source: the other object's points.
+    # Two ordered pairs, (0, 1) then (1, 0), each holding the source's points.
     n = len(i.points)
-    assert [(stack.shape, bounds.tolist()) for stack, bounds in pair_maps([i, i])] \
-        == [((n, 3), [0, n]), ((n, 3), [0, n])]
+    maps = pair_maps([i, i])
+    assert (maps.source.tolist(), maps.target.tolist()) == ([0, 1], [1, 0])
+    assert maps.points.shape == (3, 2 * n)
+    assert maps.row_pair.tolist() == [0] * n + [1] * n
+    assert maps.row_target.tolist() == [1] * n + [0] * n
+    assert maps.fields.shape == (2, 24, 24, 24)
     with pytest.raises(ZeroScale):
         pair_maps([i, j])
+
+
+def test_pair_maps_fields_of_two_layouts():
+    """The stacked fields need one shape, origin and spacing."""
+    i = _cube_object(Pose9DoF.identity())
+    g = i.clamped_sdf
+    for other in (clamp_interior(mesh_to_sdf(make_box(), 16)),
+                  SdfGrid(g.values, g.origin + 1e-9, g.spacing),
+                  SdfGrid(g.values, g.origin, np.nextafter(g.spacing, 1.0))):
+        j = replace(i, clamped_sdf=other)
+        with pytest.raises(ValueError, match="^object 1's field layout differs from object 0's$"):
+            pair_maps([i, j])
+    assert pair_maps([i, replace(i, clamped_sdf=SdfGrid(g.values.copy(), g.origin.copy(),
+                                                        g.spacing))]) is not None
 
 
 def _assert_step_matches_collision_gradient(objs, shifts):
@@ -310,18 +329,21 @@ def _assert_step_matches_collision_gradient(objs, shifts):
 
 
 def test_translation_step_uneven_segments(rng):
-    """Sources of different point counts stack into segments of different
-    lengths; each target's call holds every one of them. Nested cubes add
-    segments of one and two points, and a 2-object scene a single source."""
+    """Sources of different point counts hold segments of different lengths
+    in the one stack of pairs. Nested cubes add segments of one and two
+    points, and a 2-object scene a single source per target."""
     scenes = [[_cube_object(Pose9DoF(random_rotation(rng), rng.normal(size=3) * 0.3,
                                      np.exp(rng.normal(size=3) * 0.2)), n_points=n, seed=k)
                for k, n in enumerate((16, 97, 40, 128, 63))],
               _nested_cubes(rng, (97, 2, 40, 1)), _nested_cubes(rng, (40, 2))]
     for objs in scenes:
         counts, n = [len(o.points) for o in objs], len(objs)
-        for j, (stack, bounds) in enumerate(pair_maps(objs)):
-            assert np.diff(bounds).tolist() == [c for i, c in enumerate(counts) if i != j]
-            assert len(stack) == bounds[-1]
+        maps = pair_maps(objs)
+        pairs = [(i, j) for i in range(n) for j in range(n) if j != i]  # collision_gradient's
+        assert list(zip(maps.source.tolist(), maps.target.tolist())) == pairs
+        assert np.bincount(maps.row_pair).tolist() == [counts[i] for i, _ in pairs]
+        assert np.all(np.diff(maps.row_pair) >= 0)
+        assert maps.points.shape == (3, (n - 1) * sum(counts))
         _assert_step_matches_collision_gradient(
             objs, [np.zeros((n, 3))] + [rng.normal(size=(n, 3)) * 0.1 for _ in range(3)])
         assert 0.0 < collision_loss_total(objs)
@@ -345,12 +367,31 @@ def test_translation_step_target_missed_by_every_source():
 
 def test_translation_step_one_and_zero_objects():
     obj = _cube_object(Pose9DoF.identity())
-    assert [bounds.tolist() for _, bounds in pair_maps([obj])] == [[0]]
+    assert pair_maps([obj]) is None and pair_maps([]) is None  # no ordered pair
     loss, grad = translation_step([obj], pair_maps([obj]), np.zeros((1, 3)))
     assert loss == 0.0 and not np.any(grad)
     _assert_step_matches_collision_gradient([obj], [np.zeros((1, 3)), np.ones((1, 3))])
-    assert pair_maps([]) == []
     for t in (np.zeros((0, 3)), np.zeros(0)):  # resolve's t0 of an empty scene is (0,)
-        loss, grad = translation_step([], [], t)
+        loss, grad = translation_step([], pair_maps([]), t)
         assert loss == 0.0 and grad.shape == t.shape
     _assert_step_matches_collision_gradient([], [np.zeros((0, 3))])
+
+
+def test_translation_step_samples_once(rng, monkeypatch):
+    """One step samples every pair of the scene in one kernel call."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(collision, "sample_grids", counted("grids", collision.sample_grids))
+    monkeypatch.setattr(collision, "sample_zero_outside",
+                        counted("zero_outside", collision.sample_zero_outside))
+    objs = _nested_cubes(rng, (64, 48, 32, 16))
+    maps = pair_maps(objs)
+    for shift in range(3):
+        translation_step(objs, maps, np.array([o.pose.t for o in objs]) + 0.01 * shift)
+    assert calls == ["grids"] * 3

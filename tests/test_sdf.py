@@ -10,6 +10,7 @@ from shapescene.sdf import (
     mesh_to_sdf,
     read_heatmap,
     read_sdfg,
+    sample_grids,
     sample_zero_outside,
     write_heatmap,
     write_sdfg,
@@ -137,6 +138,42 @@ def test_sampler_all_outside_and_empty_batches(tmp_path, rng):
         assert _same_bits(vals, np.zeros(40)) and _same_bits(grads, np.zeros((40, 3))), name
         vals, grads = sample_zero_outside(g, np.empty((0, 3)))
         assert vals.shape == (0,) and grads.shape == (0, 3), name
+
+
+def test_stacked_sampler_matches_each_grid_alone(rng):
+    """sample_grids on a stack of 3 grids gives each point the bits that
+    sample_zero_outside gives it on its own grid alone."""
+    shape = np.array([6, 5, 4])
+    # Dyadic origin and spacing, so the edge points below map back exactly.
+    origin, spacing = np.array([0.0, -0.25, 0.5]), 0.125
+    signed = mesh_to_sdf(make_box(), resolution=6).values[:, :5, :4]
+    stack = np.stack([signed, np.maximum(-signed, 0.0), rng.normal(size=shape)])
+    u = rng.uniform(-2.0, shape + 1.0, size=(300, 3))
+    # The last full-stencil cell, from its low corner, and u = n - 1, outside.
+    edges = rng.integers(0, shape - 1, size=(9, 3)) + 0.25
+    for axis in range(3):
+        edges[3 * axis, axis] = shape[axis] - 2.0
+        edges[3 * axis + 1, axis] = shape[axis] - 1.5
+        edges[3 * axis + 2, axis] = shape[axis] - 1.0
+    pts = origin + spacing * np.vstack([u, edges, rng.uniform(0.0, shape - 1.0, size=(8, 3))])
+    assert np.array_equal((pts[300:309] - origin) / spacing, edges)
+    # NaN, infinite and negative-zero coordinates; -0.0 - 0.0 is -0.0, inside.
+    pts[-8:, 0] = [np.nan, np.inf, -np.inf, -0.0, -0.0, 0.0, np.nan, -np.inf]
+    pts[-2:, 1] = [np.inf, np.nan]
+    grid = rng.integers(0, 3, size=len(pts))
+    vals, grads = np.zeros(len(pts)), np.zeros((len(pts), 3))
+    inside, vals_in, grads_in = sample_grids(
+        stack, spacing, grid, np.subtract(pts.T, origin[:, None], order="C") / spacing)
+    vals[inside], grads[inside] = vals_in, grads_in
+    assert grads_in.flags.c_contiguous and np.all(np.diff(inside) > 0)
+    for k in range(3):
+        alone = sample_zero_outside(SdfGrid(stack[k], origin, spacing), pts[grid == k])
+        assert np.array_equal(vals[grid == k], alone[0])
+        assert np.array_equal(grads[grid == k], alone[1])
+    outside = np.r_[np.any((u < 0) | (u >= shape - 1), axis=1), [False, False, True] * 3,
+                    [True, True, True, False, False, False, True, True]]
+    assert inside.tolist() == np.flatnonzero(~outside).tolist()
+    assert np.any(vals[inside] != 0.0) and np.any(grads[inside] != 0.0)
 
 
 @pytest.fixture(scope="module")

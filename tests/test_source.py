@@ -96,6 +96,49 @@ def test_distance_formula_in_one_place():
     assert _callers(source, "_point_segment_distance") == ["_triangle_distance"] * 3
 
 
+def _stencil_sites(source: str) -> list[str]:
+    """The top-level definition around each gather from a flattened array
+    (`x.ravel().take(...)`), and each definition that floors coordinates and
+    interpolates linearly (`a + f * (b - a)`): a trilinear stencil."""
+    sites = []
+    for stmt in ast.parse(source).body:
+        nodes = list(ast.walk(stmt))
+        gathers = [node for node in nodes if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute) and node.func.attr == "take"
+                   and isinstance(node.func.value, ast.Call)
+                   and ast.unparse(node.func.value.func).rpartition(".")[2] == "ravel"]
+        lerps = [node for node in nodes if isinstance(node, ast.BinOp)
+                 and isinstance(node.op, ast.Add) and isinstance(node.right, ast.BinOp)
+                 and isinstance(node.right.op, ast.Mult) and isinstance(node.right.right, ast.BinOp)
+                 and isinstance(node.right.right.op, ast.Sub)
+                 and ast.unparse(node.right.right.right) == ast.unparse(node.left)]
+        floors = [node for node in nodes if isinstance(node, ast.Call)
+                  and ast.unparse(node.func).rpartition(".")[2] == "floor"]
+        sites += [getattr(stmt, "name", "<module>")] * (len(gathers) + bool(lerps and floors))
+    return sites
+
+
+def test_trilinear_stencil_in_one_place():
+    # The stencil's flat-grid gather and its interpolation have one home, the
+    # stacked kernel, which both samplers of the package call.
+    package = Path(shapescene.__file__).parent
+    sites = {p.name: _stencil_sites(p.read_text()) for p in MODULES}
+    assert {name: s for name, s in sites.items() if s} == {
+        "sdf.py": ["sample_grids", "sample_grids"]}
+    assert _callers((package / "sdf.py").read_text(), "sample_grids") == ["sample_zero_outside"]
+    assert _callers((package / "collision.py").read_text(), "sample_grids") == [
+        "translation_step"]
+
+
+def test_stencil_site_is_found():
+    source = ("import numpy as np\n"
+              "def gather(g, i):\n    return g.values.ravel().take(i)\n"
+              "def lerp(a, b, u):\n    f = u - np.floor(u)\n    return a + f * (b - a)\n"
+              "def segment(a, b, f):\n    return a + f * (b - a)\n"
+              "def cells(u):\n    return np.floor(u), u.take([0])\n")
+    assert _stencil_sites(source) == ["gather", "lerp"]
+
+
 def _unused_private_names(sources: dict[str, str]) -> list[str]:
     """Top-level `_`-prefixed functions and constants of each module (by
     file name) that no module of `sources` reads."""

@@ -50,18 +50,13 @@ def relative_transform(i: SceneObject, j: SceneObject) -> tuple[np.ndarray, np.n
 
 @dataclass(frozen=True)
 class PairMaps:
-    """What pair_maps forms once per run. Ordered pair p is (source[p],
-    target[p]); pairs run source-major, each source's n - 1 pairs in
-    ascending target, and pair p holds counts[source[p]] rows, one per point
-    of its source, in point order."""
+    """What pair_maps forms once per run for n objects of P points each.
+    Ordered pair (i, j), i != j, is pair j (n - 1) + i - (i > j) of the
+    stack: target-major, each target's sources ascending, and each pair
+    holds P rows, one per point of its source, in point order."""
 
-    points: np.ndarray      # (3, rows): A x for each row's source point x
-    source: np.ndarray      # (pairs,)
-    target: np.ndarray      # (pairs,)
-    counts: np.ndarray      # (n,) point count of each object
-    row_pair: np.ndarray    # (rows,)
-    row_target: np.ndarray  # (rows,)
-    offset_of_pair: np.ndarray  # (pairs,) pair's row in the (n (n - 1), 3) target-major offsets
+    points: np.ndarray      # (3, n (n - 1) P): A x for each row's source point x
+    row_target: np.ndarray  # (n (n - 1) P,)
     rotations: np.ndarray   # (n, 3, 3)
     scales: np.ndarray      # (n, 3)
     fields: np.ndarray      # (n, nx, ny, nz) C-ordered clamped fields
@@ -70,37 +65,31 @@ class PairMaps:
 
 
 def pair_maps(scene: list[SceneObject]) -> PairMaps | None:
-    """Every ordered pair (i, j), i != j, of `scene` in collision_gradient's
-    order, with i's points under the linear part A of relative_transform(i,
-    j), and the objects' clamped fields stacked into one array; None when
-    the scene has no ordered pair.
+    """Every ordered pair (i, j), i != j, of `scene`, target-major, with i's
+    points under the linear part A of relative_transform(i, j), and the
+    objects' clamped fields stacked into one array; None when the scene has
+    no ordered pair.
 
     A depends only on rotations and scales, so a translation-only descent
     forms these once per run and passes them to translation_step. The fields
-    must share one layout (shape, origin and spacing), as a database's do;
-    ValueError if they do not. ZeroScale as relative_transform.
+    must share one layout (shape, origin and spacing) and the clouds one
+    point count, as a database's do; ValueError if they do not. ZeroScale
+    as relative_transform.
     """
     n = len(scene)
     if n < 2:
         return None
     grids = [o.clamped_sdf for o in scene]
-    for k, g in enumerate(grids):
+    for k, (g, o) in enumerate(zip(grids, scene)):
         if (g.values.shape != grids[0].values.shape or g.spacing != grids[0].spacing
-                or not np.array_equal(g.origin, grids[0].origin)):
-            raise ValueError(f"object {k}'s field layout differs from object 0's")
-    source, target = np.nonzero(~np.eye(n, dtype=bool))
-    counts = np.array([len(o.points) for o in scene])
-    starts = np.concatenate([[0], np.cumsum(counts[source])])
-    points = np.empty((3, starts[-1]))
-    for i, j, lo, hi in zip(source, target, starts, starts[1:]):
-        a, _ = relative_transform(scene[i], scene[j])
-        points[:, lo:hi] = (scene[i].points @ a.T).T
-    row_pair = np.repeat(np.arange(len(source)), counts[source])
+                or not np.array_equal(g.origin, grids[0].origin)
+                or len(o.points) != len(scene[0].points)):
+            raise ValueError(f"object {k}'s field layout or point count differs from object 0's")
+    target, source = np.nonzero(~np.eye(n, dtype=bool))
     return PairMaps(
-        points=points, source=source, target=target, counts=counts, row_pair=row_pair,
-        row_target=target[row_pair],
-        # Target j's k-th source i sits at row j (n - 1) + k, with k = i - (i > j).
-        offset_of_pair=target * (n - 1) + source - (source > target),
+        points=np.concatenate([(scene[i].points @ relative_transform(scene[i], scene[j])[0].T).T
+                               for i, j in zip(source, target)], axis=1),
+        row_target=np.repeat(np.arange(n), (n - 1) * len(scene[0].points)),
         rotations=np.array([o.pose.r.m for o in scene]),
         scales=np.array([o.pose.s for o in scene]),
         fields=np.stack([g.values for g in grids]), origin=grids[0].origin,
@@ -114,16 +103,16 @@ def _sum_rows(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
                        minlength=3 * size).reshape(size, 3)
 
 
-def translation_step(
-    scene: list[SceneObject], maps: PairMaps | None, t: np.ndarray
-) -> tuple[float, np.ndarray]:
+def translation_step(maps: PairMaps | None, t: np.ndarray) -> tuple[float, np.ndarray]:
     """collision_loss_total and the (n, 3) translation gradients of
-    collision_gradient, for `scene` with its translations replaced by the rows
-    of t; `maps` is pair_maps(scene).
+    collision_gradient, for the scene of `maps` = pair_maps(scene) with its
+    translations replaced by the rows of t.
 
     One sample_grids call samples the rows of every pair in its target's
-    field, each shifted by its pair's offset b of relative_transform. Only
-    the rows with a non-zero gradient enter the gradient's sums. Both
+    field, each shifted by its pair's offset b of relative_transform. The
+    stack is target-major over one point count P, so each target's rows are
+    contiguous and row r is in stack pair r // P. Only the rows with a
+    non-zero gradient enter the gradient's sums. Both
     results are bit-identical to those functions:
     - every row is the same y = A x + b with the same per-point arithmetic;
       each target's offsets come from one (n - 1, 3) @ (3, 3) product, as
@@ -139,13 +128,16 @@ def translation_step(
     """
     if maps is None:
         return 0.0, np.zeros(np.shape(t))
-    n, pairs = len(scene), len(maps.source)
-    sources = maps.target.reshape(n, n - 1)  # the objects other than j, for each j
-    offsets = ((t[sources] - t[:, None]) @ maps.rotations) / maps.scales[:, None]
+    n = len(maps.rotations)
+    # Pair p of the (i, j) order is (i[p], j[p]), and pair at[p] of the
+    # stack; stack pair p is (j[p], i[p]), as the stack is target-major.
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    at = j * (n - 1) + i - (i > j)
+    count = maps.points.shape[1] // len(at)  # points per object
+    offsets = ((t[j.reshape(n, n - 1)] - t[:, None]) @ maps.rotations) / maps.scales[:, None]
     # Each row's grid coordinates ((A x + b) - origin) / spacing, formed in
     # place: fewer large temporaries keep the allocator from returning pages.
-    u = np.repeat(offsets.reshape(-1, 3)[maps.offset_of_pair].T, maps.counts[maps.source],
-                  axis=1)
+    u = np.repeat(offsets.reshape(-1, 3).T, count, axis=1)
     u += maps.points
     u -= maps.origin[:, None]
     u /= maps.spacing
@@ -153,32 +145,31 @@ def translation_step(
     vals = np.zeros(u.shape[1])
     vals[inside] = vals_in
 
-    total, rho_prime, lo = 0.0, np.empty(n), 0
-    for i, count in enumerate(maps.counts.tolist()):  # source i's block of n - 1 pairs
-        energy, block = 0.0, vals[lo:lo + (n - 1) * count]
-        for depth in block.reshape(n - 1, count).sum(axis=1).tolist():
+    total, rho_prime = 0.0, np.empty(n)
+    depths = vals.reshape(len(at), count).sum(axis=1)[at].reshape(n, n - 1)
+    for source, row in enumerate(depths.tolist()):
+        energy = 0.0
+        for depth in row:
             energy += depth
         total += geman_mcclure(energy)
-        rho_prime[i] = geman_mcclure_deriv(energy)
-        lo += len(block)
+        rho_prime[source] = geman_mcclure_deriv(energy)
 
-    g = rho_prime[maps.source[maps.row_pair[inside]], None] * field
+    pair = inside // count  # each in-grid row's stack pair
+    g = rho_prime[j[pair], None] * field
     # Carry the rows with a non-zero entry (a sum of magnitudes is 0 only if
-    # every entry is), grouped by target, each pair's rows in point order.
+    # every entry is): still grouped by target, each pair's rows in point order.
     rows = np.flatnonzero(np.abs(g) @ np.ones(3))
-    rows = rows[np.argsort(maps.row_target[inside[rows]], kind="stable")]
-    pair = maps.row_pair[inside[rows]]
-    g = np.take(g, rows, axis=0) / maps.scales[maps.target[pair]]
+    pair = pair[rows]
+    g = np.take(g, rows, axis=0) / maps.scales[i[pair]]
     rts = np.ascontiguousarray(maps.rotations.swapaxes(1, 2))  # as collision_gradient's
     lo = 0
-    for rt, count in zip(rts, np.bincount(maps.target[pair], minlength=n).tolist()):
-        g[lo:lo + count] = g[lo:lo + count] @ rt
-        lo += count
-    hit = np.zeros(pairs, dtype=bool)
-    hit[pair] = True
-    dt = _sum_rows(pair, g, pairs)[hit]
+    for rt, size in zip(rts, np.bincount(i[pair], minlength=n).tolist()):
+        g[lo:lo + size] = g[lo:lo + size] @ rt
+        lo += size
+    hit = np.bincount(pair, minlength=len(at))[at] > 0
+    dt = _sum_rows(pair, g, len(at))[at][hit]
     # grad[i] += dt, then grad[j] -= dt, for each pair hit in (i, j) order.
-    ends = np.stack([maps.source[hit], maps.target[hit]], axis=1).ravel()
+    ends = np.stack([i[hit], j[hit]], axis=1).ravel()
     grad = _sum_rows(ends, np.stack([dt, -dt], axis=1).reshape(-1, 3), n)
     return total, grad.reshape(np.shape(t))
 

@@ -24,7 +24,6 @@ class IoUReport:
     mean: float
     global_iou: float
     relative_per_class: dict[str, float]
-    relative_mean: float
     relative_global: float
 
 
@@ -129,7 +128,7 @@ def relative_iou(pred: Scene, gt: Scene, db: ShapeDatabase, resolution: int = 12
 
     Classes absent from both scenes are excluded from the mean; classes
     present on one side only contribute 0. Classes whose oracle IoU is zero
-    have no relative IoU (omitted) and are excluded from the relative mean.
+    have no relative IoU (omitted).
     """
     origin, dims, spacing = scene_voxel_grid([pred, gt], db, resolution)
     occ_p = scene_class_occupancy(pred, db, origin, dims, spacing)
@@ -148,7 +147,7 @@ def relative_iou(pred: Scene, gt: Scene, db: ShapeDatabase, resolution: int = 12
     rel = {cls: min(a / oracle_class[cls], 1.0)
            for cls, a in per_class.items() if oracle_class.get(cls, 0.0) > 0.0}
     rel_global = min(global_iou / oracle_global, 1.0) if oracle_global > 0.0 else 0.0
-    return IoUReport(per_class, _mean(per_class), global_iou, rel, _mean(rel), rel_global)
+    return IoUReport(per_class, _mean(per_class), global_iou, rel, rel_global)
 
 
 def _unit_cube_faces() -> np.ndarray:

@@ -157,6 +157,8 @@ def resolve_collisions(
 ) -> tuple[Scene, list[tuple[float, float, float]]]:
     """Push interpenetrating objects apart by descending the collision loss
     over translations, with a quadratic anchor to the initial positions.
+    Each step is one collision.translation_step on the pair maps formed once
+    here, which need the database's one field layout and point count.
 
     Returns the scene with the lowest seen objective and a per-iteration trace
     of (collision loss, anchor term, total objective)."""
@@ -166,7 +168,7 @@ def resolve_collisions(
     trace: list[tuple[float, float, float]] = []
 
     def evaluate(params):
-        coll, grad = translation_step(objs, maps, params)
+        coll, grad = translation_step(maps, params)
         delta = params - t0
         anchor = 0.0
         for d in delta:

@@ -318,6 +318,8 @@ def _read_points(path) -> np.ndarray:
         if len(header) < 4:
             raise MalformedFile(f"{path}: truncated header ({len(header)} bytes)")
         count, = struct.unpack("<I", header)
+        if count == 0:  # build-db samples at least one; an empty cloud scores no collision
+            raise MalformedFile(f"{path}: 0 points")
         found = os.fstat(fh.fileno()).st_size - 4
         if found != count * 12:
             raise MalformedFile(

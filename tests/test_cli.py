@@ -301,6 +301,16 @@ def _rewrite_first(pattern, edit):
     return apply
 
 
+def _rewrite_every(pattern, edit):
+    """Like _rewrite_first, but rewrites every file `pattern` matches."""
+    def apply(db):
+        paths = sorted(db.glob(pattern))
+        for path in paths:
+            path.write_bytes(edit(path.read_bytes()))
+        return paths[0]
+    return apply
+
+
 def _rewrite_manifest(edit):
     def apply(db):
         manifest = db / "manifest.json"
@@ -349,6 +359,9 @@ MALFORMED_INPUTS = [
     pytest.param(_bad_db(_rewrite_first(  # a valid file one point short of the others
         "*.pts", lambda b: struct.pack("<I", struct.unpack("<I", b[:4])[0] - 1) + b[4:-12])),
                  id="db-points-count-differs"),
+    # Every cloud empty, so no point count differs from the first one's.
+    pytest.param(_bad_db(_rewrite_every("*.pts", lambda b: struct.pack("<I", 0))),
+                 id="db-points-all-empty"),
     pytest.param(_bad_db(_rewrite_first("*.obj", lambda b: b"v 0 0 0\nv 1 0 0\nv 0 1 0\n")),
                  id="db-obj-without-faces"),
     pytest.param(_bad_db(_rewrite_first("*.sdfg", lambda b: b"XXXX" + b[4:])),

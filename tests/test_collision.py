@@ -270,14 +270,14 @@ def test_translation_step_bit_identical_to_collision_gradient(rng):
             moved = [replace(o, pose=Pose9DoF(o.pose.r, o.pose.t + d, o.pose.s))
                      for o, d in zip(objs, shift)]
             t = np.array([o.pose.t for o in moved])
-            loss, grad = translation_step(objs, maps, t)
+            loss, grad = translation_step(maps, t)
             total, grads = collision_gradient(moved)
             assert loss == total == collision_loss_total(moved)
             assert np.array_equal(grad, grads[1])
             assert collision_energy_single(moved[-1], moved[:-1]) == 0.0
             assert not np.any(grad[-1])
             assert 0.0 < loss
-    for counts in ((64, 64), (64, 1), (2, 1), (1, 2)):
+    for counts in ((64, 64), (1, 1), (2, 2)):
         objs = _nested_cubes(rng, counts)
         _assert_step_matches_collision_gradient(
             objs, [np.zeros((2, 3))] + [rng.normal(size=(2, 3)) * 0.02 for _ in range(3)])
@@ -287,27 +287,28 @@ def test_translation_step_bit_identical_to_collision_gradient(rng):
 def test_pair_maps_zero_scale():
     i = _cube_object(Pose9DoF.identity())
     j = replace(i, pose=Pose9DoF(Rotation.identity(), np.zeros(3), np.array([1.0, 1.0, 1e-15])))
-    # Two ordered pairs, (0, 1) then (1, 0), each holding the source's points.
+    # Two ordered pairs, (1, 0) then (0, 1), each holding the source's points.
     n = len(i.points)
     maps = pair_maps([i, i])
-    assert (maps.source.tolist(), maps.target.tolist()) == ([0, 1], [1, 0])
     assert maps.points.shape == (3, 2 * n)
-    assert maps.row_pair.tolist() == [0] * n + [1] * n
-    assert maps.row_target.tolist() == [1] * n + [0] * n
+    assert maps.row_target.tolist() == [0] * n + [1] * n
     assert maps.fields.shape == (2, 24, 24, 24)
     with pytest.raises(ZeroScale):
         pair_maps([i, j])
 
 
 def test_pair_maps_fields_of_two_layouts():
-    """The stacked fields need one shape, origin and spacing."""
+    """The stacked fields need one shape, origin and spacing, and the
+    stacked clouds one point count."""
     i = _cube_object(Pose9DoF.identity())
     g = i.clamped_sdf
-    for other in (clamp_interior(mesh_to_sdf(make_box(), 16)),
-                  SdfGrid(g.values, g.origin + 1e-9, g.spacing),
-                  SdfGrid(g.values, g.origin, np.nextafter(g.spacing, 1.0))):
-        j = replace(i, clamped_sdf=other)
-        with pytest.raises(ValueError, match="^object 1's field layout differs from object 0's$"):
+    for j in [replace(i, clamped_sdf=other) for other in (
+            clamp_interior(mesh_to_sdf(make_box(), 16)),
+            SdfGrid(g.values, g.origin + 1e-9, g.spacing),
+            SdfGrid(g.values, g.origin, np.nextafter(g.spacing, 1.0)))] + [
+            replace(i, points=i.points[:-1])]:
+        with pytest.raises(ValueError, match="^object 1's field layout or point count "
+                                             "differs from object 0's$"):
             pair_maps([i, j])
     assert pair_maps([i, replace(i, clamped_sdf=SdfGrid(g.values.copy(), g.origin.copy(),
                                                         g.spacing))]) is not None
@@ -321,29 +322,32 @@ def _assert_step_matches_collision_gradient(objs, shifts):
         moved = [replace(o, pose=Pose9DoF(o.pose.r, o.pose.t + d, o.pose.s))
                  for o, d in zip(objs, shift)]
         t = np.reshape([o.pose.t for o in moved], np.shape(shift))
-        loss, grad = translation_step(objs, maps, t)
+        loss, grad = translation_step(maps, t)
         total, grads = collision_gradient(moved)
         assert loss == total == collision_loss_total(moved)
         assert grad.shape == np.shape(t)
         assert np.array_equal(grad.reshape(-1, 3), grads[1])
 
 
-def test_translation_step_uneven_segments(rng):
-    """Sources of different point counts hold segments of different lengths
-    in the one stack of pairs. Nested cubes add segments of one and two
-    points, and a 2-object scene a single source per target."""
+def test_pair_maps_target_major_stack(rng):
+    """Pair (i, j) of the stack sits at j (n - 1) + i - (i > j), with its
+    source's points in point order: each target's rows are contiguous.
+    Nested cubes add segments of one and two points, and a 2-object scene a
+    single source per target."""
     scenes = [[_cube_object(Pose9DoF(random_rotation(rng), rng.normal(size=3) * 0.3,
-                                     np.exp(rng.normal(size=3) * 0.2)), n_points=n, seed=k)
-               for k, n in enumerate((16, 97, 40, 128, 63))],
-              _nested_cubes(rng, (97, 2, 40, 1)), _nested_cubes(rng, (40, 2))]
+                                     np.exp(rng.normal(size=3) * 0.2)), n_points=97, seed=k)
+               for k in range(5)],
+              _nested_cubes(rng, (2, 2, 2, 2)), _nested_cubes(rng, (1, 1))]
     for objs in scenes:
-        counts, n = [len(o.points) for o in objs], len(objs)
+        n, count = len(objs), len(objs[0].points)
         maps = pair_maps(objs)
-        pairs = [(i, j) for i in range(n) for j in range(n) if j != i]  # collision_gradient's
-        assert list(zip(maps.source.tolist(), maps.target.tolist())) == pairs
-        assert np.bincount(maps.row_pair).tolist() == [counts[i] for i, _ in pairs]
-        assert np.all(np.diff(maps.row_pair) >= 0)
-        assert maps.points.shape == (3, (n - 1) * sum(counts))
+        assert maps.row_target.tolist() == [j for j in range(n) for _ in range((n - 1) * count)]
+        for j in range(n):
+            for k, i in enumerate(i for i in range(n) if i != j):
+                a, _ = relative_transform(objs[i], objs[j])
+                rows = slice((j * (n - 1) + k) * count, (j * (n - 1) + k + 1) * count)
+                assert np.array_equal(maps.points[:, rows], (objs[i].points @ a.T).T)
+        assert maps.points.shape == (3, n * (n - 1) * count)
         _assert_step_matches_collision_gradient(
             objs, [np.zeros((n, 3))] + [rng.normal(size=(n, 3)) * 0.1 for _ in range(3)])
         assert 0.0 < collision_loss_total(objs)
@@ -354,9 +358,9 @@ def test_translation_step_target_missed_by_every_source():
     field, but no point of any source lands in its own grid."""
     big = _cube_object(Pose9DoF.identity(), n_points=64)
     other = _cube_object(Pose9DoF(Rotation.identity(), np.array([0.9, 0.0, 0.0]), np.ones(3)),
-                         n_points=80, seed=1)
+                         n_points=64, seed=1)
     small = _cube_object(Pose9DoF(Rotation.identity(), np.zeros(3), np.full(3, 0.2)),
-                         n_points=48, seed=2)
+                         n_points=64, seed=2)
     objs = [big, other, small]
     assert collision_energy_single(big, [small]) == 0.0
     assert collision_energy_single(other, [small]) == 0.0
@@ -368,13 +372,18 @@ def test_translation_step_target_missed_by_every_source():
 def test_translation_step_one_and_zero_objects():
     obj = _cube_object(Pose9DoF.identity())
     assert pair_maps([obj]) is None and pair_maps([]) is None  # no ordered pair
-    loss, grad = translation_step([obj], pair_maps([obj]), np.zeros((1, 3)))
+    loss, grad = translation_step(pair_maps([obj]), np.zeros((1, 3)))
     assert loss == 0.0 and not np.any(grad)
     _assert_step_matches_collision_gradient([obj], [np.zeros((1, 3)), np.ones((1, 3))])
     for t in (np.zeros((0, 3)), np.zeros(0)):  # resolve's t0 of an empty scene is (0,)
-        loss, grad = translation_step([], pair_maps([]), t)
+        loss, grad = translation_step(pair_maps([]), t)
         assert loss == 0.0 and grad.shape == t.shape
     _assert_step_matches_collision_gradient([], [np.zeros((0, 3))])
+    # Three overlapping objects of 0 points each: no row, so no energy.
+    empty = [replace(obj, points=np.zeros((0, 3))) for _ in range(3)]
+    total, grads = collision_gradient(empty)
+    assert total == 0.0 and not np.any(grads[1])
+    _assert_step_matches_collision_gradient(empty, [np.zeros((3, 3)), np.eye(3) * 0.1])
 
 
 def test_translation_step_samples_once(rng, monkeypatch):
@@ -390,8 +399,8 @@ def test_translation_step_samples_once(rng, monkeypatch):
     monkeypatch.setattr(collision, "sample_grids", counted("grids", collision.sample_grids))
     monkeypatch.setattr(collision, "sample_zero_outside",
                         counted("zero_outside", collision.sample_zero_outside))
-    objs = _nested_cubes(rng, (64, 48, 32, 16))
+    objs = _nested_cubes(rng, (32, 32, 32, 32))
     maps = pair_maps(objs)
     for shift in range(3):
-        translation_step(objs, maps, np.array([o.pose.t for o in objs]) + 0.01 * shift)
+        translation_step(maps, np.array([o.pose.t for o in objs]) + 0.01 * shift)
     assert calls == ["grids"] * 3

@@ -178,6 +178,42 @@ def test_unused_private_name_is_found():
     assert _unused_private_names(sources) == ["a.py: _LEFT (line 3)", "a.py: _left_over (line 6)"]
 
 
+def _unread_fields(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """Fields of the dataclasses of `sources` (by file name) whose name no
+    source of `readers` reads as an attribute (`x.name`)."""
+    read = {node.attr for source in readers for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(d).partition("(")[0].rpartition(".")[2] == "dataclass"
+                    for d in node.decorator_list):
+                unread += [f"{name}: {node.name}.{f.target.id} (line {f.lineno})"
+                           for f in node.body if isinstance(f, ast.AnnAssign)
+                           and isinstance(f.target, ast.Name) and f.target.id not in read]
+    return unread
+
+
+def test_no_unread_dataclass_fields():
+    # A field no code reads is state the package carries for nothing.
+    root = Path(__file__).resolve().parent.parent
+    readers = [p.read_text() for d in ("src", "tests", "demos", "benchmarks")
+               for p in sorted((root / d).rglob("*.py"))]
+    assert _unread_fields({p.name: p.read_text() for p in MODULES}, readers) == []
+
+
+def test_unread_dataclass_field_is_found():
+    source = ("import dataclasses\nfrom dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\nclass A:\n    used: int\n    left: float = 0.0\n"
+              "@dataclasses.dataclass\nclass B:\n    only_set: int\n"
+              "    def f(self):\n        return self.used\n"
+              "class C:\n    plain: int\n")
+    readers = [source, "b.only_set = 1\nprint(report['left'])\n"]
+    assert _unread_fields({"a.py": source}, readers) == [
+        "a.py: A.left (line 6)", "a.py: B.only_set (line 9)"]
+
+
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 

@@ -73,6 +73,12 @@ def project_to_so3(m: np.ndarray) -> Rotation | np.ndarray:
 
     Raises DegenerateMatrix when, for any matrix, the two smallest singular
     values both vanish, in which case the nearest rotation is not unique.
+
+    U diag(1, 1, d) V^T is formed as U' V^T, U' being U with its third
+    column times d. That gives the bits of the two products: each entry of
+    U diag(1, 1, d) is one product plus exact zeros, and differs from U' at
+    most in the sign of a zero, which NumPy's matmul, adding its products to
+    a +0.0 accumulator, never carries into U' V^T.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim not in (2, 3) or m.shape[-2:] != (3, 3) or not np.all(np.isfinite(m)):
@@ -82,16 +88,36 @@ def project_to_so3(m: np.ndarray) -> Rotation | np.ndarray:
         raise DegenerateMatrix(
             "two smallest singular values below 1e-12; nearest rotation not unique"
         )
-    diag = np.broadcast_to(np.eye(3), m.shape).copy()  # diag(1, 1, d), as np.diag built it
-    diag[..., 2, 2] = np.sign(np.linalg.det(u @ vt))
-    r = u @ diag @ vt
+    u[..., 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
+    r = u @ vt
     # Not needed for orthogonality (one SVD gives |R^T R - I| near 1e-15): a second
     # SVD makes the projection a bit-exact fixpoint on 77% of generated yaw rotations
     # against 55%, as tests/test_optim.py::test_fit_poses_ground_truth_init needs.
+    # r has det +1 and singular values near 1, so det(U V^T) of its SVD is +1
+    # within rounding: d is 1, and the flip would change no bit.
     u, _, vt = np.linalg.svd(r)
-    diag[..., 2, 2] = np.sign(np.linalg.det(u @ vt))
-    r = u @ diag @ vt
+    r = u @ vt
     return Rotation(r) if m.ndim == 2 else r
+
+
+# a x b = a[i] b[j] - a[j] b[i] with the rolled axes i, j below. Each table
+# holds flat indices into (..., 9) matrices or (..., 3) vectors, the minuend's
+# row first: vee(x - x^T) = x[j, i] - x[i, j]; entry (k, l) of adj(q)^T is
+# q[i_k, i_l] q[j_k, j_l] - q[i_k, j_l] q[j_k, i_l]; row a of r [w]x is
+# r[a, i_l] w[j_l] - r[a, j_l] w[i_l].
+_I, _J = np.array([1, 2, 0]), np.array([2, 0, 1])
+_VEE = np.stack([3 * _J + _I, 3 * _I + _J])
+_ADJ = np.array([[3 * _I[:, None] + _I, 3 * _I[:, None] + _J],
+                 [3 * _J[:, None] + _J, 3 * _J[:, None] + _I]]).reshape(2, 2, 9)
+_CROSS = np.array([[3 * np.arange(3)[:, None] + _I, 3 * np.arange(3)[:, None] + _J],
+                   [np.broadcast_to(_J, (3, 3)), np.broadcast_to(_I, (3, 3))]]).reshape(2, 2, 9)
+
+
+def _rolled_cross(a: np.ndarray, a_at: np.ndarray, b: np.ndarray, b_at: np.ndarray) -> np.ndarray:
+    """a[a_at[0]] b[b_at[0]] - a[a_at[1]] b[b_at[1]] over the last axes,
+    from one take of each operand and one product."""
+    prod = np.take(a, a_at, axis=-1) * np.take(b, b_at, axis=-1)
+    return prod[..., 0, :] - prod[..., 1, :]
 
 
 def chain_rotation_grad(r: np.ndarray, m: np.ndarray, grad_r: np.ndarray) -> np.ndarray:
@@ -111,18 +137,25 @@ def chain_rotation_grad(r: np.ndarray, m: np.ndarray, grad_r: np.ndarray) -> np.
     they vanish only at s2 = s3 = 0, which project_to_so3 rejects; for d = -1
     at s2 = s3, where the projection is not differentiable. There the result
     is NaN or inf, without a warning.
+
+    The gathers are takes of the tables _VEE, _ADJ and _CROSS from the
+    matrices flattened to (..., 9); each entry is the same rounding of the
+    same operands as with fancy indexes on (..., 3, 3), so the bits are
+    those of the unflattened formulas.
     """
     p, x = r.swapaxes(-1, -2) @ m, r.swapaxes(-1, -2) @ grad_r
-    i, j = [1, 2, 0], [2, 0, 1]  # a x b = a[i] b[j] - a[j] b[i], rolled
-    z = x[..., j, i] - x[..., i, j]  # vee(x - x^T)
+    z = np.take(x.reshape(x.shape[:-2] + (9,)), _VEE, axis=-1)
+    z = z[..., 0, :] - z[..., 1, :]  # vee(x - x^T)
     q = np.trace(p, axis1=-2, axis2=-1)[..., None, None] * np.eye(3) - p
-    a, b = q[..., i, :], q[..., j, :]
-    adj = a[..., i] * b[..., j] - a[..., j] * b[..., i]  # row k: column k of adj(q)
-    det = np.sum(q[..., 0, :] * adj[..., 0, :], axis=-1)
+    q = q.reshape(q.shape[:-2] + (9,))
+    adj = _rolled_cross(q, _ADJ[0], q, _ADJ[1])  # row k: column k of adj(q)
+    det = np.sum(q[..., :3] * adj[..., :3], axis=-1)
+    adj = adj.reshape(adj.shape[:-1] + (3, 3))
     with np.errstate(divide="ignore", invalid="ignore"):
         # Elementwise sums, not matmul: a stack gives each matrix's bits.
         w = np.sum(adj * z[..., :, None], axis=-2) / det[..., None]
-        return r[..., i] * w[..., None, j] - r[..., j] * w[..., None, i]
+        out = _rolled_cross(r.reshape(r.shape[:-2] + (9,)), _CROSS[0], w, _CROSS[1])
+        return out.reshape(out.shape[:-1] + (3, 3))
 
 
 def geodesic_distance(a: Rotation, b: Rotation) -> float:

@@ -118,7 +118,22 @@ def pose_loss_world_grads(
     One stacked computation over rs (n, 3, 3), ts and ss (n, 3), clouds and
     targets (n, P, 3); float64 arrays of those shapes are used without a copy.
     Builds no Pose9DoF, so a non-positive scale (an optimizer iterate) is
-    accepted."""
+    accepted.
+
+    Each pass runs over whole (n, P, 3) blocks, not 3-wide broadcast rows,
+    with the bits of s * x @ R^T + t - y:
+    - sx is the stacked product x @ diag(s), each entry one rounding of
+      x s plus exact zeros. Where s * x is -0.0 (a zero coordinate times a
+      negative scale, or a negative one times a zero scale), sx may be +0.0.
+      That sign stays in sx, which is not returned, and reaches no
+      returned value: sx enters only as a matmul operand (the forward
+      product with R^T and the backward g^T sx), and NumPy's matmul adds
+      every product to a +0.0 accumulator, so a zero term of either sign
+      leaves each sum as it was. For a non-finite cloud coordinate, inf
+      times 0 makes the whole row of sx NaN; the loss is not finite either
+      way.
+    - t is added from np.repeat(t, P) rows, then y subtracted, both in place
+      on the forward product: the same two roundings per entry."""
     if not len(rs) == len(ts) == len(ss) == len(clouds) == len(targets):
         raise MismatchedLengths("per-object lists differ in length")
     if len(rs) == 0:
@@ -131,9 +146,14 @@ def pose_loss_world_grads(
         raise MismatchedLengths("the clouds and targets must share one point count") from None
     s, t = np.asarray(ss, dtype=np.float64), np.asarray(ts, dtype=np.float64)
     r = np.asarray(rs, dtype=np.float64)
-    sx = s[:, None, :] * pts
+    n, p = pts.shape[:2]
+    scale = np.zeros((n, 9))
+    scale[:, ::4] = s
+    sx = pts @ scale.reshape(n, 3, 3)
     # A C-ordered right operand takes matmul's fast path, with the same bits.
-    diff = sx @ np.ascontiguousarray(r.swapaxes(1, 2)) + t[:, None, :] - y
+    diff = sx @ np.ascontiguousarray(r.swapaxes(1, 2))
+    diff += np.repeat(t, p, axis=0).reshape(n, p, 3)
+    diff -= y
     total = float(np.cumsum((diff**2).sum(axis=(1, 2)))[-1])  # objects added in order
     return total, apply_pose_backward(r, sx, pts, 2.0 * diff)
 

@@ -100,6 +100,7 @@ def fit_poses(
     if not scene_init.objects:
         return scene_init, [0.0]
     targets = np.asarray(targets, dtype=np.float64)  # one stack, not one per evaluation
+    frozen = [_BLOCKS[block] for block in sorted(freeze)]
     trace: list[float] = []
 
     def evaluate(params):
@@ -107,12 +108,12 @@ def fit_poses(
         rot = project_to_so3(raw)
         obj, (g_r, g_t, g_s) = pose_loss_world_grads(
             rot, params[:, 9:12], params[:, 12:], clouds, targets)
-        grads = (chain_rotation_grad(rot, raw, g_r), g_t, g_s)
         # Report the best objective so far; raw Adam iterates are not monotone.
         trace.append(min(trace[-1], obj) if trace else obj)
-        grad = np.empty_like(params)
-        for (block, cols), g in zip(_BLOCKS.items(), grads):
-            grad[:, cols] = 0.0 if block in freeze else g.reshape(len(params), -1)
+        grad = np.concatenate(
+            [chain_rotation_grad(rot, raw, g_r).reshape(len(params), 9), g_t, g_s], axis=1)
+        for cols in frozen:
+            grad[:, cols] = 0.0
         return obj, grad, obj < TOL
 
     init = np.array([np.concatenate([o.pose.r.m.reshape(-1), o.pose.t, o.pose.s])

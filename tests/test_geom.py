@@ -150,6 +150,81 @@ def test_chain_rotation_grad_stack_matches_per_matrix():
     assert np.all(np.isfinite(out[[0, 2]]))  # equal-sign pairs stay finite
 
 
+def _project_reference(m):
+    """project_to_so3's two SVDs with U diag(1, 1, d) V^T formed as two
+    products, as before the column sign flip; test-only reference."""
+    m = np.asarray(m, dtype=np.float64)
+    u, _, vt = np.linalg.svd(m)
+    diag = np.broadcast_to(np.eye(3), m.shape).copy()
+    diag[..., 2, 2] = np.sign(np.linalg.det(u @ vt))
+    r = u @ diag @ vt
+    u, _, vt = np.linalg.svd(r)
+    diag[..., 2, 2] = np.sign(np.linalg.det(u @ vt))
+    return u @ diag @ vt
+
+
+def _chain_reference(r, m, grad_r):
+    """chain_rotation_grad gathered with fancy indexes on (..., 3, 3), as
+    before the flat index tables; test-only reference."""
+    p, x = r.swapaxes(-1, -2) @ m, r.swapaxes(-1, -2) @ grad_r
+    i, j = [1, 2, 0], [2, 0, 1]
+    z = x[..., j, i] - x[..., i, j]
+    q = np.trace(p, axis1=-2, axis2=-1)[..., None, None] * np.eye(3) - p
+    a, b = q[..., i, :], q[..., j, :]
+    adj = a[..., i] * b[..., j] - a[..., j] * b[..., i]
+    det = np.sum(q[..., 0, :] * adj[..., 0, :], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.sum(adj * z[..., :, None], axis=-2) / det[..., None]
+        return r[..., i] * w[..., None, j] - r[..., j] * w[..., None, i]
+
+
+def _signed_diagonals(rng, n):
+    """(n, 3, 3) diagonal matrices of mixed signs, each with det < 0."""
+    d = rng.uniform(0.5, 2.0, size=(n, 3)) * rng.choice([-1.0, 1.0], size=(n, 3))
+    d[:, 2] = -np.abs(d[:, 2]) * np.sign(d[:, 0] * d[:, 1])
+    out = np.zeros((n, 3, 3))
+    out[:, [0, 1, 2], [0, 1, 2]] = d
+    return out
+
+
+def test_projection_and_pullback_keep_the_reference_bits(rng):
+    # tobytes, not array_equal: a -0.0 for +0.0 must fail too.
+    z = np.array([0.0, 0.0, 1.0])
+    yaw = np.stack([rotation_about_axis(z, a).m for a in rng.uniform(-np.pi, np.pi, 16)])
+    assert np.sum(yaw == 0.0) == 4 * 16  # the z row and column
+    diagonals = _signed_diagonals(rng, 16)
+    assert np.all(np.linalg.det(diagonals) < 0)
+    stacks = [rng.normal(size=(64, 3, 3)), _stack_with_edge_cases(rng), yaw,
+              yaw + 1e-3 * rng.normal(size=yaw.shape), -yaw, diagonals,
+              rng.normal(size=(1, 3, 3)), np.zeros((0, 3, 3))]
+    zero_signs_differ = False
+    for stack in stacks:
+        r = project_to_so3(stack)
+        assert r.tobytes() == _project_reference(stack).tobytes()
+        for grads in (rng.normal(size=stack.shape), np.broadcast_to(yaw[:1], stack.shape),
+                      np.zeros(stack.shape)):
+            assert (chain_rotation_grad(r, stack, grads).tobytes()
+                    == _chain_reference(r, stack, grads).tobytes())
+        # Where U diag(1, 1, d) and the flipped U differ, it is in a zero's sign.
+        u, _, vt = np.linalg.svd(stack)
+        d = np.sign(np.linalg.det(u @ vt))
+        diag = np.broadcast_to(np.eye(3), stack.shape).copy()
+        diag[..., 2, 2] = d
+        flipped = u * np.stack([np.ones_like(d), np.ones_like(d), d], axis=-1)[..., None, :]
+        assert np.array_equal(u @ diag, flipped)
+        zero_signs_differ |= (u @ diag).tobytes() != flipped.tobytes()
+    assert zero_signs_differ
+    # One matrix, and a (3, 3) r and m against a (9, 3, 3) grad_r, as the
+    # Jacobian tests pass them.
+    m = rng.normal(size=(3, 3))
+    r = project_to_so3(m).m
+    assert r.tobytes() == _project_reference(m).tobytes()
+    unit = np.eye(9).reshape(9, 3, 3)
+    got = chain_rotation_grad(r, m, unit)
+    assert got.shape == (9, 3, 3)
+    assert got.tobytes() == _chain_reference(r, m, unit).tobytes()
+
+
 def test_projection_gradient_matches_fd():
     # d/dm |project(m) - R_target|_F^2 via the chained analytic Jacobian.
     count = 0

@@ -3,7 +3,7 @@ import pytest
 
 from shapescene.errors import MismatchedLengths
 from shapescene.geom import (Pose9DoF, apply_pose, chain_rotation_grad,
-                             project_to_so3, random_rotation)
+                             project_to_so3, random_rotation, rotation_about_axis)
 from shapescene.losses import (
     hard_selection_grad,
     hard_selection_loss,
@@ -221,6 +221,57 @@ def test_pose_loss_world_grads_stack_matches_single_objects(rng):
             for got, ref in zip(grads, one_grads):
                 assert np.array_equal(got[k], ref[0])
         assert total == running
+
+
+def _pose_loss_reference(rs, ts, ss, clouds, targets):
+    """pose_loss_world_grads with s * x and + t as 3-wide broadcasts and the
+    backward of apply_pose_backward, as before the diagonal product and the
+    repeated translation rows; test-only reference."""
+    r, t, s = (np.asarray(a, dtype=np.float64) for a in (rs, ts, ss))
+    pts, y = np.asarray(clouds, dtype=np.float64), np.asarray(targets, dtype=np.float64)
+    sx = s[:, None, :] * pts
+    diff = sx @ np.ascontiguousarray(r.swapaxes(1, 2)) + t[:, None, :] - y
+    total = float(np.cumsum((diff**2).sum(axis=(1, 2)))[-1])
+    g = 2.0 * diff
+    return total, (g.swapaxes(-1, -2) @ sx, g.sum(axis=-2), ((g @ r) * pts).sum(axis=-2)), sx
+
+
+def test_pose_loss_world_grads_keeps_the_reference_bits(rng):
+    # tobytes, not array_equal: a -0.0 for +0.0 must fail too.
+    def case(n, p, yaw=False):
+        if yaw:
+            z = np.array([0.0, 0.0, 1.0])
+            ms = np.stack([rotation_about_axis(z, a).m for a in rng.uniform(-np.pi, np.pi, n)])
+        else:
+            ms = np.stack([random_rotation(rng).m for _ in range(n)])
+            ms += rng.normal(size=ms.shape) * 0.2
+        pts = rng.normal(size=(n, p, 3))
+        return ms, rng.normal(size=(n, 3)), np.exp(rng.normal(size=(n, 3)) * 0.2), pts
+
+    cases = [case(8, 512), case(7, 40), case(1, 1), case(1, 512), case(3, 0)]
+    ms, ts, ss, pts = case(8, 64)
+    pts[:, ::3, 0] = 0.0  # zero coordinates under negative scales
+    ss[::2, 0] *= -1.0
+    cases.append((ms, ts, ss, pts))
+    ms, ts, ss, pts = case(8, 64, yaw=True)
+    pts[:, ::2, 2] = 0.0  # zeros on the yaw's own axis, zero scales
+    ss[:4, 1] = 0.0
+    ts[:, 2] = 0.0
+    cases.append((ms, ts, ss, pts))
+    zero_signs_differ = False
+    for ms, ts, ss, pts in cases:
+        met = (ss[:, None, :] * pts) @ np.ascontiguousarray(ms.swapaxes(1, 2)) + ts[:, None, :]
+        for targets in (rng.normal(size=pts.shape), met):  # met: zero residuals
+            total, grads = pose_loss_world_grads(ms, ts, ss, pts, targets)
+            ref_total, ref_grads, sx = _pose_loss_reference(ms, ts, ss, pts, targets)
+            assert np.float64(total).tobytes() == np.float64(ref_total).tobytes()
+            for got, ref in zip(grads, ref_grads):
+                assert got.tobytes() == ref.tobytes()
+        scale = np.zeros((len(ss), 3, 3))
+        scale[:, [0, 1, 2], [0, 1, 2]] = ss
+        assert np.array_equal(pts @ scale, sx)  # equal but for zero signs
+        zero_signs_differ |= (pts @ scale).tobytes() != sx.tobytes()
+    assert zero_signs_differ  # x @ diag(s) made +0.0 of a -0.0 of s * x
 
 
 def test_pose_loss_world_grads_empty_and_mismatched(rng):

@@ -99,6 +99,25 @@ def test_fit_poses_deterministic(toy_db):
     assert scene_to_json(a) == scene_to_json(b)
 
 
+def test_fit_poses_takes_two_svds_per_evaluation(toy_db, monkeypatch):
+    # Each evaluation projects once, with two SVDs; the written scene projects
+    # the best iterate once more. A third SVD per evaluation fails here.
+    gt = generate_scene(toy_db, 2, seed=35)
+    init = _perturbed(gt, 8.0, 0.05, 0.05, seed=500)
+    targets = _targets(toy_db, gt)
+    svd, calls = np.linalg.svd, []
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    _, trace = fit_poses(toy_db, init, targets, OptimConfig(lr=1e-2, iterations=20))
+    assert len(trace) == 21  # the budget ran out: one evaluation per iterate
+    assert len(calls) == 2 * (len(trace) + 1)
+    assert set(calls) == {(2, 3, 3)}
+
+
 def test_fit_poses_freeze_blocks(toy_db):
     gt = generate_scene(toy_db, 1, seed=34)
     init = _perturbed(gt, 8.0, 0.05, 0.05, seed=400)

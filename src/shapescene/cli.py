@@ -205,8 +205,8 @@ def cmd_labels(args) -> int:
 
 def _optim_config(args) -> OptimConfig:
     return OptimConfig(
-        lr=_opt_in(args, "lr", 1e-2, 0, ends="()"),
-        iterations=_opt_in(args, "iters", 500, 1),
+        lr=_opt_in(args, "lr", OptimConfig.lr, 0, ends="()"),
+        iterations=_opt_in(args, "iters", OptimConfig.iterations, 1),
     )
 
 

@@ -79,10 +79,6 @@ class ShapeDatabase:
         return class_id * self.k_per_class + exemplar_index
 
 
-def _flatten(sdf: SdfGrid) -> np.ndarray:
-    return sdf.values.reshape(-1)
-
-
 def kmeans_pp(
     data: np.ndarray, k: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -142,6 +138,12 @@ def build_database(
     the member closest to each cluster centroid as that cluster's exemplar.
     Deterministic per seed.
 
+    SDF values and surface points are rounded to float32, the precision the
+    `.sdfg` and `.pts` files store, so k-means clusters the values every later
+    command reads and `load_database(save_database(db))` equals `db`. A class
+    holds its SDFs once, as the rows of one (n, voxels) matrix; each exemplar
+    keeps a copy of its row.
+
     A NonWatertight error names the shape by its entry in `sources` (one per
     shape, such as its file path), else by its index in `shapes`.
     """
@@ -152,24 +154,23 @@ def build_database(
         raise UnknownClass(f"class ids must be 0..{len(classes) - 1}, got {class_ids}")
 
     entries: list[ShapeEntry] = []
-    normalization = 0.0
     for cid in class_ids:
         members = [n for n, (c, _) in enumerate(shapes) if c == cid]
-        meshes = [shapes[n][1] for n in members]
-        if len(meshes) < k_per_class:
+        if len(members) < k_per_class:
             raise InsufficientShapes(
-                f"class {classes[cid]} has {len(meshes)} shapes, needs {k_per_class}"
+                f"class {classes[cid]} has {len(members)} shapes, needs {k_per_class}"
             )
-        meshes = [canonicalize_mesh(m) for m in meshes]
-        sdfs = []
-        for n, mesh in zip(members, meshes):
+        meshes = [canonicalize_mesh(shapes[n][1]) for n in members]
+        data = None
+        for row, (n, mesh) in enumerate(zip(members, meshes)):
             try:
-                sdfs.append(mesh_to_sdf(mesh, resolution))
+                sdf = mesh_to_sdf(mesh, resolution)
             except NonWatertight as e:
                 where = sources[n] if sources else f"shape {n}"
                 raise NonWatertight(f"{e} in {where}") from None
-        data = np.stack([_flatten(s) for s in sdfs])
-        normalization = float(np.sqrt(data.shape[1]))
+            if data is None:  # after mesh_to_sdf has checked that a grid fits
+                data = np.empty((len(meshes), sdf.values.size))
+            data[row] = sdf.values.reshape(-1).astype(np.float32)
 
         rng = np.random.default_rng(seed + cid)
         centroids, assign = kmeans_pp(data, k_per_class, rng)
@@ -181,28 +182,38 @@ def build_database(
                 members = np.arange(len(data))
             dists = np.linalg.norm(data[members] - centroids[k], axis=1)
             best = int(members[np.argmin(dists)])
+            points = sample_surface_points(meshes[best], points_per_entry, seed + 1000 * cid + k)
             entries.append(
                 ShapeEntry(
                     class_id=cid,
                     exemplar_index=k,
-                    sdf=sdfs[best],
-                    points=sample_surface_points(
-                        meshes[best], points_per_entry, seed + 1000 * cid + k
-                    ),
+                    # A copy, so the exemplar does not keep the class matrix alive.
+                    # Every grid of a resolution has the last one's layout.
+                    sdf=SdfGrid(data[best].reshape(sdf.values.shape).copy(),
+                                sdf.origin, sdf.spacing),
+                    points=points.astype(np.float32).astype(np.float64),
                     mesh=meshes[best],
                 )
             )
+    # Every grid has resolution^3 voxels; this scale makes the distance an RMS one.
+    normalization = float(np.sqrt(resolution**3))
     return ShapeDatabase(entries, k_per_class, list(classes), normalization)
+
+
+def _sdf_distances(phi: SdfGrid, entries: list[ShapeEntry]) -> np.ndarray:
+    """L2 distance from phi to each entry's SDF over the flattened grids."""
+    flat = phi.values.reshape(-1)
+    return np.array([np.linalg.norm(flat - e.sdf.values.reshape(-1)) for e in entries])
 
 
 def assign_exemplar(db: ShapeDatabase, phi: SdfGrid, class_id: int) -> int:
     """Index of the class exemplar with smallest L2 SDF distance to phi.
 
-    Ties break toward the lowest index.
+    Ties break toward the lowest index. A field read back from a `.sdfg` file
+    and the in-memory exemplar it was written from measure the same, since
+    build_database keeps SDF values at float32 precision.
     """
-    flat = _flatten(phi)
-    dists = [np.linalg.norm(flat - _flatten(e.sdf)) for e in db.class_entries(class_id)]
-    return int(np.argmin(dists))
+    return int(np.argmin(_sdf_distances(phi, db.class_entries(class_id))))
 
 
 def hard_label(db: ShapeDatabase, phi: SdfGrid, class_id: int) -> np.ndarray:
@@ -215,16 +226,12 @@ def hard_label(db: ShapeDatabase, phi: SdfGrid, class_id: int) -> np.ndarray:
 def soft_label(db: ShapeDatabase, phi: SdfGrid) -> np.ndarray:
     """Clamped SDF similarity max(1 - ||phi - phi_k|| / normalization, 0) over
     all K entries, on flattened SDF vectors (the default normalization makes
-    the distance an RMS one)."""
-    flat = _flatten(phi)
-    out = np.empty(db.total)
+    the distance an RMS one). The distances are assign_exemplar's."""
+    dists = _sdf_distances(phi, db.entries)
     # Scaling the distance, not the vectors, keeps it finite or +inf (label 0)
     # under a tiny normalization, where scaled vectors would give inf - inf.
     with np.errstate(over="ignore"):
-        for idx, e in enumerate(db.entries):
-            d = np.linalg.norm(flat - _flatten(e.sdf)) / db.normalization
-            out[idx] = max(1.0 - d, 0.0)
-    return out
+        return np.maximum(1.0 - dists / db.normalization, 0.0)
 
 
 def save_database(db: ShapeDatabase, directory) -> None:

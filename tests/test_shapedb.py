@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -115,7 +116,7 @@ def test_identical_shapes_fill_every_exemplar():
                         points_per_entry=16)
     box = canonicalize_mesh(make_box())
     for e in db.entries:
-        assert np.array_equal(e.sdf.values, mesh_to_sdf(box, 8).values)
+        assert np.array_equal(e.sdf.values, mesh_to_sdf(box, 8).values.astype(np.float32))
         assert np.array_equal(e.mesh.vertices, box.vertices)
 
 
@@ -239,17 +240,43 @@ def test_soft_label_tiny_normalization(toy_db, normalization):
 
 
 def test_save_load_round_trip(tmp_path, toy_db):
+    # build_database holds the float32 values the files store, so the
+    # database read back equals the built one exactly.
     save_database(toy_db, tmp_path / "db")
     back = load_database(tmp_path / "db")
     assert back.classes == toy_db.classes
     assert back.k_per_class == toy_db.k_per_class
     assert back.normalization == toy_db.normalization
+    assert back.total == toy_db.total
     for a, b in zip(toy_db.entries, back.entries):
-        assert np.array_equal(b.sdf.values,
-                              a.sdf.values.astype(np.float32).astype(np.float64))
-        assert np.array_equal(b.points,
-                              a.points.astype(np.float32).astype(np.float64))
+        assert (b.class_id, b.exemplar_index) == (a.class_id, a.exemplar_index)
+        assert np.array_equal(b.sdf.values, a.sdf.values)
+        assert np.array_equal(b.sdf.origin, a.sdf.origin)
+        assert b.sdf.spacing == a.sdf.spacing
+        assert np.array_equal(b.points, a.points)
+        assert np.array_equal(b.mesh.vertices, a.mesh.vertices)
         assert np.array_equal(b.mesh.triangles, a.mesh.triangles)
+
+
+def test_build_database_memory_holds_one_sdf_matrix():
+    # One class of 24 boxes at 32^3, k = 4. The class's SDFs are one (n, d)
+    # float64 matrix; k-means adds one (n, d) difference at a time. Traced
+    # peak: 2.38 matrices; with a list of grids beside the stacked matrix it
+    # was 3.34.
+    shapes = [(0, make_box(1.0, 1.0, 1.0, taper=0.3 + 0.025 * i)) for i in range(24)]
+    matrix_bytes = 24 * 32**3 * 8
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        db = build_database(shapes, k_per_class=4, seed=0, resolution=32, points_per_entry=64)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert db.total == 4
+    assert peak < 3.0 * matrix_bytes
 
 
 def test_save_deterministic(tmp_path, toy_db):

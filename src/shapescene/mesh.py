@@ -9,8 +9,8 @@ them in blocks, one array operation per block (see `_parity_along_axis`).
 Distance is exact; it skips the point-triangle pairs that a per-brick bound
 shows cannot hold the minimum, by the distance from the brick's centre,
 coarse to fine: every triangle is tested against the coarse bricks, and only
-those that pass a coarse brick against its eight fine children (see
-`point_triangle_distance`).
+those that pass a coarse brick against its eight fine children. Each edge is
+measured by the one triangle that owns it (see `point_triangle_distance`).
 """
 from __future__ import annotations
 
@@ -83,8 +83,8 @@ def load_obj(path) -> TriMesh:
     """Read an ASCII OBJ (v/f records, 1-based indices, fan-triangulated).
 
     Raises MalformedFile for a file that is not UTF-8 text, a record that
-    does not parse, a non-finite vertex coordinate or a face index outside
-    the vertex list.
+    does not parse, a face of fewer than 3 vertices, a non-finite vertex
+    coordinate or a face index outside the vertex list.
     """
     vertices: list[list[float]] = []
     triangles: list[list[int]] = []
@@ -99,6 +99,8 @@ def load_obj(path) -> TriMesh:
                 vertices.append([float(x) for x in parts[1:4]])
             elif parts[0] == "f":
                 idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
+                if len(idx) < 3:
+                    raise ValueError("face needs at least 3 vertices")
                 for k in range(1, len(idx) - 1):
                     triangles.append([idx[0], idx[k], idx[k + 1]])
         except ValueError as e:
@@ -313,11 +315,19 @@ def point_triangle_distance(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
     child the minimum over its parent's passing triangles only. That minimum
     is exact: the child's centre lies in the parent's box, so the parent's
     test keeps the triangle nearest it, as for any point of the box, and the
-    child's test is the same test with the same B as if it stood alone. The
-    loop then evaluates each triangle on the fine bricks it passes. The
-    skipped pairs cannot hold a point's minimum, and the evaluated ones use
-    the same arithmetic as testing every pair, so the result is
-    bit-identical to the all-pairs minimum.
+    child's test is the same test with the same B as if it stood alone.
+
+    The loop then evaluates each triangle on the fine bricks it passes, by
+    its owned features: its plane where the point projects inside it, else
+    only the edges it owns (`_edge_owners`). On a closed mesh each edge
+    belongs to two triangles, and one of them owns it, so each edge is
+    measured once per point. The two tests still measure all three edges,
+    the triangle distances the cull bounds, so the evaluated pairs do not
+    depend on the owners. The skipped pairs cannot hold a point's minimum
+    (below), and the evaluated ones use the same arithmetic as testing
+    every pair, so the result is bit-identical to the minimum over all
+    (point, triangle) pairs of the owned-feature distances. That is within
+    2e (below) of the minimum over all triangle distances.
 
     The slack s. Write u for the unit roundoff, S for the largest coordinate
     magnitude of the points and vertices, and F(p, t) and d(p, t) for the
@@ -331,12 +341,26 @@ def point_triangle_distance(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
     reads D_t rounded down to float32 (`_float32_below`), which only skips
     fewer pairs.
 
+    The owners. Write O(p, t) for the owned-feature distance, so
+    O(p, t) >= F(p, t): a skipped triangle has O(p, t) > B + r + 2s - 3e
+    >= B + r + 5e. Let F(p, t) be least at t = m. If p projects inside m,
+    O(p, m) = F(p, m). Else F(p, m) is the distance to an edge E of m,
+    owned by a triangle t' that has E. An edge lies in every triangle that
+    has it, so d(c, t') <= d(c, E) <= F(p, m) + e + r + 8 u S, and D_t' <=
+    B + 2r + 6e: t' passes every test. O(p, t') is at most t''s own
+    measure of E (which may walk E the other way than m), or, where p
+    projects inside t', its plane distance; either is at most d(p, E) + e
+    <= F(p, m) + 2e. So an evaluated pair has O <= F(p, m) + 2e <=
+    B + r + 5e, and no skipped pair holds the minimum. No union of two
+    triangles' bricks is needed.
+
     The points and the brick centres are held once, as (3, n) rows: the
     differences, dot products `(x * v[0] + y * v[1]) + z * v[2]` and norms
     `sqrt((x * x + y * y) + z * z)` run on the rows, where numpy is fast.
     The two tests broadcast blocks of stacked triangles against the centres,
     arrays of about `_BOUND_ELEMENTS` elements; the loop takes one triangle
-    at a time, against its gathered points.
+    at a time, against its gathered points, and keeps squared distances,
+    with one square root of its minimum at the end.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if not np.all(np.isfinite(points)):
@@ -388,7 +412,7 @@ def point_triangle_distance(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
                                   p2s[block, None])
         nearest = np.minimum(nearest, dist.min(axis=0))
         centre_low[block] = _float32_below(dist)
-    near = centre_low <= _reach(_row_norm(*(coarse_hi - coarse_lo)) / 2.0, nearest,
+    near = centre_low <= _reach(np.sqrt(_squared_norm(*(coarse_hi - coarse_lo))) / 2.0, nearest,
                                 scale, rounding)
     del centre_low
 
@@ -396,7 +420,7 @@ def point_triangle_distance(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
     # (triangle, child) pairs each. Bit j of `passed[t, c]` is set if
     # triangle t passes child j of coarse brick c.
     fine = (fine_lo + fine_hi) / 2.0
-    radius = _row_norm(*(fine_hi - fine_lo)) / 2.0
+    radius = np.sqrt(_squared_norm(*(fine_hi - fine_lo))) / 2.0
     nearest = np.full(len(starts), np.inf)
     passed = np.zeros(near.shape, dtype=np.uint8)
     pairs = np.cumsum(np.count_nonzero(near, axis=0)) * 8
@@ -413,6 +437,8 @@ def point_triangle_distance(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
         passed[tri, brick] = np.packbits(keep, axis=0, bitorder="little")[0]
     del near
 
+    # The loop measures only each triangle's owned edges, and keeps squares.
+    owned = _edge_owners(mesh).tolist()
     best = np.full(rows.shape[1], np.inf)
     for t in range(len(p0s)):
         brick = np.flatnonzero(passed[t])
@@ -425,9 +451,9 @@ def point_triangle_distance(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
         lens = sizes[bricks]
         at = np.repeat(starts[bricks] - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
         best[at] = np.minimum(best[at], _triangle_distance(
-            rows.take(at, axis=1), p0s[t], p1s[t], p2s[t]))
+            rows.take(at, axis=1), p0s[t], p1s[t], p2s[t], owned[t]))
     out = np.empty_like(best)
-    out[order] = best
+    out[order] = np.sqrt(best, out=best)
     return out
 
 
@@ -497,14 +523,34 @@ def _distance_rounding(p0s: np.ndarray, p1s: np.ndarray, p2s: np.ndarray,
     return float(err.max()) + fixed
 
 
-def _row_norm(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Euclidean norm of the vectors (x, y, z), summed as np.linalg.norm
-    sums a length-3 row."""
-    return np.sqrt((x * x + y * y) + z * z)
+def _squared_norm(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of the vectors (x, y, z), summed as
+    np.linalg.norm sums a length-3 row; its square root is that norm."""
+    return (x * x + y * y) + z * z
+
+
+def _edge_owners(mesh: TriMesh) -> np.ndarray:
+    """(m, 3) bool: the edge slots p0->p1, p1->p2 and p0->p2 of each
+    triangle that `point_triangle_distance`'s loop measures.
+
+    An edge is keyed by its sorted vertex indices, and each key has one
+    owner slot: the first one in triangle order that starts at p0, if the
+    edge has one (those reuse the plane test's dot products), else the
+    first in triangle order. A mesh whose shared vertices are not merged
+    has several keys for one edge, and each is owned once.
+    """
+    tri = mesh.triangles
+    start, end = tri[:, [0, 1, 0]].ravel(), tri[:, [1, 2, 2]].ravel()
+    key = np.minimum(start, end) * len(mesh.vertices) + np.maximum(start, end)
+    # The sort is stable: equal keys keep their (triangle, slot) order.
+    order = np.lexsort((np.tile([0, 1, 0], len(tri)), key))
+    owned = np.zeros(len(key), dtype=bool)
+    owned[order[np.diff(key[order], prepend=-1) != 0]] = True
+    return owned.reshape(-1, 3)
 
 
 def _triangle_distance(
-    rows: np.ndarray, p0: np.ndarray, p1: np.ndarray, p2: np.ndarray
+    rows: np.ndarray, p0: np.ndarray, p1: np.ndarray, p2: np.ndarray, owned=None
 ) -> np.ndarray:
     """Unsigned distance from the points `rows` (3, m) to the triangle
     (p0, p1, p2), whose corners are (3,) vectors.
@@ -518,23 +564,38 @@ def _triangle_distance(
     wins only where it lies in the triangle: one triangle forms it only for
     those points, stacked triangles for every element. Where
     det = ac - b^2 <= 1e-15 the edges alone decide.
+
+    The differences d = x - p0 are formed once, for d1 = d.e1 and
+    d2 = d.e2, which the plane test and the edges p0->p1 and p0->p2 share
+    (the numerators and, with a = e1.e1 and c = e2.e2, the denominators of
+    their clipped parameters). The minimum is taken on squared norms, with
+    one square root at the end: a square root is monotone, so it has the
+    bits of the minimum of the norms.
+
+    `owned`, three bools for one triangle's slots p0->p1, p1->p2 and
+    p0->p2 (`_edge_owners`), is the loop's form: only the owned edges are
+    measured, with the plane where the point projects inside (inf where
+    neither applies), and the squared distances are returned, for the loop
+    to take one square root of its minimum.
     """
+    owns01, owns12, owns02 = (True, True, True) if owned is None else owned
     e1 = p1 - p0
     e2 = p2 - p0
-    dist = np.minimum(
-        _point_segment_distance(rows, p0, e1),
-        np.minimum(_point_segment_distance(rows, p1, p2 - p1),
-                   _point_segment_distance(rows, p0, e2)),
-    )
     a, b, c = np.vecdot(e1, e1), np.vecdot(e1, e2), np.vecdot(e2, e2)
-    det = a * c - b * b
-    plane = det > 1e-15
-    det = np.where(plane, det, 1.0)
     (ox, oy, oz), (ux, uy, uz), (vx, vy, vz) = _xyz(p0), _xyz(e1), _xyz(e2)
     x, y, z = rows
     dx, dy, dz = x - ox, y - oy, z - oz
     d1 = (dx * ux + dy * uy) + dz * uz
     d2 = (dx * vx + dy * vy) + dz * vz
+    del dx, dy, dz  # freed before the edges' temporaries, to keep the peak memory low
+    near = _point_segment_distance(rows, p0, e1, d1, a) if owns01 else np.full(d1.shape, np.inf)
+    if owns12:
+        near = np.minimum(near, _point_segment_distance(rows, p1, p2 - p1))
+    if owns02:
+        near = np.minimum(near, _point_segment_distance(rows, p0, e2, d2, c))
+    det = a * c - b * b
+    plane = det > 1e-15
+    det = np.where(plane, det, 1.0)
     alpha = (c * d1 - b * d2) / det
     beta = (a * d2 - b * d1) / det
     inner = plane & (alpha >= 0) & (beta >= 0) & (alpha + beta <= 1)
@@ -542,25 +603,31 @@ def _triangle_distance(
         inner = np.flatnonzero(inner)
         alpha, beta = alpha[inner], beta[inner]
         x, y, z = rows.take(inner, axis=1)
-    on = _row_norm(x - (ox + alpha * ux + beta * vx), y - (oy + alpha * uy + beta * vy),
-                   z - (oz + alpha * uz + beta * vz))
-    if p0.ndim == 1:
-        dist[inner] = on
-        return dist
-    return np.where(inner, on, dist)
+    on = _squared_norm(x - (ox + alpha * ux + beta * vx), y - (oy + alpha * uy + beta * vy),
+                       z - (oz + alpha * uz + beta * vz))
+    if p0.ndim > 1:
+        return np.sqrt(np.where(inner, on, near))
+    near[inner] = on
+    return near if owned is not None else np.sqrt(near)
 
 
-def _point_segment_distance(rows: np.ndarray, a: np.ndarray, ab: np.ndarray) -> np.ndarray:
-    """Distance from the points `rows` (3, m) to the segment from `a` along
-    `ab`; stacked segments broadcast as in `_triangle_distance`. A segment
-    with |ab|^2 < 1e-30 is measured to `a`: its parameter is 0."""
+def _point_segment_distance(rows: np.ndarray, a: np.ndarray, ab: np.ndarray,
+                            along=None, length2=None) -> np.ndarray:
+    """Squared distance from the points `rows` (3, m) to the segment from
+    `a` along `ab`; stacked segments broadcast as in `_triangle_distance`.
+
+    `along` = (x - a).ab and `length2` = ab.ab, the clipped parameter's
+    numerator and denominator, are formed here unless the caller holds
+    them, with the same expressions and bits. A segment with
+    |ab|^2 < 1e-30 is measured to `a`: its parameter is 0."""
     x, y, z = rows
     (ax, ay, az), (ux, uy, uz) = _xyz(a), _xyz(ab)
-    dx, dy, dz = x - ax, y - ay, z - az
-    denom = np.vecdot(ab, ab)
-    denom = np.where(denom < 1e-30, np.inf, denom)
-    t = np.clip(((dx * ux + dy * uy) + dz * uz) / denom, 0.0, 1.0)
-    return _row_norm(x - (ax + t * ux), y - (ay + t * uy), z - (az + t * uz))
+    if along is None:
+        along = ((x - ax) * ux + (y - ay) * uy) + (z - az) * uz
+    if length2 is None:
+        length2 = np.vecdot(ab, ab)
+    t = np.clip(along / np.where(length2 < 1e-30, np.inf, length2), 0.0, 1.0)
+    return _squared_norm(x - (ax + t * ux), y - (ay + t * uy), z - (az + t * uz))
 
 
 def _xyz(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -69,7 +69,8 @@ def mesh_to_sdf(mesh: TriMesh, resolution: int = 32) -> SdfGrid:
     bricks of voxels that may have it as their nearest, by the distance from
     the brick's centre: first against the coarse bricks, then, for the
     coarse bricks it passes, against their eight fine children. It gives
-    the bits that testing every voxel against every triangle gives.
+    the bits that testing every voxel against every triangle's owned
+    features gives: the plane, or the edges the triangle owns.
     """
     if resolution < MIN_SDF_RESOLUTION:
         raise ValueError("resolution must leave room for 2 voxels of padding")

@@ -106,9 +106,11 @@ def test_data_errors_exit_2(tmp_path, capsys):
 
 
 def test_malformed_files_exit_2(pipeline, tmp_path, capsys):
-    # A NaN vertex and a face index past the vertex list, each in build-db.
+    # A NaN vertex, a face index past the vertex list and a face of two
+    # vertices, each in build-db.
     for name, text in (("nan", "v 0 0 0\nv 1 0 nan\nv 0 1 0\nv 0 0 1\nf 1 2 3\n"),
-                       ("index", "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 9\n")):
+                       ("index", "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 9\n"),
+                       ("face", "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\nf 1 2\n")):
         meshes = tmp_path / name / "box"
         meshes.mkdir(parents=True)
         (meshes / "bad.obj").write_text(text)

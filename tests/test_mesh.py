@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shapescene import mesh as mesh_module
-from shapescene.errors import DegenerateMesh, NonWatertight
+from shapescene.errors import DegenerateMesh, MalformedFile, NonWatertight
 from shapescene.geom import Pose9DoF, Rotation, apply_pose, random_rotation, rotation_about_axis
 from shapescene.mesh import (
     _BLOCK_ELEMENTS,
@@ -14,6 +14,7 @@ from shapescene.mesh import (
     WATERTIGHT_DISAGREEMENT,
     TriMesh,
     _distance_rounding,
+    _edge_owners,
     _float32_below,
     _parity_along_axis,
     _triangle_distance,
@@ -57,6 +58,15 @@ def test_obj_fan_triangulation(tmp_path):
     mesh = load_obj(path)
     assert len(mesh.triangles) == 2
     assert np.array_equal(mesh.triangles, [[0, 1, 2], [0, 2, 3]])
+
+
+@pytest.mark.parametrize("face", ["f 1 2", "f 4", "f"])
+def test_obj_short_face_raises(tmp_path, face):
+    path = tmp_path / "short.obj"
+    path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\n{face}\n")
+    with pytest.raises(MalformedFile) as err:
+        load_obj(path)
+    assert str(err.value) == f"{path}:6: face needs at least 3 vertices"
 
 
 def test_obj_empty_raises(tmp_path):
@@ -417,9 +427,28 @@ def test_point_triangle_distance_cube_oracle(rng):
     assert np.allclose(dist, _cube_surface_distance(pts), atol=1e-9)
 
 
+def _owned_slots(mesh):
+    """The edge owner rule, slot by slot: of the slots p0->p1, p1->p2 and
+    p0->p2 that share an undirected edge (by vertex index), the first in
+    triangle order that starts at p0 owns it, else the first in triangle
+    order. (m, 3) bool."""
+    slots = sorted(((min(u, v), max(u, v)), slot == 1, t, slot)
+                   for t, (i, j, k) in enumerate(mesh.triangles.tolist())
+                   for slot, (u, v) in enumerate(((i, j), (j, k), (i, k))))
+    owned = np.zeros(mesh.triangles.shape, dtype=bool)
+    seen = set()
+    for key, _, t, slot in slots:
+        if key not in seen:
+            seen.add(key)
+            owned[t, slot] = True
+    return owned
+
+
 def _all_pairs_distance(points, mesh):
     """Every point against every triangle, in triangle order: the reference
-    the brick-culled `point_triangle_distance` must match bit for bit. The
+    the brick-culled `point_triangle_distance` must match bit for bit. A
+    triangle is measured by its plane where the point projects inside it,
+    else by the edges it owns (`_owned_slots`), as in the kernel's loop. The
     points are (3, n) rows; a dot product is `(x * v[0] + y * v[1]) + z * v[2]`
     and a norm `sqrt((x * x + y * y) + z * z)`, as in the kernel."""
     rows = np.ascontiguousarray(np.asarray(points, dtype=np.float64).reshape(-1, 3).T)
@@ -431,7 +460,7 @@ def _all_pairs_distance(points, mesh):
     def norm(d):
         return np.sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2])
 
-    for p0, p1, p2 in zip(*mesh.corners()):
+    for (p0, p1, p2), owned in zip(zip(*mesh.corners()), _owned_slots(mesh)):
         e1 = p1 - p0
         e2 = p2 - p0
         a = e1 @ e1
@@ -449,16 +478,17 @@ def _all_pairs_distance(points, mesh):
         else:
             interior = np.zeros(rows.shape[1], dtype=bool)
             dist = np.zeros(rows.shape[1])
-        edges = []
-        for u, v in ((p0, p1), (p1, p2), (p0, p2)):
+        edge = np.full(rows.shape[1], np.inf)
+        for (u, v), owns in zip(((p0, p1), (p1, p2), (p0, p2)), owned):
+            if not owns:
+                continue
             uv = v - u
             denom = uv @ uv
             if denom < 1e-30:
-                edges.append(norm(rows - u[:, None]))
+                edge = np.minimum(edge, norm(rows - u[:, None]))
             else:
                 t = np.clip(dot(rows - u[:, None], uv) / denom, 0.0, 1.0)
-                edges.append(norm(rows - (u[:, None] + t * uv[:, None])))
-        edge = np.minimum(edges[0], np.minimum(edges[1], edges[2]))
+                edge = np.minimum(edge, norm(rows - (u[:, None] + t * uv[:, None])))
         best = np.minimum(best, np.where(interior, dist, edge))
     return best
 
@@ -713,22 +743,27 @@ def test_distance_work_and_memory_on_the_sdf_lattice(monkeypatch):
     # The loop measures each triangle on the points of the fine bricks it
     # passes: 2,171,456 (point, triangle) pairs on the 1000-triangle
     # cylinder at 32^3, where the one-level 8^3 brick cull measured
-    # 5,191,552.
+    # 5,191,552. It measures only the edges a triangle owns: 3,243,192
+    # (point, edge) pairs, where all three edges of every pair were
+    # 6,514,368.
     cylinder = make_cylinder(0.5, 1.0, segments=250, taper=0.7)
     points = _sdf_lattice()
-    pairs = []
+    pairs, edges = [], []
 
-    def counted(rows, p0, p1, p2):
+    def counted(rows, p0, p1, p2, owned=None):
         if p0.ndim == 1:  # one triangle: the loop's call
             pairs.append(rows.shape[1])
-        return _triangle_distance(rows, p0, p1, p2)
+            edges.append(rows.shape[1] * sum(owned))
+        return _triangle_distance(rows, p0, p1, p2, owned)
 
     monkeypatch.setattr(mesh_module, "_triangle_distance", counted)
     point_triangle_distance(points, cylinder)
     assert sum(pairs) == 2_171_456
+    assert sum(edges) == 3_243_192
     monkeypatch.undo()
-    # Traced peak of the call: 4,562,025 bytes; the one-level cull peaked at
-    # 5,659,842 measured the same way.
+    # Traced peak of the call: 4,320,240 bytes (4,562,025 with three square
+    # roots per triangle); the one-level cull peaked at 5,659,842 measured
+    # the same way.
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
@@ -740,3 +775,118 @@ def test_distance_work_and_memory_on_the_sdf_lattice(monkeypatch):
         if not tracing:
             tracemalloc.stop()
     assert peak < 5_700_000
+
+
+def _unmerged(mesh):
+    """The mesh with three vertices of its own per triangle: no vertex, so
+    no edge, is shared by index."""
+    return TriMesh(np.stack(mesh.corners(), axis=1).reshape(-1, 3),
+                   np.arange(3 * len(mesh.triangles)).reshape(-1, 3))
+
+
+def test_edge_owners_own_each_edge_once(open_box):
+    # Every undirected edge has one owner slot, a slot that starts at p0
+    # when the edge has one: on closed meshes, on an open box's boundary, on
+    # zero-length edges and repeated indices, and on unmerged vertices,
+    # where every copy of an edge is its own.
+    cylinder = make_cylinder(0.5, 1.0, segments=64, taper=0.6)
+    box = make_box()
+    pinched = TriMesh(np.vstack([box.vertices, [[0.9, 0.1, 0.2], [1.3, -0.2, 0.4]]]),
+                      np.vstack([box.triangles, [[8, 8, 9], [9, 8, 8], [8, 9, 9], [9, 9, 9]]]))
+    for mesh in (cylinder, box, pinched, open_box, _unmerged(cylinder)):
+        owned = _edge_owners(mesh)
+        assert owned.shape == mesh.triangles.shape and owned.dtype == bool
+        assert np.array_equal(owned, _owned_slots(mesh))
+        holders = {}
+        for t, (i, j, k) in enumerate(mesh.triangles.tolist()):
+            for slot, edge in enumerate(((i, j), (j, k), (i, k))):
+                holders.setdefault(frozenset(edge), []).append((t, slot))
+        for slots in holders.values():
+            owners = [slot for t, slot in slots if owned[t, slot]]
+            assert len(owners) == 1
+            assert owners[0] != 1 or all(slot == 1 for _, slot in slots)
+        assert owned.sum() == len(holders)
+    # A closed mesh shares every edge between two triangles: half its slots.
+    assert _edge_owners(cylinder).sum() == 3 * len(cylinder.triangles) // 2
+    assert _edge_owners(_unmerged(cylinder)).all()
+    # The open box's boundary edges have one slot each, which owns them.
+    assert _edge_owners(open_box).sum() == 3 * len(open_box.triangles) // 2 + 2
+    points = np.concatenate([_sdf_lattice(16), np.random.default_rng(5).uniform(-1, 1, (300, 3))])
+    for mesh in (open_box, _unmerged(cylinder)):
+        assert np.array_equal(point_triangle_distance(points, mesh),
+                              _all_pairs_distance(points, mesh))
+
+
+def _three_edge_distance(rows, p0, p1, p2):
+    """`_triangle_distance` before its terms were shared: every edge forms
+    its own differences, clip numerator and denominator, and takes its own
+    square root, as does the plane point. The bits the shared form keeps."""
+    def xyz(v):
+        return v[..., 0], v[..., 1], v[..., 2]
+
+    def segment(a, ab):
+        x, y, z = rows
+        (ax, ay, az), (ux, uy, uz) = xyz(a), xyz(ab)
+        dx, dy, dz = x - ax, y - ay, z - az
+        denom = np.vecdot(ab, ab)
+        denom = np.where(denom < 1e-30, np.inf, denom)
+        t = np.clip(((dx * ux + dy * uy) + dz * uz) / denom, 0.0, 1.0)
+        return norm(x - (ax + t * ux), y - (ay + t * uy), z - (az + t * uz))
+
+    def norm(x, y, z):
+        return np.sqrt((x * x + y * y) + z * z)
+
+    e1 = p1 - p0
+    e2 = p2 - p0
+    dist = np.minimum(segment(p0, e1), np.minimum(segment(p1, p2 - p1), segment(p0, e2)))
+    a, b, c = np.vecdot(e1, e1), np.vecdot(e1, e2), np.vecdot(e2, e2)
+    det = a * c - b * b
+    plane = det > 1e-15
+    det = np.where(plane, det, 1.0)
+    (ox, oy, oz), (ux, uy, uz), (vx, vy, vz) = xyz(p0), xyz(e1), xyz(e2)
+    x, y, z = rows
+    dx, dy, dz = x - ox, y - oy, z - oz
+    d1 = (dx * ux + dy * uy) + dz * uz
+    d2 = (dx * vx + dy * vy) + dz * vz
+    alpha = (c * d1 - b * d2) / det
+    beta = (a * d2 - b * d1) / det
+    inner = plane & (alpha >= 0) & (beta >= 0) & (alpha + beta <= 1)
+    on = norm(x - (ox + alpha * ux + beta * vx), y - (oy + alpha * uy + beta * vy),
+              z - (oz + alpha * uz + beta * vz))
+    return np.where(inner, on, dist)
+
+
+def test_shared_terms_keep_their_bits(rng):
+    # The stacked form decides which pairs the loop evaluates, so it must
+    # keep its bits; the one-triangle form keeps them too with every slot
+    # owned, as a square before its one square root.
+    corners = np.array([
+        [[0.0, 0.0, 0.0], [1.0, 0.1, 0.0], [0.2, 0.9, 0.3]],      # well shaped
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1e-7, 1e-8]],    # det 1e-14
+        [[0.0, 0.0, 0.0], [1e-4, 0.0, 0.0], [0.0, 1e-4, 0.0]],    # det 1e-16: edges alone
+        [[0.0, 0.0, 0.0], [0.3, 0.3, 0.3], [0.6, 0.6, 0.6]],      # collinear
+        [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3], [0.2, -0.1, 0.4]],     # zero-length p0->p1
+        [[0.2, -0.1, 0.4], [0.1, 0.2, 0.3], [0.1, 0.2, 0.3]],     # zero-length p1->p2
+        [[0.1, 0.2, 0.3], [0.2, -0.1, 0.4], [0.1, 0.2, 0.3]],     # zero-length p0->p2
+        [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3], [0.1, 0.2, 0.3]],      # one point
+    ])
+    corners = np.concatenate([corners, np.stack(make_cylinder(0.5, 1.0, 16).corners(), axis=1)])
+    t = rng.random((8, 1))
+    on_edges = np.concatenate([p + t * (q - p) for tri in corners[:4]
+                               for p, q in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2]))])
+    points = np.concatenate([rng.normal(scale=0.5, size=(256, 3)), on_edges,
+                             corners.reshape(-1, 3)])
+    points = points[:len(points) // 8 * 8]
+    rows = np.ascontiguousarray(points.T)
+    p0, p1, p2 = corners[:, 0], corners[:, 1], corners[:, 2]
+    # The coarse test's shapes: (3, 1, n) centres against (k, 1, 3) corners.
+    coarse = (rows[:, None], p0[:, None], p1[:, None], p2[:, None])
+    assert _triangle_distance(*coarse).tobytes() == _three_edge_distance(*coarse).tobytes()
+    # The fine test's: (3, 8, k) children against (k, 3) corners.
+    k = len(points) // 8
+    fine = (rows.reshape(3, 8, k), *(np.resize(p, (k, 3)) for p in (p0, p1, p2)))
+    assert _triangle_distance(*fine).tobytes() == _three_edge_distance(*fine).tobytes()
+    for tri in corners:
+        want = _three_edge_distance(rows, *tri).tobytes()
+        assert _triangle_distance(rows, *tri).tobytes() == want
+        assert np.sqrt(_triangle_distance(rows, *tri, (True, True, True))).tobytes() == want

@@ -81,35 +81,36 @@ class ShapeDatabase:
 
 def kmeans_pp(
     data: np.ndarray, k: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Standard k-means++ seeding followed by Lloyd iterations to a fixpoint
     (at most KMEANS_MAX_ITER of them).
 
-    Returns (centroids (k, d), assignments (n,)). Empty clusters are re-seeded
-    from the point farthest from its assigned centroid.
+    Returns (centroids (k, d) float64, assignments (n,), squared distances
+    (n, k) from each row to each returned centroid). One table serves the
+    whole run: the D^2 seeding fills column c as it picks centroid c, and
+    each Lloyd step refills it once for its updated centroids. Empty
+    clusters are re-seeded from the point farthest from its assigned centroid.
     """
     n = len(data)
-    # D^2 seeding.
-    centers = [data[rng.integers(n)]]
-    d2 = np.sum((data - centers[0]) ** 2, axis=1)
-    for _ in range(k - 1):
+    centroids, dists = np.empty((k, data.shape[1])), np.empty((n, k))
+
+    def fill(c):
+        # One centroid at a time keeps memory at n*d; the per-row sums are
+        # the same as over an (n, k, d) broadcast, so ties break the same way.
+        dists[:, c] = np.sum((data - centroids[c]) ** 2, axis=1)
+
+    for c in range(k):  # D^2 seeding; the first centroid, with all weights 0, is uniform
+        d2 = dists[:, :c].min(axis=1) if c else np.zeros(n)
         total = d2.sum()
         if total <= 0:
             idx = rng.integers(n)
         else:
-            idx = int(np.searchsorted(np.cumsum(d2 / total), rng.random()))
-            idx = min(idx, n - 1)
-        centers.append(data[idx])
-        d2 = np.minimum(d2, np.sum((data - centers[-1]) ** 2, axis=1))
-    centroids = np.array(centers)
+            idx = min(int(np.searchsorted(np.cumsum(d2 / total), rng.random())), n - 1)
+        centroids[c] = data[idx]
+        fill(c)
 
     assign = np.full(n, -1)
-    dists = np.empty((n, k))
     for _ in range(KMEANS_MAX_ITER):
-        # One centroid at a time keeps memory at n*d; the per-row sums are
-        # the same as over an (n, k, d) broadcast, so ties break the same way.
-        for c in range(k):
-            dists[:, c] = np.sum((data - centroids[c]) ** 2, axis=1)
         new_assign = np.argmin(dists, axis=1)
         if np.array_equal(new_assign, assign):
             break
@@ -122,7 +123,9 @@ def kmeans_pp(
                 assign[far] = c
             else:
                 centroids[c] = members.mean(axis=0)
-    return centroids, assign
+        for c in range(k):
+            fill(c)
+    return centroids, assign, dists
 
 
 def build_database(
@@ -142,7 +145,8 @@ def build_database(
     `.sdfg` and `.pts` files store, so k-means clusters the values every later
     command reads and `load_database(save_database(db))` equals `db`. A class
     holds its SDFs once, as the rows of one (n, voxels) matrix; each exemplar
-    keeps a copy of its row.
+    keeps a copy of its row. The exemplar distances are the ones k-means
+    returns for its final centroids, so no row is measured again.
 
     A NonWatertight error names the shape by its entry in `sources` (one per
     shape, such as its file path), else by its index in `shapes`.
@@ -172,16 +176,16 @@ def build_database(
                 data = np.empty((len(meshes), sdf.values.size))
             data[row] = sdf.values.reshape(-1).astype(np.float32)
 
-        rng = np.random.default_rng(seed + cid)
-        centroids, assign = kmeans_pp(data, k_per_class, rng)
+        _, assign, sq_dists = kmeans_pp(data, k_per_class, np.random.default_rng(seed + cid))
         for k in range(k_per_class):
             members = np.flatnonzero(assign == k)
             if len(members) == 0:
                 # Exact-duplicate inputs can leave a cluster empty; fall back
-                # to the member nearest the centroid over the whole class.
+                # to the nearest row of the whole class, in the same column.
                 members = np.arange(len(data))
-            dists = np.linalg.norm(data[members] - centroids[k], axis=1)
-            best = int(members[np.argmin(dists)])
+            # Compare the roots, the L2 distances: distinct squares can round
+            # to one root, and argmin then takes the lower index.
+            best = int(members[np.argmin(np.sqrt(sq_dists[members, k]))])
             points = sample_surface_points(meshes[best], points_per_entry, seed + 1000 * cid + k)
             entries.append(
                 ShapeEntry(

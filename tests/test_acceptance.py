@@ -367,7 +367,7 @@ def test_criterion_6_soft_label_consistency(toy_db):
 
     # k-means on the box-class SDF vectors against the exhaustive 2-means oracle.
     data = np.stack([db.entry(0, e).sdf.values.reshape(-1) for e in range(n_per)])
-    _, assign = kmeans_pp(data, 2, np.random.default_rng(0))
+    _, assign, _ = kmeans_pp(data, 2, np.random.default_rng(0))
 
     def distortion(labels):
         total = 0.0

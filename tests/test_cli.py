@@ -9,7 +9,7 @@ import pytest
 from shapescene import scene as scene_module
 from shapescene.cli import load_config, main
 from shapescene.collision import collision_loss_total
-from shapescene.geom import Pose9DoF, apply_pose, rotation_about_axis
+from shapescene.geom import Pose9DoF, apply_pose, project_to_so3, rotation_about_axis
 from shapescene.mesh import TriMesh, load_obj, save_obj
 from shapescene.metrics import miv_and_collisions, relative_iou
 from shapescene.optim import scene_to_objects
@@ -952,6 +952,25 @@ def test_fit_pose_from_init_file(pipeline, tmp_path, capsys):
         f"shapescene: error: {shifted}: object 0 is not {o.class_name} exemplar "
         f"{o.exemplar} as in {gt_path}\n")
     assert not (tmp_path / "c.json").exists()
+
+
+def test_fit_pose_freeze_from_init_file(pipeline, tmp_path):
+    gt_path = pipeline / "scenes" / "scene_0000.json"
+    gt = load_scene(gt_path)
+    save_scene(tmp_path / "init.json", Scene(gt.seed, tuple(
+        PlacedObject(o.class_name, o.exemplar,
+                     perturb_pose(o.pose, 10.0, 0.1, 0.1, seed=5 + 7 * k))
+        for k, o in enumerate(gt.objects))))
+    assert main(["fit-pose", "--db", str(pipeline / "db"), "--gt", str(gt_path),
+                 "--init", str(tmp_path / "init.json"), "--out", str(tmp_path / "fit.json"),
+                 "--iters", "20", "--freeze", "rot", "--freeze", "scale"]) == 0
+    init, fit = load_scene(tmp_path / "init.json"), load_scene(tmp_path / "fit.json")
+    # The frozen raw matrices still pass through the final projection, as one stack.
+    rotations = project_to_so3(np.stack([o.pose.r.m for o in init.objects]))
+    for a, b, r in zip(init.objects, fit.objects, rotations):
+        assert np.array_equal(b.pose.s, a.pose.s)
+        assert b.pose.r.m.tobytes() == r.tobytes()
+        assert not np.array_equal(b.pose.t, a.pose.t)
 
 
 def test_export_obj(pipeline, tmp_path):

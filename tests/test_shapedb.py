@@ -14,6 +14,7 @@ from shapescene.errors import (
 )
 from shapescene.mesh import canonicalize_mesh
 from shapescene.sdf import SdfGrid, mesh_to_sdf
+from shapescene import shapedb
 from shapescene.shapedb import (
     assign_exemplar,
     build_database,
@@ -36,7 +37,7 @@ def test_kmeans_two_separated_clusters():
     a = rng.normal(size=(6, 4)) * 0.1
     b = rng.normal(size=(6, 4)) * 0.1 + 10.0
     data = np.vstack([a, b])
-    _, assign = kmeans_pp(data, 2, np.random.default_rng(7))
+    _, assign, _ = kmeans_pp(data, 2, np.random.default_rng(7))
     mean_a = data[assign == assign[0]].mean(axis=0)
     mean_b = data[assign != assign[0]].mean(axis=0)
     oracle = (np.linalg.norm(data - mean_b, axis=1)
@@ -78,12 +79,13 @@ def _kmeans_broadcast(data, k, rng, max_iter=100):
     return centroids, assign
 
 
-@pytest.mark.parametrize("n, k, d", [(8, 4, 32768), (50, 7, 1000), (200, 13, 513)])
+@pytest.mark.parametrize("n, k, d", [(8, 4, 32768), (50, 7, 1000), (200, 13, 513),
+                                     (1000, 50, 64)])
 def test_kmeans_matches_broadcast_form(n, k, d):
     rng = np.random.default_rng(n + k)
     data = rng.normal(size=(n, d))
     data[n // 2:n // 2 + 3] = data[0]  # duplicate rows tie in every distance
-    centroids, assign = kmeans_pp(data, k, np.random.default_rng(11))
+    centroids, assign, _ = kmeans_pp(data, k, np.random.default_rng(11))
     ref_centroids, ref_assign = _kmeans_broadcast(data, k, np.random.default_rng(11))
     assert np.array_equal(assign, ref_assign)
     assert np.array_equal(centroids, ref_centroids)
@@ -91,7 +93,7 @@ def test_kmeans_matches_broadcast_form(n, k, d):
 
 def test_kmeans_k_equals_n():
     data = np.arange(10.0).reshape(5, 2) ** 2
-    centroids, assign = kmeans_pp(data, 5, np.random.default_rng(3))
+    centroids, assign, _ = kmeans_pp(data, 5, np.random.default_rng(3))
     assert sorted(assign) == list(range(5))
     distortion = sum(np.sum((data[i] - centroids[assign[i]]) ** 2)
                      for i in range(5))
@@ -100,9 +102,37 @@ def test_kmeans_k_equals_n():
 
 def test_kmeans_k1_fixpoint_is_mean():
     data = np.random.default_rng(5).normal(size=(9, 3))
-    centroids, assign = kmeans_pp(data, 1, np.random.default_rng(1))
+    centroids, assign, _ = kmeans_pp(data, 1, np.random.default_rng(1))
     assert np.all(assign == 0)
     assert np.allclose(centroids[0], data.mean(axis=0))
+
+
+def test_kmeans_integer_rows_get_float_means():
+    # Centroids of integer rows are their float64 means, not truncated to ints.
+    data = np.array([[0], [1], [10], [11]])
+    centroids, assign, _ = kmeans_pp(data, 2, np.random.default_rng(0))
+    assert centroids.dtype == np.float64
+    assert np.array_equal(centroids[assign], [[0.5], [0.5], [10.5], [10.5]])
+
+
+@pytest.mark.parametrize("case", ["converged", "equal rows", "capped"])
+def test_kmeans_table_holds_the_returned_centroids(case, monkeypatch):
+    if case == "equal rows":
+        # k = 3: each step moves a row into the clusters left empty, so the
+        # assignment cycles until KMEANS_MAX_ITER.
+        data, k = np.ones((3, 4)), 3
+    else:
+        data, k = np.random.default_rng(2).normal(size=(40, 6)), 5
+        data[20:23] = data[0]
+    if case == "capped":  # the last step moves the centroids
+        monkeypatch.setattr(shapedb, "KMEANS_MAX_ITER", 1)
+    centroids, assign, sq_dists = kmeans_pp(data, k, np.random.default_rng(4))
+    assert sq_dists.shape == (len(data), k)
+    for c in range(k):
+        assert (np.sqrt(sq_dists[:, c]).tobytes()
+                == np.linalg.norm(data - centroids[c], axis=1).tobytes())
+    # A fixpoint's table reproduces its assignment; a capped run's need not.
+    assert np.array_equal(np.argmin(sq_dists, axis=1), assign) == (case == "converged")
 
 
 def test_identical_shapes_fill_every_exemplar():
@@ -110,7 +140,7 @@ def test_identical_shapes_fill_every_exemplar():
     # re-seeds the clusters left empty, and an exemplar whose cluster ends
     # empty is picked from the whole class.
     data = np.ones((3, 4))
-    centroids, assign = kmeans_pp(data, 3, np.random.default_rng(0))
+    centroids, assign, _ = kmeans_pp(data, 3, np.random.default_rng(0))
     assert np.array_equal(centroids, data) and set(assign) <= {0, 1, 2}
     db = build_database([(0, make_box())] * 3, k_per_class=3, seed=0, resolution=8,
                         points_per_entry=16)

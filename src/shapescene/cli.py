@@ -43,6 +43,7 @@ from .shapedb import (
     write_points,
 )
 from .toys import write_toy_set
+from .workers import fork_map
 
 # Keys a JSON config file may provide; each maps onto the like-named flag.
 CONFIG_KEYS = {
@@ -177,8 +178,10 @@ def cmd_gen_scenes(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     counts = np.random.default_rng(seed).integers(lo, hi + 1, size=count)
-    for i in range(count):
-        scene = generate_scene(db, int(counts[i]), seed=seed + i)
+    # Scene i depends only on seed + i and counts[i], so the workers' scenes
+    # are the ones a loop makes; they are written in order as they arrive.
+    scenes = fork_map(lambda i: generate_scene(db, int(counts[i]), seed=seed + i), range(count))
+    for i, scene in enumerate(scenes):
         save_scene(out / f"scene_{i:04d}.json", scene)
     print(f"wrote {count} scenes -> {out}")
     return 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .errors import (
 )
 from .mesh import TriMesh, canonicalize_mesh, load_obj, sample_surface_points, save_obj
 from .sdf import SdfGrid, mesh_to_sdf, read_sdfg, write_sdfg
+from .workers import fork_map
 
 DB_VERSION = 1
 DEFAULT_K_PER_CLASS = 50
@@ -148,8 +150,18 @@ def build_database(
     keeps a copy of its row. The exemplar distances are the ones k-means
     returns for its final centroids, so no row is measured again.
 
-    A NonWatertight error names the shape by its entry in `sources` (one per
-    shape, such as its file path), else by its index in `shapes`.
+    Classes are built one at a time, so the caller holds one class's rows at
+    most. A class's SDFs come from `workers.fork_map`, one forked worker per
+    CPU: its meshes are submitted largest first, by triangle count (the LPT
+    rule; ties keep input order), and each row is written to its input
+    position as the results are consumed in that order. The bytes do not
+    depend on the number of workers.
+
+    Errors keep their order, class by class: InsufficientShapes, then
+    DegenerateMesh from canonicalizing, then NonWatertight. A NonWatertight
+    error is that of the first open shape in input order, raised once every
+    earlier shape is read. It names the shape by its entry in `sources`
+    (one per shape, such as its file path), else by its index in `shapes`.
     """
     class_ids = sorted({cid for cid, _ in shapes})
     if classes is None:
@@ -165,16 +177,25 @@ def build_database(
                 f"class {classes[cid]} has {len(members)} shapes, needs {k_per_class}"
             )
         meshes = [canonicalize_mesh(shapes[n][1]) for n in members]
-        data = None
-        for row, (n, mesh) in enumerate(zip(members, meshes)):
-            try:
-                sdf = mesh_to_sdf(mesh, resolution)
-            except NonWatertight as e:
-                where = sources[n] if sources else f"shape {n}"
-                raise NonWatertight(f"{e} in {where}") from None
-            if data is None:  # after mesh_to_sdf has checked that a grid fits
-                data = np.empty((len(meshes), sdf.values.size))
-            data[row] = sdf.values.reshape(-1).astype(np.float32)
+        # Largest mesh first (the LPT rule), so the longest SDF does not start last.
+        order = sorted(range(len(meshes)), key=lambda row: -len(meshes[row].triangles))
+        data, read, opened = None, np.zeros(len(meshes), dtype=bool), {}
+        with closing(fork_map(lambda mesh: _float32_sdf(mesh, resolution),
+                              [meshes[row] for row in order])) as sdfs:
+            for row, sdf in zip(order, sdfs):
+                read[row] = True
+                if isinstance(sdf, NonWatertight):
+                    opened[row] = sdf
+                else:
+                    if data is None:  # after mesh_to_sdf has checked that a grid fits
+                        data = np.empty((len(meshes), sdf.values.size))
+                    data[row] = sdf.values.reshape(-1)
+                if opened and read[:min(opened)].all():
+                    break
+        if opened:  # every shape before the first open one is read
+            n = members[min(opened)]
+            where = sources[n] if sources else f"shape {n}"
+            raise NonWatertight(f"{opened[min(opened)]} in {where}")
 
         _, assign, sq_dists = kmeans_pp(data, k_per_class, np.random.default_rng(seed + cid))
         for k in range(k_per_class):
@@ -202,6 +223,18 @@ def build_database(
     # Every grid has resolution^3 voxels; this scale makes the distance an RMS one.
     normalization = float(np.sqrt(resolution**3))
     return ShapeDatabase(entries, k_per_class, list(classes), normalization)
+
+
+def _float32_sdf(mesh: TriMesh, resolution: int) -> SdfGrid | NonWatertight:
+    """mesh_to_sdf with float32 values, the precision build_database keeps,
+    or the NonWatertight it raised. The error is returned, not raised, so
+    build_database can report the first open shape in input order whichever
+    result arrives first."""
+    try:
+        sdf = mesh_to_sdf(mesh, resolution)
+    except NonWatertight as e:
+        return e
+    return SdfGrid(sdf.values.astype(np.float32), sdf.origin, sdf.spacing)
 
 
 def _sdf_distances(phi: SdfGrid, entries: list[ShapeEntry]) -> np.ndarray:

@@ -1,9 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
 from shapescene import build_database
 from shapescene.mesh import TriMesh
-from shapescene.toys import make_box, toy_shape_set
+from shapescene.toys import make_box, make_cylinder, toy_shape_set
 
 
 def _toy_shapes():
@@ -40,5 +42,30 @@ def open_box():
 
 
 @pytest.fixture
+def open_cylinder():
+    """A 24-gon prism without its top cap: 72 triangles, not watertight."""
+    cylinder = make_cylinder(0.5, 1.0, 24)
+    top = 2 * 24 + 1  # the top cap's centre vertex
+    return TriMesh(cylinder.vertices,
+                   cylinder.triangles[~np.any(cylinder.triangles == top, axis=1)])
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(params=["one CPU", "all CPUs"])
+def affinity(request):
+    """Runs the test with this process bound to its lowest CPU, where
+    `workers.fork_map` runs in-process, then with every CPU of its mask, one
+    forked worker per CPU. On a one-CPU machine both runs are in-process."""
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("no CPU affinity on this platform")
+    cpus = os.sched_getaffinity(0)
+    if request.param == "one CPU":
+        os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield request.param
+    finally:
+        os.sched_setaffinity(0, cpus)

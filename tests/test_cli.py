@@ -1,11 +1,16 @@
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shapescene
 from shapescene import scene as scene_module
 from shapescene.cli import load_config, main
 from shapescene.collision import collision_loss_total
@@ -172,6 +177,22 @@ def test_open_mesh_error_names_the_file(tmp_path, capsys, open_box):
     err = capsys.readouterr().err
     assert err.startswith("shapescene: error: parity votes disagree") and err.count("\n") == 1
     assert err.endswith(f"% of samples in {meshes / 'lid' / 'open.obj'}\n")
+
+
+def test_two_open_meshes_name_the_earlier_file(tmp_path, capsys, affinity, open_box,
+                                               open_cylinder):
+    # The later open mesh is the smaller, so it runs later and finishes first.
+    lid = tmp_path / "meshes" / "lid"
+    lid.mkdir(parents=True)
+    save_obj(lid / "a_open.obj", open_cylinder)
+    save_obj(lid / "b_open.obj", open_box)
+    save_obj(lid / "c_closed.obj", make_box())
+    assert main(["build-db", "--meshes", str(tmp_path / "meshes"),
+                 "--out", str(tmp_path / "db"), "--k", "1", "--res", "12"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shapescene: error: parity votes disagree") and err.count("\n") == 1
+    assert err.endswith(f"% of samples in {lid / 'a_open.obj'}\n")
+    assert not (tmp_path / "db").exists()
 
 
 _BUILD = ["build-db", "--meshes", "no-meshes", "--out", "no-db"]
@@ -1220,6 +1241,48 @@ def test_placement_failure_exits_2(pipeline, tmp_path, capsys, monkeypatch):
     assert err.startswith("shapescene: error: could not place object")
     assert err.count("\n") == 1
     assert not list(out.glob("*.json"))
+
+
+def test_placement_failure_keeps_the_earlier_scenes(pipeline, tmp_path, capsys, monkeypatch,
+                                                    affinity):
+    # With --seed 8, scenes 0-2 place, scene 3 (12 objects) cannot place its
+    # object 10, and scenes 4 and 5 would place: only scenes 0-2 are written.
+    monkeypatch.setattr(scene_module, "MAX_PLACEMENT_ATTEMPTS", 20)
+    out = tmp_path / "scenes"
+    assert main(["gen-scenes", "--db", str(pipeline / "db"), "--out", str(out),
+                 "--count", "6", "--objects", "1:12", "--seed", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err == "shapescene: error: could not place object 10 in 20 attempts\n"
+    assert sorted(p.name for p in out.iterdir()) == [f"scene_{i:04d}.json" for i in range(3)]
+
+
+def test_outputs_do_not_depend_on_the_cpu_count(tmp_path):
+    """make-toys, build-db and gen-scenes write the same bytes in a process
+    bound to one CPU, where they run in-process, as in one that keeps every
+    CPU of its mask, where they fork one worker per CPU. On a one-CPU
+    machine both processes run in-process."""
+    script = (
+        "import os, sys\n"
+        "from shapescene.cli import main\n"
+        "out, cpus = sys.argv[1], os.sched_getaffinity(0)\n"
+        "if sys.argv[2] == 'one':\n"
+        "    os.sched_setaffinity(0, {min(cpus)})\n"
+        "for argv in (['make-toys', '--out', out + '/meshes'],\n"
+        "             ['build-db', '--meshes', out + '/meshes', '--out', out + '/db', '--k', '2'],\n"
+        "             ['gen-scenes', '--db', out + '/db', '--out', out + '/scenes',\n"
+        "              '--count', '6', '--objects', '2:4']):\n"
+        "    assert main(argv) == 0, argv\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(shapescene.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]))
+    for side in ("one", "all"):
+        subprocess.run([sys.executable, "-c", script, str(tmp_path / side), side],
+                       env=env, check=True, stdout=subprocess.DEVNULL, timeout=600)
+    files = {side: sorted(p.relative_to(tmp_path / side) for p in (tmp_path / side).rglob("*")
+                          if p.is_file()) for side in ("one", "all")}
+    assert files["one"] == files["all"]
+    assert len([f for f in files["one"] if f.parts[0] == "scenes"]) == 6
+    for f in files["one"]:
+        assert (tmp_path / "one" / f).read_bytes() == (tmp_path / "all" / f).read_bytes(), f
 
 
 def test_reruns_byte_identical(pipeline, tmp_path):

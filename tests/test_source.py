@@ -139,6 +139,40 @@ def test_stencil_site_is_found():
     assert _stencil_sites(source) == ["gather", "lerp"]
 
 
+_WORKER_MODULES = ("multiprocessing", "concurrent")
+
+
+def _worker_sites(source: str) -> list[str]:
+    """The worker-process modules a module imports (multiprocessing and
+    concurrent.futures, by import path), and "fork()" for each call of a
+    function named fork, such as `os.fork()`."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            sites += [alias.name for alias in node.names
+                      if alias.name.partition(".")[0] in _WORKER_MODULES]
+        elif (isinstance(node, ast.ImportFrom) and not node.level
+              and (node.module or "").partition(".")[0] in _WORKER_MODULES):
+            sites.append(node.module)
+    return sites + ["fork()"] * len(_callers(source, "fork"))
+
+
+def test_worker_processes_in_one_place():
+    # Worker processes have one home, fork_map, which binds each worker to
+    # a CPU and leaves none running after a call.
+    sites = {p.name: _worker_sites(p.read_text()) for p in MODULES}
+    assert {name: s for name, s in sites.items() if s} == {
+        "workers.py": ["multiprocessing", "concurrent.futures"]}
+
+
+def test_worker_site_is_found():
+    source = ("import os, multiprocessing.pool\nfrom concurrent import futures\n"
+              "from concurrent.futures import ProcessPoolExecutor\nfrom . import workers\n"
+              "def child():\n    return os.fork()\n")
+    assert _worker_sites(source) == ["multiprocessing.pool", "concurrent",
+                                     "concurrent.futures", "fork()"]
+
+
 def _unused_private_names(sources: dict[str, str]) -> list[str]:
     """Top-level `_`-prefixed functions and constants of each module (by
     file name) that no module of `sources` reads."""

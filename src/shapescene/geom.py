@@ -23,8 +23,10 @@ class Rotation:
         m = np.asarray(self.m, dtype=np.float64)
         if m.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {m.shape}")
-        if not np.all(np.isfinite(m)):  # before m.T @ m, which would warn on inf
-            raise ValueError("matrix has non-finite entries")
+        # Before m.T @ m, which warns on inf and overflows from about 1e154:
+        # no entry of an orthogonal matrix lies outside [-1, 1].
+        if not np.all(np.abs(m) <= 2.0):
+            raise ValueError("matrix has an entry that is not finite or whose magnitude is above 2")
         err = np.linalg.norm(m.T @ m - np.eye(3))
         if err > 1e-7:
             raise ValueError(f"matrix is not orthogonal (|R^T R - I|_F = {err:.3e})")

@@ -1,9 +1,15 @@
 """Exemplar shape database: k-means++ clustering over flattened SDF grids,
 nearest-exemplar assignment, and hard/soft selection labels.
 
-Soft labels use RMS-scaled SDF vectors (division by sqrt(voxel count)) so
-the clamped similarity 1 - ||phi_i - phi_k|| is non-trivial; the constant is
-recorded in the on-disk manifest so labels are reproducible.
+One distance decides all of them: `_squared_distances`, a NumPy row sum of
+squared differences. k-means compares its values; exemplar choice, nearest-
+exemplar assignment and soft labels compare their roots. It runs no BLAS
+call, so its bits do not depend on the BLAS thread count.
+
+Soft labels divide that distance by the database's normalization (by default
+sqrt(voxel count), which makes it an RMS one) so the clamped similarity
+1 - ||phi_i - phi_k|| / normalization is non-trivial; the constant is recorded
+in the on-disk manifest so labels are reproducible.
 """
 from __future__ import annotations
 
@@ -95,12 +101,9 @@ def kmeans_pp(
     """
     n = len(data)
     centroids, dists = np.empty((k, data.shape[1])), np.empty((n, k))
-
-    def fill(c):
-        # One centroid at a time keeps memory at n*d; the per-row sums are
-        # the same as over an (n, k, d) broadcast, so ties break the same way.
-        dists[:, c] = np.sum((data - centroids[c]) ** 2, axis=1)
-
+    # Columns are filled one centroid at a time, which keeps memory at n*d; the
+    # per-row sums are the same as over an (n, k, d) broadcast, so ties break
+    # the same way.
     for c in range(k):  # D^2 seeding; the first centroid, with all weights 0, is uniform
         d2 = dists[:, :c].min(axis=1) if c else np.zeros(n)
         total = d2.sum()
@@ -109,7 +112,7 @@ def kmeans_pp(
         else:
             idx = min(int(np.searchsorted(np.cumsum(d2 / total), rng.random())), n - 1)
         centroids[c] = data[idx]
-        fill(c)
+        dists[:, c] = _squared_distances(data, centroids[c])
 
     assign = np.full(n, -1)
     for _ in range(KMEANS_MAX_ITER):
@@ -126,7 +129,7 @@ def kmeans_pp(
             else:
                 centroids[c] = members.mean(axis=0)
         for c in range(k):
-            fill(c)
+            dists[:, c] = _squared_distances(data, centroids[c])
     return centroids, assign, dists
 
 
@@ -237,10 +240,19 @@ def _float32_sdf(mesh: TriMesh, resolution: int) -> SdfGrid | NonWatertight:
     return SdfGrid(sdf.values.astype(np.float32), sdf.origin, sdf.spacing)
 
 
+def _squared_distances(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Squared L2 distance from x to each row of `rows` (to `rows` itself if
+    it is one vector): the package's one SDF distance. A row's sum has the
+    same bits whether it is summed alone or in a matrix."""
+    return np.sum((rows - x) ** 2, axis=-1)
+
+
 def _sdf_distances(phi: SdfGrid, entries: list[ShapeEntry]) -> np.ndarray:
-    """L2 distance from phi to each entry's SDF over the flattened grids."""
+    """L2 distance from phi to each entry's SDF over the flattened grids: the
+    root of each entry's squared distance, as build_database compares them.
+    One entry at a time, so no (entries, voxels) matrix is formed."""
     flat = phi.values.reshape(-1)
-    return np.array([np.linalg.norm(flat - e.sdf.values.reshape(-1)) for e in entries])
+    return np.sqrt([_squared_distances(e.sdf.values.reshape(-1), flat) for e in entries])
 
 
 def assign_exemplar(db: ShapeDatabase, phi: SdfGrid, class_id: int) -> int:

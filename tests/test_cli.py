@@ -19,9 +19,9 @@ from shapescene.mesh import TriMesh, load_obj, save_obj
 from shapescene.metrics import miv_and_collisions, relative_iou
 from shapescene.optim import scene_to_objects
 from shapescene.scene import PlacedObject, Scene, load_scene, perturb_pose, save_scene, shape_entry
-from shapescene.sdf import read_sdfg
+from shapescene.sdf import SdfGrid, read_sdfg
 from shapescene.toys import make_box
-from shapescene.shapedb import _read_points, load_database
+from shapescene.shapedb import ShapeDatabase, ShapeEntry, _read_points, load_database, save_database
 
 
 @pytest.fixture(scope="module")
@@ -448,6 +448,21 @@ def test_malformed_input_exits_2(pipeline, tmp_path, capsys, make):
     assert err.startswith("shapescene: error:") and bad.name in err
     assert err.count("\n") == 1
     assert not (tmp_path / "out.json").exists()
+
+
+def test_labels_of_a_rotation_entry_of_1e308_exits_2(pipeline, tmp_path, capsys):
+    # The orthogonality check rejects the entry before R^T R can overflow.
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(_set_first("R", [1.0, 0, 0, 0, 1e308, 0, 0, 0, 1])(
+        json.loads((pipeline / "scenes" / "scene_0000.json").read_text()))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print more stderr lines
+        assert main(["labels", "--db", str(pipeline / "db"), "--scene", str(scene),
+                     "--out", str(tmp_path / "labels.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shapescene: error:") and "magnitude is above 2" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "labels.json").exists()
 
 
 def test_unallocatable_grid_exits_2(pipeline, tmp_path, capsys):
@@ -1256,6 +1271,12 @@ def test_placement_failure_keeps_the_earlier_scenes(pipeline, tmp_path, capsys, 
     assert sorted(p.name for p in out.iterdir()) == [f"scene_{i:04d}.json" for i in range(3)]
 
 
+def _package_env(**extra) -> dict:
+    """The environment of a subprocess that imports this package, plus `extra`."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(shapescene.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]), **extra)
+
+
 def test_outputs_do_not_depend_on_the_cpu_count(tmp_path):
     """make-toys, build-db and gen-scenes write the same bytes in a process
     bound to one CPU, where they run in-process, as in one that keeps every
@@ -1272,17 +1293,42 @@ def test_outputs_do_not_depend_on_the_cpu_count(tmp_path):
         "             ['gen-scenes', '--db', out + '/db', '--out', out + '/scenes',\n"
         "              '--count', '6', '--objects', '2:4']):\n"
         "    assert main(argv) == 0, argv\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(shapescene.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]))
     for side in ("one", "all"):
         subprocess.run([sys.executable, "-c", script, str(tmp_path / side), side],
-                       env=env, check=True, stdout=subprocess.DEVNULL, timeout=600)
+                       env=_package_env(), check=True, stdout=subprocess.DEVNULL, timeout=600)
     files = {side: sorted(p.relative_to(tmp_path / side) for p in (tmp_path / side).rglob("*")
                           if p.is_file()) for side in ("one", "all")}
     assert files["one"] == files["all"]
     assert len([f for f in files["one"] if f.parts[0] == "scenes"]) == 6
     for f in files["one"]:
         assert (tmp_path / "one" / f).read_bytes() == (tmp_path / "all" / f).read_bytes(), f
+
+
+def test_labels_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """labels writes the same bytes with one BLAS thread as with two, on a
+    32^3 database: OpenBLAS splits a dot product of that length across its
+    threads, and no label distance takes one. On a one-CPU machine both
+    runs have one thread."""
+    rng = np.random.default_rng(11)
+    base = rng.normal(size=(32, 32, 32))
+    entries = [ShapeEntry(c, k, SdfGrid((base + 0.1 * rng.normal(size=base.shape))
+                                        .astype(np.float32), np.zeros(3), 1 / 32),
+                          rng.normal(size=(8, 3)), make_box())
+               for c in range(2) for k in range(3)]
+    save_database(ShapeDatabase(entries, 3, ["a", "b"], float(np.sqrt(32**3))), tmp_path / "db")
+    save_scene(tmp_path / "scene.json",
+               Scene(0, tuple(PlacedObject(c, k, Pose9DoF()) for c, k in (("a", 0), ("b", 2)))))
+    script = "import sys\nfrom shapescene.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    for threads in ("1", "2"):
+        subprocess.run([sys.executable, "-c", script, "labels", "--db", str(tmp_path / "db"),
+                        "--scene", str(tmp_path / "scene.json"),
+                        "--out", str(tmp_path / f"labels_{threads}.json")],
+                       env=_package_env(OPENBLAS_NUM_THREADS=threads), check=True,
+                       stdout=subprocess.DEVNULL, timeout=600)
+    labels = (tmp_path / "labels_1.json").read_bytes()
+    assert labels == (tmp_path / "labels_2.json").read_bytes()
+    soft = [o["soft"] for o in json.loads(labels)["objects"]]
+    assert all(0.0 < x < 1.0 for row in soft for x in row if x != 1.0)  # not clamped to 0
 
 
 def test_reruns_byte_identical(pipeline, tmp_path):

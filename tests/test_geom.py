@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,20 @@ def test_rotation_validates():
         Rotation(np.eye(3) * 2.0)
     with pytest.raises(ValueError):
         Rotation(np.diag([1.0, 1.0, -1.0]))  # reflection
+
+
+@pytest.mark.parametrize("value", [1e308, -1e308, 1e154, 3.0, -2.0000000000000004,
+                                   np.inf, -np.inf, np.nan])
+def test_rotation_rejects_an_entry_past_two_before_its_product(value):
+    # No orthogonal matrix has such an entry; m.T @ m would overflow on 1e308.
+    rotation = random_rotation(np.random.default_rng(4)).m
+    for i in range(9):
+        m = rotation.copy()
+        m.flat[i] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite or whose magnitude is above 2"):
+                Rotation(m)
 
 
 def test_project_identity():

@@ -245,6 +245,24 @@ def test_soft_label_formula_oracle(toy_db):
     assert label[toy_db.global_index(0, 1)] == 1.0  # self-similarity
 
 
+def test_labels_use_the_row_sum_distance(toy_db):
+    # Every exemplar decision takes the root of k-means' row sum, bit for bit:
+    # the sums of one (entries, voxels) matrix, with no BLAS dot product.
+    flats = np.stack([_entry_flat(e) for e in toy_db.entries])
+    for e in toy_db.entries:
+        dists = np.sqrt(np.sum((flats - _entry_flat(e)) ** 2, axis=-1))
+        expected = np.maximum(1.0 - dists / toy_db.normalization, 0.0)
+        assert soft_label(toy_db, e.sdf).tobytes() == expected.tobytes()
+    base = toy_db.entry(1, 0).sdf
+    noise = np.random.default_rng(3).normal(size=base.values.shape) * 0.05
+    for phi in (toy_db.entry(0, 2).sdf, SdfGrid(base.values + noise, base.origin, base.spacing)):
+        for cid in range(toy_db.class_count):
+            lo = cid * toy_db.k_per_class
+            rows = flats[lo:lo + toy_db.k_per_class]
+            dists = np.sqrt(np.sum((rows - phi.values.reshape(-1)) ** 2, axis=-1))
+            assert assign_exemplar(toy_db, phi, cid) == int(np.argmin(dists))
+
+
 def test_soft_label_within_class_maximal(toy_db):
     for e in toy_db.entries:
         label = soft_label(toy_db, e.sdf)

@@ -96,6 +96,15 @@ def test_distance_formula_in_one_place():
     assert _callers(source, "_point_segment_distance") == ["_triangle_distance"] * 3
 
 
+def test_sdf_distance_in_one_place():
+    # k-means and every exemplar decision measure SDFs with one row sum; no
+    # BLAS norm, whose bits follow the thread count, measures them.
+    source = (Path(shapescene.__file__).parent / "shapedb.py").read_text()
+    assert _callers(source, "norm") == []
+    assert _callers(source, "_squared_distances") == ["kmeans_pp", "kmeans_pp", "_sdf_distances"]
+    assert _callers(source, "_sdf_distances") == ["assign_exemplar", "soft_label"]
+
+
 def _stencil_sites(source: str) -> list[str]:
     """The top-level definition around each gather from a flattened array
     (`x.ravel().take(...)`), and each definition that floors coordinates and

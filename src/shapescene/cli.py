@@ -180,7 +180,9 @@ def cmd_gen_scenes(args) -> int:
     counts = np.random.default_rng(seed).integers(lo, hi + 1, size=count)
     # Scene i depends only on seed + i and counts[i], so the workers' scenes
     # are the ones a loop makes; they are written in order as they arrive.
-    scenes = fork_map(lambda i: generate_scene(db, int(counts[i]), seed=seed + i), range(count))
+    # The object count is the cost, so the largest scenes start first.
+    scenes = fork_map(lambda i: generate_scene(db, int(counts[i]), seed=seed + i), range(count),
+                      counts)
     for i, scene in enumerate(scenes):
         save_scene(out / f"scene_{i:04d}.json", scene)
     print(f"wrote {count} scenes -> {out}")

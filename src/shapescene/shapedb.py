@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    DegenerateMesh,
     InsufficientShapes,
     MalformedFile,
     NonWatertight,
@@ -153,18 +154,23 @@ def build_database(
     keeps a copy of its row. The exemplar distances are the ones k-means
     returns for its final centroids, so no row is measured again.
 
-    Classes are built one at a time, so the caller holds one class's rows at
-    most. A class's SDFs come from `workers.fork_map`, one forked worker per
-    CPU: its meshes are submitted largest first, by triangle count (the LPT
-    rule; ties keep input order), and each row is written to its input
-    position as the results are consumed in that order. The bytes do not
-    depend on the number of workers.
+    Every class is canonicalized first, and one `workers.fork_map` call,
+    one forked worker per CPU, takes every SDF: the classes in order, each
+    class's meshes listed largest first, with the triangle count as the
+    cost, so the largest SDF of the look-ahead window starts first (the LPT
+    rule; ties keep input order), across class boundaries too. The rows are
+    consumed class by class, each written to its input position, so a
+    class's k-means and exemplar picks run while the workers go on with the
+    next class. The caller holds one class's rows at most, plus the rows of
+    fork_map's window. The bytes do not depend on the number of workers.
 
     Errors keep their order, class by class: InsufficientShapes, then
-    DegenerateMesh from canonicalizing, then NonWatertight. A NonWatertight
-    error is that of the first open shape in input order, raised once every
-    earlier shape is read. It names the shape by its entry in `sources`
-    (one per shape, such as its file path), else by its index in `shapes`.
+    DegenerateMesh from canonicalizing, then NonWatertight. The first two
+    are found up front and raised when their class comes up, after every
+    earlier class is built. A NonWatertight error is that of the first open
+    shape in input order, raised once every earlier shape of its class is
+    read. It names the shape by its entry in `sources` (one per shape, such
+    as its file path), else by its index in `shapes`.
     """
     class_ids = sorted({cid for cid, _ in shapes})
     if classes is None:
@@ -172,72 +178,88 @@ def build_database(
     if class_ids != list(range(len(classes))):
         raise UnknownClass(f"class ids must be 0..{len(classes) - 1}, got {class_ids}")
 
-    entries: list[ShapeEntry] = []
+    # Per class: its shapes' indices, then their canonical meshes or the error
+    # to raise when the class comes up, then the rows largest mesh first.
+    plan = []
     for cid in class_ids:
         members = [n for n, (c, _) in enumerate(shapes) if c == cid]
-        if len(members) < k_per_class:
-            raise InsufficientShapes(
-                f"class {classes[cid]} has {len(members)} shapes, needs {k_per_class}"
-            )
-        meshes = [canonicalize_mesh(shapes[n][1]) for n in members]
-        # Largest mesh first (the LPT rule), so the longest SDF does not start last.
-        order = sorted(range(len(meshes)), key=lambda row: -len(meshes[row].triangles))
-        data, read, opened = None, np.zeros(len(meshes), dtype=bool), {}
-        with closing(fork_map(lambda mesh: _float32_sdf(mesh, resolution),
-                              [meshes[row] for row in order])) as sdfs:
+        try:
+            if len(members) < k_per_class:
+                raise InsufficientShapes(
+                    f"class {classes[cid]} has {len(members)} shapes, needs {k_per_class}"
+                )
+            meshes = [canonicalize_mesh(shapes[n][1]) for n in members]
+        except (InsufficientShapes, DegenerateMesh) as e:
+            plan.append((members, e, []))
+            continue
+        plan.append((members, meshes,
+                     sorted(range(len(meshes)), key=lambda row: -len(meshes[row].triangles))))
+    jobs = [meshes[row] for _, meshes, order in plan for row in order]
+
+    entries: list[ShapeEntry] = []
+    with closing(fork_map(lambda mesh: _float32_sdf(mesh, resolution), jobs,
+                          [len(mesh.triangles) for mesh in jobs])) as sdfs:
+        for cid, (members, meshes, order) in zip(class_ids, plan):
+            if isinstance(meshes, Exception):
+                raise meshes
+            data, read, opened = None, np.zeros(len(meshes), dtype=bool), {}
             for row, sdf in zip(order, sdfs):
                 read[row] = True
                 if isinstance(sdf, NonWatertight):
                     opened[row] = sdf
                 else:
+                    values, origin, spacing = sdf
                     if data is None:  # after mesh_to_sdf has checked that a grid fits
-                        data = np.empty((len(meshes), sdf.values.size))
-                    data[row] = sdf.values.reshape(-1)
+                        data = np.empty((len(meshes), values.size))
+                    data[row] = values.reshape(-1)
                 if opened and read[:min(opened)].all():
                     break
-        if opened:  # every shape before the first open one is read
-            n = members[min(opened)]
-            where = sources[n] if sources else f"shape {n}"
-            raise NonWatertight(f"{opened[min(opened)]} in {where}")
+            if opened:  # every shape before the first open one is read
+                n = members[min(opened)]
+                where = sources[n] if sources else f"shape {n}"
+                raise NonWatertight(f"{opened[min(opened)]} in {where}")
 
-        _, assign, sq_dists = kmeans_pp(data, k_per_class, np.random.default_rng(seed + cid))
-        for k in range(k_per_class):
-            members = np.flatnonzero(assign == k)
-            if len(members) == 0:
-                # Exact-duplicate inputs can leave a cluster empty; fall back
-                # to the nearest row of the whole class, in the same column.
-                members = np.arange(len(data))
-            # Compare the roots, the L2 distances: distinct squares can round
-            # to one root, and argmin then takes the lower index.
-            best = int(members[np.argmin(np.sqrt(sq_dists[members, k]))])
-            points = sample_surface_points(meshes[best], points_per_entry, seed + 1000 * cid + k)
-            entries.append(
-                ShapeEntry(
-                    class_id=cid,
-                    exemplar_index=k,
-                    # A copy, so the exemplar does not keep the class matrix alive.
-                    # Every grid of a resolution has the last one's layout.
-                    sdf=SdfGrid(data[best].reshape(sdf.values.shape).copy(),
-                                sdf.origin, sdf.spacing),
-                    points=points.astype(np.float32).astype(np.float64),
-                    mesh=meshes[best],
+            _, assign, sq_dists = kmeans_pp(data, k_per_class,
+                                            np.random.default_rng(seed + cid))
+            for k in range(k_per_class):
+                members = np.flatnonzero(assign == k)
+                if len(members) == 0:
+                    # Exact-duplicate inputs can leave a cluster empty; fall back
+                    # to the nearest row of the whole class, in the same column.
+                    members = np.arange(len(data))
+                # Compare the roots, the L2 distances: distinct squares can round
+                # to one root, and argmin then takes the lower index.
+                best = int(members[np.argmin(np.sqrt(sq_dists[members, k]))])
+                points = sample_surface_points(meshes[best], points_per_entry,
+                                               seed + 1000 * cid + k)
+                entries.append(
+                    ShapeEntry(
+                        class_id=cid,
+                        exemplar_index=k,
+                        # A copy, so the exemplar does not keep the class matrix
+                        # alive. Every grid of a resolution has the last one's layout.
+                        sdf=SdfGrid(data[best].reshape(values.shape).copy(), origin, spacing),
+                        points=points.astype(np.float32).astype(np.float64),
+                        mesh=meshes[best],
+                    )
                 )
-            )
     # Every grid has resolution^3 voxels; this scale makes the distance an RMS one.
     normalization = float(np.sqrt(resolution**3))
     return ShapeDatabase(entries, k_per_class, list(classes), normalization)
 
 
-def _float32_sdf(mesh: TriMesh, resolution: int) -> SdfGrid | NonWatertight:
-    """mesh_to_sdf with float32 values, the precision build_database keeps,
-    or the NonWatertight it raised. The error is returned, not raised, so
-    build_database can report the first open shape in input order whichever
-    result arrives first."""
+def _float32_sdf(mesh: TriMesh, resolution: int):
+    """mesh_to_sdf's values as float32, the precision build_database keeps,
+    with the grid's origin and spacing; or the NonWatertight it raised. The
+    values are not an SdfGrid, which would hold them as float64: a worker
+    sends 4 bytes per voxel, and fork_map's window holds as many. The error is
+    returned, not raised, so build_database can report the first open shape
+    in input order whichever result arrives first."""
     try:
         sdf = mesh_to_sdf(mesh, resolution)
     except NonWatertight as e:
         return e
-    return SdfGrid(sdf.values.astype(np.float32), sdf.origin, sdf.spacing)
+    return sdf.values.astype(np.float32), sdf.origin, sdf.spacing
 
 
 def _squared_distances(rows: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import tracemalloc
 import warnings
 
@@ -25,6 +26,7 @@ from shapescene.shapedb import (
     soft_label,
 )
 from shapescene.toys import make_box
+from shapescene.workers import _AHEAD
 
 
 def _entry_flat(e):
@@ -306,6 +308,20 @@ def test_save_load_round_trip(tmp_path, toy_db):
         assert np.array_equal(b.mesh.triangles, a.mesh.triangles)
 
 
+def _traced_peak(fn):
+    """fn()'s result and the peak of the memory it traced above the start."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def test_build_database_memory_holds_one_sdf_matrix():
     # One class of 24 boxes at 32^3, k = 4. The class's SDFs are one (n, d)
     # float64 matrix; k-means adds one (n, d) difference at a time. Traced
@@ -313,18 +329,28 @@ def test_build_database_memory_holds_one_sdf_matrix():
     # was 3.34.
     shapes = [(0, make_box(1.0, 1.0, 1.0, taper=0.3 + 0.025 * i)) for i in range(24)]
     matrix_bytes = 24 * 32**3 * 8
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        db = build_database(shapes, k_per_class=4, seed=0, resolution=32, points_per_entry=64)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    db, peak = _traced_peak(lambda: build_database(shapes, k_per_class=4, seed=0,
+                                                   resolution=32, points_per_entry=64))
     assert db.total == 4
     assert peak < 3.0 * matrix_bytes
+
+
+def test_build_database_memory_holds_one_class_and_the_window():
+    # Two classes of 24 boxes at 32^3, k = 4, from one fork_map call. While
+    # the parent clusters class 0, the workers go on with class 1, and the
+    # parent receives their rows. Class 0's matrix is dropped before class
+    # 1's is allocated, so the bound is the one-class bound (3.0 matrices)
+    # plus the results fork_map may hold unconsumed: _AHEAD per worker, each
+    # one float32 row of 32^3 values. In process (one CPU) there is no window.
+    boxes = [make_box(1.0, 1.0, 1.0, taper=0.3 + 0.025 * i) for i in range(24)]
+    shapes = [(cid, box) for cid in (0, 1) for box in boxes]
+    matrix_bytes = 24 * 32**3 * 8
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    window_bytes = _AHEAD * cpus * 32**3 * 4 if cpus > 1 else 0
+    db, peak = _traced_peak(lambda: build_database(shapes, k_per_class=4, seed=0,
+                                                   resolution=32, points_per_entry=64))
+    assert db.total == 8
+    assert peak < 3.0 * matrix_bytes + window_bytes
 
 
 def test_save_deterministic(tmp_path, toy_db):

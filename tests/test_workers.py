@@ -5,12 +5,12 @@ import time
 
 import pytest
 
-from shapescene.errors import NonWatertight
-from shapescene.mesh import canonicalize_mesh
+from shapescene.errors import DegenerateMesh, InsufficientShapes, NonWatertight
+from shapescene.mesh import TriMesh, canonicalize_mesh
 from shapescene.sdf import mesh_to_sdf
 from shapescene.shapedb import build_database
 from shapescene.toys import make_box, make_cylinder
-from shapescene.workers import _AHEAD, fork_map
+from shapescene.workers import _AHEAD, _claim, fork_map
 
 
 def test_fork_map_yields_in_item_order(affinity):
@@ -24,14 +24,77 @@ def test_fork_map_yields_in_item_order(affinity):
         time.sleep(0.005 * (i % 8 == 0))
         return i * i + offset
 
-    assert list(fork_map(task, items)) == [i * i + offset for i in items]
+    assert list(fork_map(task, items, [0] * len(items))) == [i * i + offset for i in items]
     assert multiprocessing.active_children() == []
+
+
+def test_fork_map_starts_the_costliest_admitted_task_first(affinity):
+    # Every item is admitted at once (fewer items than the window), so a free
+    # worker claims item 5, the costliest, before any other. Each task counts
+    # its start in a shared counter and sleeps, so no worker starts a second
+    # task before the others have counted their first.
+    started = multiprocessing.get_context("fork").Value("i", 0)
+    costs = [1, 2, 1, 3, 1, 9, 2, 1]
+
+    def task(i):
+        with started.get_lock():
+            started.value += 1
+            rank = started.value
+        time.sleep(0.02)
+        return i, rank
+
+    runs = list(fork_map(task, range(len(costs)), costs))
+    assert [i for i, _ in runs] == list(range(len(costs)))  # item order
+    ranks = [rank for _, rank in runs]
+    workers = min(len(os.sched_getaffinity(0)), len(costs))
+    if workers == 1:  # in-process, one call per item as it is consumed
+        assert ranks == list(range(1, len(costs) + 1))
+    else:
+        assert ranks[5] <= workers
+        assert sorted(ranks) == list(range(1, len(costs) + 1))
+    assert multiprocessing.active_children() == []
+
+
+def test_each_item_is_claimed_once_under_contention():
+    # More claiming processes than CPUs race on one window of 8 flags, so the
+    # ring wraps many times. As fork_map's parent does, each process admits
+    # one item before each claim, and never more than 8 past the lowest
+    # unstarted one. A lost update would start an item twice and leave
+    # another unstarted.
+    fork = multiprocessing.get_context("fork")
+    n, ring, procs = 1200, 8, 2 * len(os.sched_getaffinity(0)) + 2
+    costs = [(7 * i) % 5 for i in range(n)]
+    window = fork.Array("q", 2 + ring)
+    starts = fork.Array("q", n)
+
+    def claimer(k):
+        deadline = time.monotonic() + 20  # a lost item would stall every process
+        for slot in range(k, n, procs):
+            while True:
+                with window.get_lock():
+                    if window[1] - window[0] < ring:
+                        window[1] += 1
+                        break
+                if time.monotonic() > deadline:
+                    raise TimeoutError(f"no room to admit after {slot} claims")
+                time.sleep(0)
+            starts[slot] = _claim(costs, window)
+
+    workers = [fork.Process(target=claimer, args=(k,)) for k in range(procs)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=60)
+    assert [w.exitcode for w in workers] == [0] * procs
+    assert sorted(starts) == list(range(n))
+    assert (window[0], window[1]) == (n, n)
+    assert list(window[2:]) == [0] * ring
 
 
 def test_fork_map_binds_each_worker_to_its_own_cpu(affinity):
     cpus = os.sched_getaffinity(0)
     runs = list(fork_map(lambda _: (os.getpid(), os.sched_getaffinity(0)),
-                         range(4 * len(cpus))))
+                         range(4 * len(cpus)), [0] * 4 * len(cpus)))
     if len(cpus) == 1:  # in-process, unbound
         assert runs == [(os.getpid(), cpus)] * len(runs)
         return
@@ -54,19 +117,19 @@ def test_fork_map_raises_at_its_item(affinity):
 
     seen = []
     with pytest.raises(ValueError, match="item 1"):
-        for result in fork_map(task, range(6)):
+        for result in fork_map(task, range(6), [0] * 6):
             seen.append(result)
     assert seen == [0]
     assert multiprocessing.active_children() == []
 
 
 def test_fork_map_runs_in_process_for_one_item():
-    assert list(fork_map(lambda _: os.getpid(), [None])) == [os.getpid()]
-    assert list(fork_map(lambda _: os.getpid(), [])) == []
+    assert list(fork_map(lambda _: os.getpid(), [None], [0])) == [os.getpid()]
+    assert list(fork_map(lambda _: os.getpid(), [], [])) == []
 
 
 def test_no_worker_outlives_a_call(affinity, open_cylinder):
-    results = fork_map(lambda i: i, range(1000))
+    results = fork_map(lambda i: i, range(1000), range(1000))
     assert next(results) == 0
     results.close()
     assert multiprocessing.active_children() == []
@@ -91,3 +154,31 @@ def test_first_open_shape_in_input_order_is_named(affinity, open_box, open_cylin
         mesh_to_sdf(canonicalize_mesh(open_box), 12)
     with pytest.raises(NonWatertight, match=re.escape(f"{alone.value} in shape 1") + "$"):
         build_database(shapes, k_per_class=1, seed=0, resolution=12, points_per_entry=16)
+
+
+def _flat(mesh):
+    """The mesh pressed flat along z: no z extent, so canonicalizing it fails."""
+    return TriMesh(mesh.vertices * [1.0, 1.0, 0.0], mesh.triangles)
+
+
+@pytest.mark.parametrize("second", ["degenerate", "too few"])
+def test_an_open_shape_is_raised_before_a_later_class_error(affinity, open_cylinder, second):
+    # Class 1's error is found while canonicalizing, before any SDF, but it is
+    # raised only when class 1 comes up; class 0's open shape comes first.
+    boxes = [make_box(1.0, 1.0, 1.0, taper=0.3 + 0.1 * i) for i in range(3)]
+    later = {"degenerate": [boxes[0], _flat(boxes[1])], "too few": [boxes[0]]}[second]
+    shapes = [(0, m) for m in boxes[:2] + [open_cylinder]] + [(1, m) for m in later]
+    with pytest.raises(NonWatertight, match="in shape 2$"):
+        build_database(shapes, k_per_class=2, seed=0, resolution=12, points_per_entry=16)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("second", ["degenerate", "too few"])
+def test_a_later_class_error_is_raised_after_the_earlier_classes(affinity, second):
+    boxes = [make_box(1.0, 1.0, 1.0, taper=0.3 + 0.1 * i) for i in range(3)]
+    later = {"degenerate": [boxes[0], _flat(boxes[1])], "too few": [boxes[0]]}[second]
+    shapes = [(0, m) for m in boxes] + [(1, m) for m in later]
+    error = {"degenerate": DegenerateMesh, "too few": InsufficientShapes}[second]
+    with pytest.raises(error):
+        build_database(shapes, k_per_class=2, seed=0, resolution=12, points_per_entry=16)
+    assert multiprocessing.active_children() == []

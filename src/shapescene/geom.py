@@ -206,8 +206,3 @@ def rotation_about_axis(axis: np.ndarray, angle: float) -> Rotation:
     ])
     r = np.eye(3) + np.sin(angle) * kx + (1.0 - np.cos(angle)) * (kx @ kx)
     return project_to_so3(r)
-
-
-def random_rotation(rng: np.random.Generator) -> Rotation:
-    """Uniform-ish random rotation from a projected Gaussian matrix."""
-    return project_to_so3(rng.normal(size=(3, 3)))

@@ -11,9 +11,12 @@ shows cannot hold the minimum, by the distance from the brick's centre,
 coarse to fine: every triangle is tested against the coarse bricks, and only
 those that pass a coarse brick against its eight fine children. Each edge is
 measured by the one triangle that owns it (see `point_triangle_distance`).
+The bricks depend on the points alone, so one binning (`PointBricks`) serves
+every mesh measured on the same points.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,10 @@ _BRICKS_PER_AXIS = 16
 # 1 << 12 was slower and 1 << 14 no faster; 1 << 14 raised the traced peak
 # of a 1000-triangle mesh at 32^3 from 4.6 to 5.9 MB.
 _BOUND_ELEMENTS = 1 << 13
+
+# Float64 temporaries of its result's shape that `_triangle_distance` holds
+# in its scratch buffer (`_grown`).
+_SLOTS = 6
 
 # Elements of the (triangles x b lines x c lines) arrays `_parity_along_axis`
 # forms per block of triangles; a block holds at least one triangle.
@@ -296,19 +303,80 @@ def voxelize_occupancy(
     return occ
 
 
-def point_triangle_distance(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
+class PointBricks:
+    """Points binned into the bricks of `point_triangle_distance`'s cull.
+
+    The binning depends on the points alone, so one `PointBricks` serves
+    every mesh measured on the same points: `sdf.mesh_to_sdf` keeps the one
+    of its voxel-centre lattice. Its arrays are read-only.
+
+    The points are binned into a 16x16x16 grid of fine bricks over their
+    bounding box; the 2x2x2 fine bricks, the children, of each cell of the
+    8x8x8 grid make one coarse brick. A key is the coarse cell, then the
+    fine cell's octant in it, so the children of a coarse brick are one run
+    of keys. `rows` (3, n) holds the points in key order, and `order` maps
+    each back to its input position; fine brick j is the run of `sizes[j]`
+    rows from `starts[j]`. `kids` (8, coarse bricks) lists each coarse
+    brick's children, padded to eight with its last one, and `real` marks
+    the unpadded. A brick's centre is that of its points' bounding box and
+    its radius the box's half-diagonal. `scale` is the largest coordinate
+    magnitude of the points.
+    """
+
+    def __init__(self, points: np.ndarray):
+        points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        if not np.all(np.isfinite(points)):
+            raise ValueError("points contain non-finite values")
+        rows = np.ascontiguousarray(points.T)
+        self.rows = rows
+        if rows.shape[1] == 0:  # no points, no bricks
+            return
+        self.scale = np.abs(rows).max()
+        lo = rows.min(axis=1, keepdims=True)
+        extent = rows.max(axis=1, keepdims=True) - lo
+        cell = np.floor((rows - lo) / np.where(extent > 0, extent, 1.0) * _BRICKS_PER_AXIS)
+        cell = np.minimum(cell.astype(np.int64), _BRICKS_PER_AXIS - 1)
+        half = _BRICKS_PER_AXIS // 2
+        key = ((((cell[0] >> 1) * half + (cell[1] >> 1)) * half + (cell[2] >> 1)) * 8
+               + (cell[0] & 1) * 4 + (cell[1] & 1) * 2 + (cell[2] & 1))
+        del cell  # each table is freed once read, to keep the peak memory low
+        self.order = np.argsort(key, kind="stable")
+        key = key[self.order]
+        self.rows = rows.take(self.order, axis=1)  # C order, unlike rows[:, order]
+        self.starts = np.flatnonzero(np.diff(key, prepend=-1))
+        self.sizes = np.diff(np.append(self.starts, len(key)))
+        first = np.flatnonzero(np.diff(key[self.starts] >> 3, prepend=-1))
+        del key
+        fine_lo = np.minimum.reduceat(self.rows, self.starts, axis=1)
+        fine_hi = np.maximum.reduceat(self.rows, self.starts, axis=1)
+        coarse_lo = np.minimum.reduceat(fine_lo, first, axis=1)
+        coarse_hi = np.maximum.reduceat(fine_hi, first, axis=1)
+        children = np.diff(np.append(first, len(self.starts)))
+        self.kids = first + np.minimum(np.arange(8)[:, None], children - 1)
+        self.real = np.arange(8)[:, None] < children
+        self.coarse_centres = (coarse_lo + coarse_hi) / 2.0
+        self.coarse_radius = np.sqrt(_squared_norm(*(coarse_hi - coarse_lo))) / 2.0
+        self.fine_centres = (fine_lo + fine_hi) / 2.0
+        self.fine_radius = np.sqrt(_squared_norm(*(fine_hi - fine_lo))) / 2.0
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+
+def point_triangle_distance(points, mesh: TriMesh) -> np.ndarray:
     """Unsigned distance from each point to the nearest mesh triangle.
 
+    `points` is an (n, 3) array, or the `PointBricks` of one, which skips
+    the binning; the result is in the points' order either way, with the
+    same bits.
+
     Exact, and culled coarse to fine (Ericson, Real-Time Collision
-    Detection, ch. 4 and 6). The points are binned into a 16x16x16 grid of
-    fine bricks over their bounding box; the 2x2x2 fine bricks, the
-    children, of each cell of the 8x8x8 grid make one coarse brick. For a
-    brick, with c the centre of its points' bounding box, r the box's
-    half-diagonal and D_t the distance from c to triangle t, every point of
-    the brick is within B + r of its nearest triangle, where B = min_t D_t.
-    A triangle is evaluated on a brick only if D_t <= B + 2 (r + s): as
-    d(p, t) >= d(c, t) - |p - c|, a triangle that fails it is farther than
-    B + r from every point p of the brick.
+    Detection, ch. 4 and 6) over the bricks of `PointBricks`. For a brick,
+    with c its centre, r its radius and D_t the distance from c to triangle
+    t, every point of the brick is within B + r of its nearest triangle,
+    where B = min_t D_t. A triangle is evaluated on a brick only if
+    D_t <= B + 2 (r + s): as d(p, t) >= d(c, t) - |p - c|, a triangle that
+    fails it is farther than B + r from every point p of the brick.
 
     Every triangle is tested against every coarse brick, then each triangle
     that passes a coarse brick against the brick's children, with B for a
@@ -360,80 +428,55 @@ def point_triangle_distance(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
     The two tests broadcast blocks of stacked triangles against the centres,
     arrays of about `_BOUND_ELEMENTS` elements; the loop takes one triangle
     at a time, against its gathered points, and keeps squared distances,
-    with one square root of its minimum at the end.
+    with one square root of its minimum at the end. Each kernel call writes
+    its temporaries into one scratch buffer that the next call reuses.
     """
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if not np.all(np.isfinite(points)):
-        raise ValueError("points contain non-finite values")
-    rows = np.ascontiguousarray(points.T)
+    bricks = points if isinstance(points, PointBricks) else PointBricks(points)
+    rows = bricks.rows
     if rows.shape[1] == 0:
         return np.zeros(0)
     p0s, p1s, p2s = mesh.corners()
-    scale = max(np.abs(rows).max(), np.abs(mesh.vertices).max())
+    scale = max(bricks.scale, np.abs(mesh.vertices).max())
     rounding = 4.0 * _distance_rounding(p0s, p1s, p2s, scale)
-
-    # Bin the points into fine bricks. A key is the coarse cell, then the
-    # fine cell's octant in it, so the children of a coarse brick are one run
-    # of keys. `rows` and `best` are held in key order, `order` maps back.
-    lo = rows.min(axis=1, keepdims=True)
-    extent = rows.max(axis=1, keepdims=True) - lo
-    cell = np.floor((rows - lo) / np.where(extent > 0, extent, 1.0) * _BRICKS_PER_AXIS)
-    cell = np.minimum(cell.astype(np.int64), _BRICKS_PER_AXIS - 1)
-    half = _BRICKS_PER_AXIS // 2
-    key = ((((cell[0] >> 1) * half + (cell[1] >> 1)) * half + (cell[2] >> 1)) * 8
-           + (cell[0] & 1) * 4 + (cell[1] & 1) * 2 + (cell[2] & 1))
-    del cell  # each table is freed once read, to keep the peak memory low
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    rows = rows.take(order, axis=1)  # C order, unlike rows[:, order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    sizes = np.diff(np.append(starts, len(key)))
-    first = np.flatnonzero(np.diff(key[starts] >> 3, prepend=-1))
-    del key
-    fine_lo = np.minimum.reduceat(rows, starts, axis=1)
-    fine_hi = np.maximum.reduceat(rows, starts, axis=1)
-    coarse_lo = np.minimum.reduceat(fine_lo, first, axis=1)
-    coarse_hi = np.maximum.reduceat(fine_hi, first, axis=1)
-    # Each coarse brick's children, padded to eight with its last child.
-    children = np.diff(np.append(first, len(starts)))
-    kids = first + np.minimum(np.arange(8)[:, None], children - 1)
-    real = np.arange(8)[:, None] < children
+    starts, sizes, kids, real = bricks.starts, bricks.sizes, bricks.kids, bricks.real
 
     # Coarse test. `centre_low[t]` holds each coarse centre's distance to
     # triangle t rounded down to float32, half the memory of float64 and
     # never above the distance it stands for.
-    centres = (coarse_lo + coarse_hi) / 2.0
-    centre_low = np.empty((len(p0s), len(first)), dtype=np.float32)
-    nearest = np.full(len(first), np.inf)
-    step = max(1, _BOUND_ELEMENTS // len(first))
+    centres = bricks.coarse_centres[:, None]
+    coarse = centres.shape[2]
+    centre_low = np.empty((len(p0s), coarse), dtype=np.float32)
+    nearest = np.full(coarse, np.inf)
+    step = max(1, _BOUND_ELEMENTS // coarse)
+    scratch = np.empty(_SLOTS * step * coarse)
     for s in range(0, len(p0s), step):
         block = slice(s, s + step)
-        dist = _triangle_distance(centres[:, None], p0s[block, None], p1s[block, None],
-                                  p2s[block, None])
-        nearest = np.minimum(nearest, dist.min(axis=0))
+        dist = _triangle_distance(centres, p0s[block, None], p1s[block, None], p2s[block, None],
+                                  scratch=scratch)
+        np.minimum(nearest, dist.min(axis=0), out=nearest)
         centre_low[block] = _float32_below(dist)
-    near = centre_low <= _reach(np.sqrt(_squared_norm(*(coarse_hi - coarse_lo))) / 2.0, nearest,
-                                scale, rounding)
+    near = centre_low <= _reach(bricks.coarse_radius, nearest, scale, rounding)
     del centre_low
 
     # Fine test, over runs of coarse bricks with about `_BOUND_ELEMENTS`
     # (triangle, child) pairs each. Bit j of `passed[t, c]` is set if
     # triangle t passes child j of coarse brick c.
-    fine = (fine_lo + fine_hi) / 2.0
-    radius = np.sqrt(_squared_norm(*(fine_hi - fine_lo))) / 2.0
     nearest = np.full(len(starts), np.inf)
     passed = np.zeros(near.shape, dtype=np.uint8)
     pairs = np.cumsum(np.count_nonzero(near, axis=0)) * 8
     runs = np.flatnonzero(np.diff(pairs // _BOUND_ELEMENTS, prepend=-1))
-    for a, b in zip(runs, np.append(runs[1:], len(first))):
+    for a, b in zip(runs, np.append(runs[1:], coarse)):
         tri, brick = np.nonzero(near[:, a:b])
         brick += a
         kid = kids.take(brick, axis=1)
-        dist = _triangle_distance(fine.take(kid, axis=1), p0s[tri], p1s[tri], p2s[tri])
+        scratch = _grown(scratch, kid.size)
+        dist = _triangle_distance(bricks.fine_centres.take(kid, axis=1), p0s[tri], p1s[tri],
+                                  p2s[tri], scratch=scratch)
         # The run holds every passing triangle of its bricks: their children's
         # nearest is complete.
         np.minimum.at(nearest, kid.ravel(), dist.ravel())
-        keep = (dist <= _reach(radius[kid], nearest[kid], scale, rounding)) & real[:, brick]
+        reach = _reach(bricks.fine_radius[kid], nearest[kid], scale, rounding)
+        keep = (dist <= reach) & real[:, brick]
         passed[tri, brick] = np.packbits(keep, axis=0, bitorder="little")[0]
     del near
 
@@ -441,19 +484,20 @@ def point_triangle_distance(points: np.ndarray, mesh: TriMesh) -> np.ndarray:
     owned = _edge_owners(mesh).tolist()
     best = np.full(rows.shape[1], np.inf)
     for t in range(len(p0s)):
-        brick = np.flatnonzero(passed[t])
+        brick = passed[t].nonzero()[0]
         if len(brick) == 0:
             continue
         keep = np.unpackbits(passed[t, brick, None], axis=1, bitorder="little").view(bool)
-        bricks = kids.T[brick][keep]
+        bricks_t = kids.T[brick][keep]
         # The passing bricks' runs of points, gathered in one pass; `take`
         # copies the same values as fancy indexing, several times faster.
-        lens = sizes[bricks]
-        at = np.repeat(starts[bricks] - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+        lens = sizes[bricks_t]
+        at = np.repeat(starts[bricks_t] - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+        scratch = _grown(scratch, len(at))
         best[at] = np.minimum(best[at], _triangle_distance(
-            rows.take(at, axis=1), p0s[t], p1s[t], p2s[t], owned[t]))
+            rows.take(at, axis=1), p0s[t], p1s[t], p2s[t], owned[t], scratch))
     out = np.empty_like(best)
-    out[order] = np.sqrt(best, out=best)
+    out[bricks.order] = np.sqrt(best, out=best)
     return out
 
 
@@ -549,9 +593,8 @@ def _edge_owners(mesh: TriMesh) -> np.ndarray:
     return owned.reshape(-1, 3)
 
 
-def _triangle_distance(
-    rows: np.ndarray, p0: np.ndarray, p1: np.ndarray, p2: np.ndarray, owned=None
-) -> np.ndarray:
+def _triangle_distance(rows: np.ndarray, p0: np.ndarray, p1: np.ndarray, p2: np.ndarray,
+                       owned=None, scratch=None) -> np.ndarray:
     """Unsigned distance from the points `rows` (3, m) to the triangle
     (p0, p1, p2), whose corners are (3,) vectors.
 
@@ -572,6 +615,13 @@ def _triangle_distance(
     one square root at the end: a square root is monotone, so it has the
     bits of the minimum of the norms.
 
+    Every temporary of the result's shape, and the result, is a slot of
+    `scratch`, a float64 buffer the caller may pass to reuse across calls
+    (`_grown`); each operation writes into its slot with `out=`, on the
+    operands and in the order of the expressions above, so the bits do not
+    depend on the buffers. The result is a view of `scratch`, valid until
+    the next call with it.
+
     `owned`, three bools for one triangle's slots p0->p1, p1->p2 and
     p0->p2 (`_edge_owners`), is the loop's form: only the owned edges are
     measured, with the plane where the point projects inside (inf where
@@ -582,52 +632,104 @@ def _triangle_distance(
     e1 = p1 - p0
     e2 = p2 - p0
     a, b, c = np.vecdot(e1, e1), np.vecdot(e1, e2), np.vecdot(e2, e2)
-    (ox, oy, oz), (ux, uy, uz), (vx, vy, vz) = _xyz(p0), _xyz(e1), _xyz(e2)
-    x, y, z = rows
-    dx, dy, dz = x - ox, y - oy, z - oz
-    d1 = (dx * ux + dy * uy) + dz * uz
-    d2 = (dx * vx + dy * vy) + dz * vz
-    del dx, dy, dz  # freed before the edges' temporaries, to keep the peak memory low
-    near = _point_segment_distance(rows, p0, e1, d1, a) if owns01 else np.full(d1.shape, np.inf)
+    o, u, v = _xyz(p0), _xyz(e1), _xyz(e2)
+    shape = np.broadcast(rows[0], o[0]).shape
+    size = math.prod(shape)
+    scratch = _grown(np.empty(0) if scratch is None else scratch, size)
+    d1, d2, near, t, w, w2 = scratch[:_SLOTS * size].reshape(_SLOTS, *shape)
+    # d1 = (dx * ux + dy * uy) + dz * uz for d = x - p0, and d2 likewise.
+    np.subtract(rows[0], o[0], out=t)
+    np.multiply(t, u[0], out=d1)
+    np.multiply(t, v[0], out=d2)
+    for k in (1, 2):
+        np.subtract(rows[k], o[k], out=t)
+        d1 += np.multiply(t, u[k], out=w)
+        d2 += np.multiply(t, v[k], out=t)
+    if owns01:
+        _point_segment_distance(rows, p0, e1, near, t, w, d1, a)
+    else:
+        near.fill(np.inf)
     if owns12:
-        near = np.minimum(near, _point_segment_distance(rows, p1, p2 - p1))
+        np.minimum(near, _point_segment_distance(rows, p1, p2 - p1, w2, t, w), out=near)
     if owns02:
-        near = np.minimum(near, _point_segment_distance(rows, p0, e2, d2, c))
+        np.minimum(near, _point_segment_distance(rows, p0, e2, w2, t, w, d2, c), out=near)
     det = a * c - b * b
     plane = det > 1e-15
+    if p0.ndim == 1 and not plane:  # no point projects inside
+        return near if owned is not None else np.sqrt(near, out=near)
     det = np.where(plane, det, 1.0)
-    alpha = (c * d1 - b * d2) / det
-    beta = (a * d2 - b * d1) / det
-    inner = plane & (alpha >= 0) & (beta >= 0) & (alpha + beta <= 1)
+    # alpha = (c * d1 - b * d2) / det into t, beta = (a * d2 - b * d1) / det into d2.
+    np.multiply(d1, c, out=t)
+    np.multiply(d2, b, out=w)
+    t -= w
+    t /= det
+    np.multiply(d1, b, out=w)
+    d2 *= a
+    d2 -= w
+    d2 /= det
+    alpha, beta = t, d2
+    np.add(alpha, beta, out=w)
+    inner = (alpha >= 0) & (beta >= 0) & (w <= 1)
     if p0.ndim == 1:
-        inner = np.flatnonzero(inner)
-        alpha, beta = alpha[inner], beta[inner]
-        x, y, z = rows.take(inner, axis=1)
-    on = _squared_norm(x - (ox + alpha * ux + beta * vx), y - (oy + alpha * uy + beta * vy),
-                       z - (oz + alpha * uz + beta * vz))
-    if p0.ndim > 1:
-        return np.sqrt(np.where(inner, on, near))
-    near[inner] = on
-    return near if owned is not None else np.sqrt(near)
+        inner = inner.nonzero()[0]
+        n = len(inner)
+        _squared_gap(rows.take(inner, axis=1), o, u, alpha.take(inner), d1[:n], w[:n],
+                     v, beta.take(inner), w2[:n])
+        near[inner] = d1[:n]
+        return near if owned is not None else np.sqrt(near, out=near)
+    inner &= plane
+    _squared_gap(rows, o, u, alpha, d1, w, v, beta, w2)
+    np.copyto(near, d1, where=inner)
+    return np.sqrt(near, out=near)
 
 
-def _point_segment_distance(rows: np.ndarray, a: np.ndarray, ab: np.ndarray,
-                            along=None, length2=None) -> np.ndarray:
+def _point_segment_distance(rows: np.ndarray, a: np.ndarray, ab: np.ndarray, out: np.ndarray,
+                            t: np.ndarray, w: np.ndarray, along=None, length2=None) -> np.ndarray:
     """Squared distance from the points `rows` (3, m) to the segment from
-    `a` along `ab`; stacked segments broadcast as in `_triangle_distance`.
+    `a` along `ab`, written to and returned in `out`; stacked segments
+    broadcast as in `_triangle_distance`, whose slots `t` and `w` are
+    overwritten.
 
     `along` = (x - a).ab and `length2` = ab.ab, the clipped parameter's
     numerator and denominator, are formed here unless the caller holds
     them, with the same expressions and bits. A segment with
     |ab|^2 < 1e-30 is measured to `a`: its parameter is 0."""
-    x, y, z = rows
-    (ax, ay, az), (ux, uy, uz) = _xyz(a), _xyz(ab)
-    if along is None:
-        along = ((x - ax) * ux + (y - ay) * uy) + (z - az) * uz
+    o, u = _xyz(a), _xyz(ab)
+    if along is None:  # ((x - ax) * ux + (y - ay) * uy) + (z - az) * uz
+        along = np.multiply(np.subtract(rows[0], o[0], out=t), u[0], out=t)
+        for k in (1, 2):
+            along += np.multiply(np.subtract(rows[k], o[k], out=w), u[k], out=w)
     if length2 is None:
         length2 = np.vecdot(ab, ab)
-    t = np.clip(along / np.where(length2 < 1e-30, np.inf, length2), 0.0, 1.0)
-    return _squared_norm(x - (ax + t * ux), y - (ay + t * uy), z - (az + t * uz))
+    np.divide(along, np.where(length2 < 1e-30, np.inf, length2), out=t)
+    t.clip(0.0, 1.0, out=t)
+    return _squared_gap(rows, o, u, t, out, w)
+
+
+def _squared_gap(rows, o, u, s, out, w, v=None, r=None, w2=None) -> np.ndarray:
+    """(gx * gx + gy * gy) + gz * gz into and returned in `out`: the squared
+    norm of the gap g = x - (o + s * u) from the points `rows` to a point
+    along u, or to g = x - ((o + s * u) + r * v) on a plane. o, u and v are
+    coordinate triples (`_xyz`); `w` and `w2` are scratch of out's shape."""
+    for k, x in enumerate(rows):
+        np.multiply(s, u[k], out=w)
+        w += o[k]
+        if v is not None:
+            np.multiply(r, v[k], out=w2)
+            w += w2
+        np.subtract(x, w, out=w)
+        if k == 0:
+            np.multiply(w, w, out=out)
+        else:
+            w *= w
+            out += w
+    return out
+
+
+def _grown(scratch: np.ndarray, size: int) -> np.ndarray:
+    """`scratch` if it holds `_SLOTS` temporaries of `size` elements, else
+    a new buffer that does."""
+    return scratch if scratch.size >= _SLOTS * size else np.empty(_SLOTS * size)
 
 
 def _xyz(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

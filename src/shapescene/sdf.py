@@ -6,6 +6,7 @@ values are float32 in the SDFG container (see write_sdfg).
 """
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from dataclasses import dataclass
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedFile
-from .mesh import (TriMesh, grid_axes, grid_centers, point_triangle_distance, points_inside,
-                   require_watertight)
+from .mesh import (PointBricks, TriMesh, grid_axes, grid_centers, point_triangle_distance,
+                   points_inside, require_watertight)
 
 SDFG_MAGIC = b"SDFG"
 _SDFG_HEADER = struct.Struct("<4sI3I3dd")
@@ -71,20 +72,38 @@ def mesh_to_sdf(mesh: TriMesh, resolution: int = 32) -> SdfGrid:
     coarse bricks it passes, against their eight fine children. It gives
     the bits that testing every voxel against every triangle's owned
     features gives: the plane, or the edges the triangle owns.
+
+    The lattice depends on the resolution alone, so its axes and its
+    voxel centres' bricks (`PointBricks`) are built once per resolution and
+    process, and kept for the next mesh until another resolution is asked
+    for (`_lattice`).
     """
     if resolution < MIN_SDF_RESOLUTION:
         raise ValueError("resolution must leave room for 2 voxels of padding")
     if 24 * resolution**3 > np.iinfo(np.intp).max:  # numpy could not form the centres
         raise MemoryError(f"a {resolution}^3 SDF grid is too large to allocate")
+    origin, h, axes, bricks = _lattice(resolution)
+    inside, disagreement = points_inside(mesh, axes)
+    require_watertight(disagreement)
+    dist = point_triangle_distance(bricks, mesh)
+    values = np.where(inside, -dist, dist).reshape(resolution, resolution, resolution)
+    return SdfGrid(values, origin.copy(), h)
+
+
+@functools.lru_cache(maxsize=1)
+def _lattice(resolution: int):
+    """The origin, spacing, axes and voxel-centre `PointBricks` of
+    mesh_to_sdf's grid at `resolution`, read-only. One resolution's are
+    kept, by each process that asks: at 32^3 the bricks hold 1.3 MB, at
+    128^3 67 MB. A worker forked after a call starts with them."""
     h = 1.0 / (resolution - 4)
     origin = np.full(3, -0.5 - 1.5 * h)
+    origin.flags.writeable = False
     grid = (origin, h, (0, 0, 0), (resolution,) * 3)
-
-    inside, disagreement = points_inside(mesh, grid_axes(*grid))
-    require_watertight(disagreement)
-    dist = point_triangle_distance(grid_centers(*grid).reshape(-1, 3), mesh)
-    values = np.where(inside, -dist, dist).reshape(resolution, resolution, resolution)
-    return SdfGrid(values, origin, h)
+    axes = tuple(grid_axes(*grid))
+    for axis in axes:
+        axis.flags.writeable = False
+    return origin, h, axes, PointBricks(grid_centers(*grid).reshape(-1, 3))
 
 
 def clamp_interior(g: SdfGrid) -> SdfGrid:

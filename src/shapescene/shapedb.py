@@ -42,6 +42,9 @@ DEFAULT_K_PER_CLASS = 50
 DEFAULT_SDF_RESOLUTION = 32
 DEFAULT_POINTS_PER_ENTRY = 512
 KMEANS_MAX_ITER = 100  # Lloyd iterations before giving up on a fixpoint
+# Elements of the row blocks in which kmeans_pp fills its distance table, so
+# its temporaries stay small whatever the row count and length.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -99,12 +102,17 @@ def kmeans_pp(
     whole run: the D^2 seeding fills column c as it picks centroid c, and
     each Lloyd step refills it once for its updated centroids. Empty
     clusters are re-seeded from the point farthest from its assigned centroid.
+
+    The rows may be float32: every distance and mean is taken in float64,
+    and a float32 widens to float64 exactly, so the result has the bits of
+    the same rows as float64.
     """
     n = len(data)
     centroids, dists = np.empty((k, data.shape[1])), np.empty((n, k))
-    # Columns are filled one centroid at a time, which keeps memory at n*d; the
-    # per-row sums are the same as over an (n, k, d) broadcast, so ties break
-    # the same way.
+    # Columns are filled one centroid at a time, in blocks of rows, which keeps
+    # the temporaries at `_BLOCK_ELEMENTS`; a row's sum is the same as over an
+    # (n, k, d) broadcast, so ties break the same way.
+    block = max(1, _BLOCK_ELEMENTS // max(data.shape[1], 1))
     for c in range(k):  # D^2 seeding; the first centroid, with all weights 0, is uniform
         d2 = dists[:, :c].min(axis=1) if c else np.zeros(n)
         total = d2.sum()
@@ -113,7 +121,8 @@ def kmeans_pp(
         else:
             idx = min(int(np.searchsorted(np.cumsum(d2 / total), rng.random())), n - 1)
         centroids[c] = data[idx]
-        dists[:, c] = _squared_distances(data, centroids[c])
+        for s in range(0, n, block):
+            dists[s:s + block, c] = _squared_distances(data[s:s + block], centroids[c])
 
     assign = np.full(n, -1)
     for _ in range(KMEANS_MAX_ITER):
@@ -128,9 +137,10 @@ def kmeans_pp(
                 centroids[c] = data[far]
                 assign[far] = c
             else:
-                centroids[c] = members.mean(axis=0)
+                centroids[c] = members.mean(axis=0, dtype=np.float64)
         for c in range(k):
-            dists[:, c] = _squared_distances(data, centroids[c])
+            for s in range(0, n, block):
+                dists[s:s + block, c] = _squared_distances(data[s:s + block], centroids[c])
     return centroids, assign, dists
 
 
@@ -150,9 +160,10 @@ def build_database(
     SDF values and surface points are rounded to float32, the precision the
     `.sdfg` and `.pts` files store, so k-means clusters the values every later
     command reads and `load_database(save_database(db))` equals `db`. A class
-    holds its SDFs once, as the rows of one (n, voxels) matrix; each exemplar
-    keeps a copy of its row. The exemplar distances are the ones k-means
-    returns for its final centroids, so no row is measured again.
+    holds its SDFs once, as the rows of one (n, voxels) float32 matrix; each
+    exemplar keeps a float64 copy of its row. The exemplar distances are the
+    ones k-means returns for its final centroids, so no row is measured
+    again, and its centroids are dropped before the next class is read.
 
     Every class is canonicalized first, and one `workers.fork_map` call,
     one forked worker per CPU, takes every SDF: the classes in order, each
@@ -210,7 +221,7 @@ def build_database(
                 else:
                     values, origin, spacing = sdf
                     if data is None:  # after mesh_to_sdf has checked that a grid fits
-                        data = np.empty((len(meshes), values.size))
+                        data = np.empty((len(meshes), values.size), dtype=np.float32)
                     data[row] = values.reshape(-1)
                 if opened and read[:min(opened)].all():
                     break
@@ -219,8 +230,8 @@ def build_database(
                 where = sources[n] if sources else f"shape {n}"
                 raise NonWatertight(f"{opened[min(opened)]} in {where}")
 
-            _, assign, sq_dists = kmeans_pp(data, k_per_class,
-                                            np.random.default_rng(seed + cid))
+            # The centroids are dropped here, not held while the next class is read.
+            assign, sq_dists = kmeans_pp(data, k_per_class, np.random.default_rng(seed + cid))[1:]
             for k in range(k_per_class):
                 members = np.flatnonzero(assign == k)
                 if len(members) == 0:
@@ -236,9 +247,10 @@ def build_database(
                     ShapeEntry(
                         class_id=cid,
                         exemplar_index=k,
-                        # A copy, so the exemplar does not keep the class matrix
-                        # alive. Every grid of a resolution has the last one's layout.
-                        sdf=SdfGrid(data[best].reshape(values.shape).copy(), origin, spacing),
+                        # SdfGrid widens the row to a float64 copy, so the exemplar
+                        # does not keep the class matrix alive. Every grid of a
+                        # resolution has the last one's layout.
+                        sdf=SdfGrid(data[best].reshape(values.shape), origin, spacing),
                         points=points.astype(np.float32).astype(np.float64),
                         mesh=meshes[best],
                     )

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from shapescene import build_database
+from shapescene.geom import Rotation, project_to_so3
 from shapescene.mesh import TriMesh
 from shapescene.toys import make_box, make_cylinder, toy_shape_set
+
+
+def random_rotation(rng: np.random.Generator) -> Rotation:
+    """Uniform-ish random rotation from a projected Gaussian matrix: a test
+    input, drawn as `rng.normal(size=(3, 3))`."""
+    return project_to_so3(rng.normal(size=(3, 3)))
 
 
 def _toy_shapes():

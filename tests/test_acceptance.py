@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_rotation
+
 from shapescene.collision import SceneObject, collision_gradient, collision_loss_total
 from shapescene.detect import Detection, extract_peaks, focal_loss, focal_loss_grad
 from shapescene.geom import (
@@ -20,7 +22,6 @@ from shapescene.geom import (
     chain_rotation_grad,
     geodesic_distance,
     project_to_so3,
-    random_rotation,
 )
 from shapescene.losses import (
     hard_selection_grad,

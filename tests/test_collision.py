@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import random_rotation
+
 from shapescene import collision
 from shapescene.collision import (
     SceneObject,
@@ -16,7 +18,7 @@ from shapescene.collision import (
     translation_step,
 )
 from shapescene.errors import ZeroScale
-from shapescene.geom import Pose9DoF, Rotation, apply_pose, random_rotation
+from shapescene.geom import Pose9DoF, Rotation, apply_pose
 from shapescene.sdf import SdfGrid, clamp_interior, mesh_to_sdf
 from shapescene.toys import make_box
 

@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import random_rotation
+
 from shapescene.errors import DegenerateMatrix
 from shapescene.geom import (
     Pose9DoF,
@@ -11,7 +13,6 @@ from shapescene.geom import (
     chain_rotation_grad,
     geodesic_distance,
     project_to_so3,
-    random_rotation,
     rotation_about_axis,
     sum_points,
 )

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import random_rotation
+
 from shapescene.errors import MismatchedLengths
 from shapescene.geom import (Pose9DoF, apply_pose, chain_rotation_grad,
-                             project_to_so3, random_rotation, rotation_about_axis)
+                             project_to_so3, rotation_about_axis)
 from shapescene.losses import (
     hard_selection_grad,
     hard_selection_loss,

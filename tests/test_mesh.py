@@ -5,13 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import random_rotation
+
 from shapescene import mesh as mesh_module
 from shapescene.errors import DegenerateMesh, MalformedFile, NonWatertight
-from shapescene.geom import Pose9DoF, Rotation, apply_pose, random_rotation, rotation_about_axis
+from shapescene.geom import Pose9DoF, Rotation, apply_pose, rotation_about_axis
+from shapescene import sdf as sdf_module
 from shapescene.mesh import (
     _BLOCK_ELEMENTS,
     _RAY_JITTER,
     WATERTIGHT_DISAGREEMENT,
+    PointBricks,
     TriMesh,
     _distance_rounding,
     _edge_owners,
@@ -741,7 +745,8 @@ def test_point_triangle_distance_on_ragged_sdf_lattice_matches_all_pairs(resolut
 
 def test_distance_work_and_memory_on_the_sdf_lattice(monkeypatch):
     # The loop measures each triangle on the points of the fine bricks it
-    # passes: 2,171,456 (point, triangle) pairs on the 1000-triangle
+    # passes, one `_triangle_distance` call with its owned edges per
+    # triangle: 2,171,456 (point, triangle) pairs on the 1000-triangle
     # cylinder at 32^3, where the one-level 8^3 brick cull measured
     # 5,191,552. It measures only the edges a triangle owns: 3,243,192
     # (point, edge) pairs, where all three edges of every pair were
@@ -750,20 +755,21 @@ def test_distance_work_and_memory_on_the_sdf_lattice(monkeypatch):
     points = _sdf_lattice()
     pairs, edges = [], []
 
-    def counted(rows, p0, p1, p2, owned=None):
+    def counted(rows, p0, p1, p2, owned=None, scratch=None):
         if p0.ndim == 1:  # one triangle: the loop's call
             pairs.append(rows.shape[1])
             edges.append(rows.shape[1] * sum(owned))
-        return _triangle_distance(rows, p0, p1, p2, owned)
+        return _triangle_distance(rows, p0, p1, p2, owned, scratch)
 
     monkeypatch.setattr(mesh_module, "_triangle_distance", counted)
     point_triangle_distance(points, cylinder)
     assert sum(pairs) == 2_171_456
     assert sum(edges) == 3_243_192
     monkeypatch.undo()
-    # Traced peak of the call: 4,320,240 bytes (4,562,025 with three square
-    # roots per triangle); the one-level cull peaked at 5,659,842 measured
-    # the same way.
+    # Traced peak of a cold call, which bins the points itself: 4,467,802
+    # bytes, 3,167,008 on the lattice's `PointBricks` (4,320,240 before the
+    # kernel's scratch buffer, 4,562,025 with three square roots per
+    # triangle); the one-level cull peaked at 5,659,842 measured the same way.
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
@@ -890,3 +896,161 @@ def test_shared_terms_keep_their_bits(rng):
         want = _three_edge_distance(rows, *tri).tobytes()
         assert _triangle_distance(rows, *tri).tobytes() == want
         assert np.sqrt(_triangle_distance(rows, *tri, (True, True, True))).tobytes() == want
+
+
+def _allocating_triangle_distance(rows, p0, p1, p2, owned=None):
+    """`_triangle_distance` before it wrote into scratch buffers: every
+    temporary is a new array. The bits the buffered form keeps, in all
+    three of its forms: stacked, one triangle, and one triangle's owned
+    features as squares."""
+    def xyz(v):
+        return v[..., 0], v[..., 1], v[..., 2]
+
+    def squared_norm(x, y, z):
+        return (x * x + y * y) + z * z
+
+    def segment(a, ab, along=None, length2=None):
+        x, y, z = rows
+        (ax, ay, az), (ux, uy, uz) = xyz(a), xyz(ab)
+        if along is None:
+            along = ((x - ax) * ux + (y - ay) * uy) + (z - az) * uz
+        if length2 is None:
+            length2 = np.vecdot(ab, ab)
+        t = np.clip(along / np.where(length2 < 1e-30, np.inf, length2), 0.0, 1.0)
+        return squared_norm(x - (ax + t * ux), y - (ay + t * uy), z - (az + t * uz))
+
+    owns01, owns12, owns02 = (True, True, True) if owned is None else owned
+    e1 = p1 - p0
+    e2 = p2 - p0
+    a, b, c = np.vecdot(e1, e1), np.vecdot(e1, e2), np.vecdot(e2, e2)
+    (ox, oy, oz), (ux, uy, uz), (vx, vy, vz) = xyz(p0), xyz(e1), xyz(e2)
+    x, y, z = rows
+    dx, dy, dz = x - ox, y - oy, z - oz
+    d1 = (dx * ux + dy * uy) + dz * uz
+    d2 = (dx * vx + dy * vy) + dz * vz
+    near = segment(p0, e1, d1, a) if owns01 else np.full(d1.shape, np.inf)
+    if owns12:
+        near = np.minimum(near, segment(p1, p2 - p1))
+    if owns02:
+        near = np.minimum(near, segment(p0, e2, d2, c))
+    det = a * c - b * b
+    plane = det > 1e-15
+    det = np.where(plane, det, 1.0)
+    alpha = (c * d1 - b * d2) / det
+    beta = (a * d2 - b * d1) / det
+    inner = plane & (alpha >= 0) & (beta >= 0) & (alpha + beta <= 1)
+    if p0.ndim == 1:
+        inner = np.flatnonzero(inner)
+        alpha, beta = alpha[inner], beta[inner]
+        x, y, z = rows.take(inner, axis=1)
+    on = squared_norm(x - (ox + alpha * ux + beta * vx), y - (oy + alpha * uy + beta * vy),
+                      z - (oz + alpha * uz + beta * vz))
+    if p0.ndim > 1:
+        return np.sqrt(np.where(inner, on, near))
+    near[inner] = on
+    return near if owned is not None else np.sqrt(near)
+
+
+def _kernel_cases(rng):
+    """Seeded random triangles, with slivers (det <= 1e-15, collinear and
+    near-collinear) and zero-length edges in each slot, and points around
+    them: spread, on the edges and at the corners."""
+    base = rng.normal(size=(40, 3, 3))
+    p, q = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+    slivers = np.array([
+        [p[0], p[0] + 5e-5 * q[0], p[0] + 5e-5 * q[1]],        # legs 5e-5: det ~1e-16
+        [p[0], p[0] + q[0], p[0] + 2.0 * q[0]],                 # collinear
+        [p[0], p[0] + q[0], p[0] + q[0] * (1 + 1e-9) + 1e-9 * q[1]],  # nearly collinear
+        [p[1], p[1], p[1] + q[1]],                              # zero-length p0->p1
+        [p[1] + q[1], p[1], p[1]],                              # zero-length p1->p2
+        [p[1], p[1] + q[0], p[1]],                              # zero-length p0->p2
+        [p[1], p[1], p[1]],                                     # one point
+    ])
+    corners = np.concatenate([base, slivers])
+    dets = [np.dot(t[1] - t[0], t[1] - t[0]) * np.dot(t[2] - t[0], t[2] - t[0])
+            - np.dot(t[1] - t[0], t[2] - t[0]) ** 2 for t in slivers]
+    assert all(d <= 1e-15 for d in dets)
+    s = rng.random((4, 1))
+    on_edges = np.concatenate([tri[i] + s * (tri[j] - tri[i]) for tri in corners[::5]
+                               for i, j in ((0, 1), (1, 2), (0, 2))])
+    points = np.concatenate([rng.normal(scale=1.5, size=(600, 3)), on_edges,
+                             corners.reshape(-1, 3)])
+    return corners, points[:len(points) // 8 * 8]
+
+
+def test_buffered_kernel_keeps_the_bits_of_the_allocating_one(rng):
+    corners, points = _kernel_cases(rng)
+    rows = np.ascontiguousarray(points.T)
+    p0, p1, p2 = corners[:, 0], corners[:, 1], corners[:, 2]
+    # One scratch buffer, large enough for every call, through all of them,
+    # left dirty by the one before.
+    scratch = np.full(mesh_module._SLOTS * len(corners) * len(points), np.nan)
+    # The coarse test's shapes: (3, 1, n) centres against (k, 1, 3) corners.
+    coarse = (rows[:, None], p0[:, None], p1[:, None], p2[:, None])
+    want = _allocating_triangle_distance(*coarse).tobytes()
+    assert _triangle_distance(*coarse).tobytes() == want
+    assert _triangle_distance(*coarse, scratch=scratch).tobytes() == want
+    # The fine test's: (3, 8, k) children against (k, 3) corners.
+    k = len(points) // 8
+    fine = (rows.reshape(3, 8, k), *(np.resize(p, (k, 3)) for p in (p0, p1, p2)))
+    want = _allocating_triangle_distance(*fine).tobytes()
+    assert _triangle_distance(*fine).tobytes() == want
+    assert _triangle_distance(*fine, scratch=scratch).tobytes() == want
+    # The loop's: one triangle, each pattern of owned edges, and all three
+    # edges as distances; on gathered rows of several lengths.
+    owners = [tuple(bool(b >> i & 1) for i in range(3)) for b in range(8)]
+    for n, tri in enumerate(corners):
+        part = rows[:, :len(points) - 7 * n]
+        for owned in owners:
+            want = _allocating_triangle_distance(part, *tri, owned).tobytes()
+            assert _triangle_distance(part, *tri, owned, scratch).tobytes() == want
+        want = _allocating_triangle_distance(part, *tri).tobytes()
+        assert _triangle_distance(part, *tri).tobytes() == want
+        assert _triangle_distance(part, *tri, None, scratch).tobytes() == want
+
+
+def _cold_sdf(mesh, resolution):
+    """mesh_to_sdf's values from a lattice binned for this call alone, with
+    the distances of the all-pairs reference checked on the way."""
+    points = _sdf_lattice(resolution)
+    dist = point_triangle_distance(points, mesh)
+    assert np.array_equal(dist, _all_pairs_distance(points, mesh))
+    inside, _ = points_inside(mesh, _sdf_axes(resolution))
+    return np.where(inside, -dist, dist).reshape((resolution,) * 3)
+
+
+@pytest.mark.parametrize("resolution", [MIN_SDF_RESOLUTION, 8, 12, 24, 32, 48])
+def test_reused_sdf_lattice_keeps_the_bits(resolution):
+    # At 24^3 the fine bricks hold 1 or 2 voxels per axis, unevenly.
+    cylinder = make_cylinder(0.5, 1.0, segments=24, taper=0.6)
+    box = canonicalize_mesh(make_box(1.0, 1.0, 1.0, taper=0.5))
+    want = {id(mesh): _cold_sdf(mesh, resolution).tobytes() for mesh in (cylinder, box)}
+    for mesh in (cylinder, box, cylinder):  # the second and third reuse the lattice
+        assert mesh_to_sdf(mesh, resolution).values.tobytes() == want[id(mesh)]
+        assert sdf_module._lattice.cache_info().currsize == 1
+
+
+def test_sdf_lattice_switches_between_resolutions():
+    # One lattice is held at a time; switching back rebuilds it, with the
+    # same bits.
+    cylinder = make_cylinder(0.5, 1.0, segments=24, taper=0.6)
+    want = {r: _cold_sdf(cylinder, r).tobytes() for r in (12, 24)}
+    for resolution in (12, 24, 12, 24, 24):
+        assert mesh_to_sdf(cylinder, resolution).values.tobytes() == want[resolution]
+        assert sdf_module._lattice.cache_info().currsize == 1
+        origin, spacing, axes, bricks = sdf_module._lattice(resolution)
+        assert np.array_equal(bricks.rows[:, np.argsort(bricks.order)], _sdf_lattice(resolution).T)
+
+
+def test_point_bricks_are_shared_read_only():
+    points = _sdf_lattice(8)
+    bricks = PointBricks(points)
+    cylinder = make_cylinder(0.5, 1.0, segments=24, taper=0.6)
+    assert np.array_equal(point_triangle_distance(bricks, cylinder),
+                          point_triangle_distance(points, cylinder))
+    for value in vars(bricks).values():
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable
+    with pytest.raises(ValueError):
+        PointBricks(np.array([[0.0, np.inf, 0.0]]))
+    assert point_triangle_distance(PointBricks(np.zeros((0, 3))), cylinder).shape == (0,)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import random_rotation
+
 from shapescene.errors import EmptyScenes
-from shapescene.geom import Pose9DoF, Rotation, apply_pose, random_rotation, rotation_about_axis
+from shapescene.geom import Pose9DoF, Rotation, apply_pose, rotation_about_axis
 from dataclasses import replace
 
 import shapescene.metrics as metrics_module

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from conftest import random_rotation
+
 from shapescene.errors import UnknownClass
-from shapescene.geom import Pose9DoF, apply_pose, geodesic_distance, random_rotation
+from shapescene.geom import Pose9DoF, apply_pose, geodesic_distance
 from shapescene.metrics import miv_and_collisions
 from shapescene.scene import (
     PlacedObject,

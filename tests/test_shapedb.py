@@ -93,6 +93,23 @@ def test_kmeans_matches_broadcast_form(n, k, d):
     assert np.array_equal(centroids, ref_centroids)
 
 
+@pytest.mark.parametrize("n, k, d", [(9, 3, 32768), (50, 7, 1000), (40, 5, 70000)])
+@pytest.mark.parametrize("block", [1, 1 << 16, 1 << 40])
+def test_kmeans_float32_rows_in_blocks_keep_the_bits(n, k, d, block, monkeypatch):
+    # float32 rows widen exactly, and a row's sum does not depend on the rows
+    # summed beside it: float32 rows in blocks of any size give the bits of
+    # float64 rows in one block.
+    rng = np.random.default_rng(n + k)
+    data = rng.normal(size=(n, d)).astype(np.float32)
+    data[n // 2:n // 2 + 3] = data[0]  # duplicate rows tie in every distance
+    monkeypatch.setattr(shapedb, "_BLOCK_ELEMENTS", 1 << 40)
+    want = kmeans_pp(data.astype(np.float64), k, np.random.default_rng(11))
+    monkeypatch.setattr(shapedb, "_BLOCK_ELEMENTS", block)
+    got = kmeans_pp(data, k, np.random.default_rng(11))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
 def test_kmeans_k_equals_n():
     data = np.arange(10.0).reshape(5, 2) ** 2
     centroids, assign, _ = kmeans_pp(data, 5, np.random.default_rng(3))
@@ -323,10 +340,11 @@ def _traced_peak(fn):
 
 
 def test_build_database_memory_holds_one_sdf_matrix():
-    # One class of 24 boxes at 32^3, k = 4. The class's SDFs are one (n, d)
-    # float64 matrix; k-means adds one (n, d) difference at a time. Traced
-    # peak: 2.38 matrices; with a list of grids beside the stacked matrix it
-    # was 3.34.
+    # One class of 24 boxes at 32^3, k = 4; a matrix here is one (n, d)
+    # float64 matrix. The class's SDFs are one float32 (n, d) matrix, and
+    # k-means fills its table in row blocks. Traced peak: 1.10-1.39
+    # matrices, 2.36-2.77 with float64 rows and whole-matrix differences, and
+    # 3.34 with a list of grids beside the stacked matrix.
     shapes = [(0, make_box(1.0, 1.0, 1.0, taper=0.3 + 0.025 * i)) for i in range(24)]
     matrix_bytes = 24 * 32**3 * 8
     db, peak = _traced_peak(lambda: build_database(shapes, k_per_class=4, seed=0,
@@ -351,6 +369,25 @@ def test_build_database_memory_holds_one_class_and_the_window():
                                                    resolution=32, points_per_entry=64))
     assert db.total == 8
     assert peak < 3.0 * matrix_bytes + window_bytes
+
+
+def test_build_database_memory_holds_float32_rows(affinity):
+    # The two classes above, with the lattice's bricks built beforehand, as
+    # any later SDF at 32^3 finds them. Each class holds its SDFs as float32
+    # rows, k-means holds row blocks of `_BLOCK_ELEMENTS`, and a class's
+    # centroids are dropped before the next class is read. Traced peak:
+    # 1.14 matrices on one CPU and on two; 2.78 with float64 rows and kept
+    # centroids.
+    boxes = [make_box(1.0, 1.0, 1.0, taper=0.3 + 0.025 * i) for i in range(24)]
+    shapes = [(cid, box) for cid in (0, 1) for box in boxes]
+    matrix_bytes = 24 * 32**3 * 8
+    cpus = len(os.sched_getaffinity(0))
+    window_bytes = _AHEAD * cpus * 32**3 * 4 if cpus > 1 else 0
+    mesh_to_sdf(canonicalize_mesh(boxes[0]), 32)
+    db, peak = _traced_peak(lambda: build_database(shapes, k_per_class=4, seed=0,
+                                                   resolution=32, points_per_entry=64))
+    assert db.total == 8
+    assert peak < 1.5 * matrix_bytes + window_bytes
 
 
 def test_save_deterministic(tmp_path, toy_db):

@@ -8,14 +8,18 @@ import argparse
 import ast
 import dataclasses
 import io
+import sys
 import tokenize
 from pathlib import Path
 
 import pytest
 
-import shapescene
-from shapescene.cli import CONFIG_KEYS, build_parser
-from shapescene.optim import OptimConfig
+if __name__ == "__main__":  # run as a script: import the package from this checkout
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import shapescene  # noqa: E402
+from shapescene.cli import CONFIG_KEYS, build_parser  # noqa: E402
+from shapescene.optim import OptimConfig  # noqa: E402
 
 MODULES = sorted(p for p in Path(shapescene.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")  # __init__ imports names to re-export them

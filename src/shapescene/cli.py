@@ -36,6 +36,7 @@ from .shapedb import (
     DEFAULT_SDF_RESOLUTION,
     ShapeDatabase,
     build_database,
+    float32_bytes,
     hard_label,
     load_database,
     save_database,
@@ -371,9 +372,10 @@ def _write_ply(path, verts: np.ndarray) -> None:
         "property float x\nproperty float y\nproperty float z\n"
         "end_header\n"
     )
+    data = float32_bytes(path, verts)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.asarray(verts, dtype="<f4").tobytes())
+        fh.write(data)
 
 
 def cmd_export(args) -> int:
@@ -393,13 +395,18 @@ def cmd_export(args) -> int:
     for k, o in enumerate(scene.objects):
         entry = shape_entry(db, o)
         stem = out / f"object_{k:03d}"
+        # A pose past the float range makes inf or NaN values: one DataError,
+        # not a NumPy warning per operation.
+        with np.errstate(over="ignore", invalid="ignore"):
+            posed = apply_pose(o.pose, entry.points if args.format == "pts" else entry.mesh.vertices)
+        if not np.all(np.isfinite(posed)):
+            raise DataError(f"object {k}: a posed coordinate is past the float range")
         if args.format == "obj":
-            posed = TriMesh(apply_pose(o.pose, entry.mesh.vertices), entry.mesh.triangles)
-            save_obj(f"{stem}.obj", posed)
+            save_obj(f"{stem}.obj", TriMesh(posed, entry.mesh.triangles))
         elif args.format == "ply":
-            _write_ply(f"{stem}.ply", apply_pose(o.pose, entry.mesh.vertices))
+            _write_ply(f"{stem}.ply", posed)
         elif args.format == "pts":
-            write_points(f"{stem}.pts", apply_pose(o.pose, entry.points))
+            write_points(f"{stem}.pts", posed)
     print(f"exported {len(scene.objects)} objects as {args.format} -> {out}")
     return 0
 

@@ -40,22 +40,42 @@ _SCENE_PAD = 0.1
 MIV_EPSILON_VOXELS = 1
 
 
+# The largest E (E + spacing) of a posed mesh whose box is E wide at most on
+# every axis, on a grid of that spacing. voxelize_occupancy casts the lattice
+# lines within half a voxel of the box, and `mesh._parity_along_axis` adds a
+# ray jitter J, so a line's offset from a vertex is at most E + spacing / 2
+# + J, and an edge coordinate at most E. alpha's and beta's numerators are
+# differences of two such products; each is divided by a |denom| >= 1e-15,
+# and the two are summed: at most 4e15 E (E + spacing / 2 + J). That is at
+# most 8e15 E (E + spacing) wherever J <= E + 1.5 spacing; where it is not,
+# E and the spacing are below J = 2.5e-9, and every term is far from the
+# float range. The denominators, at most 2 E^2, stay below the bound too,
+# and the crossing heights lie between the vertices.
+_MAX_EXTENT_PRODUCT = np.finfo(np.float64).max / 8e15
+
+
 # A pose past the float range makes inf or NaN vertices: one DataError, not a
 # NumPy warning per operation.
 @np.errstate(over="ignore", invalid="ignore")
 def scene_voxel_grid(scenes: list[Scene], db: ShapeDatabase, resolution: int):
     """scene_grid over the bounds of the scenes' posed meshes, padded by
     _SCENE_PAD on every side; EmptyScenes if no scene holds an object, and
-    DataError if the bounds' extent is past the float range."""
-    verts = [apply_pose(o.pose, shape_entry(db, o).mesh.vertices)
+    DataError if the bounds' extent is past the float range, or if a posed
+    mesh is too large for containment to test on that grid in floats (see
+    _MAX_EXTENT_PRODUCT)."""
+    posed = [apply_pose(o.pose, shape_entry(db, o).mesh.vertices)
              for scene in scenes for o in scene.objects]
-    if not verts:
+    if not posed:
         raise EmptyScenes("no objects in any scene")
-    verts = np.concatenate(verts)
+    verts = np.concatenate(posed)
     lo, hi = verts.min(axis=0) - _SCENE_PAD, verts.max(axis=0) + _SCENE_PAD
     if not np.all(np.isfinite(hi - lo)):
         raise DataError("the posed meshes span more than the float range")
-    return scene_grid(list(zip(lo, hi)), resolution)
+    origin, dims, spacing = scene_grid(list(zip(lo, hi)), resolution)
+    extent = max(np.ptp(v, axis=0).max() for v in posed)
+    if extent * (extent + spacing) > _MAX_EXTENT_PRODUCT:
+        raise DataError("a posed mesh and its voxels are too large to rasterise in floats")
+    return origin, dims, spacing
 
 
 def _object_occupancy(scene: Scene, db: ShapeDatabase, origin, dims, spacing):

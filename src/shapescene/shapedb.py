@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    DataError,
     DegenerateMesh,
     InsufficientShapes,
     MalformedFile,
@@ -171,17 +172,18 @@ def build_database(
     cost, so the largest SDF of the look-ahead window starts first (the LPT
     rule; ties keep input order), across class boundaries too. The rows are
     consumed class by class, each written to its input position, so a
-    class's k-means and exemplar picks run while the workers go on with the
-    next class. The caller holds one class's rows at most, plus the rows of
-    fork_map's window. The bytes do not depend on the number of workers.
+    class's k-means and exemplar picks run while the workers go on with
+    their tasks in flight (one each plus one queued) of the next class. The
+    caller holds one class's rows at most, plus the rows of fork_map's
+    window. The bytes do not depend on the number of workers.
 
     Errors keep their order, class by class: InsufficientShapes, then
     DegenerateMesh from canonicalizing, then NonWatertight. The first two
     are found up front and raised when their class comes up, after every
     earlier class is built. A NonWatertight error is that of the first open
-    shape in input order, raised once every earlier shape of its class is
-    read. It names the shape by its entry in `sources` (one per shape, such
-    as its file path), else by its index in `shapes`.
+    shape in input order, raised once every shape of its class is read. It
+    names the shape by its entry in `sources` (one per shape, such as its
+    file path), else by its index in `shapes`.
     """
     class_ids = sorted({cid for cid, _ in shapes})
     if classes is None:
@@ -213,9 +215,8 @@ def build_database(
         for cid, (members, meshes, order) in zip(class_ids, plan):
             if isinstance(meshes, Exception):
                 raise meshes
-            data, read, opened = None, np.zeros(len(meshes), dtype=bool), {}
+            data, opened = None, {}
             for row, sdf in zip(order, sdfs):
-                read[row] = True
                 if isinstance(sdf, NonWatertight):
                     opened[row] = sdf
                 else:
@@ -223,9 +224,7 @@ def build_database(
                     if data is None:  # after mesh_to_sdf has checked that a grid fits
                         data = np.empty((len(meshes), values.size), dtype=np.float32)
                     data[row] = values.reshape(-1)
-                if opened and read[:min(opened)].all():
-                    break
-            if opened:  # every shape before the first open one is read
+            if opened:  # the first open shape in input order, once the class is read
                 n = members[min(opened)]
                 where = sources[n] if sources else f"shape {n}"
                 raise NonWatertight(f"{opened[min(opened)]} in {where}")
@@ -394,11 +393,23 @@ def _read_manifest(path) -> dict:
     return manifest
 
 
+def float32_bytes(path, values: np.ndarray) -> bytes:
+    """values as little-endian float32, the precision `.pts` and `.ply` files
+    store; DataError naming `path` if a value is past the float32 range,
+    before anything is written."""
+    with np.errstate(over="ignore"):  # past the range: inf, the error below
+        data = np.asarray(values, dtype="<f4")
+    if not np.all(np.isfinite(data)):
+        raise DataError(f"{path}: a coordinate is past the float32 range")
+    return data.tobytes()
+
+
 def write_points(path, points: np.ndarray) -> None:
     """Write a `.pts` file: a little-endian uint32 count, then float32 triples."""
+    data = float32_bytes(path, points)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<I", len(points)))
-        fh.write(np.asarray(points, dtype="<f4").tobytes())
+        fh.write(data)
 
 
 def _read_points(path) -> np.ndarray:

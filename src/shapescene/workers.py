@@ -1,9 +1,11 @@
 """Worker processes, in one place: `fork_map` runs independent tasks on one
 forked worker per CPU of the process's affinity mask.
 
-Every task of the package is deterministic, so the results, and every byte
-written from them, do not depend on the number of workers. `taskset -c 0`
-gives one worker, which is the calling process itself.
+The parent is the only scheduler: it decides which item each task runs and
+when it is submitted, so the workers share no state. Every task of the
+package is deterministic, so the results, and every byte written from them,
+do not depend on the number of workers. `taskset -c 0` gives one worker,
+which is the calling process itself.
 """
 from __future__ import annotations
 
@@ -14,11 +16,7 @@ import os
 # huge sequence of items never becomes as many pending results.
 _AHEAD = 16
 
-_task = None  # (fn, items, costs, window) of the pool this process works for
-
-
-class _Failed(Exception):
-    """fn's exception, sent back with the index of its item."""
+_task = None  # (fn, items) of the pool this process works for
 
 
 def _start(task, cpus, taken) -> None:
@@ -32,36 +30,9 @@ def _start(task, cpus, taken) -> None:
     os.sched_setaffinity(0, {cpu})
 
 
-def _claim(costs, window) -> int:
-    """Mark the costliest admitted item that no worker has started (ties to
-    the lowest index) as started, and return its index.
-
-    `window` is the shared array [lo, limit, flag...]: items below `limit`
-    are admitted, every item below `lo` has started, and the flag at
-    i % (number of flags) marks item i of [lo, limit) as started. The parent
-    admits items only up to one ring's length from the first item it has not
-    consumed, and every item before that one has started, so [lo, limit)
-    fits the ring.
-    """
-    with window.get_lock():
-        lo, limit, ring = window[0], window[1], len(window) - 2
-        index = max((i for i in range(lo, limit) if not window[2 + i % ring]),
-                    key=lambda i: (costs[i], -i))
-        window[2 + index % ring] = 1
-        while lo < limit and window[2 + lo % ring]:
-            window[2 + lo % ring] = 0  # the flag now stands for item lo + ring
-            lo += 1
-        window[0] = lo
-    return index
-
-
-def _run(_):
-    fn, items, costs, window = _task
-    index = _claim(costs, window)
-    try:
-        return index, fn(items[index])
-    except Exception as e:
-        raise _Failed(index, e) from e
+def _run(index):
+    fn, items = _task
+    return fn(items[index])
 
 
 def _cpus() -> list[int]:
@@ -78,20 +49,27 @@ def fork_map(fn, items, costs):
     The calls run on one forked worker per CPU of `os.sched_getaffinity(0)`
     (at most one per item), each bound to its own CPU of that set. The parent
     admits items in item order, at most `_AHEAD` per worker past the one
-    being consumed, and a free worker starts the admitted item of greatest
-    cost (`costs` holds one comparable cost per item) that no worker has
-    started, ties in item order. So the longest task in the window starts
-    first (the longest-processing-time-first rule, Graham 1969), even when
-    it is admitted after shorter ones: no large task starts last and leaves
-    the other workers idle. Results are consumed lazily and in item order;
-    an exception of fn is raised at its item, after every earlier result has
-    been yielded. The parent holds at most `_AHEAD` results per worker that
-    it has not yet consumed, and the workers go on with the admitted items
-    while the caller works on a result.
+    being consumed, and keeps one task per worker in flight plus one queued,
+    so no worker waits for the parent between two tasks. Each time it sees a
+    task finish, it submits the admitted item of greatest cost (`costs` holds
+    one number per item) that it has not submitted, ties in item order. So
+    the longest task in the window starts first (the
+    longest-processing-time-first rule, Graham 1969): no large task starts
+    last and leaves the other workers idle. On a call of at most one window
+    of items, every item is admitted at once, and the tasks start in
+    descending cost. On a longer call, the item a worker runs next is chosen
+    when an earlier task finishes, one queued task ahead of that worker, so
+    an item admitted in between waits for the next choice.
 
-    fn, items and costs reach the workers through fork, never through
-    pickle, so fn may be a closure and `items` is never copied (a `range`
-    stays a range). Only the results are pickled. The package starts no
+    Results are consumed lazily and in item order; an exception of fn is
+    raised at its item, after every earlier result has been yielded, with
+    the worker's traceback as its `__cause__`. The parent holds at most
+    `_AHEAD` results per worker that it has not yet consumed, and the tasks
+    in flight run on while the caller works on a result.
+
+    fn and items reach the workers through fork, never through pickle, so fn
+    may be a closure and `items` is never copied (a `range` stays a range).
+    Only each task's index and its result are pickled. The package starts no
     thread of its own, and the pool forks its workers before it starts its
     manager thread.
 
@@ -106,33 +84,30 @@ def fork_map(fn, items, costs):
         yield from map(fn, items)
         return
     # Imported here, so a command that never forks does not load them.
+    import heapq
     import multiprocessing
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
     fork = multiprocessing.get_context("fork")
-    ahead = _AHEAD * workers
-    window = fork.Array("q", 2 + ahead + 1)  # [lo, limit] and one flag per admitted item
     pool = ProcessPoolExecutor(workers, mp_context=fork, initializer=_start,
-                               initargs=((fn, items, costs, window), cpus, fork.Value("i", 0)))
+                               initargs=((fn, items), cpus, fork.Value("i", 0)))
     try:
-        admitted, running, arrived = 0, set(), {}
+        # (-cost, index) of each admitted item not yet submitted, the index of
+        # each task in flight, the finished task of each index, and the
+        # number of items admitted.
+        waiting, running, finished, admitted = [], {}, {}, 0
         for index in range(len(items)):
-            # Admit before submitting, so the first task to start sees every
-            # admitted item. Each task started claims one item.
-            window[1] = min(len(items), index + ahead + 1)
-            running.update(pool.submit(_run, None) for _ in range(admitted, window[1]))
-            admitted = window[1]
-            while index not in arrived:
-                finished, running = wait(running, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    try:
-                        done, result = future.result()
-                    except _Failed as failed:
-                        done, result = failed.args[0], failed
-                    arrived[done] = result
-            result = arrived.pop(index)
-            if isinstance(result, _Failed):
-                raise result.args[1] from result.__cause__  # the worker's traceback
-            yield result
+            while admitted < min(len(items), index + _AHEAD * workers + 1):
+                heapq.heappush(waiting, (-costs[admitted], admitted))
+                admitted += 1
+            while True:
+                while waiting and len(running) <= workers:
+                    item = heapq.heappop(waiting)[1]
+                    running[pool.submit(_run, item)] = item
+                if index in finished:
+                    break
+                for future in wait(running, return_when=FIRST_COMPLETED).done:
+                    finished[running.pop(future)] = future
+            yield finished.pop(index).result()
     finally:
         pool.shutdown(cancel_futures=True)

@@ -658,20 +658,81 @@ def _posed_scene(pipeline, tmp_path, *edits):
     return scene
 
 
+@pytest.mark.parametrize("edit, message", [
+    # Translation plus half the scale overflows: the posed vertices are inf.
+    ({"t": [1.7e308, 0.0, 0.0], "s": [1e308, 1e308, 1.0]},
+     "the posed meshes span more than the float range"),
+    # Every posed vertex is finite, but the containment test's products of a
+    # line's offset and an edge, about 1e308 each, are not.
+    ({"s": [1e308, 1.0, 1.0]}, "a posed mesh and its voxels are too large to rasterise in floats"),
+], ids=["translation", "scale"])
 @pytest.mark.parametrize("argv", [["evaluate", "--metric", "iou"],
                                   ["evaluate", "--metric", "miv"],
                                   ["export", "--format", "sdfg"]])
-def test_posed_meshes_past_the_float_range_exit_2(pipeline, tmp_path, capsys, argv):
-    # Translation plus half the scale overflows: the posed vertices are inf.
-    scene = _posed_scene(pipeline, tmp_path, {"t": [1.7e308, 0.0, 0.0], "s": [1e308, 1e308, 1.0]})
+def test_posed_meshes_past_the_float_range_exit_2(pipeline, tmp_path, capsys, argv, edit,
+                                                  message):
+    scene = _posed_scene(pipeline, tmp_path, edit)
     cmd, *flags = argv
     files = (["--pred", str(scene), "--gt", str(scene)] if cmd == "evaluate"
              else ["--scene", str(scene), "--out", str(tmp_path / "out")])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning would print more stderr lines
         assert main([cmd, "--db", str(pipeline / "db"), *files, *flags]) == 2
-    assert capsys.readouterr().err \
-        == "shapescene: error: the posed meshes span more than the float range\n"
+    assert capsys.readouterr().err == f"shapescene: error: {message}\n"
+
+
+@pytest.mark.parametrize("factor, code", [(1e146, 0), (1e147, 2)])
+def test_iou_of_a_scene_scaled_up_to_the_float_range(pipeline, tmp_path, capsys, factor, code):
+    # Every translation and scale times `factor`. The largest object's E (E +
+    # spacing) at --res 32 is 1.12 factor^2, so the containment bound of
+    # 2.2e292 admits 1e146 (1.1e292) and rejects 1e147. Inside it, the scene
+    # scores 1 against itself with no overflow.
+    payload = json.loads((pipeline / "scenes" / "scene_0000.json").read_text())
+    for o in payload["objects"]:
+        o["t"], o["s"] = [factor * x for x in o["t"]], [factor * x for x in o["s"]]
+    scene = tmp_path / "scaled.json"
+    scene.write_text(json.dumps(payload))
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print more stderr lines
+        assert main(["evaluate", "--db", str(pipeline / "db"), "--pred", str(scene),
+                     "--gt", str(scene), "--metric", "iou", "--res", "32",
+                     "--out", str(report)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == ("shapescene: error: a posed mesh and its voxels are too large to "
+                       "rasterise in floats\n")
+    else:
+        assert err == ""
+        assert json.loads(report.read_text())["mean"] == 1.0
+
+
+@pytest.mark.parametrize("edit", [{"t": [1e308, 0.0, 0.0]}, {"t": [-1e308, 0.0, 0.0]},
+                                  {"t": [1.7e308, 0.0, 0.0], "s": [1e308, 1e308, 1.0]}],
+                         ids=["t+1e308", "t-1e308", "posed_inf"])
+@pytest.mark.parametrize("fmt", ["ply", "pts", "obj"])
+def test_export_past_the_float_range(pipeline, tmp_path, capsys, fmt, edit):
+    # A posed coordinate of 1e308 fits the float64 OBJ text, not the float32
+    # PLY and PTS payloads; a posed inf fits none. Neither writes a file.
+    scene = _posed_scene(pipeline, tmp_path, edit)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print more stderr lines
+        code = main(["export", "--db", str(pipeline / "db"), "--scene", str(scene),
+                     "--out", str(out), "--format", fmt])
+    err = capsys.readouterr().err
+    if "s" in edit:
+        assert (code, err) == (
+            2, "shapescene: error: object 0: a posed coordinate is past the float range\n")
+    elif fmt == "obj":
+        assert (code, err) == (0, "")
+        assert np.isfinite(load_obj(out / "object_000.obj").vertices).all()
+        return
+    else:
+        assert (code, err) == (
+            2, f"shapescene: error: {out / f'object_000.{fmt}'}: a coordinate is past the "
+               "float32 range\n")
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("edits", [

@@ -10,7 +10,7 @@ from shapescene.mesh import TriMesh, canonicalize_mesh
 from shapescene.sdf import mesh_to_sdf
 from shapescene.shapedb import build_database
 from shapescene.toys import make_box, make_cylinder
-from shapescene.workers import _AHEAD, _claim, fork_map
+from shapescene.workers import _AHEAD, fork_map
 
 
 def test_fork_map_yields_in_item_order(affinity):
@@ -29,8 +29,8 @@ def test_fork_map_yields_in_item_order(affinity):
 
 
 def test_fork_map_starts_the_costliest_admitted_task_first(affinity):
-    # Every item is admitted at once (fewer items than the window), so a free
-    # worker claims item 5, the costliest, before any other. Each task counts
+    # Every item is admitted at once (fewer items than the window), so item 5,
+    # the costliest, is submitted before any other. Each task counts
     # its start in a shared counter and sleeps, so no worker starts a second
     # task before the others have counted their first.
     started = multiprocessing.get_context("fork").Value("i", 0)
@@ -55,40 +55,40 @@ def test_fork_map_starts_the_costliest_admitted_task_first(affinity):
     assert multiprocessing.active_children() == []
 
 
-def test_each_item_is_claimed_once_under_contention():
-    # More claiming processes than CPUs race on one window of 8 flags, so the
-    # ring wraps many times. As fork_map's parent does, each process admits
-    # one item before each claim, and never more than 8 past the lowest
-    # unstarted one. A lost update would start an item twice and leave
-    # another unstarted.
-    fork = multiprocessing.get_context("fork")
-    n, ring, procs = 1200, 8, 2 * len(os.sched_getaffinity(0)) + 2
-    costs = [(7 * i) % 5 for i in range(n)]
-    window = fork.Array("q", 2 + ring)
-    starts = fork.Array("q", n)
+def test_fork_map_starts_at_most_one_window_ahead_of_the_consumer(affinity):
+    # Item 0 is slow, and every task counts its start. While item 0 runs, the
+    # others finish, but only the items admitted ahead of it may start: item
+    # 0 and `_AHEAD` per worker past it.
+    started = multiprocessing.get_context("fork").Value("i", 0)
+    workers = len(os.sched_getaffinity(0))
 
-    def claimer(k):
-        deadline = time.monotonic() + 20  # a lost item would stall every process
-        for slot in range(k, n, procs):
-            while True:
-                with window.get_lock():
-                    if window[1] - window[0] < ring:
-                        window[1] += 1
-                        break
-                if time.monotonic() > deadline:
-                    raise TimeoutError(f"no room to admit after {slot} claims")
-                time.sleep(0)
-            starts[slot] = _claim(costs, window)
+    def task(i):
+        with started.get_lock():
+            started.value += 1
+        time.sleep(0.5 * (i == 0))
+        return i
 
-    workers = [fork.Process(target=claimer, args=(k,)) for k in range(procs)]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join(timeout=60)
-    assert [w.exitcode for w in workers] == [0] * procs
-    assert sorted(starts) == list(range(n))
-    assert (window[0], window[1]) == (n, n)
-    assert list(window[2:]) == [0] * ring
+    n = 3 * _AHEAD * workers
+    results = fork_map(task, range(n), [0] * n)
+    assert next(results) == 0
+    assert started.value <= _AHEAD * workers + 1
+    results.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_fork_map_raises_with_the_tasks_traceback(affinity):
+    def failing_task(i):
+        if i == 2:
+            raise ValueError("item 2")
+        return i
+
+    with pytest.raises(ValueError, match="item 2") as raised:
+        list(fork_map(failing_task, range(4), [0] * 4))
+    if len(os.sched_getaffinity(0)) == 1:  # in-process: the traceback is the call's own
+        assert raised.traceback[-1].name == "failing_task"
+    else:  # the worker's traceback, as text
+        assert "in failing_task" in str(raised.value.__cause__)
+    assert multiprocessing.active_children() == []
 
 
 def test_fork_map_binds_each_worker_to_its_own_cpu(affinity):

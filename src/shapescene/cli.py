@@ -330,12 +330,13 @@ def cmd_evaluate(args) -> int:
             print(f"{cls:<16}{report['per_class'][cls]:>10.4f}{rel:>10.4f}")
         print(f"{'mean':<16}{report['mean']:>10.4f}{report['relative_mean']:>10.4f}")
     elif args.metric == "map":
+        # A prediction is matched only against its own scene's ground truths.
         pred_boxes, gt_boxes = [], []
-        for pp, gp in zip(preds, gts):
+        for k, (pp, gp) in enumerate(zip(preds, gts)):
             for o in load_scene(pp).objects:
-                pred_boxes.append(DetectionBox(o.class_name, o.pose))
+                pred_boxes.append(DetectionBox(o.class_name, o.pose, scene=k))
             for o in load_scene(gp).objects:
-                gt_boxes.append(DetectionBox(o.class_name, o.pose))
+                gt_boxes.append(DetectionBox(o.class_name, o.pose, scene=k))
         per_class, mean = map3d(pred_boxes, gt_boxes, thresh)
         report["per_class"] = {c: float(v) for c, v in sorted(per_class.items())}
         report["map"] = float(mean)

@@ -41,9 +41,10 @@ def relative_transform(i: SceneObject, j: SceneObject) -> tuple[np.ndarray, np.n
     sj = j.pose.s
     if np.any(sj < 1e-12):
         raise ZeroScale("target pose has a near-zero scale component")
-    a = (j.pose.r.m.T @ i.pose.r.m) * i.pose.s[None, :] / sj[:, None]
-    # An offset past the float range is inf or NaN (inf * 0): outside every field.
+    # A map or offset past the float range is inf or NaN (inf * 0): it takes
+    # the points outside every field.
     with np.errstate(over="ignore", invalid="ignore"):
+        a = (j.pose.r.m.T @ i.pose.r.m) * i.pose.s[None, :] / sj[:, None]
         b = (j.pose.r.m.T @ (i.pose.t - j.pose.t)) / sj
     return a, b
 

@@ -192,8 +192,13 @@ def apply_pose_backward(r: np.ndarray, sx: np.ndarray, x: np.ndarray, g: np.ndar
     return g.swapaxes(-1, -2) @ sx, sum_points(g), sum_points((g @ r) * x)
 
 
-def rotation_about_axis(axis: np.ndarray, angle: float) -> Rotation:
-    """Rodrigues rotation by `angle` radians about a (non-zero) axis."""
+def rotation_about_axis(axis: np.ndarray, angle) -> Rotation | np.ndarray:
+    """Rodrigues rotation by `angle` radians about a (non-zero) axis.
+
+    A scalar angle gives a Rotation; a 1-D array of n angles gives the
+    (n, 3, 3) array of their rotations, from one project_to_so3 call on the
+    stack. Each matrix has the bits of its angle's own call.
+    """
     axis = np.asarray(axis, dtype=np.float64)
     n = np.linalg.norm(axis)
     if n < 1e-15:
@@ -204,5 +209,6 @@ def rotation_about_axis(axis: np.ndarray, angle: float) -> Rotation:
         [k[2], 0.0, -k[0]],
         [-k[1], k[0], 0.0],
     ])
+    angle = np.asarray(angle, dtype=np.float64)[..., None, None]
     r = np.eye(3) + np.sin(angle) * kx + (1.0 - np.cos(angle)) * (kx @ kx)
     return project_to_so3(r)

@@ -5,7 +5,7 @@ Containment is decided on a lattice given by its coordinates along x, y and z
 (`grid_axes`), by parity ray casting along the three axes with a majority vote,
 which tolerates small cracks in near-watertight input; each line of the lattice
 the caller passes casts one ray per axis, and the triangles are tested against
-them in blocks, one array operation per block (see `_parity_along_axis`).
+them in blocks, one array operation per block (see `_axis_parities`).
 Distance is exact; it skips the point-triangle pairs that a per-brick bound
 shows cannot hold the minimum, by the distance from the brick's centre,
 coarse to fine: every triangle is tested against the coarse bricks, and only
@@ -44,7 +44,7 @@ _BOUND_ELEMENTS = 1 << 13
 # in its scratch buffer (`_grown`).
 _SLOTS = 6
 
-# Elements of the (triangles x b lines x c lines) arrays `_parity_along_axis`
+# Elements of the (triangles x b lines x c lines) arrays `_axis_parities`
 # forms per block of triangles; a block holds at least one triangle.
 _BLOCK_ELEMENTS = 1 << 16
 
@@ -168,10 +168,12 @@ def sample_surface_points(mesh: TriMesh, n: int, seed: int) -> np.ndarray:
     return p0[tri] + u[:, None] * (p1[tri] - p0[tri]) + v[:, None] * (p2[tri] - p0[tri])
 
 
-def _parity_along_axis(mesh: TriMesh, axes, axis: int) -> np.ndarray:
-    """Odd crossing parity of +axis rays from each point of the lattice whose
-    coordinates along x, y and z are `axes` (True = inside), as a
-    (len(axes[0]), len(axes[1]), len(axes[2])) array.
+def _axis_parities(mesh: TriMesh, axes):
+    """Yield, for axis 0, 1 and 2 in turn, the crossing parity of the +axis
+    ray from each point of the lattice whose coordinates along x, y and z
+    are `axes`: 1 where the ray crosses the mesh an odd number of times
+    (inside), as an int64 (len(axes[b]), len(axes[c]), len(axes[axis]))
+    array, b < c being the other two axes.
 
     The ray test of a point reads its `axis` coordinate only in the last
     comparison, the start against the crossing height. Everything before
@@ -179,7 +181,9 @@ def _parity_along_axis(mesh: TriMesh, axes, axis: int) -> np.ndarray:
     height, is a function of the (b, c) floats alone, and those are the same
     floats for every point of a lattice line along `axis`. So each triangle
     is tested once per line, and the crossing height of each hit line is
-    compared with every start in `axes[axis]`.
+    compared with every start in `axes[axis]`. The corners, the edge
+    vectors, the three axes' denominators and the jittered coordinates are
+    formed once for the three axes.
 
     The triangles are tested in blocks of (triangles x b lines x c lines)
     arrays of at most `_BLOCK_ELEMENTS` elements, or of one triangle where
@@ -194,60 +198,70 @@ def _parity_along_axis(mesh: TriMesh, axes, axis: int) -> np.ndarray:
     crossings. The caller owns the lattice and is the one to cull it
     (`voxelize_occupancy` passes only the voxels inside the posed mesh's box).
     """
-    b_ax, c_ax = [a for a in range(3) if a != axis]
-    starts = axes[axis]
-    shape = (len(axes[b_ax]), len(axes[c_ax]), len(starts))
     p0, p1, p2 = mesh.corners()
-    e1s = p1 - p0
-    e2s = p2 - p0
-    denoms = e1s[:, b_ax] * e2s[:, c_ax] - e1s[:, c_ax] * e2s[:, b_ax]
-    # Below 1e-15 the ray is parallel to the triangle plane and never counts.
-    active = np.abs(denoms) >= 1e-15
-    p0, e1s, e2s, denoms = p0[active], e1s[active], e2s[active], denoms[active]
-    qb = axes[b_ax] + _RAY_JITTER
-    qc = axes[c_ax] + _RAY_JITTER * np.sqrt(3.0)
+    e1, e2 = p1 - p0, p2 - p0
+    # Rows 0-2 of `rows` are the triangles' first corners, 3-5 and 6-8 their
+    # edge vectors, and row 9 + axis the denominator e1[b] e2[c] - e1[c] e2[b]
+    # of the rays along axis.
+    b_axes, c_axes = [1, 0, 0], [2, 2, 1]
+    denoms = e1[:, b_axes] * e2[:, c_axes] - e1[:, c_axes] * e2[:, b_axes]
+    rows = np.concatenate([p0, e1, e2, denoms], axis=1).T
+    qbs = (axes[0] + _RAY_JITTER, axes[1] + _RAY_JITTER)
+    qcs = (None, axes[1] + _RAY_JITTER * np.sqrt(3.0), axes[2] + _RAY_JITTER * np.sqrt(3.0))
+    for axis, b_ax, c_ax in zip(range(3), b_axes, c_axes):
+        qb, qc, starts = qbs[b_ax], qcs[c_ax], axes[axis]
+        # Below 1e-15 the ray is parallel to the triangle plane and never counts.
+        tested = rows[:, np.abs(rows[9 + axis]) >= 1e-15]
 
-    hits, heights = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    lines = len(qb) * len(qc)
-    step = max(1, _BLOCK_ELEMENTS // max(lines, 1))
-    for s in range(0, len(denoms), step):
-        # One block: each coordinate of its triangles is a (t, 1, 1) column,
-        # which broadcasts over the (b, c) lines as one triangle's scalar did.
-        p, e1, e2, denom = (x[s:s + step].T[..., None, None] for x in (p0, e1s, e2s, denoms))
-        db, dc = qb[:, None] - p[b_ax], qc - p[c_ax]
-        alpha = (db * e2[c_ax] - dc * e2[b_ax]) / denom
-        beta = (e1[b_ax] * dc - e1[c_ax] * db) / denom
-        counted = (alpha >= 0.0) & (beta >= 0.0) & (alpha + beta <= 1.0)
-        tri, hit = counted.reshape(len(denom), lines).nonzero()
-        flat = tri * lines + hit
-        hits.append(hit)
-        heights.append(p[axis].take(tri) + alpha.take(flat) * e1[axis].take(tri)
-                       + beta.take(flat) * e2[axis].take(tri))
-    # Every crossing against all the starts at once; the parity of a point
-    # is that of the number of crossings above it.
-    line = np.concatenate(hits)
-    above = np.concatenate(heights)[:, None] > starts
-    m = shape[2]
-    crossings = np.bincount((line[:, None] * m + np.arange(m))[above], minlength=np.prod(shape))
-    return np.moveaxis((crossings % 2 == 1).reshape(shape), 2, axis)
+        hits, heights = [], []
+        lines = len(qb) * len(qc)
+        step = max(1, _BLOCK_ELEMENTS // max(lines, 1))
+        for s in range(0, max(tested.shape[1], 1), step):
+            # One block: each value of its triangles is a (t, 1, 1) column,
+            # which broadcasts over the (b, c) lines as one triangle's scalar did.
+            block = tested[:, s:s + step, None, None]
+            p, u, v, denom = block[0:3], block[3:6], block[6:9], block[9 + axis]
+            db, dc = qb[:, None] - p[b_ax], qc - p[c_ax]
+            alpha = (db * v[c_ax] - dc * v[b_ax]) / denom
+            beta = (u[b_ax] * dc - u[c_ax] * db) / denom
+            counted = (alpha >= 0.0) & (beta >= 0.0) & (alpha + beta <= 1.0)
+            tri, hit = counted.reshape(len(denom), lines).nonzero()
+            flat = tri * lines + hit
+            # Each hit triangle's corner and edges along axis, gathered at once.
+            p, u, v = tested[axis:9:3, s:s + step].take(tri, axis=1)
+            hits.append(hit)
+            heights.append(p + alpha.take(flat) * u + beta.take(flat) * v)
+        # Every crossing against all the starts at once; the parity of a point
+        # is that of the number of crossings above it.
+        line = np.concatenate(hits)
+        above = np.concatenate(heights)[:, None] > starts
+        m = len(starts)
+        crossings = np.bincount((line[:, None] * m + np.arange(m))[above], minlength=lines * m)
+        yield (crossings & 1).reshape(len(qb), len(qc), m)
 
 
 def points_inside(mesh: TriMesh, axes) -> tuple[np.ndarray, float]:
     """Majority-vote containment of the lattice whose coordinates along x, y
     and z are the 1-D arrays `axes`, such as `grid_axes` returns.
 
-    Each lattice line casts one ray per axis (`_parity_along_axis`); the
-    votes are the same as for its points one by one. Every line is cast: the
-    one cull is the caller's, which passes only the lattice it needs, as
+    Each lattice line casts one ray per axis (`_axis_parities`); the votes
+    are the same as for its points one by one. Each axis's parities are
+    added into one C-ordered int8 vote count over the lattice, through its
+    view with that axis last. Every line is cast: the one cull is the
+    caller's, which passes only the lattice it needs, as
     `voxelize_occupancy` clips it to the posed mesh's bounding box.
 
     Returns (inside mask over the lattice's points in C order, fraction of
     points where the three axis votes disagree). Callers decide whether the
     disagreement is fatal.
     """
-    total = np.sum([_parity_along_axis(mesh, axes, a) for a in range(3)], axis=0).ravel()
+    votes = np.zeros([len(a) for a in axes], dtype=np.int8)
+    for parity, order in zip(_axis_parities(mesh, axes), ((1, 2, 0), (0, 2, 1), (0, 1, 2))):
+        view = votes.transpose(order)  # (b, c, axis), as the parity
+        view += parity
+    total = votes.ravel()
     inside = total >= 2
-    disagree = float(np.mean((total != 0) & (total != 3))) if total.size else 0.0
+    disagree = np.count_nonzero((total != 0) & (total != 3)) / total.size if total.size else 0.0
     return inside, disagree
 
 

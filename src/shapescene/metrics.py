@@ -32,6 +32,7 @@ class DetectionBox:
     class_name: str
     pose: Pose9DoF           # unit cube under this pose
     score: float = 1.0
+    scene: int = 0           # map3d matches boxes within one scene
 
 
 # World margin around the posed objects in scene_voxel_grid's bounds.
@@ -42,7 +43,7 @@ MIV_EPSILON_VOXELS = 1
 
 # The largest E (E + spacing) of a posed mesh whose box is E wide at most on
 # every axis, on a grid of that spacing. voxelize_occupancy casts the lattice
-# lines within half a voxel of the box, and `mesh._parity_along_axis` adds a
+# lines within half a voxel of the box, and `mesh._axis_parities` adds a
 # ray jitter J, so a line's offset from a vertex is at most E + spacing / 2
 # + J, and an edge coordinate at most E. alpha's and beta's numerators are
 # differences of two such products; each is divided by a |denom| >= 1e-15,
@@ -191,16 +192,6 @@ _CUBE_NORMALS = np.vstack([np.eye(3), -np.eye(3)])
 _COINCIDENT_TOL = 1e-9
 
 
-def _box_faces(p: Pose9DoF, origin: np.ndarray, shift: int):
-    """World faces (6, 4, 3), unit outward normals (6, 3) and plane offsets (6,)
-    of the unit cube under `p`, in coordinates relative to `origin` scaled by
-    2**shift."""
-    t, s = np.ldexp(p.t - origin, shift), np.ldexp(p.s, shift)
-    normals = _CUBE_NORMALS @ p.r.m.T
-    offsets = normals @ t + 0.5 * np.tile(s, 2)
-    return (s * _CUBE_FACES) @ p.r.m.T + t, normals, offsets
-
-
 def _clip(poly, count, normal, offset):
     """Clip convex polygons (F, M, 3), each `count` vertices then zero padding,
     to the half-spaces normal . x <= offset (one per polygon), keeping vertex
@@ -230,50 +221,84 @@ def _clip(poly, count, normal, offset):
     return out, count
 
 
-def oriented_box_iou(a: Pose9DoF, b: Pose9DoF) -> float:
-    """Exact IoU of two unit cubes under 9-DoF poses.
+_SPAN_ERROR = "a box's sides span more than the float range"
+
+
+def _order_key(p: Pose9DoF) -> tuple:
+    return tuple(np.concatenate([p.t, p.s, p.r.m.ravel()]))
+
+
+def _box_ious(pairs: list[tuple[Pose9DoF, Pose9DoF]]) -> tuple[np.ndarray, np.ndarray]:
+    """Exact IoU of each pair (a, b) of unit cubes under 9-DoF poses, and
+    the mask of the pairs whose boxes' sides span more than the float range,
+    whose IoU is left at 0 for the caller to raise on.
 
     The intersection is a convex polytope bounded by at most the 12 face
     planes. Each box's faces are clipped to the other box (Sutherland-Hodgman)
     and the volume is the divergence-theorem sum of offset times area over
     the clipped faces. A face plane shared by both boxes is counted once.
 
-    IoU is scale-free, so both boxes are scaled by the power of two that
-    brings their largest side into [0.5, 1). That rounds every operation as
-    before, bit for bit, and keeps every coordinate within a few units, so no
-    product overflows. DataError if the larger volume, so scaled, is below
-    the normal floats: the boxes' sides span more than the float range.
+    IoU is scale-free, so both boxes of a pair are scaled by the power of
+    two that brings their largest side into [0.5, 1). That rounds every
+    operation as before, bit for bit, and keeps every coordinate within a
+    few units, so no product overflows. A pair is out of range where the
+    larger volume, so scaled, is below the normal floats.
+
+    Pairs whose circumscribed spheres are apart score 0 without clipping.
+    The faces of all other pairs are formed as one stack and clipped in one
+    six-round pass; each clipped face is its own polygon with its own
+    planes, so the pass gives every pair the bits of clipping it alone.
+    Each pair's volume is then its own dot of offsets and areas.
     """
-    with np.errstate(over="ignore"):  # centres past the float range apart: inf, no overlap
-        if np.linalg.norm(a.t - b.t) > (np.linalg.norm(a.s) + np.linalg.norm(b.s)) / 2:
-            return 0.0  # each box lies inside its circumscribed sphere
-    # A fixed argument order makes the result exactly symmetric.
-    if tuple(np.concatenate([b.t, b.s, b.r.m.ravel()])) < tuple(
-            np.concatenate([a.t, a.s, a.r.m.ravel()])):
-        a, b = b, a
-    largest = max(a.s.max(), b.s.max())
-    shift = -int(np.frexp(largest)[1])
-    vol_a, vol_b = (float(np.prod(np.ldexp(p.s, shift))) for p in (a, b))
-    if max(vol_a, vol_b) < np.finfo(np.float64).tiny:
-        raise DataError("a box's sides span more than the float range")
-    faces_a, normals_a, offsets_a = _box_faces(a, a.t, shift)
-    faces_b, normals_b, offsets_b = _box_faces(b, a.t, shift)
+    iou = np.zeros(len(pairs))
+    bad = np.zeros(len(pairs), dtype=bool)
+    near, ordered = [], []
+    for k, (a, b) in enumerate(pairs):
+        with np.errstate(over="ignore"):  # centres past the float range apart: inf, no overlap
+            if np.linalg.norm(a.t - b.t) > (np.linalg.norm(a.s) + np.linalg.norm(b.s)) / 2:
+                continue  # each box lies inside its circumscribed sphere
+        # A fixed argument order makes the result exactly symmetric.
+        near.append(k)
+        ordered.append((b, a) if _order_key(b) < _order_key(a) else (a, b))
+    if not near:
+        return iou, bad
+    t = np.array([[a.t, b.t] for a, b in ordered])  # (n, 2, 3): a, then b
+    r = np.array([[a.r.m, b.r.m] for a, b in ordered])
+    s = np.array([[a.s, b.s] for a, b in ordered])
+    largest = s.max(axis=(1, 2))
+    shift = -np.frexp(largest)[1]
+    s = np.ldexp(s, shift[:, None, None])
+    vol = np.prod(s, axis=2)
+    out_of_range = vol.max(axis=1) < np.finfo(np.float64).tiny
+    bad[near] = out_of_range
+    near, t, r, s, vol, largest, shift = (
+        x[~out_of_range] for x in (np.array(near), t, r, s, vol, largest, shift))
+    n = len(near)
+    if not n:
+        return iou, bad
+
+    # Each box's world faces (4 corners each), unit outward normals and plane
+    # offsets, in coordinates relative to a's centre scaled by 2**shift.
+    t = np.ldexp(t - t[:, :1], shift[:, None, None])
+    rt = r.swapaxes(-1, -2)
+    normals = _CUBE_NORMALS @ rt
+    offsets = (normals @ t[..., None])[..., 0] + 0.5 * np.tile(s, 2)
+    faces = (s[:, :, None, None] * _CUBE_FACES) @ rt[:, :, None] + t[:, :, None, None]
     tol = _COINCIDENT_TOL * np.ldexp(largest, shift)
-    shared = ((np.abs(normals_a[:, None] - normals_b[None]).max(axis=2) <= _COINCIDENT_TOL)
-              & (np.abs(offsets_a[:, None] - offsets_b[None]) <= tol))
+    shared = ((np.abs(normals[:, 0, :, None] - normals[:, 1, None]).max(axis=-1)
+               <= _COINCIDENT_TOL)
+              & (np.abs(offsets[:, 0, :, None] - offsets[:, 1, None]) <= tol[:, None, None]))
 
     # Each face is clipped by the other box's six planes, except that a face of
     # a is not clipped by a plane of b it lies on (a no-op plane stands in),
     # and a face of b on a shared plane is dropped, since a's face covers it.
-    poly = np.concatenate([faces_a, faces_b])
-    face_n = np.concatenate([normals_a, normals_b])
-    face_d = np.concatenate([offsets_a, offsets_b])
-    skip = np.concatenate([shared, np.zeros((6, 6), dtype=bool)])
-    clip_n = np.where(skip[..., None], 0.0, np.repeat([normals_b, normals_a], 6, axis=0))
-    clip_d = np.where(skip, 1.0, np.repeat([offsets_b, offsets_a], 6, axis=0))
-    kept = np.concatenate([np.ones(6, dtype=bool), ~shared.any(axis=0)])
-    poly, face_n, face_d, clip_n, clip_d = (
-        x[kept] for x in (poly, face_n, face_d, clip_n, clip_d))
+    skip = np.concatenate([shared, np.zeros_like(shared)], axis=1)
+    clip_n = np.where(skip[..., None], 0.0, np.repeat(normals[:, ::-1], 6, axis=1))
+    clip_d = np.where(skip, 1.0, np.repeat(offsets[:, ::-1], 6, axis=1))
+    kept = np.concatenate([np.ones((n, 6), dtype=bool), ~shared.any(axis=1)], axis=1)
+    poly, face_n, face_d = (faces.reshape(n, 12, 4, 3)[kept], normals.reshape(n, 12, 3)[kept],
+                            offsets.reshape(n, 12)[kept])
+    clip_n, clip_d = clip_n[kept], clip_d[kept]
     count = np.full(len(poly), 4)
     for k in range(6):
         poly, count = _clip(poly, count, clip_n[:, k], clip_d[:, k])
@@ -285,8 +310,22 @@ def oriented_box_iou(a: Pose9DoF, b: Pose9DoF) -> float:
     nxt = np.arange(1, poly.shape[1] + 1)
     edges = np.cross(rel, rel[np.arange(len(rel))[:, None], nxt * (nxt < count[:, None])])
     twice_area = np.einsum("fmi,fi->f", edges, face_n)
-    inter = min(max(float(face_d @ twice_area) / 6.0, 0.0), vol_a, vol_b)
-    return inter / (vol_a + vol_b - inter)
+    # Each pair's faces are one run of the stack: a's six, then b's kept ones.
+    ends = np.cumsum(np.count_nonzero(kept, axis=1)).tolist()
+    for k, start, end, (vol_a, vol_b) in zip(near.tolist(), [0] + ends, ends, vol.tolist()):
+        inter = min(max(float(face_d[start:end] @ twice_area[start:end]) / 6.0, 0.0), vol_a, vol_b)
+        iou[k] = inter / (vol_a + vol_b - inter)
+    return iou, bad
+
+
+def oriented_box_iou(a: Pose9DoF, b: Pose9DoF) -> float:
+    """Exact IoU of two unit cubes under 9-DoF poses: the one-pair case of
+    the stacked kernel `_box_ious`. DataError if the boxes' sides span more
+    than the float range."""
+    iou, bad = _box_ious([(a, b)])
+    if bad[0]:
+        raise DataError(_SPAN_ERROR)
+    return float(iou[0])
 
 
 def average_precision(matches: list[tuple[float, bool]], n_gt: int) -> float:
@@ -315,7 +354,15 @@ def map3d(
     preds: list[DetectionBox], gts: list[DetectionBox], iou_threshold: float
 ) -> tuple[dict[str, float], float]:
     """Greedy score-ordered matching, per-class AP, and the mean over classes
-    with at least one ground truth."""
+    with at least one ground truth.
+
+    A prediction is matched only against the ground truths of its own scene
+    (`DetectionBox.scene`). The predictions of a class are ranked by score
+    over all scenes (ties in input order), and their outcomes are pooled
+    into one AP per class. The IoUs of a class's same-scene pairs come from
+    one `_box_ious` call; a pair out of the float range raises DataError
+    only when the matching reaches it.
+    """
     classes = sorted({g.class_name for g in gts})
     per_class: dict[str, float] = {}
     for cls in classes:
@@ -323,15 +370,23 @@ def map3d(
         cls_preds = sorted(
             (p for p in preds if p.class_name == cls), key=lambda p: -p.score
         )
+        in_scene: dict[int, list[int]] = {}
+        for j, g in enumerate(cls_gts):
+            in_scene.setdefault(g.scene, []).append(j)
+        candidates = [in_scene.get(p.scene, []) for p in cls_preds]
+        ious, bad = _box_ious([(p.pose, cls_gts[j].pose)
+                               for p, js in zip(cls_preds, candidates) for j in js])
+        pair = zip(ious, bad)  # in the order the loop below visits the pairs
         matched = [False] * len(cls_gts)
         outcomes: list[tuple[float, bool]] = []
-        for p in cls_preds:
+        for p, js in zip(cls_preds, candidates):
             best_iou = 0.0
             best_j = -1
-            for j, g in enumerate(cls_gts):
+            for j, (iou, out_of_range) in zip(js, pair):
                 if matched[j]:
                     continue
-                iou = oriented_box_iou(p.pose, g.pose)
+                if out_of_range:
+                    raise DataError(_SPAN_ERROR)
                 if iou > best_iou:
                     best_iou = iou
                     best_j = j

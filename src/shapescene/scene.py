@@ -21,6 +21,8 @@ DEFAULT_GROUND_BOUNDS = ((-1.5, 1.5), (-1.5, 1.5))
 DEFAULT_SCALE_RANGE = (0.5, 1.5)
 GENERATION_CHECK_RESOLUTION = 64
 MAX_PLACEMENT_ATTEMPTS = 1000
+# Placement candidates drawn per batch (see _candidates).
+_CANDIDATE_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -125,19 +127,44 @@ def scene_grid(bounds, resolution: int) -> tuple[np.ndarray, tuple[int, int, int
     return origin, dims, spacing
 
 
+def _candidates(rng: np.random.Generator, db: ShapeDatabase):
+    """Yield placement candidates (class, exemplar, yaw rotation, scales,
+    x, y) forever, in draw order.
+
+    Each candidate takes the same draws from `rng`, in the same order, as a
+    candidate drawn on its own; a draw never depends on an earlier outcome.
+    So they are drawn _CANDIDATE_BATCH at a time, and the batch's yaw
+    matrices take one rotation_about_axis call, which gives each matrix the
+    bits of its own call. The draws past the last one the caller takes leave
+    no trace: `rng` is the caller's own, and no one reads it after.
+    """
+    (x0, x1), (y0, y1) = DEFAULT_GROUND_BOUNDS
+    log_lo, log_hi = np.log(DEFAULT_SCALE_RANGE[0]), np.log(DEFAULT_SCALE_RANGE[1])
+    while True:
+        draws = [(int(rng.integers(db.class_count)), int(rng.integers(db.k_per_class)),
+                  float(rng.uniform(0.0, 2.0 * np.pi)),
+                  np.exp(rng.uniform(log_lo, log_hi, size=3)),
+                  float(rng.uniform(x0, x1)), float(rng.uniform(y0, y1)))
+                 for _ in range(_CANDIDATE_BATCH)]
+        rots = rotation_about_axis(np.array([0.0, 0.0, 1.0]), [d[2] for d in draws])
+        for (cls, exemplar, _, s, x, y), rot in zip(draws, rots):
+            yield cls, exemplar, Rotation(rot), s, x, y
+
+
 def generate_scene(db: ShapeDatabase, n_objects: int, seed: int) -> Scene:
     """Sample a collision-free scene of upright objects on the ground plane.
 
     Classes/exemplars uniform, yaw uniform in [0, 2pi), per-axis scales
     log-uniform in DEFAULT_SCALE_RANGE, x/y uniform in DEFAULT_GROUND_BOUNDS,
     z chosen so the posed shape rests on z = 0. Each object gets
-    MAX_PLACEMENT_ATTEMPTS draws before PlacementFailure. Deterministic per seed.
+    MAX_PLACEMENT_ATTEMPTS candidates before PlacementFailure, and each
+    candidate is judged, and rasterised, in draw order (`_candidates`).
+    Deterministic per seed.
     """
     if n_objects < 1:
         raise ValueError("n_objects must be >= 1")
-    rng = np.random.default_rng(seed)
+    candidates = _candidates(np.random.default_rng(seed), db)
     (x0, x1), (y0, y1) = DEFAULT_GROUND_BOUNDS
-    log_lo, log_hi = np.log(DEFAULT_SCALE_RANGE[0]), np.log(DEFAULT_SCALE_RANGE[1])
     zmax = 2.0 * DEFAULT_SCALE_RANGE[1]
     check_bounds = ((x0 - 1.5, x1 + 1.5), (y0 - 1.5, y1 + 1.5), (0.0, zmax))
     origin, dims, spacing = scene_grid(check_bounds, GENERATION_CHECK_RESOLUTION)
@@ -145,14 +172,7 @@ def generate_scene(db: ShapeDatabase, n_objects: int, seed: int) -> Scene:
     placed: list[PlacedObject] = []
     taken = np.zeros(dims, dtype=bool)  # union of the placed objects' voxels
     for _ in range(n_objects):
-        for _ in range(MAX_PLACEMENT_ATTEMPTS):
-            cls = int(rng.integers(db.class_count))
-            exemplar = int(rng.integers(db.k_per_class))
-            yaw = float(rng.uniform(0.0, 2.0 * np.pi))
-            s = np.exp(rng.uniform(log_lo, log_hi, size=3))
-            x = float(rng.uniform(x0, x1))
-            y = float(rng.uniform(y0, y1))
-            rot = rotation_about_axis(np.array([0.0, 0.0, 1.0]), yaw)
+        for _, (cls, exemplar, rot, s, x, y) in zip(range(MAX_PLACEMENT_ATTEMPTS), candidates):
             mesh = db.entry(cls, exemplar).mesh
             pose0 = Pose9DoF(rot, np.array([x, y, 0.0]), s)
             min_z = apply_pose(pose0, mesh.vertices)[:, 2].min()

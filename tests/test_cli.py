@@ -760,6 +760,21 @@ def test_translation_past_the_float_range_is_silent(pipeline, tmp_path, capsys, 
         assert [o.pose.t.tolist() for o in resolved[:len(edits)]] == [e["t"] for e in edits]
 
 
+def test_resolve_scale_past_the_float_range_is_silent(pipeline, tmp_path, capsys):
+    # Object 0's maps into the frames of the others, s_0 / s_j, overflow to
+    # inf: its points sample outside every other field.
+    scene = _posed_scene(pipeline, tmp_path, {"s": [1e308, 1.0, 1.0]})
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print more stderr lines
+        assert main(["resolve", "--db", str(pipeline / "db"), "--scene", str(scene),
+                     "--out", str(out), "--iters", "3"]) == 0
+    assert capsys.readouterr().err == ""
+    objects = json.loads(out.read_text())["objects"]
+    assert np.all(np.isfinite([x for o in objects for key in ("R", "t", "s") for x in o[key]]))
+    assert objects[0]["s"] == [1e308, 1.0, 1.0]
+
+
 @pytest.mark.parametrize("edits, code, collisions", [
     # One object 1e200 away: voxels of ~1e198, a volume past the float range,
     # but no pair collides.
@@ -1203,6 +1218,23 @@ def test_evaluate_map_report(pipeline, tmp_path):
                  "--gt", str(pipeline / "scenes" / "scene_0000.json"),
                  "--metric", "map", "--thresh", "0.5", "--out", str(out)]) == 0
     assert json.loads(out.read_text()) == report
+
+
+def test_evaluate_map_matches_within_each_scene(tmp_path):
+    # Each prediction lies on the other scene's ground truth, 7 units from its
+    # own: pooled across files they would match, and map would read 1.0.
+    for side, centres in (("gt", {"a": [0.0, 0.0], "b": [5.0, 5.0]}),
+                          ("pred", {"a": [5.0, 5.0], "b": [0.0, 0.0]})):
+        (tmp_path / side).mkdir()
+        for name, (x, y) in centres.items():
+            save_scene(tmp_path / side / f"{name}.json", Scene(0, (PlacedObject(
+                "box", 0, Pose9DoF(t=np.array([x, y, 0.5]))),)))
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--db", str(tmp_path / "no-db"), "--pred", str(tmp_path / "pred"),
+                 "--gt", str(tmp_path / "gt"), "--metric", "map", "--thresh", "0.5",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["map"] == 0.0 and report["per_class"] == {"box": 0.0}
 
 
 def test_evaluate_miv_honours_res(pipeline, tmp_path):

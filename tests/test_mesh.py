@@ -17,10 +17,10 @@ from shapescene.mesh import (
     WATERTIGHT_DISAGREEMENT,
     PointBricks,
     TriMesh,
+    _axis_parities,
     _distance_rounding,
     _edge_owners,
     _float32_below,
-    _parity_along_axis,
     _triangle_distance,
     canonicalize_mesh,
     grid_axes,
@@ -166,7 +166,7 @@ def test_points_inside_cube(rng):
 
 def _all_points_parity(mesh, points, axis):
     """Every point against every triangle: the reference the line-by-line
-    `_parity_along_axis` must match bit for bit."""
+    `_axis_parities` must match bit for bit."""
     b_ax, c_ax = [a for a in range(3) if a != axis]
     p0, p1, p2 = mesh.corners()
     q = points.copy()
@@ -193,10 +193,11 @@ def _all_points_parity(mesh, points, axis):
 
 def _assert_containment_matches_all_points(mesh, axes):
     points = _lattice_points(axes)
+    parities = list(_axis_parities(mesh, axes))
     votes = []
     for axis in range(3):
         votes.append(_all_points_parity(mesh, points, axis))
-        assert np.array_equal(_parity_along_axis(mesh, axes, axis).ravel(), votes[-1])
+        assert np.array_equal(np.moveaxis(parities[axis], 2, axis).ravel(), votes[-1])
     total = np.sum(votes, axis=0)
     inside, disagreement = points_inside(mesh, axes)
     assert np.array_equal(inside, total >= 2)
@@ -285,7 +286,7 @@ def _inner_axes(mesh, counts, rng):
 
 
 def _block_sizes(mesh, axes, axis):
-    """(triangles `_parity_along_axis` tests, triangles per block) for the
+    """(triangles `_axis_parities` tests, triangles per block) for the
     lattice `axes` and rays along `axis`."""
     b_ax, c_ax = [a for a in range(3) if a != axis]
     p0, p1, p2 = mesh.corners()
@@ -316,8 +317,9 @@ def test_parity_with_no_near_lines_on_an_axis():
     mesh = make_box()
     rng = np.random.default_rng(13)
     axes = [rng.uniform(-0.4, 0.4, 9), rng.uniform(-2.0, -0.6, 7), rng.uniform(-0.4, 0.4, 8)]
+    parities = list(_axis_parities(mesh, axes))
     for axis in (0, 2):
-        assert not _parity_along_axis(mesh, axes, axis).any()
+        assert not parities[axis].any()
     _assert_containment_matches_all_points(mesh, axes)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_rotation
 
-from shapescene.errors import EmptyScenes
+from shapescene.errors import DataError, EmptyScenes
 from shapescene.geom import Pose9DoF, Rotation, apply_pose, rotation_about_axis
 from dataclasses import replace
 
@@ -276,6 +276,146 @@ def test_box_iou_rigid_invariance(rng):
     a2 = Pose9DoF(Rotation(q.m @ a.r.m), q.m @ a.t + shift, a.s)
     b2 = Pose9DoF(Rotation(q.m @ b.r.m), q.m @ b.t + shift, b.s)
     assert abs(oriented_box_iou(a2, b2) - base) < 1e-9
+
+
+def _per_pair_box_iou(a, b):
+    """oriented_box_iou of one pair, clipping its faces alone: the reference
+    the stacked `_box_ious` must match bit for bit."""
+    with np.errstate(over="ignore"):
+        if np.linalg.norm(a.t - b.t) > (np.linalg.norm(a.s) + np.linalg.norm(b.s)) / 2:
+            return 0.0
+    if tuple(np.concatenate([b.t, b.s, b.r.m.ravel()])) < tuple(
+            np.concatenate([a.t, a.s, a.r.m.ravel()])):
+        a, b = b, a
+    largest = max(a.s.max(), b.s.max())
+    shift = -int(np.frexp(largest)[1])
+    vol_a, vol_b = (float(np.prod(np.ldexp(p.s, shift))) for p in (a, b))
+    if max(vol_a, vol_b) < np.finfo(np.float64).tiny:
+        raise DataError("a box's sides span more than the float range")
+
+    def box_faces(p):
+        t, s = np.ldexp(p.t - a.t, shift), np.ldexp(p.s, shift)
+        normals = metrics_module._CUBE_NORMALS @ p.r.m.T
+        offsets = normals @ t + 0.5 * np.tile(s, 2)
+        return (s * metrics_module._CUBE_FACES) @ p.r.m.T + t, normals, offsets
+
+    faces_a, normals_a, offsets_a = box_faces(a)
+    faces_b, normals_b, offsets_b = box_faces(b)
+    tol = metrics_module._COINCIDENT_TOL * np.ldexp(largest, shift)
+    shared = ((np.abs(normals_a[:, None] - normals_b[None]).max(axis=2)
+               <= metrics_module._COINCIDENT_TOL)
+              & (np.abs(offsets_a[:, None] - offsets_b[None]) <= tol))
+    poly = np.concatenate([faces_a, faces_b])
+    face_n = np.concatenate([normals_a, normals_b])
+    face_d = np.concatenate([offsets_a, offsets_b])
+    skip = np.concatenate([shared, np.zeros((6, 6), dtype=bool)])
+    clip_n = np.where(skip[..., None], 0.0, np.repeat([normals_b, normals_a], 6, axis=0))
+    clip_d = np.where(skip, 1.0, np.repeat([offsets_b, offsets_a], 6, axis=0))
+    kept = np.concatenate([np.ones(6, dtype=bool), ~shared.any(axis=0)])
+    poly, face_n, face_d, clip_n, clip_d = (
+        x[kept] for x in (poly, face_n, face_d, clip_n, clip_d))
+    count = np.full(len(poly), 4)
+    for k in range(6):
+        poly, count = metrics_module._clip(poly, count, clip_n[:, k], clip_d[:, k])
+    rel = poly - poly[:, :1]
+    nxt = np.arange(1, poly.shape[1] + 1)
+    edges = np.cross(rel, rel[np.arange(len(rel))[:, None], nxt * (nxt < count[:, None])])
+    twice_area = np.einsum("fmi,fi->f", edges, face_n)
+    inter = min(max(float(face_d @ twice_area) / 6.0, 0.0), vol_a, vol_b)
+    return inter / (vol_a + vol_b - inter)
+
+
+# Sides (1e308, 1e-308, 1e-308): scaled by 2**-1024, a volume of 0.
+_OUT_OF_RANGE = _box(s=(1e308, 1e-308, 1e-308))
+
+
+def _box_pairs(rng):
+    """Seeded pairs of every kind the stacked clip must get right: general
+    overlaps, shared and coincident faces, thin boxes, far pairs, sides far
+    from 1, and pairs out of the float range."""
+    pairs = []
+    for k in range(360):
+        r = random_rotation(rng) if k % 3 else Rotation.identity()
+        a = Pose9DoF(r, rng.normal(size=3) * 0.4, np.exp(rng.normal(size=3) * 0.4))
+        kind = k % 6
+        if kind == 0:  # a face plane shared, or a face half covered
+            axis = int(rng.integers(3))
+            step = a.s[axis] * rng.choice([1.0, 0.5, 0.25])
+            b = Pose9DoF(r, a.t + r.m[:, axis] * step, a.s * rng.choice([1.0, 0.5], size=3))
+        elif kind == 1:  # coincident
+            b = Pose9DoF(r, a.t.copy(), a.s.copy())
+        elif kind == 2:  # thin
+            thin = a.s * np.where(np.arange(3) == rng.integers(3), 1e-10, 1.0)
+            a = Pose9DoF(r, a.t, thin)
+            b = Pose9DoF(random_rotation(rng), a.t + rng.normal(size=3) * 0.05,
+                         np.exp(rng.normal(size=3) * 0.4))
+        elif kind == 3:  # far
+            b = Pose9DoF(random_rotation(rng), a.t + rng.normal(size=3) * 20.0, a.s)
+        elif kind == 4:  # sides far from 1
+            scale = 10.0 ** rng.integers(-150, 150)
+            a = Pose9DoF(r, a.t * scale, a.s * scale)
+            b = Pose9DoF(random_rotation(rng), a.t + rng.normal(size=3) * 0.3 * scale,
+                         a.s * np.exp(rng.normal(size=3) * 0.3))
+        else:
+            b = Pose9DoF(random_rotation(rng), a.t + rng.normal(size=3) * 0.4,
+                         np.exp(rng.normal(size=3) * 0.4))
+        pairs.append((a, b) if rng.random() < 0.5 else (b, a))
+    pairs[17] = (_OUT_OF_RANGE, _box())
+    pairs[200] = (_box(t=(0.2, 0.0, 0.0)), _OUT_OF_RANGE)
+    return pairs
+
+
+def _reference_or_error(a, b):
+    try:
+        return _per_pair_box_iou(a, b)
+    except DataError:
+        return None
+
+
+def test_stacked_box_iou_matches_per_pair_reference():
+    pairs = _box_pairs(np.random.default_rng(21))
+    want = [_reference_or_error(a, b) for a, b in pairs]
+    assert sum(w is None for w in want) == 2 and sum(w == 0.0 for w in want) > 60
+    assert sum(w is not None and 0.0 < w < 1.0 for w in want) > 200
+    assert sum(w is not None and w > 1.0 - 1e-9 for w in want) >= 60  # the coincident pairs
+    # All pairs in one stack, in stacks of a few, and one at a time.
+    for size in (len(pairs), 7, 1):
+        for k in range(0, len(pairs), size):
+            ious, bad = metrics_module._box_ious(pairs[k:k + size])
+            for iou, out_of_range, w in zip(ious, bad, want[k:k + size]):
+                assert out_of_range == (w is None)
+                assert np.float64(iou).tobytes() == np.float64(w or 0.0).tobytes()
+    for (a, b), w in zip(pairs, want):
+        if w is None:
+            with pytest.raises(DataError, match="span more than the float range"):
+                oriented_box_iou(a, b)
+        else:
+            assert np.float64(oriented_box_iou(a, b)).tobytes() == np.float64(w).tobytes()
+
+
+def test_map3d_raises_only_on_an_out_of_range_pair_it_reaches():
+    gt = [DetectionBox("box", _box())]
+    with pytest.raises(DataError, match="span more than the float range"):
+        map3d([DetectionBox("box", _OUT_OF_RANGE, score=0.9)], gt, iou_threshold=0.5)
+    # The ground truth is matched before the out-of-range box's turn, so its
+    # pair is never compared; nor is a pair across scenes.
+    preds = [DetectionBox("box", _box(), score=0.9), DetectionBox("box", _OUT_OF_RANGE, score=0.8)]
+    assert map3d(preds, gt, iou_threshold=0.5) == ({"box": 1.0}, 1.0)
+    preds = [DetectionBox("box", _OUT_OF_RANGE, scene=1)]
+    assert map3d(preds, gt, iou_threshold=0.5) == ({"box": 0.0}, 0.0)
+
+
+def test_map3d_matches_within_scenes_and_ranks_across_them():
+    far = _box((5.0, 5.0, 0.0))
+    gts = [DetectionBox("box", _box(), scene=0), DetectionBox("box", far, scene=1)]
+    # The scene-1 box of score 0.7 lies on scene 0's ground truth, which is
+    # still unmatched at its turn: a false positive all the same. The
+    # ranking runs over both scenes: TP, FP, TP at recalls 0.5, 0.5 and 1.
+    preds = [DetectionBox("box", _box(), score=0.5, scene=0),
+             DetectionBox("box", far, score=0.9, scene=1),
+             DetectionBox("box", _box(), score=0.7, scene=1)]
+    per_class, mean = map3d(preds, gts, iou_threshold=0.5)
+    assert per_class["box"] == mean == 0.5 * 1.0 + 0.5 * (2.0 / 3.0)
 
 
 def test_average_precision_hand_case():

@@ -5,10 +5,14 @@ import pytest
 
 from conftest import random_rotation
 
-from shapescene.errors import UnknownClass
-from shapescene.geom import Pose9DoF, apply_pose, geodesic_distance
+from shapescene import scene as scene_module
+from shapescene.errors import PlacementFailure, UnknownClass
+from shapescene.geom import Pose9DoF, apply_pose, geodesic_distance, rotation_about_axis
 from shapescene.metrics import miv_and_collisions
 from shapescene.scene import (
+    DEFAULT_GROUND_BOUNDS,
+    DEFAULT_SCALE_RANGE,
+    GENERATION_CHECK_RESOLUTION,
     PlacedObject,
     Scene,
     class_id,
@@ -99,6 +103,81 @@ def test_generate_scene_upright_yaw_only(toy_db):
     for o in scene.objects:
         # Yaw about z keeps the rotated z axis fixed.
         assert np.allclose(o.pose.r.m[:, 2], [0.0, 0.0, 1.0], atol=1e-9)
+
+
+def _generate_scene_per_candidate(db, n_objects, seed):
+    """generate_scene drawing, rotating and judging one candidate at a time:
+    the reference the batched candidates must match."""
+    rng = np.random.default_rng(seed)
+    (x0, x1), (y0, y1) = DEFAULT_GROUND_BOUNDS
+    log_lo, log_hi = np.log(DEFAULT_SCALE_RANGE[0]), np.log(DEFAULT_SCALE_RANGE[1])
+    zmax = 2.0 * DEFAULT_SCALE_RANGE[1]
+    check_bounds = ((x0 - 1.5, x1 + 1.5), (y0 - 1.5, y1 + 1.5), (0.0, zmax))
+    origin, dims, spacing = scene_grid(check_bounds, GENERATION_CHECK_RESOLUTION)
+    placed = []
+    taken = np.zeros(dims, dtype=bool)
+    for _ in range(n_objects):
+        for _ in range(scene_module.MAX_PLACEMENT_ATTEMPTS):
+            cls = int(rng.integers(db.class_count))
+            exemplar = int(rng.integers(db.k_per_class))
+            yaw = float(rng.uniform(0.0, 2.0 * np.pi))
+            s = np.exp(rng.uniform(log_lo, log_hi, size=3))
+            x = float(rng.uniform(x0, x1))
+            y = float(rng.uniform(y0, y1))
+            rot = rotation_about_axis(np.array([0.0, 0.0, 1.0]), yaw)
+            mesh = db.entry(cls, exemplar).mesh
+            min_z = apply_pose(Pose9DoF(rot, np.array([x, y, 0.0]), s), mesh.vertices)[:, 2].min()
+            pose = Pose9DoF(rot, np.array([x, y, -min_z]), s)
+            occ = scene_module.voxelize_occupancy(mesh, pose, origin, dims, spacing)
+            if not np.any(occ & taken):
+                placed.append(PlacedObject(db.classes[cls], exemplar, pose))
+                taken |= occ
+                break
+        else:
+            raise PlacementFailure(f"could not place object {len(placed)} in "
+                                   f"{scene_module.MAX_PLACEMENT_ATTEMPTS} attempts")
+    return Scene(seed=seed, objects=tuple(placed))
+
+
+def _counting_rasterisations(monkeypatch):
+    """A list that grows by one for each voxelize_occupancy call of scene.py."""
+    calls = []
+    rasterise = scene_module.voxelize_occupancy
+
+    def counted(*args):
+        calls.append(None)
+        return rasterise(*args)
+
+    monkeypatch.setattr(scene_module, "voxelize_occupancy", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_objects", [1, 3, 6, 9])
+def test_generate_scene_matches_per_candidate_loop(toy_db, monkeypatch, n_objects):
+    # The same scene, byte for byte, from as many rasterisations: no
+    # candidate is rasterised that the one-at-a-time loop would not judge.
+    calls = _counting_rasterisations(monkeypatch)
+    for seed in range(4):
+        calls.clear()
+        want = scene_to_json(_generate_scene_per_candidate(toy_db, n_objects, seed))
+        judged = len(calls)
+        assert scene_to_json(generate_scene(toy_db, n_objects, seed)) == want
+        assert len(calls) == 2 * judged
+
+
+def test_generate_scene_fails_as_the_per_candidate_loop(cube_db, monkeypatch):
+    # A ground too full for the next cube within a budget that is no multiple
+    # of the batch: the same object fails after the same attempts.
+    monkeypatch.setattr(scene_module, "MAX_PLACEMENT_ATTEMPTS", 13)
+    calls = _counting_rasterisations(monkeypatch)
+    with pytest.raises(PlacementFailure) as want:
+        _generate_scene_per_candidate(cube_db, 40, seed=3)
+    judged = len(calls)
+    with pytest.raises(PlacementFailure) as got:
+        generate_scene(cube_db, 40, seed=3)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).endswith(" in 13 attempts")
+    assert len(calls) == 2 * judged
 
 
 def test_perturb_identity():

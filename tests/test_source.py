@@ -92,6 +92,48 @@ def test_svd_caller_is_found():
     assert _callers(source, "svd") == ["<module>", "f"]
 
 
+def test_box_clip_in_one_place():
+    # Box IoU has one path: the stacked kernel clips every pair's faces, and
+    # oriented_box_iou and map3d call it.
+    source = (Path(shapescene.__file__).parent / "metrics.py").read_text()
+    assert _callers(source, "_clip") == ["_box_ious"]
+    assert _callers(source, "_box_ious") == ["oriented_box_iou", "map3d"]
+
+
+def _rodrigues_sites(source: str) -> list[str]:
+    """The top-level definitions that hold a Rodrigues formula: a product
+    with a `sin(...)` factor and a product with a `1 - cos(...)` factor."""
+    def call_of(node, name):
+        return isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] == name
+
+    sites = []
+    for stmt in ast.parse(source).body:
+        factors = [f for node in ast.walk(stmt)
+                   if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                   for f in (node.left, node.right)]
+        if any(call_of(f, "sin") for f in factors) and any(
+                isinstance(f, ast.BinOp) and isinstance(f.op, ast.Sub) and call_of(f.right, "cos")
+                for f in factors):
+            sites.append(getattr(stmt, "name", "<module>"))
+    return sites
+
+
+def test_rodrigues_in_one_place():
+    # Every axis-angle rotation, one angle or a stack, comes from one formula.
+    sites = {p.name: _rodrigues_sites(p.read_text()) for p in MODULES}
+    assert {name: s for name, s in sites.items() if s} == {"geom.py": ["rotation_about_axis"]}
+
+
+def test_rodrigues_site_is_found():
+    source = ("import numpy as np\n"
+              "def rodrigues(k, a):\n"
+              "    return np.eye(3) + np.sin(a) * k + (1.0 - np.cos(a)) * (k @ k)\n"
+              "def ring(a):\n    return np.stack([np.cos(a), np.sin(a)])\n"
+              "def versine(a, b):\n    return (1 - np.cos(a)) * b\n"
+              "r = eye + math.sin(t) * kx + kx @ kx * (1 - math.cos(t))\n")
+    assert _rodrigues_sites(source) == ["rodrigues", "<module>"]
+
+
 def test_distance_formula_in_one_place():
     # The point-segment distance clips its parameter in one function, which
     # only the triangle distance calls, for one triangle or stacked ones.

@@ -144,6 +144,20 @@ def test_project_stack_matches_per_matrix():
     assert np.array_equal(project_to_so3(stack[:1])[0], rs[0])
 
 
+def test_rotation_about_axis_angles_match_one_at_a_time():
+    # Yaws as scene generation draws them, then general axes and edge angles.
+    rng = np.random.default_rng(14)
+    cases = [(np.array([0.0, 0.0, 1.0]), rng.uniform(0.0, 2.0 * np.pi, 400))]
+    cases += [(rng.normal(size=3), np.concatenate([rng.uniform(-7.0, 7.0, 40),
+                                                   [0.0, np.pi, -np.pi, 2.0 * np.pi]]))
+              for _ in range(8)]
+    for axis, angles in cases:
+        rs = rotation_about_axis(axis, angles)
+        assert isinstance(rs, np.ndarray) and rs.shape == (len(angles), 3, 3)
+        for angle, r in zip(angles, rs):
+            assert r.tobytes() == rotation_about_axis(axis, float(angle)).m.tobytes()
+
+
 def test_project_stack_with_one_degenerate_matrix_raises():
     stack = np.random.default_rng(12).normal(size=(5, 3, 3))
     v = np.array([1.0, 2.0, 3.0])
